@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark routes through the declarative scenario engine (the legacy
-``*_series`` builders are thin wrappers over
+Every figure benchmark runs its registered scenario through the declarative
+scenario engine (:func:`run_scenario_once` →
 :func:`repro.experiments.executor.execute_scenario`), so the environment
 knobs below act as suite-level overrides applied to every series:
 
@@ -20,7 +20,9 @@ import re
 
 import pytest
 
+from repro.experiments.executor import execute_scenario
 from repro.experiments.report import format_series, print_series
+from repro.experiments.scenarios import scenario_spec
 
 #: "quick" (default) runs a scaled-down grid; "full" approaches the paper's grid.
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
@@ -85,3 +87,19 @@ def run_series_once(benchmark, series_fn, title, **kwargs):
     with open(os.path.join(RESULTS_DIR, f"{_slugify(title)}.txt"), "w") as handle:
         handle.write(table)
     return rows
+
+
+def run_scenario_once(benchmark, name, title, **overrides):
+    """Run the registered scenario *name* (with factory *overrides*) exactly once.
+
+    The figure goes straight through the engine —
+    ``execute_scenario(scenario_spec(name, **overrides), jobs=...)`` — with
+    ``REPRO_BENCH_JOBS`` as the pool width and ``REPRO_BENCH_REPEATS`` as the
+    factory's ``repeats``; rendering and the results file are
+    :func:`run_series_once`'s.
+    """
+
+    def series(jobs=None, **factory_overrides):
+        return execute_scenario(scenario_spec(name, **factory_overrides), jobs=jobs)
+
+    return run_series_once(benchmark, series, title, **overrides)

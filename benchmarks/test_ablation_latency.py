@@ -3,16 +3,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import latency_breakdown_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def test_ablation_latency_breakdown(benchmark):
     """Fault-free latency comparison across protocols at small and large n."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        latency_breakdown_series,
+        "latency-breakdown",
         title="§7 narrative — fault-free latency breakdown and reductions",
         replica_counts=pick((4, 16), (4, 32)),
         duration=pick(0.25, 0.6),

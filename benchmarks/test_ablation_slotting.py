@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import slotting_ablation_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def test_ablation_speculation_and_slotting(benchmark):
     """Speculation buys latency; slotting buys slow-leader resilience; both are needed."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        slotting_ablation_series,
+        "ablation-slotting",
         title="Ablation — speculation × slotting under slow leaders",
         slow_leader_count=pick(2, 4),
         n=pick(8, 16),

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import rollback_attack_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def test_fig10_rollback(benchmark):
     """Reproduce Fig. 10 (g, h): rollbacks hurt HotStuff-1 unless slotting confines them."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        rollback_attack_series,
+        "fig10-rollback",
         title="Figure 10 (g, h) — rollback attack",
         faulty_counts=pick((0, 2, 4), (0, 1, 4, 7, 10)),
         n=pick(16, 32),

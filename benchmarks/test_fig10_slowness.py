@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import leader_slowness_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def test_fig10_leader_slowness(benchmark):
     """Reproduce Fig. 10 (a-d): slow leaders hurt every protocol except slotted HotStuff-1."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        leader_slowness_series,
+        "fig10-slowness",
         title="Figure 10 (a-d) — leader slowness",
         slow_leader_counts=pick((0, 4), (0, 1, 4, 7, 10)),
         view_timeouts=pick((0.010,), (0.010, 0.100)),

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import tail_forking_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def test_fig10_tail_forking(benchmark):
     """Reproduce Fig. 10 (e, f): tail-forking suppresses the previous leader's block."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        tail_forking_series,
+        "fig10-tailfork",
         title="Figure 10 (e, f) — tail-forking attack",
         faulty_counts=pick((0, 4), (0, 1, 4, 7, 10)),
         n=pick(16, 32),

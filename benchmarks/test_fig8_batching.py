@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import batching_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def test_fig8_batching(benchmark):
     """Reproduce Fig. 8 (c) throughput and (d) latency: batch ∈ {100..10000}."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        batching_series,
+        "fig8-batching",
         title="Figure 8 (c, d) — impact of the batch size (n is scaled down in quick mode)",
         batch_sizes=pick((100, 1000, 5000), (100, 1000, 2000, 5000, 10000)),
         n=pick(8, 32),

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import geo_scale_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def _check_shape(rows):
@@ -31,12 +29,11 @@ def _check_shape(rows):
 
 def test_fig8_geo_ycsb(benchmark):
     """Reproduce Fig. 8 (e, f): geo-scale scalability with the YCSB workload."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        geo_scale_series,
+        "fig8-geo-ycsb",
         title="Figure 8 (e, f) — geo-scale deployment, YCSB",
         region_counts=pick((2, 5), (2, 3, 4, 5)),
-        workload="ycsb",
         n=pick(16, 32),
         duration=pick(4.0, 8.0),
         warmup=pick(1.0, 2.0),
@@ -46,12 +43,11 @@ def test_fig8_geo_ycsb(benchmark):
 
 def test_fig8_geo_tpcc(benchmark):
     """Reproduce Fig. 8 (g, h): geo-scale scalability with the TPC-C workload."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        geo_scale_series,
+        "fig8-geo-tpcc",
         title="Figure 8 (g, h) — geo-scale deployment, TPC-C",
         region_counts=pick((2, 5), (2, 3, 4, 5)),
-        workload="tpcc",
         n=pick(16, 32),
         duration=pick(4.0, 8.0),
         warmup=pick(1.0, 2.0),

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import scalability_series
-
-from benchmarks.conftest import pick, run_series_once
+from benchmarks.conftest import pick, run_scenario_once
 
 
 def test_fig8_scalability(benchmark):
     """Reproduce Fig. 8 (a) throughput and (b) latency: n ∈ {4..64}, batch 100, YCSB."""
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        scalability_series,
+        "fig8-scalability",
         title="Figure 8 (a, b) — scalability with the number of replicas",
         replica_counts=pick((4, 16, 32), (4, 16, 32, 64)),
         duration=pick(0.25, 1.0),

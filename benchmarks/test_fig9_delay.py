@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import delay_injection_series
-
-from benchmarks.conftest import is_full, pick, run_series_once
+from benchmarks.conftest import is_full, pick, run_scenario_once
 
 
 def test_fig9_delay_injection(benchmark):
@@ -12,9 +10,9 @@ def test_fig9_delay_injection(benchmark):
     n = pick(13, 31)
     f = (n - 1) // 3
     impacted_counts = (0, f, f + 1, n) if not is_full() else (0, f, f + 1, n - f - 1, n - f, n)
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        delay_injection_series,
+        "fig9-delay",
         title="Figure 9 (a-d, f-i) — injected message delays",
         delays_ms=pick((5.0, 50.0), (1.0, 5.0, 50.0, 500.0)),
         impacted_counts=impacted_counts,

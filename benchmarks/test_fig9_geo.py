@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.scenarios import two_region_split_series
-
-from benchmarks.conftest import is_full, pick, run_series_once
+from benchmarks.conftest import is_full, pick, run_scenario_once
 
 
 def test_fig9_two_region_split(benchmark):
@@ -12,9 +10,9 @@ def test_fig9_two_region_split(benchmark):
     n = pick(13, 31)
     f = (n - 1) // 3
     remote_counts = (0, f, f + 1, n) if not is_full() else (0, f, f + 1, n - f - 1, n - f, n)
-    rows = run_series_once(
+    rows = run_scenario_once(
         benchmark,
-        two_region_split_series,
+        "fig9-geo",
         title="Figure 9 (e, j) — Virginia/London split, clients in Virginia",
         remote_counts=remote_counts,
         n=n,

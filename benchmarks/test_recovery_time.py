@@ -9,7 +9,8 @@ the restart-to-first-commit recovery latency into the pytest-benchmark JSON
 from __future__ import annotations
 
 from repro.experiments.runner import ExperimentSpec, run_experiment
-from repro.experiments.scenarios import chaos_recovery_series
+from repro.experiments.executor import execute_scenario
+from repro.experiments.scenarios import scenario_spec
 from repro.faults.plan import FaultPlan
 from repro.live.deploy import run_live_experiment
 
@@ -28,15 +29,18 @@ def recovery_series(
     jobs=None,
 ):
     """Chaos scenario rows (one per fault preset × protocol) plus a live point."""
-    rows = chaos_recovery_series(
-        protocols=protocols,
-        faults=faults,
-        n=n,
-        batch_size=batch_size,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        repeats=repeats,
+    rows = execute_scenario(
+        scenario_spec(
+            "chaos-recovery",
+            protocols=protocols,
+            faults=faults,
+            n=n,
+            batch_size=batch_size,
+            duration=duration,
+            warmup=warmup,
+            seed=seed,
+            repeats=repeats,
+        ),
         jobs=jobs,
     )
     plan = FaultPlan.single_crash(1, at=0.5, down_for=0.4)

@@ -71,6 +71,7 @@ Sub-commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -78,27 +79,36 @@ from repro.analysis.charts import ascii_bar_chart
 from repro.analysis.export import write_rows, write_suite
 from repro.analysis.model import AnalyticalModel
 from repro.consensus.config import ProtocolConfig
-from repro.core.registry import EVALUATION_PROTOCOLS, PROTOCOLS
+from repro.core.registry import EVALUATION_PROTOCOLS
 from repro.errors import ConfigurationError
 from repro.experiments.executor import execute_scenario, execute_suite
 from repro.experiments.report import (
+    chaos_problem,
     format_chaos_report,
+    format_multiproc_report,
     format_network_breakdown,
     format_phase_breakdown,
     format_series,
     format_suite,
     format_timeline,
+    fuzz_problems,
 )
 from repro.faults.crashpoints import CRASH_HOOKS
 from repro.faults.plan import PRESETS as CHAOS_PRESETS
 from repro.faults.plan import chaos_preset, load_plan
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.experiments.runner import (
+    KNOB_GROUPS,
+    ExperimentSpec,
+    add_spec_arguments,
+    run_experiment,
+    spec_from_args,
+)
 from repro.experiments.spec import SuiteSpec, expand_suite, load_suite
 from repro.experiments.scenarios import chaos_fuzz_spec, scenario_spec
 
-#: Figure name -> scaled-down default overrides applied by the CLI so every
-#: figure regenerates in seconds on a laptop.  The full-scale defaults live in
-#: the spec factories (:data:`repro.experiments.scenarios.SCENARIOS`).
+#: Figure name -> laptop-scale overrides applied by the CLI so every figure
+#: regenerates in seconds.  The defaults themselves live only in the spec
+#: factories (:data:`repro.experiments.scenarios.SCENARIOS`).
 FIGURES: Dict[str, Dict] = {
     "fig8-scalability": {"replica_counts": (4, 16, 32)},
     "fig8-batching": {"batch_sizes": (100, 1000, 5000), "n": 8},
@@ -111,14 +121,16 @@ FIGURES: Dict[str, Dict] = {
     "fig10-rollback": {"n": 16, "faulty_counts": (0, 2, 4)},
     "latency-breakdown": {"replica_counts": (4, 16)},
     "ablation-slotting": {"n": 8},
-    "chaos-recovery": {
-        "n": 4,
-        "duration": 0.8,
-        "faults": ("kill-replica", "kill-leader", "blackout"),
-    },
-    "chaos-fuzz": {"n": 4, "duration": 0.6, "seeds": (1, 2, 3)},
-    "snapshot-recovery": {"n": 4, "duration": 1.0, "faults": ("kill-replica", "blackout")},
+    "chaos-recovery": {"duration": 0.8, "faults": ("kill-replica", "kill-leader", "blackout")},
+    "chaos-fuzz": {"duration": 0.6, "seeds": (1, 2, 3)},
+    "snapshot-recovery": {"faults": ("kill-replica", "blackout")},
 }
+
+#: CLI defaults that differ from the :class:`ExperimentSpec` field defaults:
+#: quick simulated runs for ``run`` / ``chaos`` / ``fuzz`` / ``compare``,
+#: wall-clock caps and a socket-friendly view timer for ``live`` / ``profile``.
+SIM_DEFAULTS = {"protocol": "hotstuff-1", "duration": 0.5, "warmup": 0.1}
+LIVE_DEFAULTS = {"protocol": "hotstuff-1", "duration": 15.0, "view_timeout": 0.05}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,73 +141,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser("run", help="run one experiment")
-    _add_common_arguments(run_parser)
-    run_parser.add_argument(
-        "--protocol", default="hotstuff-1",
-        help=f"protocol name or alias, e.g. hotstuff1 (available: {', '.join(sorted(PROTOCOLS))})",
-    )
-    run_parser.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file (crash/restart/partition/pause)",
-    )
-    _add_trace_arguments(run_parser)
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        subparser = subparsers.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler)  # what main() dispatches to
+        return subparser
 
-    live_parser = subparsers.add_parser(
-        "live", help="run one experiment over real localhost TCP sockets"
+    run_parser = command("run", command_run, "run one experiment")
+    add_spec_arguments(
+        run_parser, ("core", "durability", "telemetry", "faults"),
+        omit=("--n", "mode", "storage_dir", "scrape_port"), **SIM_DEFAULTS,
     )
-    live_parser.add_argument(
-        "--protocol", default="hotstuff-1",
-        help=f"protocol name or alias, e.g. hotstuff1 (available: {', '.join(sorted(PROTOCOLS))})",
+    _add_trace_out_flag(run_parser)
+
+    live_parser = command(
+        "live", command_live, "run one experiment over real localhost TCP sockets"
     )
-    live_parser.add_argument("--n", "--replicas", dest="replicas", type=int, default=4)
-    live_parser.add_argument("--batch", type=int, default=100)
-    live_parser.add_argument("--workload", default="ycsb", choices=("ycsb", "tpcc"))
-    live_parser.add_argument("--duration", type=float, default=15.0,
-                             help="wall-clock measurement cap in seconds")
-    live_parser.add_argument("--warmup", type=float, default=0.25)
-    live_parser.add_argument("--seed", type=int, default=1)
-    live_parser.add_argument("--view-timeout", type=float, default=0.05)
-    live_parser.add_argument("--codec", default="json", choices=("json", "binary"),
-                             help="wire codec for the TCP transports (binary is the fast path; "
-                                  "json is the readable default)")
-    live_parser.add_argument("--pipeline-depth", type=int, default=1,
-                             help="uncertified slot proposals a slotted leader keeps in flight "
-                                  "(>1 needs a slotting protocol, e.g. hotstuff-1-slotting)")
-    live_parser.add_argument("--target-ops", type=int, default=1000,
-                             help="stop once this many client operations completed (0: run full duration)")
-    live_parser.add_argument("--clients", type=int, default=None,
-                             help="closed-loop client population (default: pipeline knee)")
-    live_parser.add_argument("--rate", type=float, default=None,
-                             help="open-loop injection rate in txn/s (default: closed loop)")
-    live_parser.add_argument("--faults", default=None, metavar="PLAN.json",
-                             help="inject faults from a FaultPlan JSON file (crash/restart)")
-    live_parser.add_argument("--storage-dir", default=None,
-                             help="directory for file-backed replica stores (default: in-memory)")
-    live_parser.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="COMMITS",
-        help="snapshot the state machine and truncate the logs every N commits "
-             "(default: checkpointing off)",
-    )
-    live_parser.add_argument(
-        "--scrape-port", type=int, default=None, metavar="PORT",
-        help="serve per-replica HTTP scrape endpoints (/metrics, /healthz, /readyz) "
-             "on PORT+replica_id (0: ephemeral ports, printed at startup)",
-    )
-    live_parser.add_argument(
-        "--regions", default=None, metavar="R1,R2,...",
-        help="emulate geography: replicas placed round-robin across these regions, "
-             "per-link delays shaped at the transports from the paper's RTT tables",
-    )
-    live_parser.add_argument("--client-region", default="virginia",
-                             help="region the client pool sends from (with --regions)")
-    live_parser.add_argument(
-        "--distributed-mempool", action="store_true",
-        help="per-replica transaction pools fed by client broadcast "
-             "(default: one shared in-process pool)",
-    )
-    live_parser.add_argument("--mempool-limit", type=int, default=None, metavar="TXNS",
-                             help="admission-control cap per pool (adds beyond it are rejected)")
+    add_spec_arguments(live_parser, KNOB_GROUPS, omit=("mode",), warmup=0.25, **LIVE_DEFAULTS)
+    _add_load_flags(live_parser)
     live_parser.add_argument("--max-outstanding", type=int, default=None, metavar="TXNS",
                              help="open-loop client-side cap on outstanding requests")
     live_parser.add_argument(
@@ -208,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="deployment config (replica id -> host:port -> region) for a "
              "multi-process / multi-host cluster; implies --multiprocess",
     )
-    _add_trace_arguments(live_parser)
+    _add_trace_out_flag(live_parser)
 
-    replica_parser = subparsers.add_parser(
-        "replica", help="serve one replica process of a multi-process deployment"
+    replica_parser = command(
+        "replica", command_replica, "serve one replica process of a multi-process deployment"
     )
     replica_parser.add_argument("--spec", required=True, metavar="SPEC.json",
                                 help="experiment spec document written by the coordinator")
@@ -222,20 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
     replica_parser.add_argument("--result", required=True, metavar="OUT.json",
                                 help="where to write the committed-chain result document")
 
-    chaos_parser = subparsers.add_parser(
-        "chaos", help="run one experiment under a fault plan and report recovery"
+    chaos_parser = command(
+        "chaos", command_chaos, "run one experiment under a fault plan and report recovery"
     )
     chaos_parser.add_argument(
         "preset", nargs="?", default="kill-replica",
         help=f"named fault preset (available: {', '.join(sorted(CHAOS_PRESETS))})",
     )
-    _add_common_arguments(chaos_parser)
-    chaos_parser.add_argument(
-        "--protocol", default="hotstuff-1",
-        help=f"protocol name or alias, e.g. hotstuff1 (available: {', '.join(sorted(PROTOCOLS))})",
+    add_spec_arguments(
+        chaos_parser, ("core", "durability", "telemetry"), omit=("--n",), **SIM_DEFAULTS
     )
-    chaos_parser.add_argument("--mode", choices=("sim", "live"), default="sim",
-                              help="substrate: discrete-event simulation or localhost TCP")
     chaos_parser.add_argument("--plan", default=None, metavar="PLAN.json",
                               help="FaultPlan JSON file (overrides the preset)")
     chaos_parser.add_argument("--at", type=float, default=None,
@@ -244,24 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
                               help="how long a replica stays down (default: 15%% of duration)")
     chaos_parser.add_argument("--replica", type=int, default=1,
                               help="static target of the kill-replica preset")
-    chaos_parser.add_argument("--storage-dir", default=None,
-                              help="directory for file-backed replica stores (default: in-memory)")
     chaos_parser.add_argument("--emit-plan", action="store_true",
                               help="print the resolved fault plan as JSON and exit")
-    chaos_parser.add_argument(
-        "--scrape-port", type=int, default=None, metavar="PORT",
-        help="serve per-replica HTTP scrape endpoints during --mode live runs "
-             "on PORT+replica_id (0: ephemeral ports)",
-    )
-    _add_trace_arguments(chaos_parser)
+    _add_trace_out_flag(chaos_parser)
 
-    fuzz_parser = subparsers.add_parser(
-        "fuzz", help="crash-point fuzzing: seed-swept protocol-relative crashes"
+    fuzz_parser = command(
+        "fuzz", command_fuzz, "crash-point fuzzing: seed-swept protocol-relative crashes"
     )
-    _add_common_arguments(fuzz_parser)
-    fuzz_parser.add_argument(
-        "--protocol", default="hotstuff-1",
-        help=f"protocol name or alias, e.g. hotstuff1 (available: {', '.join(sorted(PROTOCOLS))})",
+    add_spec_arguments(
+        fuzz_parser, ("core", "durability"), omit=("--n", "mode", "storage_dir"), **SIM_DEFAULTS
     )
     fuzz_parser.add_argument("--seeds", type=int, default=5,
                              help="number of fuzz seeds to sweep (seed, seed+1, ...)")
@@ -276,17 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--jobs", type=int, default=None,
                              help="worker processes for independent seeds (default: serial)")
 
-    compare_parser = subparsers.add_parser("compare", help="compare all evaluation protocols")
-    _add_common_arguments(compare_parser)
+    compare_parser = command("compare", command_compare, "compare all evaluation protocols")
+    add_spec_arguments(
+        compare_parser, ("core", "durability"),
+        omit=("--n", "protocol", "mode", "storage_dir"), **SIM_DEFAULTS,
+    )
 
-    figure_parser = subparsers.add_parser("figure", help="regenerate a paper figure")
+    figure_parser = command("figure", command_figure, "regenerate a paper figure")
     figure_parser.add_argument("name", choices=sorted(FIGURES))
     figure_parser.add_argument("--out", default=None, help="write rows to a .csv or .json file")
-    figure_parser.add_argument("--duration", type=float, default=None, help="simulated seconds per run")
-    _add_engine_arguments(figure_parser)
+    _add_engine_flags(figure_parser)
 
-    suite_parser = subparsers.add_parser(
-        "suite", help="run several scenarios as one (optionally parallel) campaign"
+    suite_parser = command(
+        "suite", command_suite, "run several scenarios as one (optionally parallel) campaign"
     )
     suite_parser.add_argument(
         "names",
@@ -297,24 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
     suite_parser.add_argument(
         "--config", default=None, help="JSON SuiteSpec file (overrides the name list)"
     )
-    suite_parser.add_argument("--duration", type=float, default=None, help="simulated seconds per run")
     suite_parser.add_argument("--out-dir", default=None, help="write one file per scenario here")
     suite_parser.add_argument("--format", choices=("csv", "json"), default="csv",
                               help="export format for --out-dir")
-    _add_engine_arguments(suite_parser)
+    _add_engine_flags(suite_parser)
 
-    grid_parser = subparsers.add_parser(
-        "grid", help="expand a suite into its flat run list without executing"
+    grid_parser = command(
+        "grid", command_grid, "expand a suite into its flat run list without executing"
     )
     grid_parser.add_argument("names", nargs="*", metavar="figure",
                              help="registered figures to expand (default: all)")
     grid_parser.add_argument("--config", default=None, help="JSON SuiteSpec file")
     grid_parser.add_argument("--out", default=None, help="write the run list to .csv or .json")
-    grid_parser.add_argument("--repeats", type=int, default=None)
-    grid_parser.add_argument("--seed", type=int, default=None)
+    _add_engine_flags(grid_parser, executes=False)
 
-    snapshot_parser = subparsers.add_parser(
-        "snapshot", help="inspect the durable snapshots of a storage directory"
+    snapshot_parser = command(
+        "snapshot", command_snapshot, "inspect the durable snapshots of a storage directory"
     )
     snapshot_parser.add_argument(
         "storage_dir", help="directory previously passed as --storage-dir / storage_dir"
@@ -324,33 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect one replica id (default: every replica-* subdirectory)",
     )
 
-    profile_parser = subparsers.add_parser(
-        "profile", help="cProfile a live run and report CPU by layer (encode/decode/transport/...)"
+    profile_parser = command(
+        "profile", command_profile, "cProfile a live run and report CPU by layer (encode/decode/transport/...)"
     )
-    profile_parser.add_argument(
-        "--protocol", default="hotstuff-1",
-        help=f"protocol name or alias, e.g. hotstuff1 (available: {', '.join(sorted(PROTOCOLS))})",
+    add_spec_arguments(
+        profile_parser, ("core",), omit=("mode",), warmup=0.05, codec="binary", **LIVE_DEFAULTS
     )
-    profile_parser.add_argument("--n", "--replicas", dest="replicas", type=int, default=4)
-    profile_parser.add_argument("--batch", type=int, default=100)
-    profile_parser.add_argument("--workload", default="ycsb", choices=("ycsb", "tpcc"))
-    profile_parser.add_argument("--duration", type=float, default=15.0,
-                                help="wall-clock measurement cap in seconds")
-    profile_parser.add_argument("--warmup", type=float, default=0.05)
-    profile_parser.add_argument("--seed", type=int, default=1)
-    profile_parser.add_argument("--view-timeout", type=float, default=0.05)
-    profile_parser.add_argument("--codec", default="binary", choices=("json", "binary"),
-                                help="wire codec to profile under (default: the binary fast path)")
-    profile_parser.add_argument("--pipeline-depth", type=int, default=1)
-    profile_parser.add_argument("--target-ops", type=int, default=1000,
-                                help="stop once this many client operations completed")
-    profile_parser.add_argument("--rate", type=float, default=None,
-                                help="open-loop injection rate in txn/s (default: closed loop)")
+    _add_load_flags(profile_parser)
     profile_parser.add_argument("--top", type=int, default=15,
                                 help="how many hottest functions to list")
 
-    trace_parser = subparsers.add_parser(
-        "trace", help="inspect a JSONL trace dump and re-export it (Chrome / Prometheus)"
+    trace_parser = command(
+        "trace", command_trace, "inspect a JSONL trace dump and re-export it (Chrome / Prometheus)"
     )
     trace_parser.add_argument(
         "trace_file",
@@ -413,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --follow: stop after N refreshes (0: until interrupted)",
     )
 
-    watch_parser = subparsers.add_parser(
-        "watch", help="live terminal dashboard over a streaming trace or scrape endpoints"
+    watch_parser = command(
+        "watch", command_watch, "live terminal dashboard over a streaming trace or scrape endpoints"
     )
     watch_parser.add_argument(
         "trace_file", nargs="?", default=None,
@@ -444,108 +378,45 @@ def build_parser() -> argparse.ArgumentParser:
     watch_parser.add_argument("--no-clear", dest="clear", action="store_false", default=True,
                               help="append frames instead of clearing the terminal")
 
-    predict_parser = subparsers.add_parser("predict", help="closed-form performance predictions")
+    predict_parser = command("predict", command_predict, "closed-form performance predictions")
     predict_parser.add_argument("--replicas", type=int, default=32)
     predict_parser.add_argument("--batch", type=int, default=100)
     predict_parser.add_argument("--hop-latency", type=float, default=0.0005)
     return parser
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--replicas", type=int, default=4)
-    parser.add_argument("--batch", type=int, default=100)
-    parser.add_argument("--workload", default="ycsb", choices=("ycsb", "tpcc"))
-    parser.add_argument("--duration", type=float, default=0.5)
-    parser.add_argument("--warmup", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--view-timeout", type=float, default=0.03)
-    parser.add_argument("--codec", default="json", choices=("json", "binary"),
-                        help="wire codec for live transports (sim runs size messages with it too)")
-    parser.add_argument("--pipeline-depth", type=int, default=1,
-                        help="uncertified slot proposals a slotted leader keeps in flight "
-                             "(>1 needs a slotting protocol)")
-    parser.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="COMMITS",
-        help="snapshot the state machine and truncate the logs every N commits "
-             "(default: checkpointing off)",
-    )
+def _add_load_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--target-ops", type=int, default=1000,
+                        help="stop once this many client operations completed (0: run full duration)")
+    parser.add_argument("--rate", type=float, default=None,
+                        help="open-loop injection rate in txn/s (default: closed loop)")
 
 
-def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="record per-transaction lifecycle spans, a phase-level latency breakdown "
-             "and a windowed time series (off by default; zero hot-path cost when off)",
-    )
+def _add_trace_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out", default=None, metavar="DIR",
         help="write the trace bundle (JSONL + Chrome trace + Prometheus text) to this "
              "directory (implies --trace)",
     )
-    parser.add_argument(
-        "--trace-bucket", type=float, default=None, metavar="SECONDS",
-        help="time-series bucket width (default: duration/8, clamped to 20ms..1s)",
-    )
-    parser.add_argument(
-        "--trace-max-txns", type=int, default=2000,
-        help="cap on fully-sampled transaction spans (event counters stay exact past it)",
-    )
-    parser.add_argument(
-        "--trace-sampler", default="head", choices=("head", "reservoir", "tail"),
-        help="span sampling policy once the cap fills: head keeps the first N, "
-             "reservoir keeps a uniform sample, tail keeps the slowest (default: head)",
-    )
-    parser.add_argument(
-        "--trace-stream", default=None, metavar="FILE.jsonl",
-        help="stream completed spans, events and closed buckets to this JSONL file "
-             "as the run progresses (bounded recorder memory; implies --trace; "
-             "readable mid-run by `repro trace` / `repro watch`)",
-    )
-    parser.add_argument(
-        "--trace-max-events", type=int, default=4096,
-        help="ring size for raw protocol events and trace instants (default: 4096)",
-    )
-    parser.add_argument(
-        "--no-detect", dest="trace_detect", action="store_false", default=True,
-        help="disable the online SLO detector (commit-stall, view-change-storm, "
-             "mempool-saturation, speculation-lead-collapse)",
-    )
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for independent runs (default: serial)")
+def _add_engine_flags(parser: argparse.ArgumentParser, executes: bool = True) -> None:
+    if executes:  # `grid` only expands the run list
+        parser.add_argument("--duration", type=float, default=None,
+                            help="simulated seconds per run")
+        parser.add_argument("--jobs", type=int, default=None,
+                            help="worker processes for independent runs (default: serial)")
     parser.add_argument("--repeats", type=int, default=None,
                         help="repeats per grid point; seeds are seed, seed+1, ...")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
 
 
-def _spec_from_args(args: argparse.Namespace, protocol: str) -> ExperimentSpec:
-    return ExperimentSpec(
-        protocol=protocol,
-        n=args.replicas,
-        batch_size=args.batch,
-        workload=args.workload,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        view_timeout=args.view_timeout,
-        codec=getattr(args, "codec", "json"),
-        pipeline_depth=getattr(args, "pipeline_depth", 1),
-        checkpoint_interval=getattr(args, "checkpoint_interval", None),
-        trace=bool(
-            getattr(args, "trace", False)
-            or getattr(args, "trace_out", None)
-            or getattr(args, "trace_stream", None)
-        ),
-        trace_max_txns=getattr(args, "trace_max_txns", 2000),
-        trace_bucket=getattr(args, "trace_bucket", None),
-        trace_sampler=getattr(args, "trace_sampler", "head"),
-        trace_stream=getattr(args, "trace_stream", None),
-        trace_max_events=getattr(args, "trace_max_events", 4096),
-        trace_detect=getattr(args, "trace_detect", True),
-        scrape_port=getattr(args, "scrape_port", None),
-    )
+def _spec_from_cli(args: argparse.Namespace, **fixed) -> ExperimentSpec:
+    """The spec a sub-command's namespace describes; ``--trace-out`` implies tracing."""
+    spec = spec_from_args(args, **fixed)
+    if getattr(args, "trace_out", None):
+        spec.trace = True
+    return spec
 
 
 def _emit_trace(result, args: argparse.Namespace) -> None:
@@ -553,22 +424,20 @@ def _emit_trace(result, args: argparse.Namespace) -> None:
     trace = result.trace
     if trace is None:
         return
-    stream = getattr(args, "trace_stream", None)
-    if stream:
+    if args.trace_stream:
         # A streaming run evicts spans and closed buckets from memory as it
         # goes; the JSONL file is the complete record, so reload it for the
         # end-of-run report instead of printing the partial resident state.
         from repro.obs.export import read_jsonl
 
-        trace = read_jsonl(stream)
-        print(f"streamed trace: {stream}")
+        trace = read_jsonl(args.trace_stream)
+        print(f"streamed trace: {args.trace_stream}")
     print(format_phase_breakdown(trace.phase_breakdown()))
     print(format_timeline(trace.timeline()))
-    out_dir = getattr(args, "trace_out", None)
-    if out_dir:
+    if args.trace_out:
         from repro.obs.export import write_trace_bundle
 
-        paths = write_trace_bundle(trace, out_dir)
+        paths = write_trace_bundle(trace, args.trace_out)
         print(
             "trace bundle: "
             + ", ".join(f"{kind}={path}" for kind, path in sorted(paths.items()))
@@ -619,12 +488,9 @@ def _suite_from_args(args: argparse.Namespace) -> SuiteSpec:
 
 def command_run(args: argparse.Namespace) -> int:
     """Run a single experiment and print the metric summary."""
-    spec = _spec_from_args(args, args.protocol)
-    if args.faults:
-        spec.faults = load_plan(args.faults).to_dict()
-    result = run_experiment(spec)
+    result = run_experiment(_spec_from_cli(args))
     rows = [result.summary.as_dict()]
-    print(format_series(rows, title=f"{args.protocol} — n={args.replicas}, batch={args.batch}"))
+    print(format_series(rows, title=f"{args.protocol} — n={args.n}, batch={args.batch_size}"))
     print(format_network_breakdown(result.network_stats, committed_ops=result.summary.committed_txns))
     if result.chaos is not None:
         print(format_chaos_report(result.chaos))
@@ -636,40 +502,8 @@ def command_live(args: argparse.Namespace) -> int:
     """Run one experiment on the live asyncio runtime and print its summary."""
     from repro.live.deploy import run_live_experiment
 
-    regions = (
-        [region.strip() for region in args.regions.split(",") if region.strip()]
-        if args.regions
-        else None
-    )
-    spec = ExperimentSpec(
-        protocol=args.protocol,
-        mode="live",
-        n=args.replicas,
-        batch_size=args.batch,
-        workload=args.workload,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        view_timeout=args.view_timeout,
-        codec=args.codec,
-        pipeline_depth=args.pipeline_depth,
-        num_clients=args.clients,
-        faults=load_plan(args.faults).to_dict() if args.faults else None,
-        storage_dir=args.storage_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        trace=bool(args.trace or args.trace_out or args.trace_stream),
-        trace_max_txns=args.trace_max_txns,
-        trace_bucket=args.trace_bucket,
-        trace_sampler=args.trace_sampler,
-        trace_stream=args.trace_stream,
-        trace_max_events=args.trace_max_events,
-        trace_detect=args.trace_detect,
-        scrape_port=args.scrape_port,
-        regions=regions,
-        client_region=args.client_region,
-        distributed_mempool=args.distributed_mempool,
-        mempool_limit=args.mempool_limit,
-    )
+    spec = _spec_from_cli(args, mode="live")
+    regions = spec.regions
     target_ops = args.target_ops if args.target_ops > 0 else None
 
     if regions:
@@ -717,6 +551,11 @@ def command_live(args: argparse.Namespace) -> int:
     if result.chaos is not None:
         print(format_chaos_report(result.chaos))
     _emit_trace(result, args)
+    return _target_shortfall(summary, target_ops, spec)
+
+
+def _target_shortfall(summary, target_ops: Optional[int], spec: ExperimentSpec) -> int:
+    """Exit code of a live run: 1 (with a warning) when it fell short of ``--target-ops``."""
     if target_ops is not None and summary.committed_txns < target_ops:
         print(
             f"warning: only {summary.committed_txns} of the targeted "
@@ -759,33 +598,16 @@ def _run_live_multiprocess(args: argparse.Namespace, spec: ExperimentSpec,
     )
     print(format_series([summary.as_dict()],
                         title=f"{spec.protocol} — live multi-process, n={spec.n}"))
-    heights = info.get("committed_heights", {})
-    if heights:
-        print("committed heights: "
-              + ", ".join(f"r{rid}={height}" for rid, height in sorted(heights.items())))
-    print(f"prefix consistent: {info.get('prefix_consistent')}  "
-          f"duplicate commits: {info.get('duplicate_commits', 0)}")
+    print(format_multiproc_report(info))
     deaths = info.get("replica_deaths", {})
     if deaths:
         print("replica deaths: "
               + ", ".join(f"r{rid} (exit {code})" for rid, code in sorted(deaths.items())),
               file=sys.stderr)
-    shards = info.get("trace_shards", {})
-    if shards:
-        print(f"trace shards ({len(shards)}): "
-              + " ".join(shards[name] for name in sorted(shards)))
-        print(f"merge with: repro trace merge {' '.join(shards[name] for name in sorted(shards))}")
     if result.network_stats:
         print(format_network_breakdown(result.network_stats,
                                        committed_ops=summary.committed_txns))
-    if target_ops is not None and summary.committed_txns < target_ops:
-        print(
-            f"warning: only {summary.committed_txns} of the targeted "
-            f"{target_ops} operations completed within {spec.duration}s",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _target_shortfall(summary, target_ops, spec)
 
 
 def command_replica(args: argparse.Namespace) -> int:
@@ -807,7 +629,7 @@ def command_chaos(args: argparse.Namespace) -> int:
     else:
         plan = chaos_preset(
             args.preset,
-            n=args.replicas,
+            n=args.n,
             at=args.at if args.at is not None else round(args.duration * 0.3, 6),
             down_for=args.down_for if args.down_for is not None else round(args.duration * 0.15, 6),
             replica=args.replica,
@@ -815,14 +637,11 @@ def command_chaos(args: argparse.Namespace) -> int:
     # Validate up front so sim-only actions (pause/partition) in a live-mode
     # plan fail here — not minutes into the run, and not silently when the
     # plan is merely being emitted for inspection.
-    plan.validate(args.replicas, mode=args.mode)
+    plan.validate(args.n, mode=args.mode)
     if args.emit_plan:
         print(plan.to_json())
         return 0
-    spec = _spec_from_args(args, args.protocol)
-    spec.mode = args.mode
-    spec.faults = plan.to_dict()
-    spec.storage_dir = args.storage_dir
+    spec = _spec_from_cli(args, faults=plan.to_dict())
     result = run_experiment(spec)
     chaos = result.chaos or {}
     print(
@@ -833,35 +652,9 @@ def command_chaos(args: argparse.Namespace) -> int:
                         title=f"{spec.protocol} — chaos ({spec.mode}), n={spec.n}"))
     print(format_chaos_report(chaos))
     _emit_trace(result, args)
-    healthy = (
-        bool(chaos.get("prefix_agreement", False))
-        and chaos.get("events_fired", 0) == len(plan)
-        and chaos.get("restarts", 0) == chaos.get("crashes", 0)
-        and chaos.get("recovered", 0) + chaos.get("superseded", 0)
-        == chaos.get("crashes", 0)
-        and chaos.get("skipped_events", 0) == 0
-        and not chaos.get("wal_vote_violations")
-    )
-    if not healthy:
-        if chaos.get("events_fired", 0) < len(plan):
-            print(
-                f"warning: only {chaos.get('events_fired', 0)} of {len(plan)} fault "
-                "events fired within the run window (check --at/--down-for vs --duration)",
-                file=sys.stderr,
-            )
-        elif chaos.get("skipped_events", 0):
-            print(
-                f"warning: {chaos['skipped_events']} fault event(s) were skipped at "
-                "runtime (target collisions); the plan did less than it declared",
-                file=sys.stderr,
-            )
-        elif chaos.get("wal_vote_violations"):
-            print(
-                f"error: WAL vote-dedup violations: {chaos['wal_vote_violations']}",
-                file=sys.stderr,
-            )
-        else:
-            print("warning: cluster did not fully recover within the run window", file=sys.stderr)
+    problem = chaos_problem(chaos, len(plan))
+    if problem is not None:
+        print(problem, file=sys.stderr)
         return 1
     return 0
 
@@ -874,21 +667,14 @@ def command_fuzz(args: argparse.Namespace) -> int:
     agreement and the never-vote-twice WAL invariant held, and no event was
     skipped.
     """
+    hooks = CRASH_HOOKS  # names are validated where the plans are generated
     if args.hooks:
         hooks = tuple(h.strip() for h in args.hooks.split(",") if h.strip())
-        unknown = [h for h in hooks if h not in CRASH_HOOKS]
-        if not hooks or unknown:
-            raise ConfigurationError(
-                f"unknown crash hook(s) {unknown or [args.hooks]}; "
-                f"available: {list(CRASH_HOOKS)}"
-            )
-    else:
-        hooks = CRASH_HOOKS
     scenario = chaos_fuzz_spec(
         protocols=(args.protocol,),
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
-        n=args.replicas,
-        batch_size=args.batch,
+        n=args.n,
+        batch_size=args.batch_size,
         duration=args.duration,
         warmup=args.warmup,
         crashes=args.crashes,
@@ -899,32 +685,10 @@ def command_fuzz(args: argparse.Namespace) -> int:
     rows = execute_scenario(scenario, jobs=args.jobs)
     print(
         f"chaos-fuzz: {args.seeds} seed(s) x {args.crashes} crash point(s) on "
-        f"n={args.replicas} {args.protocol}, hooks: {', '.join(hooks)}"
+        f"n={args.n} {args.protocol}, hooks: {', '.join(hooks)}"
     )
-    print(format_series(rows, title=f"{args.protocol} — crash-point fuzz, n={args.replicas}"))
-    def problems(row: Dict) -> List[str]:
-        out = []
-        if not row.get("prefix_ok", False):
-            out.append("prefix disagreement")
-        if not row.get("wal_ok", False):
-            out.append("WAL vote-dedup violation")
-        if row.get("events_skipped", 0):
-            out.append(f"{row['events_skipped']} skipped event(s)")
-        if row.get("crashes", 0) != row.get("planned_crashes", 0):
-            out.append(
-                f"only {row.get('crashes', 0)} of {row.get('planned_crashes', 0)} "
-                "crash points fired (raise --duration or lower occurrences)"
-            )
-        # Incidents cut short by a follow-up crash of the same replica can
-        # never record a recovery; they count as superseded, not failed.
-        unrecovered = (
-            row.get("crashes", 0) - row.get("recovered", 0) - row.get("superseded", 0)
-        )
-        if unrecovered > 0:
-            out.append(f"{unrecovered} crashed replica(s) never committed again")
-        return out
-
-    failures = {row["fuzz_seed"]: problems(row) for row in rows if problems(row)}
+    print(format_series(rows, title=f"{args.protocol} — crash-point fuzz, n={args.n}"))
+    failures = {row["fuzz_seed"]: fuzz_problems(row) for row in rows if fuzz_problems(row)}
     if failures:
         for seed, reasons in sorted(failures.items()):
             print(f"error: fuzz seed {seed}: {'; '.join(reasons)}", file=sys.stderr)
@@ -941,27 +705,19 @@ def command_compare(args: argparse.Namespace) -> int:
     """Run every evaluation protocol under the same settings and compare."""
     rows: List[Dict] = []
     for protocol in EVALUATION_PROTOCOLS:
-        result = run_experiment(_spec_from_args(args, protocol))
+        result = run_experiment(_spec_from_cli(args, protocol=protocol))
         rows.append(
             result.to_row(speculative_executions=result.summary.speculative_executions)
         )
-    print(format_series(rows, title=f"Protocol comparison — n={args.replicas}, batch={args.batch}"))
+    print(format_series(rows, title=f"Protocol comparison — n={args.n}, batch={args.batch_size}"))
     print(ascii_bar_chart(rows, "protocol", "avg_latency_ms", title="average client latency (ms)"))
     return 0
 
 
 def command_figure(args: argparse.Namespace) -> int:
     """Regenerate a figure series through the scenario engine and optionally export it."""
-    overrides = dict(FIGURES[args.name])
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    spec = scenario_spec(args.name, **overrides)
-    _clamp_warmup(spec)
-    rows = execute_scenario(spec, jobs=args.jobs)
+    args.names, args.config = [args.name], None
+    rows = execute_suite(_suite_from_args(args), jobs=args.jobs)[args.name]
     print(format_series(rows, title=args.name))
     if args.out:
         path = write_rows(rows, args.out)
@@ -995,74 +751,12 @@ def command_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_jsonl(path: str) -> List[Dict]:
-    """Read a JSONL log without opening it for append (torn tails skipped)."""
-    import json
-
-    records: List[Dict] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-    except FileNotFoundError:
-        pass
-    return records
-
-
 def command_snapshot(args: argparse.Namespace) -> int:
-    """Inspect the durable snapshots (and log sizes) under a storage directory.
+    """Inspect the durable snapshots (and log sizes) under a storage directory."""
+    from repro.storage.store import inspect_storage_dir
 
-    Read-only: the logs are parsed directly instead of opening a
-    :class:`~repro.storage.store.ReplicaStore` (which would create files).
-    """
-    import os
-
-    from repro.checkpoint.snapshot import Snapshot
-
-    base = args.storage_dir
-    if not os.path.isdir(base):
-        raise ConfigurationError(f"storage directory {base!r} does not exist")
-    if args.replica is not None:
-        names = [f"replica-{args.replica}"]
-    else:
-        names = sorted(
-            name for name in os.listdir(base)
-            if name.startswith("replica-") and os.path.isdir(os.path.join(base, name))
-        )
-    if not names:
-        raise ConfigurationError(f"no replica-* directories under {base!r}")
-    rows: List[Dict] = []
-    for name in names:
-        directory = os.path.join(base, name)
-        snapshot = None
-        for record in _read_jsonl(os.path.join(directory, "snapshots.jsonl")):
-            try:
-                snapshot = Snapshot.from_dict(record)
-            except (KeyError, TypeError, ValueError):
-                continue
-        row: Dict = {
-            "replica": name.split("-", 1)[1],
-            "wal_records": len(_read_jsonl(os.path.join(directory, "wal.jsonl"))),
-            "block_records": len(_read_jsonl(os.path.join(directory, "blocks.jsonl"))),
-        }
-        if snapshot is None:
-            row.update(snapshot_height="-", snapshot_view="-", state_digest="-")
-        else:
-            row.update(
-                snapshot_height=snapshot.height,
-                snapshot_view=snapshot.view,
-                block_hash=snapshot.block_hash[:12],
-                state_digest=snapshot.state_digest[:12],
-                cert_ok=snapshot.cert.block_hash == snapshot.block_hash,
-            )
-        rows.append(row)
-    print(format_series(rows, title=f"snapshots under {base}"))
+    rows = inspect_storage_dir(args.storage_dir, args.replica)
+    print(format_series(rows, title=f"snapshots under {args.storage_dir}"))
     return 0
 
 
@@ -1070,29 +764,23 @@ def command_profile(args: argparse.Namespace) -> int:
     """cProfile one live run and print the per-layer CPU breakdown."""
     from repro.live.profiling import format_profile, profile_live_run
 
-    spec = ExperimentSpec(
-        protocol=args.protocol,
-        mode="live",
-        n=args.replicas,
-        batch_size=args.batch,
-        workload=args.workload,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        view_timeout=args.view_timeout,
-        codec=args.codec,
-        pipeline_depth=args.pipeline_depth,
-    )
+    spec = _spec_from_cli(args, mode="live")
     target_ops = args.target_ops if args.target_ops > 0 else None
     profile = profile_live_run(spec, target_ops=target_ops, rate=args.rate, top=args.top)
     print(format_profile(profile))
     return 0
 
 
+def _require_trace_files(paths: Sequence[str], when_empty: str) -> None:
+    if not paths:
+        raise ConfigurationError(when_empty)
+    for path in paths:
+        if not os.path.isfile(path):
+            raise ConfigurationError(f"trace file {path!r} does not exist")
+
+
 def command_trace(args: argparse.Namespace) -> int:
     """Load a JSONL trace dump, print its surfaces, optionally re-export it."""
-    import os
-
     from repro.obs.export import read_jsonl, write_chrome, write_prometheus
 
     if args.trace_file == "merge":
@@ -1104,8 +792,7 @@ def command_trace(args: argparse.Namespace) -> int:
             "extra positional arguments are only valid with "
             "'repro trace merge' / 'repro trace critical-path'"
         )
-    if not os.path.isfile(args.trace_file):
-        raise ConfigurationError(f"trace file {args.trace_file!r} does not exist")
+    _require_trace_files([args.trace_file], "")
     if args.follow:
         from repro.obs.watch import watch_file
 
@@ -1134,19 +821,13 @@ def command_trace(args: argparse.Namespace) -> int:
 
 def _command_trace_merge(args: argparse.Namespace) -> int:
     """Skew-correct per-process trace shards into one merged bundle."""
-    import os
-
     from repro.obs.export import write_trace_bundle
     from repro.obs.merge import CLIENT_SHARD_ID, format_offsets, merge_trace_files
 
-    if not args.inputs:
-        raise ConfigurationError(
-            "trace merge needs at least one shard file "
-            "(e.g. trace-client.jsonl trace-r0.jsonl ...)"
-        )
-    for path in args.inputs:
-        if not os.path.isfile(path):
-            raise ConfigurationError(f"trace shard {path!r} does not exist")
+    _require_trace_files(
+        args.inputs,
+        "trace merge needs at least one shard file (e.g. trace-client.jsonl trace-r0.jsonl ...)",
+    )
     reference = args.reference if args.reference is not None else CLIENT_SHARD_ID
     merged, offsets = merge_trace_files(args.inputs, reference=reference)
     print(format_offsets(offsets))
@@ -1164,20 +845,14 @@ def _command_trace_merge(args: argparse.Namespace) -> int:
 
 def _command_trace_critical(args: argparse.Namespace) -> int:
     """Per-hop commit critical-path decomposition of a merged trace."""
-    import os
-
     from repro.obs.critical import critical_path_report, format_critical_path_report
     from repro.obs.export import read_jsonl
     from repro.obs.merge import merge_trace_files
 
-    if not args.inputs:
-        raise ConfigurationError(
-            "trace critical-path needs a merged trace "
-            "(or several shards to merge on the fly)"
-        )
-    for path in args.inputs:
-        if not os.path.isfile(path):
-            raise ConfigurationError(f"trace file {path!r} does not exist")
+    _require_trace_files(
+        args.inputs,
+        "trace critical-path needs a merged trace (or several shards to merge on the fly)",
+    )
     if len(args.inputs) == 1:
         trace = read_jsonl(args.inputs[0])
     else:
@@ -1225,20 +900,19 @@ def scrape_endpoints_from_deployment(config, base_port: Optional[int] = None) ->
 
 def command_watch(args: argparse.Namespace) -> int:
     """Live terminal dashboard: tail a streaming trace or poll scrape endpoints."""
+    from repro.obs.watch import watch_file, watch_scrape
+
+    endpoints = None
     if args.deployment:
         from repro.live.config import DeploymentConfig
-        from repro.obs.watch import watch_scrape
 
         config = DeploymentConfig.load(args.deployment)
         endpoints = scrape_endpoints_from_deployment(config, base_port=args.scrape_port)
-        watch_scrape(endpoints, interval=args.interval, frames=args.frames, clear=args.clear)
-        return 0
-    if args.scrape:
-        from repro.obs.watch import watch_scrape
-
+    elif args.scrape:
         endpoints = [e.strip() for e in args.scrape.split(",") if e.strip()]
         if not endpoints:
             raise ConfigurationError("--scrape needs at least one host:port endpoint")
+    if endpoints is not None:
         watch_scrape(endpoints, interval=args.interval, frames=args.frames, clear=args.clear)
         return 0
     if not args.trace_file:
@@ -1246,8 +920,6 @@ def command_watch(args: argparse.Namespace) -> int:
             "watch needs a streaming trace file (written by --trace-stream) "
             "or --scrape host:port[,host:port...]"
         )
-    from repro.obs.watch import watch_file
-
     watch_file(args.trace_file, interval=args.interval, frames=args.frames, clear=args.clear)
     return 0
 
@@ -1266,26 +938,9 @@ def command_predict(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": command_run,
-        "live": command_live,
-        "replica": command_replica,
-        "chaos": command_chaos,
-        "fuzz": command_fuzz,
-        "compare": command_compare,
-        "figure": command_figure,
-        "suite": command_suite,
-        "grid": command_grid,
-        "snapshot": command_snapshot,
-        "profile": command_profile,
-        "trace": command_trace,
-        "watch": command_watch,
-        "predict": command_predict,
-    }
     try:
-        return handlers[args.command](args)
+        args = build_parser().parse_args(argv)  # flag parsers (--faults PLAN.json) validate too
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,8 @@ On top of single runs sits the scenario engine:
 * :mod:`repro.experiments.executor` — serial and process-pool runners plus
   per-repeat aggregation (mean / stddev rows);
 * :mod:`repro.experiments.scenarios` — one registered spec per figure of the
-  paper's evaluation (§7), with the legacy ``*_series`` builders as thin
-  wrappers;
+  paper's evaluation (§7); run one with
+  ``execute_scenario(scenario_spec(name, **overrides), jobs=...)``;
 * :mod:`repro.experiments.report` — renders results as the same series the
   paper plots.
 """
@@ -37,21 +37,7 @@ from repro.experiments.spec import (
     expand_suite,
     load_suite,
 )
-from repro.experiments.scenarios import (
-    SCENARIOS,
-    batching_series,
-    default_suite,
-    delay_injection_series,
-    geo_scale_series,
-    latency_breakdown_series,
-    leader_slowness_series,
-    rollback_attack_series,
-    scalability_series,
-    scenario_spec,
-    slotting_ablation_series,
-    tail_forking_series,
-    two_region_split_series,
-)
+from repro.experiments.scenarios import SCENARIOS, default_suite, scenario_spec
 
 __all__ = [
     "ExperimentSpec",
@@ -64,25 +50,15 @@ __all__ = [
     "SerialRunner",
     "SuiteSpec",
     "aggregate_records",
-    "batching_series",
     "default_suite",
-    "delay_injection_series",
     "execute_scenario",
     "execute_suite",
     "expand_scenario",
     "expand_suite",
     "format_series",
     "format_suite",
-    "geo_scale_series",
-    "latency_breakdown_series",
-    "leader_slowness_series",
     "load_suite",
     "print_series",
-    "rollback_attack_series",
     "run_experiment",
-    "scalability_series",
     "scenario_spec",
-    "slotting_ablation_series",
-    "tail_forking_series",
-    "two_region_split_series",
 ]

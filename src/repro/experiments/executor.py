@@ -10,6 +10,7 @@ when more than one repeat ran).
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 from statistics import fmean, pstdev
 from typing import Any, Dict, List, Optional, Sequence
@@ -42,47 +43,49 @@ METRIC_COLUMNS: Dict[str, int] = {
 BOOL_AND_COLUMNS = ("prefix_ok",)
 
 
+class PointParams(dict):
+    """One grid point's parameters, remembering which keys the point builder read.
+
+    ``params[name]`` on a missing key raises a pointed
+    :class:`~repro.errors.ConfigurationError` (hand-written scenario configs
+    reach point builders unchecked); ``name in params`` does not count as a
+    read.
+    """
+
+    def __init__(self, params: Dict[str, Any], **extra: Any) -> None:
+        super().__init__(params, **extra)
+        self.read: set = set()
+
+    def __getitem__(self, key: str) -> Any:
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __missing__(self, key: str) -> Any:
+        raise ConfigurationError(f"scenario is missing the parameter {key!r} its kind requires")
+
+    def get(self, key: str, default: Any = None) -> Any:
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def execute_request(request: RunRequest) -> RunRecord:
     """Run one request in the current process and return its record."""
     from repro.experiments.runner import run_experiment
 
     builder = resolve_point_builder(request.kind)
-    spec, extras = builder(request.protocol, {**request.params, "seed": request.seed})
-    # The execution mode is an engine-level knob: any scenario of any kind can
-    # run its points live (over real sockets) by carrying {"mode": "live"} in
-    # its params, without every point builder having to thread it through.
-    mode = request.params.get("mode")
-    if mode is not None:
-        spec.mode = mode
-    # Fault plans ride the same way: {"faults": {...}} in params (or an axis,
-    # which the grid expansion sweeps like any other value) turns any point of
-    # any scenario into a chaos run.
-    faults = request.params.get("faults")
-    if faults is not None:
-        spec.faults = faults
-    storage_dir = request.params.get("storage_dir")
-    if storage_dir is not None:
-        spec.storage_dir = storage_dir
-    # Tracing too: {"trace": true} in params attaches a TraceRecorder to any
-    # point of any scenario, and the phase columns land in its report row.
-    if request.params.get("trace"):
-        spec.trace = True
-    # The rest of the telemetry plane rides through the same way: sampling
-    # strategy, streaming sink, detector toggle and recorder caps are all
-    # engine-level knobs any scenario point can carry.
-    for knob in (
-        "trace_sampler",
-        "trace_stream",
-        "trace_bucket",
-        "trace_max_txns",
-        "trace_max_events",
-        "trace_reservoir",
-        "trace_detect",
-        "scrape_port",
-    ):
-        value = request.params.get(knob)
-        if value is not None:
-            setattr(spec, knob, value)
+    params = PointParams(request.params, seed=request.seed)
+    spec, extras = builder(request.protocol, params)
+    # Every spec knob is an engine-level knob: a param (or an axis, which the
+    # grid expansion sweeps like any other value) that names a spec field the
+    # point builder did not read itself is applied on top of what it built.
+    # So a live mode param runs any point of any scenario over real sockets,
+    # a fault plan turns it into a chaos run, a trace switch attaches a
+    # recorder (whose phase columns land in the report row) — without any
+    # point builder threading those through.
+    spec_fields = {spec_field.name for spec_field in dataclasses.fields(spec)}
+    for name in (params.keys() & spec_fields) - params.read:
+        if params[name] is not None:
+            setattr(spec, name, params[name])
     result = run_experiment(spec)
     # Unrounded values backing every aggregated column, so repeat means
     # and post-processors never inherit display rounding.

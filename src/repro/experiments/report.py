@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 def merge_uncertainty(rows: Sequence[Dict]) -> List[Dict]:
@@ -210,6 +210,87 @@ def format_chaos_report(chaos: Dict, title: str = "chaos & recovery") -> str:
     if problems:
         text += "".join(f"!! {problem}\n" for problem in problems)
     return text
+
+
+def format_multiproc_report(info: Dict) -> str:
+    """Render a multi-process run's cross-process checks (``RunResult.multiproc``).
+
+    Per-replica committed heights, the coordinator's prefix / duplicate-commit
+    verdicts, and — for traced runs — the per-process shard files with the
+    ``repro trace merge`` command that puts them on one timeline.
+    """
+    lines = []
+    heights = info.get("committed_heights", {})
+    if heights:
+        lines.append("committed heights: "
+                     + ", ".join(f"r{rid}={height}" for rid, height in sorted(heights.items())))
+    lines.append(f"prefix consistent: {info.get('prefix_consistent')}  "
+                 f"duplicate commits: {info.get('duplicate_commits', 0)}")
+    shards = info.get("trace_shards") or {}
+    if shards:
+        paths = " ".join(shards[name] for name in sorted(shards))
+        lines.append(f"trace shards ({len(shards)}): {paths}")
+        lines.append(f"merge with: repro trace merge {paths}")
+    return "\n".join(lines)
+
+
+def chaos_problem(chaos: Dict, planned_events: int) -> Optional[str]:
+    """Why a chaos run is not healthy (one ``warning:`` / ``error:`` line), or ``None``.
+
+    Healthy means every planned event fired, every crashed replica restarted
+    and recovered (committed at least one new block, or was superseded by a
+    follow-up crash), nothing was skipped, and both the committed-prefix and
+    the never-vote-twice WAL invariants held — what ``repro chaos`` turns
+    into its exit code and the CI chaos smoke asserts.
+    """
+    healthy = (
+        bool(chaos.get("prefix_agreement", False))
+        and chaos.get("events_fired", 0) == planned_events
+        and chaos.get("restarts", 0) == chaos.get("crashes", 0)
+        and chaos.get("recovered", 0) + chaos.get("superseded", 0)
+        == chaos.get("crashes", 0)
+        and chaos.get("skipped_events", 0) == 0
+        and not chaos.get("wal_vote_violations")
+    )
+    if healthy:
+        return None
+    if chaos.get("events_fired", 0) < planned_events:
+        return (
+            f"warning: only {chaos.get('events_fired', 0)} of {planned_events} fault "
+            "events fired within the run window (check --at/--down-for vs --duration)"
+        )
+    if chaos.get("skipped_events", 0):
+        return (
+            f"warning: {chaos['skipped_events']} fault event(s) were skipped at "
+            "runtime (target collisions); the plan did less than it declared"
+        )
+    if chaos.get("wal_vote_violations"):
+        return f"error: WAL vote-dedup violations: {chaos['wal_vote_violations']}"
+    return "warning: cluster did not fully recover within the run window"
+
+
+def fuzz_problems(row: Dict) -> List[str]:
+    """Everything wrong with one crash-point fuzz row (empty when the seed passed)."""
+    out = []
+    if not row.get("prefix_ok", False):
+        out.append("prefix disagreement")
+    if not row.get("wal_ok", False):
+        out.append("WAL vote-dedup violation")
+    if row.get("events_skipped", 0):
+        out.append(f"{row['events_skipped']} skipped event(s)")
+    if row.get("crashes", 0) != row.get("planned_crashes", 0):
+        out.append(
+            f"only {row.get('crashes', 0)} of {row.get('planned_crashes', 0)} "
+            "crash points fired (raise --duration or lower occurrences)"
+        )
+    # Incidents cut short by a follow-up crash of the same replica can
+    # never record a recovery; they count as superseded, not failed.
+    unrecovered = (
+        row.get("crashes", 0) - row.get("recovered", 0) - row.get("superseded", 0)
+    )
+    if unrecovered > 0:
+        out.append(f"{unrecovered} crashed replica(s) never committed again")
+    return out
 
 
 def format_suite(results: Dict[str, Sequence[Dict]]) -> str:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
 from repro.consensus.byzantine import ReplicaBehavior
 from repro.consensus.certificates import CertificateAuthority
@@ -14,17 +16,100 @@ from repro.consensus.leader import RoundRobinLeaderElection
 from repro.consensus.mempool import Mempool
 from repro.consensus.metrics import MetricsCollector, MetricsSummary
 from repro.consensus.replica import BaseReplica, honest_committed_chains
-from repro.core.registry import client_quorum_for, replica_class_for
+from repro.core.registry import (
+    PROTOCOLS,
+    canonical_protocol,
+    client_quorum_for,
+    replica_class_for,
+)
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError, SafetyViolationError
 from repro.faults.crashpoints import CrashPointInjector, CrashPointPlan
 from repro.faults.injector import ChaosController
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, load_plan
 from repro.net.faults import FaultInjector
 from repro.net.latency import ConstantLatency, GeoLatencyModel, LatencyModel
 from repro.sim.scheduler import Simulator
 from repro.storage.store import ReplicaStore
-from repro.workloads.base import make_workload
+from repro.workloads.base import available_workloads, make_workload
+
+
+#: Knob groups, in the order ``--help`` lists them.
+KNOB_GROUPS = ("core", "geo", "durability", "telemetry", "faults", "mempool")
+
+
+#: Per-knob rules :func:`knob` accepts, with their "no rule" values.
+_KNOB_RULES = dict(
+    low=None, high=None, positive=False, choices=None, parse=None, metavar=None,
+    sim_only=False, wire=True,
+)
+
+
+def knob(
+    default=dataclasses.MISSING,
+    *,
+    group: str,
+    help: str,
+    flags: Optional[Sequence[str]],
+    default_factory=dataclasses.MISSING,
+    **rules,
+):
+    """Declare one :class:`ExperimentSpec` field together with everything derived from it.
+
+    ``flags`` are the CLI spellings (first is canonical, the rest aliases;
+    ``None`` marks a knob that is deliberately not on the CLI), ``group`` one
+    of :data:`KNOB_GROUPS`, ``help`` the ``--help`` text.  *rules*: ``low`` /
+    ``high`` are inclusive bounds, ``positive`` requires ``> 0``, ``choices``
+    is a collection or a zero-argument callable returning one (for registries
+    that fill after import) — ``None`` values skip all of these; ``parse``
+    converts the flag's string (default: the annotation's scalar type) and
+    ``metavar`` names it in ``--help``; ``sim_only`` knobs are rejected in
+    live mode; ``wire=False`` knobs hold live objects and cannot cross a
+    process boundary (:meth:`ExperimentSpec.to_dict`).
+    """
+    if group not in KNOB_GROUPS or set(rules) - set(_KNOB_RULES):
+        raise ValueError(f"bad knob declaration: group {group!r}, rules {sorted(rules)}")
+    metadata = {"group": group, "help": help, "flags": tuple(flags) if flags else None}
+    return field(
+        default=default, default_factory=default_factory,
+        metadata={**metadata, **_KNOB_RULES, **rules},
+    )
+
+
+def _trace_samplers() -> Sequence[str]:
+    from repro.obs.sampling import SAMPLER_KINDS  # local import: repro.obs imports the report module
+
+    return SAMPLER_KINDS
+
+
+def _region_list(text: str) -> Optional[List[str]]:
+    return [region.strip() for region in text.split(",") if region.strip()] or None
+
+
+def _plan_file(path: str) -> Dict:
+    return load_plan(path).to_dict()
+
+
+def _check_knob(name: str, meta, value, mode: str) -> None:
+    """Apply one field's declared mode / choice / range rules to *value*."""
+    if meta["sim_only"] and mode == "live" and value:
+        raise ConfigurationError(
+            f"{name} is a simulation-only knob: live mode runs over real sockets "
+            "(use `regions` for emulated geo delay, shaped at the transport layer)"
+        )
+    if value is None:
+        return
+    choices = meta["choices"]
+    if choices is not None:
+        choices = choices() if callable(choices) else choices
+        if value not in choices:
+            raise ConfigurationError(f"unknown {name} {value!r}; available: {sorted(choices)}")
+    if meta["positive"] and value <= 0:
+        raise ConfigurationError(f"{name} must be positive, got {value}")
+    if meta["low"] is not None and value < meta["low"]:
+        raise ConfigurationError(f"{name} must be >= {meta['low']}, got {value}")
+    if meta["high"] is not None and value > meta["high"]:
+        raise ConfigurationError(f"{name} must be <= {meta['high']}, got {value}")
 
 
 @dataclass
@@ -35,153 +120,205 @@ class ExperimentSpec:
     size, workload, geography, injected delays, Byzantine behaviours, and the
     view timer.  Scenario builders (:mod:`repro.experiments.scenarios`) fill
     these in for every point of every figure.
+
+    This class is the *only* place a knob is declared: each field's
+    :func:`knob` metadata is what the CLI flags (:func:`add_spec_arguments`),
+    the range checks in :meth:`validate`, the JSON hand-off to replica
+    processes (:meth:`to_dict`) and the scenario engine's param pass-through
+    are derived from.  It stays flat and mutable on purpose — callers build
+    it from flat keyword arguments and adjust it before :meth:`validate`.
     """
 
-    protocol: str
-    n: int = 4
-    mode: str = "sim"
-    batch_size: int = 100
-    workload: str = "ycsb"
-    workload_kwargs: Dict = field(default_factory=dict)
-    duration: float = 1.0
-    warmup: float = 0.2
-    num_clients: Optional[int] = None
-    seed: int = 1
-    view_timeout: float = 0.030
-    delta: float = 0.001
-    base_latency: float = 0.0005
-    regions: Optional[Sequence[str]] = None
-    client_region: str = "virginia"
-    delay_injection: Optional[Dict] = None
-    behaviors: Dict[int, ReplicaBehavior] = field(default_factory=dict)
-    latency_model: Optional[LatencyModel] = None
-    speculation_enabled: bool = True
-    epoch_sync_enabled: bool = True
-    check_safety: bool = True
-    max_slots_per_view: int = 64
-    knee_factor: float = 0.9
-    #: Wire codec the deployment encodes with: ``"json"`` (debuggable, wire
-    #: versions 1–3) or ``"binary"`` (struct-packed v4, ~3× smaller frames).
-    #: Applies to live sockets and to the simulator's byte accounting alike;
-    #: decoding always accepts both formats.
-    codec: str = "json"
-    #: How many uncertified slot proposals a slotted leader keeps in flight
-    #: (``> 1`` requires a protocol with ``supports_slotting``).  Depth 1 is
-    #: the paper's sequential slotting; deeper pipelines overlap proposal
-    #: dissemination with vote aggregation.
-    pipeline_depth: int = 1
-    #: Chaos: a :class:`~repro.faults.plan.FaultPlan` as a plain dict (JSON
-    #: shape), or ``None`` for a fault-free run.  When set, every replica gets
-    #: a durable :class:`~repro.storage.store.ReplicaStore` and the plan's
-    #: crash/restart/pause/partition events fire during the run.
-    faults: Optional[Dict] = None
-    #: Crash-point fuzzing: a :class:`~repro.faults.crashpoints.CrashPointPlan`
-    #: as a plain dict, crashing replicas at protocol-relative hooks instead
-    #: of fixed times.  Composable with ``faults``.
-    crash_points: Optional[Dict] = None
-    #: Directory for file-backed replica stores; ``None`` keeps stores in
-    #: memory (the chaos engine holds them across restarts either way).
-    storage_dir: Optional[str] = None
-    #: Checkpointing: take a state-machine snapshot and truncate the WAL /
-    #: block log every this many commits (per replica).  ``None`` disables
-    #: checkpointing; any value implies durable stores for every replica.
-    checkpoint_interval: Optional[int] = None
-    #: Observability: attach a :class:`~repro.obs.trace.TraceRecorder` to the
-    #: deployment.  Off by default — every instrumentation site is guarded by
-    #: an ``is not None`` check, so an untraced run costs nothing.
-    trace: bool = False
-    #: Cap on fully-sampled transaction lifecycle spans (first post-warmup
-    #: submissions win; counters stay exact for everything).
-    trace_max_txns: int = 2000
-    #: Time-series bucket width in seconds; ``None`` picks
-    #: :func:`~repro.obs.trace.default_bucket_width` from the duration.
-    trace_bucket: Optional[float] = None
-    #: Span sampling strategy: ``"head"`` (first post-warmup submissions,
-    #: the default), ``"reservoir"`` (uniform over the whole run) or
-    #: ``"tail"`` (keep the slowest completed spans).
-    trace_sampler: str = "head"
-    #: Ring size for block/view protocol events (and instants).
-    trace_max_events: int = 4096
-    #: Per-bucket latency reservoir size.
-    trace_reservoir: int = 512
-    #: Stream the trace incrementally to this JSONL path (bounded recorder
-    #: memory; readable mid-run by ``repro trace`` / ``repro watch``).
-    #: Setting it implies ``trace``.
-    trace_stream: Optional[str] = None
-    #: Run the online SLO detector (commit-stall, view-change-storm,
-    #: mempool-saturation, spec-lead-collapse) over the trace time series.
-    trace_detect: bool = True
-    #: Live mode: serve per-replica ``/metrics`` + ``/healthz`` + ``/readyz``
-    #: on ``scrape_port + replica_id`` (``0`` picks ephemeral ports;
-    #: ``None`` disables the endpoints).
-    scrape_port: Optional[int] = None
-    #: Distributed mempool: each replica owns its own transaction pool, fed by
-    #: clients broadcasting every request to all replicas (the dissemination
-    #: model real BFT deployments use).  Leaders deduplicate against committed
-    #: and in-flight transactions and the snapshot txn-id horizon.  The
-    #: default is the shared in-process pool — perfect, zero-cost
-    #: dissemination, so protocol comparisons measure consensus alone.
-    distributed_mempool: bool = False
-    #: Admission-control cap on pending transactions per pool; adds beyond the
-    #: cap are rejected and counted (``admission_rejected``), the backpressure
-    #: signal for open-loop arrivals.  ``None`` disables the cap.
-    mempool_limit: Optional[int] = None
-    #: Client request fan-out: ``True`` sends every request to all target
-    #: replicas instead of round-robin.  Implied by ``distributed_mempool``
-    #: (per-replica pools starve without broadcast).
-    broadcast_requests: Optional[bool] = None
-
-    def label(self) -> str:
-        """Short identifier used in series tables."""
-        return f"{self.protocol}/n={self.n}/batch={self.batch_size}/{self.workload}"
+    protocol: str = knob(
+        group="core", flags=("--protocol",),
+        help=f"protocol name or alias, e.g. hotstuff1 (available: {', '.join(sorted(PROTOCOLS))})",
+    )
+    n: int = knob(
+        4, group="core", flags=("--replicas", "--n"), low=4,
+        help="number of replicas (BFT needs n >= 3f + 1 with f >= 1)",
+    )
+    mode: str = knob(
+        "sim", group="core", flags=("--mode",), choices=("sim", "live"),
+        help="substrate: discrete-event simulation or localhost TCP",
+    )
+    batch_size: int = knob(
+        100, group="core", flags=("--batch",), low=1, help="transactions per proposed block"
+    )
+    workload: str = knob(
+        "ycsb", group="core", flags=("--workload",), choices=available_workloads,
+        help="client workload (state machine and transaction mix)",
+    )
+    workload_kwargs: Dict = knob(
+        default_factory=dict, group="core", flags=None, help="workload constructor arguments"
+    )
+    duration: float = knob(
+        1.0, group="core", flags=("--duration",), positive=True,
+        help="measurement window: simulated seconds (sim) or wall-clock cap in seconds (live)",
+    )
+    warmup: float = knob(
+        0.2, group="core", flags=("--warmup",),
+        help="leading seconds excluded from the metrics (must stay below the duration)",
+    )
+    num_clients: Optional[int] = knob(
+        None, group="mempool", flags=("--clients",),
+        help="closed-loop client population (default: pipeline knee)",
+    )
+    seed: int = knob(1, group="core", flags=("--seed",), help="base RNG seed")
+    view_timeout: float = knob(
+        0.030, group="core", flags=("--view-timeout",), positive=True, help="view timer (seconds)"
+    )
+    delta: float = knob(
+        0.001, group="core", flags=None, help="pacemaker's assumed network delay bound (seconds)"
+    )
+    base_latency: float = knob(
+        0.0005, group="geo", flags=None, help="one-way link latency when no regions are set (sim)"
+    )
+    regions: Optional[Sequence[str]] = knob(
+        None, group="geo", flags=("--regions",), parse=_region_list, metavar="R1,R2,...",
+        help="emulate geography: replicas placed round-robin across these regions, per-link "
+             "delays from the paper's RTT tables (live: shaped at the transports)",
+    )
+    client_region: str = knob(
+        "virginia", group="geo", flags=("--client-region",),
+        help="region the client pool sends from (with --regions)",
+    )
+    delay_injection: Optional[Dict] = knob(
+        None, group="geo", flags=None, sim_only=True,
+        help="extra one-way delay on chosen replicas: {'impacted': [ids], 'extra_delay': s}",
+    )
+    behaviors: Dict[int, ReplicaBehavior] = knob(
+        default_factory=dict, group="faults", flags=None, wire=False,
+        help="Byzantine behaviour object per replica id (the rest are honest)",
+    )
+    latency_model: Optional[LatencyModel] = knob(
+        None, group="geo", flags=None, sim_only=True, wire=False,
+        help="custom latency model object (overrides regions / base_latency)",
+    )
+    speculation_enabled: bool = knob(
+        True, group="core", flags=None, help="speculative execution and early client responses"
+    )
+    epoch_sync_enabled: bool = knob(
+        True, group="core", flags=None, help="epoch-based view synchronisation"
+    )
+    check_safety: bool = knob(
+        True, group="core", flags=None,
+        help="verify after the run that honest committed ledgers are prefixes of each other",
+    )
+    max_slots_per_view: int = knob(
+        64, group="core", flags=None, help="slots a slotted leader may propose in one view"
+    )
+    knee_factor: float = knob(
+        0.9, group="mempool", flags=None,
+        help="default client population as a fraction of the protocol's pipeline knee",
+    )
+    codec: str = knob(
+        "json", group="core", flags=("--codec",), choices=("json", "binary"),
+        help="wire codec: json (debuggable, wire versions 1-3) or binary (struct-packed v4, ~3x "
+             "smaller frames); applies to live sockets and to the simulator's byte accounting "
+             "alike, decoding always accepts both",
+    )
+    pipeline_depth: int = knob(
+        1, group="core", flags=("--pipeline-depth",), low=1,
+        help="uncertified slot proposals a slotted leader keeps in flight (>1 needs a protocol "
+             "with supports_slotting, e.g. hotstuff-1-slotting); 1 is the paper's sequential "
+             "slotting, deeper pipelines overlap dissemination with vote aggregation",
+    )
+    faults: Optional[Dict] = knob(
+        None, group="faults", flags=("--faults",), parse=_plan_file, metavar="PLAN.json",
+        help="chaos: a FaultPlan (a JSON file on the CLI, a plain dict in code) whose crash/"
+             "restart/pause/partition events fire during the run; implies durable stores",
+    )
+    crash_points: Optional[Dict] = knob(
+        None, group="faults", flags=None,
+        help="crash-point fuzzing: a CrashPointPlan as a plain dict, crashing replicas at "
+             "protocol-relative hooks instead of fixed times; composable with faults",
+    )
+    storage_dir: Optional[str] = knob(
+        None, group="durability", flags=("--storage-dir",),
+        help="directory for file-backed replica stores (default: in-memory; the chaos engine "
+             "holds stores across restarts either way)",
+    )
+    checkpoint_interval: Optional[int] = knob(
+        None, group="durability", flags=("--checkpoint-interval",), low=1, metavar="COMMITS",
+        help="snapshot the state machine and truncate the WAL / block log every N commits per "
+             "replica (default: checkpointing off); implies durable stores",
+    )
+    trace: bool = knob(
+        False, group="telemetry", flags=("--trace",),
+        help="record per-transaction lifecycle spans, a phase-level latency breakdown and a "
+             "windowed time series (off by default; an untraced run pays nothing)",
+    )
+    trace_max_txns: int = knob(
+        2000, group="telemetry", flags=("--trace-max-txns",), low=1,
+        help="cap on fully-sampled transaction spans (first post-warmup submissions win; "
+             "event counters stay exact past it)",
+    )
+    trace_bucket: Optional[float] = knob(
+        None, group="telemetry", flags=("--trace-bucket",), positive=True, metavar="SECONDS",
+        help="time-series bucket width (default: duration/8, clamped to 20ms..1s)",
+    )
+    trace_sampler: str = knob(
+        "head", group="telemetry", flags=("--trace-sampler",), choices=_trace_samplers,
+        help="span sampling once the cap fills: head keeps the first N, reservoir a uniform "
+             "sample over the whole run, tail the slowest",
+    )
+    trace_max_events: int = knob(
+        4096, group="telemetry", flags=("--trace-max-events",), low=1,
+        help="ring size for raw protocol events and trace instants",
+    )
+    trace_reservoir: int = knob(
+        512, group="telemetry", flags=None, low=1, help="per-bucket latency reservoir size"
+    )
+    trace_stream: Optional[str] = knob(
+        None, group="telemetry", flags=("--trace-stream",), metavar="FILE.jsonl",
+        help="stream spans, events and closed buckets to this JSONL file as the run progresses "
+             "(bounded memory; implies --trace; readable mid-run by `repro trace` / `watch`)",
+    )
+    trace_detect: bool = knob(
+        True, group="telemetry", flags=("--no-detect",),
+        help="disable the online SLO detector (commit-stall, view-change-storm, "
+             "mempool-saturation, speculation-lead-collapse) over the trace time series",
+    )
+    scrape_port: Optional[int] = knob(
+        None, group="telemetry", flags=("--scrape-port",), low=0, high=65535, metavar="PORT",
+        help="live mode: serve per-replica /metrics, /healthz and /readyz on PORT+replica_id "
+             "(0: ephemeral ports, printed at startup; default: endpoints off)",
+    )
+    distributed_mempool: bool = knob(
+        False, group="mempool", flags=("--distributed-mempool",),
+        help="per-replica transaction pools fed by clients broadcasting every request, leaders "
+             "deduplicating against committed / in-flight transactions and the snapshot txn-id "
+             "horizon (default: one shared in-process pool, i.e. zero-cost dissemination, so "
+             "protocol comparisons measure consensus alone)",
+    )
+    mempool_limit: Optional[int] = knob(
+        None, group="mempool", flags=("--mempool-limit",), low=1, metavar="TXNS",
+        help="admission cap on pending transactions per pool; adds beyond it are rejected and "
+             "counted (admission_rejected), the backpressure signal for open-loop arrivals",
+    )
+    broadcast_requests: Optional[bool] = knob(
+        None, group="mempool", flags=None,
+        help="send every client request to all target replicas instead of round-robin "
+             "(implied by distributed_mempool: per-replica pools starve without broadcast)",
+    )
 
     def validate(self) -> "ExperimentSpec":
         """Check the spec for configuration errors before any simulator state exists.
 
         Raises :class:`~repro.errors.ConfigurationError` with a pointed
         message instead of letting a bad value fail deep inside the
-        simulator.  Returns ``self`` so call sites can chain.
+        simulator.  Returns ``self`` so call sites can chain.  Per-field
+        range and choice rules come from the :func:`knob` declarations; only
+        the rules that relate several fields are spelled out here.
         """
-        from repro.core.registry import canonical_protocol
-        from repro.workloads.base import available_workloads
-
         self.protocol = canonical_protocol(self.protocol)
-        if self.mode not in ("sim", "live"):
-            raise ConfigurationError(
-                f"unknown mode {self.mode!r}; available: ['live', 'sim']"
+        for spec_field in dataclasses.fields(self):
+            _check_knob(
+                spec_field.name, spec_field.metadata, getattr(self, spec_field.name), self.mode
             )
-        if self.mode == "live":
-            if self.latency_model is not None or self.delay_injection:
-                raise ConfigurationError(
-                    "live mode runs over real sockets: latency_model / "
-                    "delay_injection are simulation-only knobs (use `regions` "
-                    "for emulated geo delay, shaped at the transport layer)"
-                )
-        if self.n < 4:
-            raise ConfigurationError(
-                f"n must be >= 4 (BFT needs n >= 3f + 1 with f >= 1), got {self.n}"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
-        if self.warmup < 0 or self.warmup >= self.duration:
+        if not 0 <= self.warmup < self.duration:
             raise ConfigurationError(
                 f"warmup ({self.warmup}) must satisfy 0 <= warmup < duration ({self.duration})"
-            )
-        if self.workload not in available_workloads():
-            raise ConfigurationError(
-                f"unknown workload {self.workload!r}; available: {available_workloads()}"
-            )
-        if self.view_timeout <= 0:
-            raise ConfigurationError(f"view_timeout must be positive, got {self.view_timeout}")
-        if self.codec not in ("json", "binary"):
-            raise ConfigurationError(
-                f"unknown codec {self.codec!r}; available: ['binary', 'json']"
-            )
-        if self.pipeline_depth < 1:
-            raise ConfigurationError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
             )
         if self.pipeline_depth > self.max_slots_per_view:
             raise ConfigurationError(
@@ -204,39 +341,8 @@ class ExperimentSpec:
             crash_plan = CrashPointPlan.from_dict(self.crash_points)
             crash_plan.validate(self.n, mode=self.mode)
             self.crash_points = crash_plan.to_dict()
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ConfigurationError(
-                f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
-            )
-        if self.trace_max_txns < 1:
-            raise ConfigurationError(
-                f"trace_max_txns must be >= 1, got {self.trace_max_txns}"
-            )
-        if self.trace_bucket is not None and self.trace_bucket <= 0:
-            raise ConfigurationError(
-                f"trace_bucket must be positive, got {self.trace_bucket}"
-            )
-        from repro.obs.sampling import SAMPLER_KINDS
-
-        if self.trace_sampler not in SAMPLER_KINDS:
-            raise ConfigurationError(
-                f"unknown trace_sampler {self.trace_sampler!r}; "
-                f"available: {sorted(SAMPLER_KINDS)}"
-            )
-        if self.trace_max_events < 1:
-            raise ConfigurationError(
-                f"trace_max_events must be >= 1, got {self.trace_max_events}"
-            )
-        if self.trace_reservoir < 1:
-            raise ConfigurationError(
-                f"trace_reservoir must be >= 1, got {self.trace_reservoir}"
-            )
         if self.trace_stream:
             self.trace = True
-        if self.mempool_limit is not None and self.mempool_limit < 1:
-            raise ConfigurationError(
-                f"mempool_limit must be >= 1, got {self.mempool_limit}"
-            )
         if self.broadcast_requests is None:
             self.broadcast_requests = self.distributed_mempool
         elif self.distributed_mempool and not self.broadcast_requests:
@@ -244,17 +350,96 @@ class ExperimentSpec:
                 "distributed_mempool needs broadcast_requests: with round-robin "
                 "submission a rotating leader's local pool would starve"
             )
-        if self.scrape_port is not None:
-            if self.mode != "live":
-                raise ConfigurationError(
-                    "scrape_port serves HTTP from the live runtime; "
-                    "sim runs have no replica processes to scrape"
-                )
-            if not 0 <= self.scrape_port <= 65535:
-                raise ConfigurationError(
-                    f"scrape_port must be a port number (0 = ephemeral), got {self.scrape_port}"
-                )
+        if self.scrape_port is not None and self.mode != "live":
+            raise ConfigurationError(
+                "scrape_port serves HTTP from the live runtime; "
+                "sim runs have no replica processes to scrape"
+            )
         return self
+
+    def to_dict(self) -> Dict:
+        """Flatten the spec to the plain-JSON document replica processes load.
+
+        Only plain data can cross a process boundary: a spec carrying
+        configured behaviour objects or a custom latency model (the
+        ``wire=False`` knobs) has no serialized form and is rejected.
+        """
+        doc = {}
+        for spec_field in dataclasses.fields(self):
+            value = getattr(self, spec_field.name)
+            if spec_field.metadata["wire"]:
+                doc[spec_field.name] = copy.deepcopy(value)
+            elif value:
+                raise ConfigurationError(
+                    f"{spec_field.name} holds live objects and cannot be serialized for "
+                    "another process; configure it per-process (geo delay: use `regions`, "
+                    "carried by the deployment config)"
+                )
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: Dict) -> "ExperimentSpec":
+        """Rebuild a spec shipped by :meth:`to_dict`; unknown or non-wire keys are rejected."""
+        known = {f.name for f in dataclasses.fields(cls) if f.metadata["wire"]}
+        unknown = set(doc) - known
+        if unknown:
+            raise ConfigurationError(f"unknown spec fields in document: {sorted(unknown)}")
+        return cls(**doc)
+
+
+def add_spec_arguments(
+    parser, groups: Sequence[str], omit: Sequence[str] = (), spec_class=None, **default_overrides
+) -> None:
+    """Add one flag per CLI-visible knob of the named *groups* to an argparse *parser*.
+
+    Spelling, aliases, type, choices, metavar and help all come from the
+    field's :func:`knob` declaration; ``dest`` is the field name, so
+    :func:`spec_from_args` reads the namespace back without a mapping.
+    *omit* leaves out whole fields (by name) or single spellings (by flag)
+    a sub-command does not offer; *default_overrides* replace the dataclass
+    default where a sub-command's differs (e.g. ``duration=15.0`` for
+    ``live``).  Bool knobs become switches that flip their default.
+    """
+    spec_class = spec_class or ExperimentSpec
+    hints = get_type_hints(spec_class)
+    sections = {group: parser.add_argument_group(f"{group} knobs") for group in groups}
+    for spec_field in dataclasses.fields(spec_class):
+        meta = spec_field.metadata
+        flags = [flag for flag in meta["flags"] or () if flag not in omit]
+        if meta["group"] not in sections or spec_field.name in omit or not flags:
+            continue
+        default = default_overrides.get(spec_field.name, spec_field.default)
+        options: Dict = {"dest": spec_field.name, "help": meta["help"]}
+        if default is dataclasses.MISSING:
+            options["required"] = True
+        else:
+            options["default"] = default
+        if isinstance(spec_field.default, bool):
+            options["action"] = "store_false" if spec_field.default else "store_true"
+        else:
+            hint = hints[spec_field.name]  # Optional[int] -> int
+            scalar = next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+            options["type"] = meta["parse"] or scalar
+            options["metavar"] = meta["metavar"]
+            choices = meta["choices"]
+            options["choices"] = choices() if callable(choices) else choices
+        sections[meta["group"]].add_argument(*flags, **options)
+
+
+def spec_from_args(args, spec_class=None, **fixed) -> ExperimentSpec:
+    """Build the spec a parsed namespace describes (the inverse of :func:`add_spec_arguments`).
+
+    Knobs the sub-command did not offer keep their dataclass default;
+    *fixed* values (e.g. ``mode="live"``) win over the namespace.
+    """
+    spec_class = spec_class or ExperimentSpec
+    values = {
+        spec_field.name: getattr(args, spec_field.name)
+        for spec_field in dataclasses.fields(spec_class)
+        if spec_field.metadata["flags"] and hasattr(args, spec_field.name)
+    }
+    values.update(fixed)
+    return spec_class(**values)
 
 
 @dataclass
@@ -292,8 +477,8 @@ class RunResult:
     def to_row(self, **extra) -> Dict:
         """Flatten the result into a report row (plus scenario-specific *extra* columns).
 
-        This is the single row shape shared by the legacy scenario builders,
-        the declarative engine and the CLI tables.
+        This is the single row shape shared by the scenario engine and the
+        CLI tables.
         """
         row = {
             "protocol": self.spec.protocol,

@@ -1,18 +1,19 @@
 """Scenario definitions: one declarative spec per figure of the paper's §7.
 
-Historically every figure had a bespoke builder function with hand-written
-nested loops.  Those builders are now thin wrappers: each figure is a
-:class:`~repro.experiments.spec.ScenarioSpec` (protocols × swept axes ×
-repeats, all plain data) produced by a ``*_spec`` factory, and a *point
-builder* registered for the figure's ``kind`` maps one grid point to the
-concrete :class:`~repro.experiments.runner.ExperimentSpec` the simulator
+Each figure is a :class:`~repro.experiments.spec.ScenarioSpec` (protocols ×
+swept axes × repeats, all plain data) produced by a ``*_spec`` factory, and a
+*point builder* registered for the figure's ``kind`` maps one grid point to
+the concrete :class:`~repro.experiments.runner.ExperimentSpec` the simulator
 consumes.  The :data:`SCENARIOS` registry maps figure names to factories, so
 the CLI, the benchmark harness and JSON suite configs all share one source of
-truth.
+truth; run a figure with
+``execute_scenario(scenario_spec(name, **overrides), jobs=...)``
+(:func:`repro.experiments.executor.execute_scenario` fans independent runs
+across a process pool when ``jobs > 1``).
 
-The legacy ``*_series`` functions keep their signatures (plus ``repeats`` /
-``jobs``) and now route through :func:`repro.experiments.executor.execute_scenario`,
-which fans independent runs across a process pool when ``jobs > 1``.
+A figure parameter's default lives in exactly one place, its ``*_spec``
+factory: the factory writes every parameter into ``ScenarioSpec.params`` and
+the point builder reads it back without a fallback of its own.
 
 The defaults are scaled down (shorter simulated duration, the same parameter
 grid) so the whole suite runs on a laptop; pass larger ``duration`` /
@@ -30,10 +31,9 @@ from repro.consensus.byzantine import (
 )
 from repro.core.registry import EVALUATION_PROTOCOLS
 from repro.errors import ConfigurationError
-from repro.experiments.executor import execute_scenario
 from repro.faults.crashpoints import CRASH_HOOKS, SNAPSHOT_HOOKS, CrashPointPlan
 from repro.faults.plan import chaos_preset
-from repro.experiments.runner import ExperimentSpec, RunResult
+from repro.experiments.runner import ExperimentSpec
 from repro.experiments.spec import (
     RunRecord,
     ScenarioSpec,
@@ -47,55 +47,45 @@ from repro.net.latency import DEFAULT_REGION_ORDER, GeoLatencyModel
 DEFAULT_PROTOCOLS: Sequence[str] = EVALUATION_PROTOCOLS
 
 
-def _row(result: RunResult, **extra) -> Dict:
-    """Convert a run result into a flat report row.
+#: Run-shape parameters every figure factory declares.  A hand-written
+#: scenario config may omit any of them; the run then uses the
+#: :class:`ExperimentSpec` default for that knob.
+_RUN_SHAPE = ("n", "batch_size", "duration", "warmup", "seed")
 
-    Kept as a (deprecated) alias of :meth:`RunResult.to_row` for callers of
-    the pre-engine API.
+
+def _spec(protocol: str, p: Dict[str, Any], **fixed) -> ExperimentSpec:
+    """The :class:`ExperimentSpec` of one grid point.
+
+    Run-shape parameters come straight from *p* (whose values the ``*_spec``
+    factory defaulted — point builders hold no defaults of their own), the
+    fields a point builder computes come in through *fixed*.  Any other spec
+    knob in *p* is applied by the executor's pass-through.
     """
-    return result.to_row(**extra)
+    shape = {name: p[name] for name in _RUN_SHAPE if name in p and name not in fixed}
+    return ExperimentSpec(protocol=protocol, **shape, **fixed)
 
 
 # --------------------------------------------------------------------------
 # Point builders: grid point -> ExperimentSpec + extra report columns
 # --------------------------------------------------------------------------
+@point_builder("latency-breakdown")  # same runs; its post-processor adds the reduction rows
 @point_builder("scalability")
 def _build_scalability(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=p["n"],
-        batch_size=p.get("batch_size", 100),
-        duration=p.get("duration", 0.5),
-        warmup=p.get("warmup", 0.1),
-        seed=p.get("seed", 1),
-    )
-    return spec, {"n": p["n"]}
+    return _spec(protocol, p), {"n": p["n"]}
 
 
 @point_builder("batching")
 def _build_batching(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=p.get("n", 32),
-        batch_size=p["batch_size"],
-        duration=p.get("duration", 0.4),
-        warmup=p.get("warmup", 0.1),
-        seed=p.get("seed", 1),
-    )
-    return spec, {"batch_size": p["batch_size"]}
+    return _spec(protocol, p), {"batch_size": p["batch_size"]}
 
 
 @point_builder("geo-scale")
 def _build_geo_scale(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
     region_count = p["region_count"]
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=p.get("n", 32),
-        batch_size=p.get("batch_size", 100),
-        workload=p.get("workload", "ycsb"),
-        duration=p.get("duration", 3.0),
-        warmup=p.get("warmup", 0.5),
-        seed=p.get("seed", 1),
+    spec = _spec(
+        protocol,
+        p,
+        workload=p["workload"],
         regions=list(DEFAULT_REGION_ORDER[:region_count]),
         view_timeout=p.get("view_timeout", 1.0),
         delta=p.get("delta", 0.3),
@@ -105,11 +95,10 @@ def _build_geo_scale(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, 
 
 @point_builder("delay-injection")
 def _build_delay_injection(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
-    n = p.get("n", 31)
+    n = p["n"]
     delay_ms = p["delay_ms"]
     impacted_count = p["impacted"]
     impacted = list(range(n - impacted_count, n))
-    duration = p.get("duration", 0.5)
     # When every certificate needs an impacted replica (k > f) a round takes
     # up to the 4x-delay view timeout, and latency accounting only counts
     # transactions *submitted* after warmup — i.e. second-generation traffic
@@ -117,14 +106,12 @@ def _build_delay_injection(protocol: str, p: Dict[str, Any]) -> Tuple[Experiment
     # roughly two such rounds (~16x the delay) or the worst grid points
     # measure nothing; event count, not horizon, drives simulation cost, so
     # stalled long-horizon points stay cheap.
-    horizon = max(duration, 16 * delay_ms / 1000.0)
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=n,
-        batch_size=p.get("batch_size", 100),
+    horizon = max(p["duration"], 16 * delay_ms / 1000.0)
+    spec = _spec(
+        protocol,
+        p,
         duration=horizon,
-        warmup=min(p.get("warmup", 0.1), horizon / 4),
-        seed=p.get("seed", 1),
+        warmup=min(p["warmup"], horizon / 4),
         delay_injection={"impacted": impacted, "extra_delay": delay_ms / 1000.0},
         view_timeout=max(0.01, 4 * delay_ms / 1000.0),
         delta=max(0.001, delay_ms / 1000.0),
@@ -134,19 +121,15 @@ def _build_delay_injection(protocol: str, p: Dict[str, Any]) -> Tuple[Experiment
 
 @point_builder("two-region-split")
 def _build_two_region_split(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
-    n = p.get("n", 31)
+    n = p["n"]
     remote_count = p["london_replicas"]
     placement = {
         replica_id: ("london" if replica_id >= n - remote_count else "virginia")
         for replica_id in range(n)
     }
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=n,
-        batch_size=p.get("batch_size", 100),
-        duration=p.get("duration", 3.0),
-        warmup=p.get("warmup", 0.5),
-        seed=p.get("seed", 1),
+    spec = _spec(
+        protocol,
+        p,
         latency_model=GeoLatencyModel(placement, default_region="virginia"),
         client_region="virginia",
         view_timeout=p.get("view_timeout", 0.5),
@@ -163,13 +146,10 @@ def _build_leader_slowness(protocol: str, p: Dict[str, Any]) -> Tuple[Experiment
         replica_id: SlowLeaderBehavior(margin=4 * 0.0005 + 0.0005)
         for replica_id in range(slow_count)
     }
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=p.get("n", 32),
-        batch_size=p.get("batch_size", 100),
-        duration=max(p.get("duration", 1.0), 20 * view_timeout),
-        warmup=p.get("warmup", 0.2),
-        seed=p.get("seed", 1),
+    spec = _spec(
+        protocol,
+        p,
+        duration=max(p["duration"], 20 * view_timeout),
         behaviors=behaviors,
         view_timeout=view_timeout,
     )
@@ -180,21 +160,12 @@ def _build_leader_slowness(protocol: str, p: Dict[str, Any]) -> Tuple[Experiment
 def _build_tail_forking(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
     faulty_count = p["faulty_leaders"]
     behaviors = {replica_id: TailForkingBehavior() for replica_id in range(faulty_count)}
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=p.get("n", 32),
-        batch_size=p.get("batch_size", 100),
-        duration=p.get("duration", 1.0),
-        warmup=p.get("warmup", 0.2),
-        seed=p.get("seed", 1),
-        behaviors=behaviors,
-    )
-    return spec, {"faulty_leaders": faulty_count}
+    return _spec(protocol, p, behaviors=behaviors), {"faulty_leaders": faulty_count}
 
 
 @point_builder("rollback-attack")
 def _build_rollback_attack(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
-    n = p.get("n", 32)
+    n = p["n"]
     faulty_count = p["faulty_leaders"]
     f = (n - 1) // 3
     colluders = list(range(faulty_count))
@@ -203,16 +174,7 @@ def _build_rollback_attack(protocol: str, p: Dict[str, Any]) -> Tuple[Experiment
         replica_id: RollbackAttackBehavior(victims=victims, colluders=colluders)
         for replica_id in colluders
     }
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=n,
-        batch_size=p.get("batch_size", 100),
-        duration=p.get("duration", 1.0),
-        warmup=p.get("warmup", 0.2),
-        seed=p.get("seed", 1),
-        behaviors=behaviors,
-    )
-    return spec, {"faulty_leaders": faulty_count}
+    return _spec(protocol, p, behaviors=behaviors), {"faulty_leaders": faulty_count}
 
 
 @point_builder("chaos")
@@ -223,31 +185,20 @@ def _build_chaos(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict
     ``kill-leader``, ``cascade``, ``partition-heal``) or a full fault-plan
     dict, so suites can sweep canned presets and hand-written plans alike.
     """
-    n = p.get("n", 4)
-    duration = p.get("duration", 1.0)
-    fault = p.get("fault", "kill-replica")
+    duration = p["duration"]
+    fault = p["fault"]
     if isinstance(fault, dict):
         faults, label = fault, "custom"
     else:
         plan = chaos_preset(
             fault,
-            n=n,
+            n=p["n"],
             at=p.get("crash_at", round(duration * 0.3, 6)),
             down_for=p.get("down_for", round(duration * 0.15, 6)),
             replica=p.get("replica", 1),
         )
         faults, label = plan.to_dict(), fault
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=n,
-        batch_size=p.get("batch_size", 100),
-        duration=duration,
-        warmup=p.get("warmup", 0.1),
-        seed=p.get("seed", 1),
-        view_timeout=p.get("view_timeout", 0.030),
-        faults=faults,
-    )
-    return spec, {"fault": label}
+    return _spec(protocol, p, faults=faults), {"fault": label}
 
 
 @point_builder("chaos-fuzz")
@@ -259,15 +210,13 @@ def _build_chaos_fuzz(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec,
     sweeps many random crash placements while any single failing seed can be
     replayed bit-for-bit.
     """
-    n = p.get("n", 4)
-    duration = p.get("duration", 1.0)
-    fuzz_seed = int(p.get("fuzz_seed", p.get("seed", 1)))
-    hooks = tuple(p.get("hooks", CRASH_HOOKS))
+    fuzz_seed = int(p.get("fuzz_seed", p["seed"]))
+    hooks = tuple(p["hooks"])
     plan = CrashPointPlan.randomized(
-        n=n,
+        n=p["n"],
         seed=fuzz_seed,
-        crashes=p.get("crashes", 2),
-        down_for=p.get("down_for", round(duration * 0.15, 6)),
+        crashes=p["crashes"],
+        down_for=p.get("down_for", round(p["duration"] * 0.15, 6)),
         hooks=hooks,
         max_occurrence=p.get("max_occurrence", 40),
     )
@@ -276,17 +225,8 @@ def _build_chaos_fuzz(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec,
     checkpoint_interval = p.get("checkpoint_interval")
     if checkpoint_interval is None and any(hook in SNAPSHOT_HOOKS for hook in hooks):
         checkpoint_interval = 4
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=n,
-        mode=p.get("mode", "sim"),
-        batch_size=p.get("batch_size", 10),
-        duration=duration,
-        warmup=p.get("warmup", 0.1),
-        seed=p.get("seed", 1),
-        view_timeout=p.get("view_timeout", 0.030),
-        crash_points=plan.to_dict(),
-        checkpoint_interval=checkpoint_interval,
+    spec = _spec(
+        protocol, p, crash_points=plan.to_dict(), checkpoint_interval=checkpoint_interval
     )
     return spec, {"fuzz_seed": fuzz_seed, "planned_crashes": len(plan)}
 
@@ -301,36 +241,18 @@ def _build_snapshot_recovery(protocol: str, p: Dict[str, Any]) -> Tuple[Experime
     instead of replaying or fetching the whole history.  The ``fault`` axis
     sweeps presets exactly like the plain chaos scenario.
     """
-    n = p.get("n", 4)
-    duration = p.get("duration", 1.0)
-    interval = int(p.get("checkpoint_interval", 5))
-    fault = p.get("fault", "kill-replica")
+    duration = p["duration"]
+    interval = int(p["checkpoint_interval"])
+    fault = p["fault"]
     plan = chaos_preset(
         fault,
-        n=n,
+        n=p["n"],
         at=p.get("crash_at", round(duration * 0.25, 6)),
         down_for=p.get("down_for", round(duration * 0.45, 6)),
         replica=p.get("replica", 1),
     )
-    spec = ExperimentSpec(
-        protocol=protocol,
-        n=n,
-        mode=p.get("mode", "sim"),
-        batch_size=p.get("batch_size", 10),
-        duration=duration,
-        warmup=p.get("warmup", 0.1),
-        seed=p.get("seed", 1),
-        view_timeout=p.get("view_timeout", 0.030),
-        faults=plan.to_dict(),
-        checkpoint_interval=interval,
-        storage_dir=p.get("storage_dir"),
-    )
+    spec = _spec(protocol, p, faults=plan.to_dict(), checkpoint_interval=interval)
     return spec, {"fault": fault, "checkpoint_interval": interval}
-
-
-@point_builder("latency-breakdown")
-def _build_latency_breakdown(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict]:
-    return _build_scalability(protocol, p)
 
 
 @post_processor("latency-breakdown")
@@ -382,23 +304,16 @@ def _build_slotting_ablation(
     # The variant axis carries (protocol, speculation flag, label); the
     # scenario declares no protocol axis of its own.
     variant_protocol, speculation, label = p["variant"]
-    slow_count = p.get("slow_leader_count", 4)
+    slow_count = p["slow_leader_count"]
     behaviors = {replica_id: SlowLeaderBehavior() for replica_id in range(slow_count)}
-    spec = ExperimentSpec(
-        protocol=variant_protocol,
-        n=p.get("n", 16),
-        batch_size=p.get("batch_size", 100),
-        duration=p.get("duration", 1.0),
-        warmup=p.get("warmup", 0.2),
-        seed=p.get("seed", 1),
-        behaviors=behaviors,
-        speculation_enabled=bool(speculation),
+    spec = _spec(
+        variant_protocol, p, behaviors=behaviors, speculation_enabled=bool(speculation)
     )
     return spec, {"variant": label, "slow_leaders": slow_count}
 
 
 # --------------------------------------------------------------------------
-# Spec factories: one per figure, defaults matching the legacy builders
+# Spec factories: one per figure; the only place a figure parameter's default lives
 # --------------------------------------------------------------------------
 def scalability_spec(
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
@@ -815,219 +730,3 @@ def default_suite(
             factory(**{key: value for key, value in common.items() if key in accepted})
         )
     return SuiteSpec(name=suite_name, scenarios=scenarios)
-
-
-# --------------------------------------------------------------------------
-# Legacy builder API: same signatures, now routed through the engine
-# --------------------------------------------------------------------------
-def scalability_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    replica_counts: Sequence[int] = (4, 16, 32, 64),
-    batch_size: int = 100,
-    duration: float = 0.5,
-    warmup: float = 0.1,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Throughput and latency as the number of replicas grows (Fig. 8 a, b)."""
-    return execute_scenario(
-        scalability_spec(protocols, replica_counts, batch_size, duration, warmup, seed, repeats),
-        jobs=jobs,
-    )
-
-
-def batching_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    batch_sizes: Sequence[int] = (100, 1000, 2000, 5000, 10000),
-    n: int = 32,
-    duration: float = 0.4,
-    warmup: float = 0.1,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Throughput and latency as the batch size grows at n=32 (Fig. 8 c, d)."""
-    return execute_scenario(
-        batching_spec(protocols, batch_sizes, n, duration, warmup, seed, repeats), jobs=jobs
-    )
-
-
-def geo_scale_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    region_counts: Sequence[int] = (2, 3, 4, 5),
-    workload: str = "ycsb",
-    n: int = 32,
-    batch_size: int = 100,
-    duration: float = 3.0,
-    warmup: float = 0.5,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Throughput and latency across 2-5 geographic regions (Fig. 8 e-h)."""
-    return execute_scenario(
-        geo_scale_spec(
-            protocols, region_counts, workload, n, batch_size, duration, warmup, seed, repeats
-        ),
-        jobs=jobs,
-    )
-
-
-def delay_injection_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    delays_ms: Sequence[float] = (1.0, 5.0, 50.0, 500.0),
-    impacted_counts: Optional[Sequence[int]] = None,
-    n: int = 31,
-    batch_size: int = 100,
-    duration: float = 0.5,
-    warmup: float = 0.1,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Throughput and latency with delays injected on k replicas (Fig. 9 a-d, f-i)."""
-    return execute_scenario(
-        delay_injection_spec(
-            protocols, delays_ms, impacted_counts, n, batch_size, duration, warmup, seed, repeats
-        ),
-        jobs=jobs,
-    )
-
-
-def two_region_split_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    remote_counts: Optional[Sequence[int]] = None,
-    n: int = 31,
-    batch_size: int = 100,
-    duration: float = 3.0,
-    warmup: float = 0.5,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Virginia/London split with clients in Virginia (Fig. 9 e, j)."""
-    return execute_scenario(
-        two_region_split_spec(
-            protocols, remote_counts, n, batch_size, duration, warmup, seed, repeats
-        ),
-        jobs=jobs,
-    )
-
-
-def leader_slowness_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    slow_leader_counts: Sequence[int] = (0, 1, 4, 7, 10),
-    view_timeouts: Sequence[float] = (0.010, 0.100),
-    n: int = 32,
-    batch_size: int = 100,
-    duration: float = 1.0,
-    warmup: float = 0.2,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Impact of rational slow leaders (Fig. 10 a-d)."""
-    return execute_scenario(
-        leader_slowness_spec(
-            protocols, slow_leader_counts, view_timeouts, n, batch_size, duration, warmup,
-            seed, repeats,
-        ),
-        jobs=jobs,
-    )
-
-
-def tail_forking_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    faulty_counts: Sequence[int] = (0, 1, 4, 7, 10),
-    n: int = 32,
-    batch_size: int = 100,
-    duration: float = 1.0,
-    warmup: float = 0.2,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Impact of tail-forking faulty leaders (Fig. 10 e, f)."""
-    return execute_scenario(
-        tail_forking_spec(protocols, faulty_counts, n, batch_size, duration, warmup, seed, repeats),
-        jobs=jobs,
-    )
-
-
-def rollback_attack_series(
-    protocols: Sequence[str] = ("hotstuff-1", "hotstuff-1-slotting"),
-    faulty_counts: Sequence[int] = (0, 1, 4, 7, 10),
-    n: int = 32,
-    batch_size: int = 100,
-    duration: float = 1.0,
-    warmup: float = 0.2,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Impact of certificate-withholding leaders that force speculative rollbacks (Fig. 10 g, h)."""
-    return execute_scenario(
-        rollback_attack_spec(
-            protocols, faulty_counts, n, batch_size, duration, warmup, seed, repeats
-        ),
-        jobs=jobs,
-    )
-
-
-def latency_breakdown_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    replica_counts: Sequence[int] = (4, 32),
-    batch_size: int = 100,
-    duration: float = 0.5,
-    warmup: float = 0.1,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Fault-free latency comparison backing the 41.5% / 24.2% reduction claims."""
-    return execute_scenario(
-        latency_breakdown_spec(
-            protocols, replica_counts, batch_size, duration, warmup, seed, repeats
-        ),
-        jobs=jobs,
-    )
-
-
-def chaos_recovery_series(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    faults: Sequence[str] = ("kill-replica", "kill-leader", "cascade", "partition-heal"),
-    n: int = 4,
-    batch_size: int = 100,
-    duration: float = 1.0,
-    warmup: float = 0.2,
-    crash_at: Optional[float] = None,
-    down_for: Optional[float] = None,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Recovery metrics (restart-to-first-commit, ops lost) per fault preset."""
-    return execute_scenario(
-        chaos_recovery_spec(
-            protocols, faults, n, batch_size, duration, warmup, crash_at, down_for, seed, repeats
-        ),
-        jobs=jobs,
-    )
-
-
-def slotting_ablation_series(
-    slow_leader_count: int = 4,
-    n: int = 16,
-    batch_size: int = 100,
-    duration: float = 1.0,
-    warmup: float = 0.2,
-    seed: int = 1,
-    repeats: int = 1,
-    jobs: Optional[int] = None,
-) -> List[Dict]:
-    """Ablation: HotStuff-1 with/without speculation and with/without slotting under slow leaders."""
-    return execute_scenario(
-        slotting_ablation_spec(slow_leader_count, n, batch_size, duration, warmup, seed, repeats),
-        jobs=jobs,
-    )

@@ -29,7 +29,6 @@ processes themselves is the multi-process fault story — a follow-on.)
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import os
 import signal
@@ -65,37 +64,6 @@ WATCHDOG_MARGIN = 30.0
 
 
 # --------------------------------------------------------------------- specs
-def spec_to_dict(spec: ExperimentSpec) -> Dict:
-    """Flatten a validated spec to the JSON document replica processes load.
-
-    Only plain-data specs can cross a process boundary: configured behaviour
-    objects and custom latency models have no serialized form.
-    """
-    if spec.behaviors:
-        raise ConfigurationError(
-            "multi-process runs cannot serialize ReplicaBehavior objects; "
-            "configure behaviours per-process instead"
-        )
-    if spec.latency_model is not None:
-        raise ConfigurationError(
-            "multi-process runs cannot serialize a custom latency_model; "
-            "use `regions` (carried by the deployment config)"
-        )
-    doc = dataclasses.asdict(spec)
-    doc.pop("behaviors", None)
-    doc.pop("latency_model", None)
-    return doc
-
-
-def spec_from_dict(doc: Dict) -> ExperimentSpec:
-    """Rebuild (and re-validate) a spec shipped by :func:`spec_to_dict`."""
-    known = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError(f"unknown spec fields in document: {sorted(unknown)}")
-    return ExperimentSpec(**doc).validate()
-
-
 def validate_multiprocess_spec(spec: ExperimentSpec) -> ExperimentSpec:
     """Reject spec knobs that cannot work across process boundaries."""
     spec.validate()
@@ -184,7 +152,7 @@ def run_replica_process(
     the coordinator folds into the cross-process consistency check.
     """
     with open(spec_path, "r", encoding="utf-8") as handle:
-        spec = spec_from_dict(json.load(handle))
+        spec = ExperimentSpec.from_dict(json.load(handle))
     validate_multiprocess_spec(spec)
     config = DeploymentConfig.load(deployment_path).validate(n=spec.n)
     if spec.storage_dir:
@@ -316,6 +284,12 @@ async def _run_replica(
                 "messages_sent": transport.stats.messages_sent,
                 "delivery_errors": len(transport.delivery_errors),
             },
+            # A handler exception in this process would otherwise pass
+            # silently: the coordinator fails the run on it, like the
+            # in-process path does.
+            "first_delivery_error": (
+                repr(transport.delivery_errors[0]) if transport.delivery_errors else None
+            ),
         }
         tmp_path = result_path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
@@ -376,7 +350,7 @@ async def _run_coordinator(
     spec_path = os.path.join(workdir, "spec.json")
     deployment_path = os.path.join(workdir, "deployment.json")
     with open(spec_path, "w", encoding="utf-8") as handle:
-        json.dump(spec_to_dict(spec), handle)
+        json.dump(spec.to_dict(), handle)
     if spec.scrape_port is not None:
         # Carried in the deployment document so `repro watch --deployment`
         # can derive every replica's scrape endpoint from the file alone.
@@ -528,6 +502,14 @@ async def _run_coordinator(
             raise ConsensusError(
                 f"replica {replica_id} wrote no readable result: {exc}"
             ) from exc
+
+    for rid in sorted(results):
+        error = results[rid].get("first_delivery_error")
+        if error is not None:
+            count = results[rid]["counters"]["delivery_errors"]
+            raise ConsensusError(
+                f"replica {rid} hit {count} delivery error(s) in its process; first: {error}"
+            )
 
     chains = [results[rid]["committed_hashes"] for rid in sorted(results)]
     prefix_ok = chains_prefix_consistent(chains)

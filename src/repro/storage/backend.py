@@ -90,6 +90,32 @@ class MemoryLogBackend(LogBackend):
         return len(self._records)
 
 
+def read_jsonl_log(path: str) -> List[Dict[str, Any]]:
+    """Every intact record of the JSONL log at *path*, in order (read-only).
+
+    Never opens the file for append, so inspection tools can use it on a
+    directory they must not modify; a missing file is an empty log.
+    """
+    records: List[Dict[str, Any]] = []
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError:
+                    # A torn line from a crash mid-append: the partial
+                    # record never counts, but records appended after the
+                    # repair (appends terminate a torn tail with a fresh
+                    # newline) are intact and must still replay.
+                    continue
+    except FileNotFoundError:
+        pass
+    return records
+
+
 class FileLogBackend(LogBackend):
     """One JSON document per line, appended to *path*.
 
@@ -130,24 +156,7 @@ class FileLogBackend(LogBackend):
             os.fsync(self._handle.fileno())
 
     def replay(self) -> List[Dict[str, Any]]:
-        records: List[Dict[str, Any]] = []
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        records.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        # A torn line from a crash mid-append: the partial
-                        # record never counts, but records appended after the
-                        # repair (appends terminate a torn tail with a fresh
-                        # newline) are intact and must still replay.
-                        continue
-        except FileNotFoundError:
-            pass
-        return records
+        return read_jsonl_log(self.path)
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -16,12 +16,74 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.consensus.certificates import Certificate
-from repro.storage.backend import FileLogBackend, LogBackend, MemoryLogBackend
+from repro.errors import ConfigurationError
+from repro.storage.backend import FileLogBackend, LogBackend, MemoryLogBackend, read_jsonl_log
 from repro.storage.blockstore import DurableBlockStore
 from repro.storage.wal import WalState, WriteAheadLog
+
+#: File names of one replica's WAL, block log and snapshot log under
+#: ``<storage_dir>/replica-<id>/`` (in :class:`ReplicaStore` argument order).
+LOG_FILES = ("wal.jsonl", "blocks.jsonl", "snapshots.jsonl")
+
+
+def _last_intact_snapshot(records):
+    """Decode the newest snapshot record; torn or foreign records are skipped."""
+    from repro.checkpoint.snapshot import Snapshot
+
+    latest = None
+    for record in records:
+        try:
+            latest = Snapshot.from_dict(record)
+        except (KeyError, TypeError, ValueError):
+            continue  # keep the last intact one
+    return latest
+
+
+def inspect_storage_dir(directory: str, replica_id: Optional[int] = None) -> List[Dict]:
+    """One summary row per ``replica-*`` store under *directory* (backs ``repro snapshot``).
+
+    Read-only: the logs are parsed directly instead of opening a
+    :class:`ReplicaStore` (which would create files).  Each row carries the
+    latest snapshot's height/view/digests and the (compacted) WAL and
+    block-log record counts.
+    """
+    if not os.path.isdir(directory):
+        raise ConfigurationError(f"storage directory {directory!r} does not exist")
+    if replica_id is not None:
+        names = [f"replica-{replica_id}"]
+    else:
+        names = sorted(
+            name for name in os.listdir(directory)
+            if name.startswith("replica-") and os.path.isdir(os.path.join(directory, name))
+        )
+    if not names:
+        raise ConfigurationError(f"no replica-* directories under {directory!r}")
+    rows: List[Dict] = []
+    for name in names:
+        wal, blocks, snapshots = (
+            read_jsonl_log(os.path.join(directory, name, log)) for log in LOG_FILES
+        )
+        row: Dict = {
+            "replica": name.split("-", 1)[1],
+            "wal_records": len(wal),
+            "block_records": len(blocks),
+        }
+        snapshot = _last_intact_snapshot(snapshots)
+        if snapshot is None:
+            row.update(snapshot_height="-", snapshot_view="-", state_digest="-")
+        else:
+            row.update(
+                snapshot_height=snapshot.height,
+                snapshot_view=snapshot.view,
+                block_hash=snapshot.block_hash[:12],
+                state_digest=snapshot.state_digest[:12],
+                cert_ok=snapshot.cert.block_hash == snapshot.block_hash,
+            )
+        rows.append(row)
+    return rows
 
 
 class ReplicaStore:
@@ -51,11 +113,7 @@ class ReplicaStore:
     def at_path(cls, directory: str, replica_id: int, fsync: bool = False) -> "ReplicaStore":
         """File-backed store under ``directory/replica-<id>/`` for live deployments."""
         base = os.path.join(str(directory), f"replica-{int(replica_id)}")
-        return cls(
-            FileLogBackend(os.path.join(base, "wal.jsonl"), fsync=fsync),
-            FileLogBackend(os.path.join(base, "blocks.jsonl"), fsync=fsync),
-            FileLogBackend(os.path.join(base, "snapshots.jsonl"), fsync=fsync),
-        )
+        return cls(*(FileLogBackend(os.path.join(base, name), fsync=fsync) for name in LOG_FILES))
 
     # -------------------------------------------------------------- lifecycle
     def open_blockstore(self) -> DurableBlockStore:
@@ -96,19 +154,10 @@ class ReplicaStore:
 
     def latest_snapshot(self):
         """The newest durable snapshot, or ``None`` (torn records are skipped)."""
-        from repro.checkpoint.snapshot import Snapshot
-
-        if self._snapshot_cache_valid:
-            return self._snapshot_cache
-        latest = None
-        for record in self._snapshot_backend.replay():
-            try:
-                latest = Snapshot.from_dict(record)
-            except (KeyError, TypeError, ValueError):
-                continue  # torn or foreign record: keep the last intact one
-        self._snapshot_cache = latest
-        self._snapshot_cache_valid = True
-        return latest
+        if not self._snapshot_cache_valid:
+            self._snapshot_cache = _last_intact_snapshot(self._snapshot_backend.replay())
+            self._snapshot_cache_valid = True
+        return self._snapshot_cache
 
     def compact_below(self, snapshot) -> int:
         """Truncate the WAL below *snapshot*; returns the WAL records dropped.

@@ -209,6 +209,36 @@ class TestSkewEstimation:
         for link, delay in offsets.link_delay_s.items():
             assert delay == pytest.approx(0.040, abs=1e-9)
 
+    def test_merge_trace_files_recovers_injected_skew_from_shard_files(self, tmp_path):
+        """One timeline, three vantage points: r0's clock runs 250 ms behind
+        the client's, r1's 40 ms ahead.  Merging the shard *files* must
+        recover each offset (either sign) within 1 ms and leave no frame
+        arriving before it was sent."""
+        skews = {CLIENT_SHARD_ID: 0.0, 0: 0.250, 1: -0.040}
+        delays = {(CLIENT_SHARD_ID, 0): 0.030, (CLIENT_SHARD_ID, 1): 0.045, (0, 1): 0.012}
+        shards = {n: _shard(n) for n in skews}
+        t = 2.0
+        for (a, b), delay in delays.items():
+            for i in range(4):
+                _record_frame(shards, a, b, i + 1, t, delay, skews)
+                _record_frame(shards, b, a, i + 1, t + 0.1, delay, skews)
+                t += 0.25
+        paths = [
+            write_jsonl(shard, str(tmp_path / f"shard-{n}.jsonl"))
+            for n, shard in shards.items()
+        ]
+        merged, offsets = merge_trace_files(paths)
+        assert offsets.unanchored == []
+        for node, skew in skews.items():
+            assert offsets.offset(node) == pytest.approx(skew, abs=1e-3)
+        for (src, dst), delay in offsets.link_delay_s.items():
+            true_delay = delays.get((src, dst)) or delays[(dst, src)]
+            assert delay >= 0
+            assert delay == pytest.approx(true_delay, abs=1e-3)
+        received = [event for event in merged.wire if event.kind == "recv"]
+        assert len(received) == 24
+        assert all(event.t - event.sent_at >= 0 for event in received)
+
     def test_asymmetric_link_bias_is_half_the_asymmetry(self):
         """The estimator's classic irreducible error: if the two directions
         of a link differ, half the difference leaks into the offset."""
@@ -374,9 +404,10 @@ class TestMultiprocessTracing:
 
         merged, offsets = merge_trace_files(sorted(shards.values()))
         assert offsets.unanchored == []
-        # Child processes started after the coordinator: every replica clock
-        # lags the reference and needs a positive correction.
-        assert all(offsets.offset(r) > 0 for r in range(4))
+        # No assertion on the offsets' sign: coordinator and children each
+        # reset their clock origin after their own readiness barrier, so which
+        # side started "first" is a race.  The estimator itself is proven on
+        # a known injected skew in TestSkewEstimation.
 
         # The shaped virginia↔hongkong link is measured, not assumed:
         # its skew-corrected one-way floor must be ≥ the table's 106 ms.

@@ -5,17 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.executor import execute_scenario
 from repro.experiments.report import format_series, pivot, print_series
 from repro.experiments.runner import ExperimentSpec, run_experiment
-from repro.experiments.scenarios import (
-    batching_series,
-    latency_breakdown_series,
-    leader_slowness_series,
-    rollback_attack_series,
-    scalability_series,
-    slotting_ablation_series,
-    tail_forking_series,
-)
+from repro.experiments.scenarios import scenario_spec
 
 
 class TestRunner:
@@ -103,59 +96,101 @@ class TestSpecValidation:
 
 class TestScenarioBuilders:
     def test_scalability_series_rows_have_expected_columns(self):
-        rows = scalability_series(
-            protocols=("hotstuff-2", "hotstuff-1"), replica_counts=(4,), duration=0.15, warmup=0.03
+        rows = execute_scenario(
+            scenario_spec(
+                "fig8-scalability",
+                protocols=("hotstuff-2", "hotstuff-1"),
+                replica_counts=(4,),
+                duration=0.15,
+                warmup=0.03,
+            )
         )
         assert len(rows) == 2
         assert {"protocol", "n", "throughput_tps", "avg_latency_ms"} <= set(rows[0])
 
     def test_batching_series_sweeps_batch_sizes(self):
-        rows = batching_series(
-            protocols=("hotstuff-1",), batch_sizes=(10, 50), n=4, duration=0.15, warmup=0.03
+        rows = execute_scenario(
+            scenario_spec(
+                "fig8-batching",
+                protocols=("hotstuff-1",),
+                batch_sizes=(10, 50),
+                n=4,
+                duration=0.15,
+                warmup=0.03,
+            )
         )
         assert [row["batch_size"] for row in rows] == [10, 50]
 
     def test_latency_breakdown_reports_reductions(self):
-        rows = latency_breakdown_series(
-            protocols=("hotstuff", "hotstuff-2", "hotstuff-1"),
-            replica_counts=(4,),
-            batch_size=20,
-            duration=0.2,
-            warmup=0.05,
+        rows = execute_scenario(
+            scenario_spec(
+                "latency-breakdown",
+                protocols=("hotstuff", "hotstuff-2", "hotstuff-1"),
+                replica_counts=(4,),
+                batch_size=20,
+                duration=0.2,
+                warmup=0.05,
+            )
         )
         reductions = [row for row in rows if "latency_reduction_pct" in row]
         assert len(reductions) == 2
         assert all(row["latency_reduction_pct"] > 0 for row in reductions)
 
     def test_leader_slowness_series_runs(self):
-        rows = leader_slowness_series(
-            protocols=("hotstuff-1",),
-            slow_leader_counts=(0, 1),
-            view_timeouts=(0.01,),
-            n=4,
-            batch_size=10,
-            duration=0.2,
-            warmup=0.05,
+        rows = execute_scenario(
+            scenario_spec(
+                "fig10-slowness",
+                protocols=("hotstuff-1",),
+                slow_leader_counts=(0, 1),
+                view_timeouts=(0.01,),
+                n=4,
+                batch_size=10,
+                duration=0.2,
+                warmup=0.05,
+            )
         )
         assert len(rows) == 2
         slow = {row["slow_leaders"]: row["throughput_tps"] for row in rows}
         assert slow[1] <= slow[0]
 
     def test_tail_forking_series_runs(self):
-        rows = tail_forking_series(
-            protocols=("hotstuff-1",), faulty_counts=(0, 1), n=4, batch_size=10, duration=0.2, warmup=0.05
+        rows = execute_scenario(
+            scenario_spec(
+                "fig10-tailfork",
+                protocols=("hotstuff-1",),
+                faulty_counts=(0, 1),
+                n=4,
+                batch_size=10,
+                duration=0.2,
+                warmup=0.05,
+            )
         )
         assert len(rows) == 2
 
     def test_rollback_series_includes_rollback_counts(self):
-        rows = rollback_attack_series(
-            protocols=("hotstuff-1",), faulty_counts=(1,), n=7, batch_size=10, duration=0.3, warmup=0.05
+        rows = execute_scenario(
+            scenario_spec(
+                "fig10-rollback",
+                protocols=("hotstuff-1",),
+                faulty_counts=(1,),
+                n=7,
+                batch_size=10,
+                duration=0.3,
+                warmup=0.05,
+            )
         )
         assert "rollbacks" in rows[0]
 
     def test_slotting_ablation_covers_four_variants(self):
-        rows = slotting_ablation_series(
-            slow_leader_count=1, n=4, batch_size=10, duration=0.2, warmup=0.05
+        rows = execute_scenario(
+            scenario_spec(
+                "ablation-slotting",
+                slow_leader_count=1,
+                n=4,
+                batch_size=10,
+                duration=0.2,
+                warmup=0.05,
+            )
         )
         assert len(rows) == 4
         assert {row["variant"] for row in rows} == {

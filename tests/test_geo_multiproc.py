@@ -24,16 +24,11 @@ import pytest
 
 from repro.consensus.client import CLIENT_POOL_NODE_ID
 from repro.consensus.messages import FetchRequest
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ConsensusError
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.live.config import CLIENT_NODE_ID, DeploymentConfig, ReplicaEndpoint
 from repro.live.deploy import geo_link_delays, run_live_experiment
-from repro.live.procs import (
-    run_multiprocess_experiment,
-    spec_from_dict,
-    spec_to_dict,
-    validate_multiprocess_spec,
-)
+from repro.live.procs import run_multiprocess_experiment, validate_multiprocess_spec
 from repro.live.runtime import LiveCluster, LiveNode, WallClock
 from repro.live.transport import AsyncTcpTransport
 from repro.net.latency import REGION_RTT_MS
@@ -141,18 +136,6 @@ class TestMultiprocessSpecValidation:
         # run_replica_process), so a shared storage_dir is no longer a
         # multi-writer hazard and must validate cleanly.
         validate_multiprocess_spec(self._spec(storage_dir="/tmp/cluster-wal"))
-
-    def test_spec_survives_the_json_hop_to_child_processes(self):
-        spec = self._spec(regions=list(GEO_ORDER), mempool_limit=500)
-        spec.validate()  # derives broadcast_requests, as the child will
-        rebuilt = spec_from_dict(spec_to_dict(spec))
-        assert rebuilt == spec
-
-    def test_unknown_spec_fields_are_rejected_not_dropped(self):
-        doc = spec_to_dict(self._spec())
-        doc["sneaky"] = True
-        with pytest.raises(ConfigurationError, match="sneaky"):
-            spec_from_dict(doc)
 
 
 class TestLinkDelayShaping:
@@ -266,6 +249,45 @@ class TestMultiprocessRun:
         longest = max(chains, key=len)
         assert all(chain == longest[: len(chain)] for chain in chains)
         assert live.summary.committed_txns > 0
+
+
+#: Dropped into a scratch directory that rides ``PYTHONPATH`` into the replica
+#: processes: replica 2's first delivery is handled normally and then raises,
+#: exactly what a buggy message handler would do.
+_RAISING_HANDLER_SITECUSTOMIZE = """
+import sys
+
+if sys.argv[1:2] == ["replica"] and sys.argv[sys.argv.index("--replica-id") + 1] == "2":
+    from repro.consensus.replica import BaseReplica
+
+    original, fired = BaseReplica.deliver, []
+
+    def deliver(self, envelope):
+        original(self, envelope)
+        if not fired:
+            fired.append(True)
+            raise RuntimeError("injected handler failure")
+
+    BaseReplica.deliver = deliver
+"""
+
+
+class TestMultiprocessFailureVisibility:
+    def test_child_handler_exception_fails_the_run_naming_the_replica(
+        self, tmp_path, monkeypatch
+    ):
+        """A handler exception inside a replica *process* must not pass
+        silently: the child reports it in its result file and the coordinator
+        raises, like the in-process path does."""
+        (tmp_path / "sitecustomize.py").write_text(_RAISING_HANDLER_SITECUSTOMIZE)
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        spec = ExperimentSpec(
+            protocol="hotstuff-1", mode="live", n=4, batch_size=8,
+            duration=3.0, warmup=0.2, seed=7, view_timeout=1.0,
+            distributed_mempool=True,
+        )
+        with pytest.raises(ConsensusError, match=r"replica 2 .*injected handler failure"):
+            run_multiprocess_experiment(spec, rate=100.0, max_outstanding=200)
 
 
 class TestGeoSpeculationLead:

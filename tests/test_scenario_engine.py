@@ -249,20 +249,3 @@ class TestRegistry:
         suite = default_suite(names=("fig8-scalability", "ablation-slotting"), seed=9, repeats=2)
         assert [s.name for s in suite.scenarios] == ["fig8-scalability", "ablation-slotting"]
         assert all(s.seed == 9 and s.repeats == 2 for s in suite.scenarios)
-
-
-class TestLegacyBuilderEquivalence:
-    def test_series_wrapper_matches_direct_engine_run(self):
-        from repro.experiments.scenarios import scalability_series
-
-        wrapper = scalability_series(
-            protocols=("hotstuff-1",), replica_counts=(4,), batch_size=10,
-            duration=0.15, warmup=0.03,
-        )
-        direct = execute_scenario(
-            scalability_spec(
-                protocols=("hotstuff-1",), replica_counts=(4,), batch_size=10,
-                duration=0.15, warmup=0.03,
-            )
-        )
-        assert wrapper == direct
