@@ -5,8 +5,7 @@ objects nested inside them — blocks, transactions, certificates, signature
 shares) serializes through one of two interchangeable codecs, carried on the
 wire as a length-prefixed frame:
 
-* ``json`` (wire versions 1–3, still emitted by v4 peers running the JSON
-  codec) — a tagged JSON document::
+* ``json`` (wire versions 1–5) — a tagged JSON document::
 
       +----------------+----------------------------------------+
       | 4-byte big-    | UTF-8 JSON body                        |
@@ -14,16 +13,77 @@ wire as a length-prefixed frame:
       |                |  "a": sent_at, "m": {"__t": tag, ...}} |
       +----------------+----------------------------------------+
 
-* ``binary`` (wire version 4) — a struct-packed format: a magic byte that can
-  never start a JSON document, varint routing fields, and a recursive value
-  encoding with one-byte type codes, zigzag varint integers, varint-length
-  strings and hex-packed digests (64-char sha256/HMAC hex strings ride as 32
-  raw bytes)::
+* ``binary`` (binary wire versions 6–7) — one schema-compiled layout per
+  type: a fixed envelope, a tag byte naming the message type, then the type's
+  fields with no per-value type code::
 
-      +----------------+----------------------------------------+
-      | 4-byte big-    | 0xB1 | version | sender | receiver |   |
-      | endian length  | sent_at (f64) | message value          |
-      +----------------+----------------------------------------+
+      +----------------+----------------------------------------------+
+      | 4-byte big-    | 0xB1 | version | sender i32 | receiver i32 | |
+      | endian length  | sent_at f64 | [send seq u64, version 7]    | |
+      |                | 0x80 + type index | the type's layout        |
+      +----------------+----------------------------------------------+
+
+  Every registered type declares its fields' *kinds* (``_register`` below);
+  :mod:`repro.live.layout` defines the kinds and compiles each declaration,
+  at import, into one encoder and one decoder: the type's fixed-width fields
+  first, as one ``struct`` header (a width byte, then every int as i32 — or
+  i64 when one needs it — and floats, bools, enum indexes), then its other
+  fields in declared order.  A nested type contributes its layout without a
+  tag.  Bytes per field (``w`` = 4 or 8 by the header's width byte)::
+
+      type                 header                                  then
+      -------------------  --------------------------------------  ---------------------------
+      Block                1 + view w, slot w, proposer w,         block_hash digest 33,
+                           is_genesis 1                            parent_hash 33, transactions
+                                                                   seq(Transaction), carry_hash 33
+      SignatureShare       1 + signer w                            payload digest 33, context
+                                                                   str, value digest 33
+      ThresholdSignature   1 + threshold w                         payload 33, context str,
+                                                                   signers seq(int), fingerprint 33
+      Certificate          1 + kind 1, view w, slot w,             block_hash 33, signature
+                           formed_in_view w                        opt(ThresholdSignature)
+      ClientRequest        —                                       txn Transaction
+      ClientRequestBatch   —                                       txns seq(Transaction)
+      ClientResponseBatch  1 + replica_id w, view w, slot w,       block_hash 33, entries
+                           speculative 1                           seq(ResponseEntry)
+      Propose              1 + view w, slot w                      block, justify Certificate,
+                                                                   commit_cert opt(Certificate),
+                                                                   carry_hash 33
+      ProposeVote          1 + view w, voter w                     block_hash 33, share
+      Prepare              1 + view w                              cert
+      NewView              1 + view w, voter w                     high_cert, share opt, voted_
+                                                                   block_hash 33, highest_voted_
+                                                                   hash 33, commit_share opt
+      NewSlot              1 + view w, slot w, voter w             high_cert, share, voted_
+                                                                   block_hash 33
+      Reject               1 + view w, slot w, voter w             high_cert
+      Wish                 1 + view w, voter w, current_view w     share, high_cert opt
+      TimeoutCertificate-  1 + view w, sender_view w               cert, high_cert opt
+      Msg
+      ViewSync             1 + view w, voter w                     high_cert opt
+      FetchRequest         1 + requester w                         block_hash 33
+      FetchResponse        —                                       block
+      Snapshot             1 + height w, txn_horizon w             block, cert, state_digest 33,
+                                                                   state value, committed_hashes
+                                                                   seq(digest)
+      SnapshotRequest      1 + requester w, have_height w          —
+      SnapshotResponse     1 + responder w                         snapshot opt(Snapshot)
+
+  The two shapes that carry the traffic are records laid out by hand, each
+  behind a width byte of its own (``00``: ids are i32, ``w`` = 4; ``01``: an
+  id did not fit, ids are i64, ``w`` = 8)::
+
+      Transaction     width 1 | txn_id w | client_id w | submitted_at f64 |
+                      operation length u16 | payload items u16 (21 or 29 bytes),
+                      the operation's UTF-8, then per payload item: key length u8
+                      + UTF-8 (0xFF: the key follows as a ``value``), then the
+                      item as a ``value`` (``05`` + varint length + UTF-8 for a
+                      string)
+      ResponseEntry   txn_id w | client_id w | 32 raw digest bytes | flags u8
+                      (41 or 49 bytes; flags 0x01 success, 0x02 the digest is not
+                      64 lowercase hex chars and follows the records as a ``str``);
+                      a sequence is a varint count + width 1 + the packed records,
+                      all of one width
 
 Receivers sniff the first body byte (``{`` versus ``0xB1``), so a cluster
 mid-upgrade decodes both formats regardless of which codec it emits; the
@@ -36,19 +96,18 @@ The codec is the single source of truth for message sizes, so the simulated
 network charges :func:`encoded_size` bytes for exactly the payload the live
 transport would put on a socket under the active codec.
 
-The registry is table-driven: each type maps to a tag, the fields to encode,
-and an optional rebuild function for constructors that need coercion (tuples,
-enums, nested objects).  Binary tags are the registration order, so both
-codecs share one registry.  Unknown payload types raise
-:class:`UnknownWireTypeError`; callers that only need a size estimate (the
-simulated network, whose tests send plain strings) fall back to a default.
+Both codecs share one registry: each type is declared once (JSON tag, fields,
+kinds), and a binary type index is the registration order.  Unknown payload
+types raise :class:`UnknownWireTypeError`; callers that only need a size
+estimate (the simulated network, whose tests send plain strings) fall back to
+a default.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
-import re
 import struct
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
@@ -75,39 +134,64 @@ from repro.consensus.messages import (
     Wish,
 )
 from repro.crypto.threshold import SignatureShare, ThresholdSignature
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import ConfigurationError
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction
+from repro.live.layout import (
+    B_STR,
+    SCALAR_CODECS,
+    Codec,
+    CodecError,
+    UnknownWireTypeError,
+    _append_uvarint,
+    _dec_count,
+    _dec_str,
+    _dec_value,
+    _enc_raw_digest,
+    _enc_str,
+    _enc_value,
+    _read_uvarint,
+    compile_layout,
+    is_enum,
+    opt,
+    seq,
+)
 
-#: Wire protocol version, bumped on incompatible format changes.  Version 2
+#: JSON envelope version, bumped on incompatible format changes.  Version 2
 #: added the view-synchronisation fields (``ViewSync``; ``current_view`` /
 #: ``sender_view`` / ``high_cert`` on the pacemaker messages); version 3
 #: added the checkpointing state-transfer messages (``SnapshotRequest`` /
-#: ``SnapshotResponse``); version 4 added the binary codec; version 5 added
-#: the optional per-sender send sequence used as distributed-tracing context
-#: (JSON key ``"q"``, binary trailing varint).  Older JSON documents still
-#: decode — new fields fall back to their dataclass defaults, and the new
-#: message types only flow to peers that asked for them.
+#: ``SnapshotResponse``); version 4 added ``ClientRequestBatch``; version 5
+#: added the optional per-sender send sequence used as distributed-tracing
+#: context (JSON key ``"q"``).  Older JSON documents still decode — new fields
+#: fall back to their dataclass defaults, and the new message types only flow
+#: to peers that asked for them.
 WIRE_VERSION = 5
 
-#: Versions :func:`decode_envelope_body` accepts (new fields are optional, so
-#: releases of version skew decode cleanly; binary frames exist from v4 only,
-#: and the v5 send sequence decodes as absent from every older frame).
+#: JSON envelope versions :func:`decode_envelope` accepts.
 SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4, 5)
 
-#: Version stamped on frames that carry no trace context.  Keeping untraced
-#: frames at v4 makes them byte-identical to what pre-v5 peers emit *and*
-#: accept, so version skew only bites clusters that actually turn tracing on
-#: — and an untraced run pays exactly zero wire bytes for the v5 feature.
+#: Version stamped on JSON frames that carry no trace context.  Keeping
+#: untraced frames at v4 makes them byte-identical to what pre-v5 peers emit
+#: *and* accept, so version skew only bites clusters that actually turn
+#: tracing on — and an untraced run pays zero wire bytes for the v5 feature.
 UNTRACED_WIRE_VERSION = 4
+
+#: Binary envelope versions: 6 without trace context, 7 with the send
+#: sequence.  Versions 4 and 5 were the self-describing binary encoding this
+#: layout replaced; no deployed peer speaks them and their bodies are rejected.
+BINARY_WIRE_VERSION = 6
+BINARY_TRACED_WIRE_VERSION = 7
 
 #: Codec names :func:`set_wire_codec` accepts.
 WIRE_CODECS = ("json", "binary")
 
 #: First body byte of every binary envelope.  JSON bodies start with ``{``
-#: (0x7B) and binary *message* bodies with a type code ≤ 0x09, so the three
-#: framings are mutually sniffable from their first byte.
+#: (0x7B) and binary *message* bodies with ``BINARY_TAG_BASE`` + the type's
+#: registration index, so the three framings are mutually sniffable from
+#: their first byte.
 BINARY_MAGIC = 0xB1
+BINARY_TAG_BASE = 0x80
 
 #: Hard upper bound on one frame; guards readers against corrupt length words
 #: and, since v4, is enforced at encode time (:class:`FrameTooLargeError`).
@@ -121,20 +205,14 @@ FRAME_HEADER = struct.Struct(">I")
 #: counters line up with what the live transport actually writes.
 ENVELOPE_OVERHEAD = 48
 
-#: Binary envelopes are leaner: magic + version + two varint node ids + an
-#: 8-byte float + the frame header.
-BINARY_ENVELOPE_OVERHEAD = 18
+#: Binary envelopes are leaner: magic, version, two 4-byte node ids and an
+#: 8-byte float (traced frames add the per-sender send sequence).
+_ENVELOPE = struct.Struct(">BBiid")
+_TRACED_ENVELOPE = struct.Struct(">BBiidQ")
+BINARY_ENVELOPE_OVERHEAD = FRAME_HEADER.size + _ENVELOPE.size
 
 #: Size charged for payloads the codec does not know (e.g. test stubs).
 DEFAULT_SIZE_BYTES = 256
-
-
-class CodecError(NetworkError):
-    """A frame or document could not be encoded/decoded."""
-
-
-class UnknownWireTypeError(CodecError):
-    """The payload type has no wire representation registered."""
 
 
 class FrameTooLargeError(CodecError, ConfigurationError):
@@ -147,20 +225,46 @@ class FrameTooLargeError(CodecError, ConfigurationError):
     """
 
 
-# --------------------------------------------------------------------- values
+# ------------------------------------------------------------------- registry
 _TYPE_TAGS: Dict[Type, str] = {}
 _FIELDS: Dict[str, Tuple[str, ...]] = {}
 _REBUILDERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
-_TAG_LIST: List[str] = []  # registration order doubles as the binary tag id
-_TAG_IDS: Dict[str, int] = {}
+#: Binary codecs by kind: the scalar kinds, every registered type (nested
+#: without a tag) and the sequences with a record-array codec of their own.
+_CODECS: Dict[Any, Codec] = dict(SCALAR_CODECS)
+#: Top-level binary messages: class -> (tag byte, encoder), and decoders
+#: indexed by ``tag byte - BINARY_TAG_BASE`` (registration order).
+_ENCODERS: Dict[Type, Tuple[int, Callable[[Any, bytearray], None]]] = {}
+_DECODERS: List[Callable[[bytes, int], Tuple[Any, int]]] = []
 
 
-def _register(cls: Type, tag: str, fields: Tuple[str, ...], rebuild: Optional[Callable] = None) -> None:
+def _register(cls: Type, tag: str, /, layout: Optional[Codec] = None, **kinds: Any) -> None:
+    """Declare *cls*'s wire form: its JSON *tag* and every field's kind
+    (:mod:`repro.live.layout` lists the kinds).
+
+    Both codecs derive from the one declaration.  JSON documents carry the
+    fields by name and are rebuilt with ``cls(**fields)`` after the coercions
+    the kinds imply (sequences to tuples, enum values to members).  The
+    binary layout is compiled from the kinds unless a hand-written record
+    *layout* ``(encode, decode)`` is given.
+    """
+    if tuple(kinds) != tuple(field.name for field in dataclasses.fields(cls)):
+        raise TypeError(f"{cls.__name__}: declare the dataclass fields, in order")  # rebuilt positionally
+    coercions = [(name, kind[2]) for name, kind in kinds.items() if isinstance(kind, tuple) and kind[0] == "seq"]
+    coercions += [(name, kind) for name, kind in kinds.items() if is_enum(kind)]
+
+    def _dec_rebuild(data: Dict[str, Any]) -> Any:
+        for name, coerce in coercions:
+            if name in data:
+                data[name] = coerce(data[name])
+        return cls(**data)
+
     _TYPE_TAGS[cls] = tag
-    _FIELDS[tag] = fields
-    _REBUILDERS[tag] = rebuild or (lambda data, _cls=cls: _cls(**data))
-    _TAG_IDS[tag] = len(_TAG_LIST)
-    _TAG_LIST.append(tag)
+    _FIELDS[tag] = tuple(kinds)
+    _REBUILDERS[tag] = _dec_rebuild
+    _CODECS[cls] = encode, decode = layout or compile_layout(cls, tag, kinds, _CODECS)
+    _ENCODERS[cls] = (BINARY_TAG_BASE + len(_DECODERS), encode)
+    _DECODERS.append(decode)
 
 
 def _enc(value: Any) -> Any:
@@ -194,265 +298,163 @@ def _dec(value: Any) -> Any:
             raise CodecError(f"unknown wire tag {tag!r}")
         # Tolerate version skew: fields absent from an older peer's document
         # fall back to the dataclass defaults of the registered type.
-        fields = {name: _dec(value[name]) for name in _FIELDS[tag] if name in value}
-        return rebuild(fields)
+        return rebuild({name: _dec(value[name]) for name in _FIELDS[tag] if name in value})
     return value
 
 
-# --------------------------------------------------------------- binary values
-# One-byte type codes for the recursive binary value encoding.
-_B_NONE = 0x00
-_B_TRUE = 0x01
-_B_FALSE = 0x02
-_B_INT = 0x03  # zigzag varint
-_B_FLOAT = 0x04  # 8-byte big-endian double
-_B_STR = 0x05  # varint byte length + UTF-8
-_B_HEX = 0x06  # varint byte length + raw bytes, decoded back to lowercase hex
-_B_LIST = 0x07  # varint count + items
-_B_MAP = 0x08  # varint count + key/value pairs
-_B_OBJ = 0x09  # varint tag id + registered fields, positionally
+# ----------------------------------------------------------- binary: records
+# The two shapes that carry the traffic (100 per proposal, 100 per response
+# batch) are laid out by hand.  Like a compiled header, each opens with a
+# width byte: 0 packs its ids as i32, 1 (when one does not fit) as i64.
 
-_DOUBLE = struct.Struct(">d")
-
-# Even-length lowercase-hex strings of ≥ 16 chars (sha256 digests, HMAC
-# fingerprints, block/state hashes) pack to half their JSON size as raw bytes.
-_HEX_RE = re.compile(r"[0-9a-f]{16,}")
+#: Transaction header: width, txn_id, client_id, submitted_at, operation byte
+#: length, payload item count; the operation and the payload items follow.
+_TXN_NARROW = struct.Struct(">BiidHH")
+_TXN_WIDE = struct.Struct(">BqqdHH")
+#: Payload keys are strings of < 255 UTF-8 bytes in every workload: they ride
+#: as a length byte + bytes; this length marks any other key, sent as a value.
+_TAGGED_KEY = 0xFF
 
 
-def _append_uvarint(buf: bytearray, value: int) -> None:
-    while value >= 0x80:
-        buf.append((value & 0x7F) | 0x80)
-        value >>= 7
-    buf.append(value)
-
-
-def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = data[pos]  # IndexError on truncation → CodecError in callers
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 70:
-            raise CodecError("varint longer than 10 bytes")
-
-
-def _append_zigzag(buf: bytearray, value: int) -> None:
-    _append_uvarint(buf, (value << 1) if value >= 0 else ((-value << 1) - 1))
-
-
-def _read_zigzag(data: bytes, pos: int) -> Tuple[int, int]:
-    unsigned, pos = _read_uvarint(data, pos)
-    return (unsigned >> 1) if not unsigned & 1 else -((unsigned + 1) >> 1), pos
-
-
-def _enc_bin(value: Any, buf: bytearray) -> None:
-    """Append the binary encoding of *value* to *buf*."""
-    if value is None:
-        buf.append(_B_NONE)
-        return
-    if value is True:
-        buf.append(_B_TRUE)
-        return
-    if value is False:
-        buf.append(_B_FALSE)
-        return
-    cls = value.__class__
-    if cls is int:
-        buf.append(_B_INT)
-        zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        if zigzag < 0x80:
-            buf.append(zigzag)
-        else:
-            _append_uvarint(buf, zigzag)
-    elif cls is str or isinstance(value, str):  # CertKind is a str subclass
-        length = len(value)
-        if length >= 16 and not length & 1 and _HEX_RE.fullmatch(value) is not None:
-            raw = bytes.fromhex(value)
-            buf.append(_B_HEX)
-            size = len(raw)
-            if size < 0x80:
-                buf.append(size)
-            else:
-                _append_uvarint(buf, size)
+def _enc_txn(txn: Transaction, buf: bytearray) -> None:
+    operation = txn.operation.encode("utf-8")
+    payload = txn.payload
+    try:
+        buf += _TXN_NARROW.pack(0, txn.txn_id, txn.client_id, txn.submitted_at, len(operation), len(payload))
+    except struct.error:
+        buf += _TXN_WIDE.pack(1, txn.txn_id, txn.client_id, txn.submitted_at, len(operation), len(payload))
+    buf += operation
+    for key, item in payload.items():
+        raw = key.encode("utf-8") if key.__class__ is str else None
+        if raw is not None and len(raw) < _TAGGED_KEY:
+            buf.append(len(raw))
             buf += raw
         else:
-            data = value.encode("utf-8")
-            buf.append(_B_STR)
-            size = len(data)
-            if size < 0x80:
-                buf.append(size)
+            buf.append(_TAGGED_KEY)
+            _enc_value(key, buf)
+        if item.__class__ is str:  # _enc_value's string form, without the walk
+            raw = item.encode("utf-8")
+            buf.append(B_STR)
+            if len(raw) < 0x80:
+                buf.append(len(raw))
             else:
-                _append_uvarint(buf, size)
-            buf += data
-    elif cls is float:
-        buf.append(_B_FLOAT)
-        buf += _DOUBLE.pack(value)
-    elif cls is list or cls is tuple:
-        buf.append(_B_LIST)
-        _append_uvarint(buf, len(value))
-        for item in value:
-            _enc_bin(item, buf)
-    elif cls is dict:
-        buf.append(_B_MAP)
-        _append_uvarint(buf, len(value))
-        for key, item in value.items():
-            _enc_bin(key, buf)
-            _enc_bin(item, buf)
-    else:
-        tag = _TYPE_TAGS.get(cls)
-        if tag is not None:
-            buf.append(_B_OBJ)
-            _append_uvarint(buf, _TAG_IDS[tag])
-            if cls is ClientResponseBatch:
-                # Hot path: all n replicas (and the committed confirmation
-                # following a speculative response) encode an equal-content
-                # entries tuple for the same block.  Entries are frozen
-                # dataclasses, so the tuple is hashable: encode it once and
-                # splice the bytes for every equal tuple thereafter.
-                for name in _FIELDS[tag][:-1]:  # entries is the last field
-                    _enc_bin(getattr(value, name), buf)
-                entries = value.entries
-                cached = _entries_enc_cache.get(entries)
-                if cached is None:
-                    sub = bytearray()
-                    _enc_bin(entries, sub)
-                    cached = bytes(sub)
-                    if len(_entries_enc_cache) >= _ENTRIES_CACHE_MAX:
-                        _entries_enc_cache.clear()
-                    _entries_enc_cache[entries] = cached
-                buf += cached
-                return
-            for name in _FIELDS[tag]:
-                _enc_bin(getattr(value, name), buf)
-        elif isinstance(value, int):  # bool handled above; covers int enums
-            buf.append(_B_INT)
-            _append_zigzag(buf, int(value))
-        elif isinstance(value, float):
-            buf.append(_B_FLOAT)
-            buf += _DOUBLE.pack(float(value))
-        elif isinstance(value, (list, tuple)):
-            buf.append(_B_LIST)
-            _append_uvarint(buf, len(value))
-            for item in value:
-                _enc_bin(item, buf)
-        elif isinstance(value, dict):
-            buf.append(_B_MAP)
-            _append_uvarint(buf, len(value))
-            for key, item in value.items():
-                _enc_bin(key, buf)
-                _enc_bin(item, buf)
+                _append_uvarint(buf, len(raw))
+            buf += raw
         else:
-            raise UnknownWireTypeError(f"no wire format registered for {cls.__name__}")
+            _enc_value(item, buf)
 
 
-def _dec_bin(data: bytes, pos: int) -> Tuple[Any, int]:
-    """Decode one binary value starting at *pos*; returns ``(value, next_pos)``.
+def _dec_txn(data: bytes, pos: int) -> Tuple[Transaction, int]:
+    head = _TXN_WIDE if data[pos] else _TXN_NARROW
+    _, txn_id, client_id, submitted_at, size, count = head.unpack_from(data, pos)
+    pos += head.size
+    end = pos + size
+    operation = str(data[pos:end], "utf-8")
+    pos = end
+    if count > len(data) - pos:
+        raise CodecError(f"payload count {count} exceeds the {len(data) - pos} bytes that follow")
+    payload: Dict[Any, Any] = {}
+    for _ in range(count):
+        size = data[pos]
+        pos += 1
+        if size != _TAGGED_KEY:
+            end = pos + size
+            key = str(data[pos:end], "utf-8")
+            pos = end
+        else:
+            key, pos = _dec_value(data, pos)
+        if data[pos] == B_STR:
+            size = data[pos + 1]
+            if size < 0x80:
+                pos += 2
+            else:
+                size, pos = _read_uvarint(data, pos + 1)
+            end = pos + size
+            payload[key] = str(data[pos:end], "utf-8")
+            pos = end
+        else:
+            payload[key], pos = _dec_value(data, pos)
+    return Transaction(txn_id, client_id, operation, payload, submitted_at), pos
 
-    The single-byte varint case (values and lengths < 128, the overwhelming
-    majority) is inlined: a frame decode visits hundreds of values and the
-    extra function call per varint is the hottest line of the live runtime.
-    """
-    code = data[pos]
-    pos += 1
-    if code == _B_INT:  # most frequent first: ints, strings, digests, objects
-        unsigned = data[pos]
-        if unsigned < 0x80:
-            pos += 1
+
+#: One response entry: txn_id, client_id, 32 raw digest bytes, flags.  A batch
+#: is a count, the width byte, the packed records (all of one width), then the
+#: text of each flagged digest.
+_ENTRY_NARROW = struct.Struct(">ii32sB")
+_ENTRY_WIDE = struct.Struct(">qq32sB")
+_ENTRY_SUCCESS = 0x01
+_ENTRY_TEXT_DIGEST = 0x02  # result_digest is not 64 lowercase hex: sent as str after the records
+_NO_DIGEST = bytes(32)
+
+
+def _enc_entry_records(entries: Tuple[ResponseEntry, ...], pack: Callable) -> Tuple[bytes, List[str]]:
+    records, texts = [], []
+    for entry in entries:
+        raw = _enc_raw_digest(entry.result_digest)
+        if raw is not None:
+            records.append(pack(entry.txn_id, entry.client_id, raw, entry.success))
         else:
-            unsigned, pos = _read_uvarint(data, pos)
-        return (unsigned >> 1) if not unsigned & 1 else -((unsigned + 1) >> 1), pos
-    if code == _B_STR:
-        length = data[pos]
-        if length < 0x80:
-            pos += 1
-        else:
-            length, pos = _read_uvarint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated binary string")
-        return data[pos:end].decode("utf-8"), end
-    if code == _B_HEX:
-        length = data[pos]
-        if length < 0x80:
-            pos += 1
-        else:
-            length, pos = _read_uvarint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated binary digest")
-        return data[pos:end].hex(), end
-    if code == _B_OBJ:
-        tag_id = data[pos]
-        if tag_id < 0x80:
-            pos += 1
-        else:
-            tag_id, pos = _read_uvarint(data, pos)
-        if tag_id >= len(_TAG_LIST):
-            raise CodecError(f"unknown binary tag id {tag_id}")
-        tag = _TAG_LIST[tag_id]
-        fields = _FIELDS[tag]
-        if tag == "client_response":
-            # Mirror of the entries encode cache: a client collects one
-            # response batch per replica for the same block, and the entries
-            # (the last, and by far largest, field) are byte-identical across
-            # them.  Key the cache by the remaining byte suffix — equal bytes
-            # decode to an equal prefix deterministically.
-            values = []
-            for _ in fields[:-1]:
-                value, pos = _dec_bin(data, pos)
-                values.append(value)
-            suffix = bytes(data[pos:])
-            hit = _entries_dec_cache.get(suffix)
-            if hit is not None:
-                entries, consumed = hit
-                values.append(entries)
-                return _REBUILDERS[tag](dict(zip(fields, values))), pos + consumed
-            entries, end = _dec_bin(data, pos)
-            if len(_entries_dec_cache) >= _ENTRIES_CACHE_MAX:
-                _entries_dec_cache.clear()
-            _entries_dec_cache[suffix] = (entries, end - pos)
-            values.append(entries)
-            return _REBUILDERS[tag](dict(zip(fields, values))), end
-        values = []
-        for _ in fields:
-            value, pos = _dec_bin(data, pos)
-            values.append(value)
-        return _REBUILDERS[tag](dict(zip(fields, values))), pos
-    if code == _B_FLOAT:
-        return _DOUBLE.unpack_from(data, pos)[0], pos + 8
-    if code == _B_LIST:
-        count = data[pos]
-        if count < 0x80:
-            pos += 1
-        else:
-            count, pos = _read_uvarint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _dec_bin(data, pos)
-            items.append(item)
-        return items, pos
-    if code == _B_MAP:
-        count = data[pos]
-        if count < 0x80:
-            pos += 1
-        else:
-            count, pos = _read_uvarint(data, pos)
-        mapping: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _dec_bin(data, pos)
-            mapping[key], pos = _dec_bin(data, pos)
-        return mapping, pos
-    if code == _B_NONE:
-        return None, pos
-    if code == _B_TRUE:
-        return True, pos
-    if code == _B_FALSE:
-        return False, pos
-    raise CodecError(f"unknown binary type code {code:#04x}")
+            records.append(pack(entry.txn_id, entry.client_id, _NO_DIGEST, entry.success | _ENTRY_TEXT_DIGEST))
+            texts.append(entry.result_digest)
+    return b"".join(records), texts
+
+
+def _enc_entries(entries: Tuple[ResponseEntry, ...], buf: bytearray) -> None:
+    _append_uvarint(buf, len(entries))
+    try:
+        records, texts = _enc_entry_records(entries, _ENTRY_NARROW.pack)
+        buf.append(0)
+    except struct.error:
+        records, texts = _enc_entry_records(entries, _ENTRY_WIDE.pack)
+        buf.append(1)
+    buf += records
+    for text in texts:
+        _enc_str(text, buf)
+
+
+def _dec_entries(data: bytes, pos: int) -> Tuple[Tuple[ResponseEntry, ...], int]:
+    count, pos = _dec_count(data, pos)
+    record = _ENTRY_WIDE if data[pos] else _ENTRY_NARROW
+    end = pos + 1 + count * record.size
+    if end > len(data):
+        raise CodecError("truncated response entries")
+    records = data[pos:end]  # width byte + packed records
+    # A client collects one response batch per replica for the same block
+    # (twice when a speculative response is later confirmed), and the records
+    # are byte-identical across them; equal bytes decode to equal entries.
+    cached = _entries_dec_cache.get(records)
+    if cached is not None:
+        return cached, end
+    entries = []
+    texts = []
+    for txn_id, client_id, raw, flags in record.iter_unpack(records[1:]):
+        if flags & _ENTRY_TEXT_DIGEST:
+            texts.append(len(entries))
+        entries.append(ResponseEntry(txn_id, client_id, raw.hex(), (flags & _ENTRY_SUCCESS) == 1))
+    for index in texts:
+        text, end = _dec_str(data, end)
+        entries[index] = dataclasses.replace(entries[index], result_digest=text)
+    batch = tuple(entries)
+    if not texts:  # the records alone determine the entries
+        if len(_entries_dec_cache) >= _ENTRIES_CACHE_MAX:
+            _entries_dec_cache.clear()
+        _entries_dec_cache[records] = batch
+    return batch, end
+
+
+def _enc_entry(entry: ResponseEntry, buf: bytearray) -> None:
+    _enc_entries((entry,), buf)
+
+
+def _dec_entry(data: bytes, pos: int) -> Tuple[ResponseEntry, int]:
+    (entry,), pos = _dec_entries(data, pos)
+    return entry, pos
+
+
+_CODECS[seq(ResponseEntry)] = (_enc_entries, _dec_entries)
+#: Decoded entries keyed by their packed records (see :func:`_dec_entries`).
+_entries_dec_cache: Dict[bytes, Tuple[ResponseEntry, ...]] = {}
+_ENTRIES_CACHE_MAX = 64
 
 
 # ------------------------------------------------------------- codec selection
@@ -493,118 +495,78 @@ def wire_codec_scope(name: str) -> Iterator[None]:
         set_wire_codec(previous)
 
 
-# Support objects nested inside protocol messages.
+# ------------------------------------------------------------ the wire types
+# Support objects nested inside protocol messages.  The two records' kinds
+# name their JSON fields; their binary form is the hand-written layout.
 _register(
-    Transaction,
-    "txn",
-    ("txn_id", "client_id", "operation", "payload", "submitted_at"),
+    Transaction, "txn", layout=(_enc_txn, _dec_txn),
+    txn_id="int", client_id="int", operation="str", payload="value", submitted_at="float",
 )
 _register(
-    Block,
-    "block",
-    ("block_hash", "view", "slot", "parent_hash", "proposer", "transactions", "carry_hash", "is_genesis"),
-    lambda d: Block(
-        block_hash=d["block_hash"],
-        view=d["view"],
-        slot=d["slot"],
-        parent_hash=d["parent_hash"],
-        proposer=d["proposer"],
-        transactions=tuple(d["transactions"]),
-        carry_hash=d["carry_hash"],
-        is_genesis=d["is_genesis"],
-    ),
+    Block, "block", block_hash="digest", view="int", slot="int", parent_hash="digest", proposer="int",
+    transactions=seq(Transaction), carry_hash="digest", is_genesis="bool",
 )
-_register(SignatureShare, "share", ("signer", "payload", "context", "value"))
+_register(SignatureShare, "share", signer="int", payload="digest", context="str", value="digest")
 _register(
-    ThresholdSignature,
-    "tsig",
-    ("payload", "context", "signers", "threshold", "fingerprint"),
-    lambda d: ThresholdSignature(
-        payload=d["payload"],
-        context=d["context"],
-        signers=tuple(d["signers"]),
-        threshold=d["threshold"],
-        fingerprint=d["fingerprint"],
-    ),
+    ThresholdSignature, "tsig",
+    payload="digest", context="str", signers=seq("int"), threshold="int", fingerprint="digest",
+)
+# Certificate.kind is a str-enum: JSON carries its value string, binary its
+# member index, and both rebuild the member.
+_register(
+    Certificate, "cert", kind=CertKind, view="int", slot="int", block_hash="digest",
+    signature=opt(ThresholdSignature), formed_in_view="int",
 )
 _register(
-    Certificate,
-    "cert",
-    ("kind", "view", "slot", "block_hash", "signature", "formed_in_view"),
-    lambda d: Certificate(
-        kind=CertKind(d["kind"]),
-        view=d["view"],
-        slot=d["slot"],
-        block_hash=d["block_hash"],
-        signature=d["signature"],
-        formed_in_view=d["formed_in_view"],
-    ),
+    ResponseEntry, "entry", layout=(_enc_entry, _dec_entry),
+    txn_id="int", client_id="int", result_digest="digest", success="bool",
 )
-# Note: Certificate.kind is a str-enum, so both codecs serialize it as its
-# value string and the Certificate rebuilder restores it with ``CertKind(...)``.
-_register(ResponseEntry, "entry", ("txn_id", "client_id", "result_digest", "success"))
 
 # Protocol messages (one tag per dataclass in repro.consensus.messages).
-_register(ClientRequest, "client_request", ("txn",))
+_register(ClientRequest, "client_request", txn=Transaction)
 _register(
-    ClientResponseBatch,
-    "client_response",
-    ("replica_id", "view", "slot", "block_hash", "speculative", "entries"),
-    lambda d: ClientResponseBatch(
-        replica_id=d["replica_id"],
-        view=d["view"],
-        slot=d["slot"],
-        block_hash=d["block_hash"],
-        speculative=d["speculative"],
-        entries=tuple(d["entries"]),
-    ),
+    ClientResponseBatch, "client_response", replica_id="int", view="int", slot="int", block_hash="digest",
+    speculative="bool", entries=seq(ResponseEntry),
 )
-_register(Propose, "propose", ("view", "slot", "block", "justify", "commit_cert", "carry_hash"))
-_register(ProposeVote, "propose_vote", ("view", "voter", "block_hash", "share"))
-_register(Prepare, "prepare", ("view", "cert"))
 _register(
-    NewView,
-    "new_view",
-    ("view", "voter", "high_cert", "share", "voted_block_hash", "highest_voted_hash", "commit_share"),
+    Propose, "propose", view="int", slot="int", block=Block, justify=Certificate,
+    commit_cert=opt(Certificate), carry_hash="digest",
 )
-_register(NewSlot, "new_slot", ("view", "slot", "voter", "high_cert", "share", "voted_block_hash"))
-_register(Reject, "reject", ("view", "slot", "voter", "high_cert"))
-_register(Wish, "wish", ("view", "voter", "share", "current_view", "high_cert"))
+_register(ProposeVote, "propose_vote", view="int", voter="int", block_hash="digest", share=SignatureShare)
+_register(Prepare, "prepare", view="int", cert=Certificate)
 _register(
-    TimeoutCertificateMsg, "timeout_cert", ("view", "cert", "sender_view", "high_cert")
+    NewView, "new_view", view="int", voter="int", high_cert=Certificate, share=opt(SignatureShare),
+    voted_block_hash="digest", highest_voted_hash="digest", commit_share=opt(SignatureShare),
 )
-_register(ViewSync, "view_sync", ("view", "voter", "high_cert"))
-_register(FetchRequest, "fetch_request", ("block_hash", "requester"))
-_register(FetchResponse, "fetch_response", ("block",))
+_register(
+    NewSlot, "new_slot", view="int", slot="int", voter="int", high_cert=Certificate, share=SignatureShare,
+    voted_block_hash="digest",
+)
+_register(Reject, "reject", view="int", slot="int", voter="int", high_cert=Certificate)
+_register(
+    Wish, "wish", view="int", voter="int", share=SignatureShare, current_view="int", high_cert=opt(Certificate)
+)
+_register(
+    TimeoutCertificateMsg, "timeout_cert",
+    view="int", cert=Certificate, sender_view="int", high_cert=opt(Certificate),
+)
+_register(ViewSync, "view_sync", view="int", voter="int", high_cert=opt(Certificate))
+_register(FetchRequest, "fetch_request", block_hash="digest", requester="int")
+_register(FetchResponse, "fetch_response", block=Block)
 # Checkpoint state transfer (wire version 3).  The snapshot's ``state``
 # payload is already JSON-safe (string table names, tagged keys), so it rides
-# the generic map encoding; blocks and certificates reuse their registrations.
+# as a schemaless value; blocks and certificates reuse their registrations.
+# Snapshots persisted before ``txn_horizon`` existed decode it as the
+# dataclass default, "unknown" (-1), which install paths treat as "nothing
+# to prune".
 _register(
-    Snapshot,
-    "snapshot",
-    ("height", "block", "cert", "state_digest", "state", "committed_hashes", "txn_horizon"),
-    lambda d: Snapshot(
-        height=d["height"],
-        block=d["block"],
-        cert=d["cert"],
-        state_digest=d["state_digest"],
-        state=d["state"],
-        committed_hashes=list(d["committed_hashes"]),
-        # Snapshots persisted before the horizon existed decode as "unknown"
-        # (-1), which install paths treat as "nothing to prune".
-        txn_horizon=d.get("txn_horizon", -1),
-    ),
+    Snapshot, "snapshot", height="int", block=Block, cert=Certificate, state_digest="digest", state="value",
+    committed_hashes=seq("digest", list), txn_horizon="int",
 )
-_register(SnapshotRequest, "snapshot_request", ("requester", "have_height"))
-_register(SnapshotResponse, "snapshot_response", ("responder", "snapshot"))
-# Wire version 4 additions (registered last so earlier binary tag ids stay
-# stable): the live client pool's coalesced request frame.
-_register(
-    ClientRequestBatch,
-    "client_request_batch",
-    ("txns",),
-    lambda d: ClientRequestBatch(txns=tuple(d["txns"])),
-)
+_register(SnapshotRequest, "snapshot_request", requester="int", have_height="int")
+_register(SnapshotResponse, "snapshot_response", responder="int", snapshot=opt(Snapshot))
+# Wire version 4 addition: the live client pool's coalesced request frame.
+_register(ClientRequestBatch, "client_request_batch", txns=seq(Transaction))
 
 
 #: Message classes the codec can carry (exported for tests).
@@ -645,26 +607,44 @@ def message_from_wire(document: Dict[str, Any]) -> Any:
 def encode_message(payload: Any) -> bytes:
     """Serialize one protocol message under the active codec."""
     if _active_codec == "binary":
-        if type(payload) not in _TYPE_TAGS:
+        layout = _ENCODERS.get(type(payload))
+        if layout is None:
             raise UnknownWireTypeError(f"{type(payload).__name__} is not a wire message")
-        buf = bytearray()
-        _enc_bin(payload, buf)
+        buf = bytearray((layout[0],))
+        try:
+            layout[1](payload, buf)
+        except (struct.error, AttributeError, TypeError, ValueError, KeyError) as exc:
+            # e.g. an int beyond i64: refuse it here instead of truncating.
+            raise CodecError(f"cannot encode {type(payload).__name__}: {exc}") from exc
         return bytes(buf)
     return json.dumps(message_to_wire(payload), separators=(",", ":")).encode("utf-8")
 
 
+def _decode_binary(data: bytes) -> Any:
+    """Decode the tagged binary message that fills *data* exactly."""
+    try:
+        index = data[0] - BINARY_TAG_BASE
+        if not 0 <= index < len(_DECODERS):
+            raise CodecError(f"unknown binary type tag {data[0]:#04x}")
+        value, end = _DECODERS[index](data, 1)
+    except CodecError:
+        raise
+    except (IndexError, ValueError, KeyError, TypeError, struct.error) as exc:
+        raise CodecError(f"cannot decode binary message: {exc}") from exc
+    # Decoders slice without bounds checks: a truncated body ends beyond the data.
+    if end != len(data):
+        raise CodecError(
+            f"binary message is truncated by {end - len(data)} bytes"
+            if end > len(data)
+            else f"{len(data) - end} trailing bytes after binary message"
+        )
+    return value
+
+
 def decode_message(data: bytes) -> Any:
     """Inverse of :func:`encode_message` (either codec, sniffed from byte 0)."""
-    if data[:1] == b"\x09":  # binary messages always carry a registered object
-        try:
-            value, pos = _dec_bin(data, 0)
-        except CodecError:
-            raise
-        except (IndexError, ValueError, KeyError, TypeError, struct.error) as exc:
-            raise CodecError(f"cannot decode binary message: {exc}") from exc
-        if pos != len(data):
-            raise CodecError(f"{len(data) - pos} trailing bytes after binary message")
-        return value
+    if data[:1] >= b"\x80":  # a binary type tag; JSON documents start with "{"
+        return _decode_binary(data)
     try:
         return message_from_wire(json.loads(data.decode("utf-8")))
     except (ValueError, KeyError, TypeError) as exc:
@@ -726,15 +706,6 @@ _size_cache: Dict[Tuple, int] = {}
 _decode_cache: Dict[bytes, Any] = {}
 _DECODE_CACHE_MAX = 256
 
-#: ClientResponseBatch entries caches.  Every replica in a deployment encodes
-#: an equal-content entries tuple for the same block (and encodes it twice
-#: when a speculative response is later confirmed), and the client decodes all
-#: of those copies.  Encode is keyed by the entries tuple itself (frozen
-#: dataclasses hash by value); decode is keyed by the remaining byte suffix.
-_entries_enc_cache: Dict[Tuple, bytes] = {}
-_entries_dec_cache: Dict[bytes, Tuple[Any, int]] = {}
-_ENTRIES_CACHE_MAX = 64
-
 
 def reset_size_cache() -> None:
     """Drop memoized sizes and decoded payloads (called at the start of every
@@ -742,7 +713,6 @@ def reset_size_cache() -> None:
     never leak into the next)."""
     _size_cache.clear()
     _decode_cache.clear()
-    _entries_enc_cache.clear()
     _entries_dec_cache.clear()
 
 
@@ -772,6 +742,40 @@ def encoded_size(payload: Any, default: int = DEFAULT_SIZE_BYTES) -> int:
 
 
 # --------------------------------------------------------------------- frames
+def _enc_envelope(
+    sender: int, receiver: int, message: bytes, sent_at: float, seq: Optional[int]
+) -> Tuple[bytes, bytes, int]:
+    """``(head, tail, body length)`` of the envelope around encoded *message*."""
+    tail = b""
+    if message[:1] == b"{":
+        # repr() of a Python float is exactly json.dumps' float text.
+        stamp = repr(float(sent_at)).encode("ascii")
+        if seq is None:
+            head = b'{"v":%d,"s":%d,"r":%d,"a":%s,"m":' % (UNTRACED_WIRE_VERSION, sender, receiver, stamp)
+        else:
+            head = b'{"v":%d,"s":%d,"r":%d,"a":%s,"q":%d,"m":' % (WIRE_VERSION, sender, receiver, stamp, seq)
+        tail = b"}"
+    elif message[:1] >= b"\x80":
+        try:
+            if seq is None:
+                head = _ENVELOPE.pack(BINARY_MAGIC, BINARY_WIRE_VERSION, sender, receiver, sent_at)
+            else:
+                head = _TRACED_ENVELOPE.pack(
+                    BINARY_MAGIC, BINARY_TRACED_WIRE_VERSION, sender, receiver, sent_at, seq
+                )
+        except struct.error as exc:
+            raise CodecError(f"cannot encode binary envelope: {exc}") from exc
+    else:
+        raise CodecError("message bytes are neither JSON nor binary encoded")
+    size = len(head) + len(message) + len(tail)
+    if size > MAX_FRAME_BYTES:
+        raise FrameTooLargeError(
+            f"frame body of {size} bytes exceeds MAX_FRAME_BYTES "
+            f"({MAX_FRAME_BYTES}); reduce the batch size or snapshot state"
+        )
+    return head, tail, size
+
+
 def frame_from_message(
     sender: int, receiver: int, message: bytes, sent_at: float, seq: Optional[int] = None
 ) -> bytes:
@@ -783,46 +787,18 @@ def frame_from_message(
     cheaper than re-encoding a 100-transaction block per peer.
 
     *seq* is the optional per-sender send sequence (distributed-tracing
-    context).  ``None`` emits a :data:`UNTRACED_WIRE_VERSION` frame that is
-    byte-identical to the pre-v5 format; an integer emits a v5 frame with the
-    sequence as JSON key ``"q"`` or a trailing binary header varint.
+    context).  ``None`` emits an untraced frame (JSON
+    :data:`UNTRACED_WIRE_VERSION`, byte-identical to the pre-v5 format;
+    binary :data:`BINARY_WIRE_VERSION`); an integer emits a traced frame with
+    the sequence as JSON key ``"q"`` or the last binary envelope field.
     """
-    if message[:1] == b"{":
-        # repr() of a Python float is exactly json.dumps' float text.
-        if seq is None:
-            body = b'{"v":%d,"s":%d,"r":%d,"a":%s,"m":%s}' % (
-                UNTRACED_WIRE_VERSION,
-                sender,
-                receiver,
-                repr(float(sent_at)).encode("ascii"),
-                message,
-            )
-        else:
-            body = b'{"v":%d,"s":%d,"r":%d,"a":%s,"q":%d,"m":%s}' % (
-                WIRE_VERSION,
-                sender,
-                receiver,
-                repr(float(sent_at)).encode("ascii"),
-                seq,
-                message,
-            )
-    elif message[:1] == b"\x09":
-        head = bytearray((BINARY_MAGIC,))
-        _append_uvarint(head, UNTRACED_WIRE_VERSION if seq is None else WIRE_VERSION)
-        _append_zigzag(head, sender)
-        _append_zigzag(head, receiver)
-        head += _DOUBLE.pack(sent_at)
-        if seq is not None:
-            _append_uvarint(head, seq)
-        body = bytes(head) + message
-    else:
-        raise CodecError("message bytes are neither JSON nor binary encoded")
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(
-            f"frame body of {len(body)} bytes exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES}); reduce the batch size or snapshot state"
-        )
-    return FRAME_HEADER.pack(len(body)) + body
+    head, tail, size = _enc_envelope(sender, receiver, message, sent_at, seq)
+    return b"".join((FRAME_HEADER.pack(size), head, message, tail))
+
+
+def frame_size(sender: int, receiver: int, message: bytes, sent_at: float, seq: Optional[int] = None) -> int:
+    """``len(frame_from_message(...))`` without building the frame (same errors)."""
+    return FRAME_HEADER.size + _enc_envelope(sender, receiver, message, sent_at, seq)[2]
 
 
 def message_fits_frame(payload: Any) -> bool:
@@ -852,37 +828,30 @@ def decode_envelope(body: bytes) -> Tuple[int, int, float, Optional[int], Any]:
 
     Accepts both formats regardless of the active encoding codec: binary
     bodies are recognised by :data:`BINARY_MAGIC`, everything else is treated
-    as a JSON envelope (wire versions 1–5).  ``seq`` is the v5 per-sender
-    send sequence; frames from older peers decode with ``seq`` ``None``.
+    as a JSON envelope (wire versions 1–5).  ``seq`` is the per-sender send
+    sequence of traced frames; untraced frames decode with ``seq`` ``None``.
     """
     if body[:1] == bytes((BINARY_MAGIC,)):
+        version = body[1] if len(body) > 1 else None
+        seq: Optional[int] = None
         try:
-            version, pos = _read_uvarint(body, 1)
-            if version not in SUPPORTED_WIRE_VERSIONS:
-                raise CodecError(f"unsupported wire version {version!r}")
-            sender, pos = _read_zigzag(body, pos)
-            receiver, pos = _read_zigzag(body, pos)
-            sent_at = _DOUBLE.unpack_from(body, pos)[0]
-            pos += 8
-            seq: Optional[int] = None
-            if version >= 5:
-                seq, pos = _read_uvarint(body, pos)
-            payload_bytes = body[pos:]
-            payload = _decode_cache.get(payload_bytes)
-            if payload is not None:
-                return sender, receiver, sent_at, seq, payload
-            payload, end = _dec_bin(payload_bytes, 0)
-        except CodecError:
-            raise
-        except (IndexError, ValueError, KeyError, TypeError, struct.error) as exc:
+            if version == BINARY_WIRE_VERSION:
+                _, _, sender, receiver, sent_at = _ENVELOPE.unpack_from(body)
+                pos = _ENVELOPE.size
+            elif version == BINARY_TRACED_WIRE_VERSION:
+                _, _, sender, receiver, sent_at, seq = _TRACED_ENVELOPE.unpack_from(body)
+                pos = _TRACED_ENVELOPE.size
+            else:
+                raise CodecError(f"unsupported binary wire version {version!r}")
+        except struct.error as exc:
             raise CodecError(f"cannot decode binary envelope: {exc}") from exc
-        if end != len(payload_bytes):
-            raise CodecError(
-                f"{len(payload_bytes) - end} trailing bytes after binary envelope"
-            )
-        if len(_decode_cache) >= _DECODE_CACHE_MAX:
-            _decode_cache.clear()
-        _decode_cache[payload_bytes] = payload
+        payload_bytes = body[pos:]
+        payload = _decode_cache.get(payload_bytes)
+        if payload is None:
+            payload = _decode_binary(payload_bytes)
+            if len(_decode_cache) >= _DECODE_CACHE_MAX:
+                _decode_cache.clear()
+            _decode_cache[payload_bytes] = payload
         return sender, receiver, sent_at, seq, payload
     try:
         document = json.loads(body.decode("utf-8"))

@@ -26,13 +26,13 @@ from repro.experiments.runner import ExperimentSpec, RunResult
 #: Ordered (category, matcher) pairs; the first match wins.  Matchers see
 #: ``(filename, function_name)`` with the filename normalised to forward
 #: slashes.
-_ENCODE_PREFIXES = ("_enc", "encode", "frame_from_message", "_append_uvarint")
+_ENCODE_PREFIXES = ("_enc", "encode", "frame_", "_append_uvarint")
 _DECODE_PREFIXES = ("_dec", "decode", "_read_uvarint", "read_frame", "iter_frames")
 
 
 def _categorize(filename: str, funcname: str) -> str:
     path = filename.replace("\\", "/")
-    if "repro/live/codec" in path:
+    if "repro/live/codec" in path or "repro/live/layout" in path:
         if funcname.startswith(_ENCODE_PREFIXES):
             return "encode"
         if funcname.startswith(_DECODE_PREFIXES):

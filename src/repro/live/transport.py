@@ -25,6 +25,7 @@ from repro.live.codec import (
     decode_envelope,
     encode_message,
     frame_from_message,
+    frame_size,
     read_frame,
 )
 from repro.net.message import Envelope
@@ -375,19 +376,27 @@ class AsyncTcpTransport:
     ) -> Optional[Envelope]:
         """Frame pre-encoded *message* bytes and hand them to one receiver."""
         tracer = self._tracer
+        local = receiver == self.node_id
+        now = self.clock.now
         seq = None
-        if tracer is not None and receiver != self.node_id:
-            # Self-sends never cross the wire (and carry no skew
-            # information), so only remote frames consume trace sequences.
-            self._send_seq += 1
-            seq = self._send_seq
+        frame = b""
         try:
-            frame = frame_from_message(sender, receiver, message, self.clock.now, seq)
+            if local:
+                # Self-sends never cross the wire (and carry no skew
+                # information): they consume no trace sequence and build no
+                # frame, only the size the frame would have had.
+                size = frame_size(sender, receiver, message, now)
+            else:
+                if tracer is not None:
+                    self._send_seq += 1
+                    seq = self._send_seq
+                frame = frame_from_message(sender, receiver, message, now, seq)
+                size = len(frame)
         except CodecError as exc:  # includes FrameTooLargeError
             self.delivery_errors.append(exc)
             self.stats.messages_dropped += 1
             return None
-        self.stats.record_sent(payload, len(frame) if size_bytes is None else size_bytes)
+        self.stats.record_sent(payload, size if size_bytes is None else size_bytes)
         if seq is not None:
             tracer.wire_send(self.node_id, receiver, seq, type(payload).__name__)
         if self._closed:
@@ -397,11 +406,11 @@ class AsyncTcpTransport:
             sender=sender,
             receiver=receiver,
             payload=payload,
-            sent_at=self.clock.now,
-            deliver_at=self.clock.now,
-            size_bytes=len(frame),
+            sent_at=now,
+            deliver_at=now,
+            size_bytes=size,
         )
-        if receiver == self.node_id:
+        if local:
             asyncio.get_running_loop().call_soon(self._deliver_local, envelope)
             return envelope
         delay = self._link_delays.get(receiver, 0.0)

@@ -70,10 +70,10 @@ class TestWireCodecV5:
         assert payload == message
 
     @pytest.mark.parametrize("kind", ["json", "binary"])
-    def test_untraced_frames_are_byte_identical_to_v4(self, kind):
-        """seq=None must not change a single wire byte: mixed clusters where
-        only some peers understand v5 interoperate as long as tracing is off,
-        and untraced runs pay nothing for the feature."""
+    def test_untraced_frames_stay_at_the_untraced_version(self, kind):
+        """seq=None must not add a single wire byte: untraced runs pay nothing
+        for the feature, and JSON clusters where only some peers understand v5
+        interoperate as long as tracing is off."""
         message = _all_message()
         with codec.wire_codec_scope(kind):
             encoded = codec.encode_message(message)
@@ -83,7 +83,8 @@ class TestWireCodecV5:
             assert b'"v":%d' % codec.UNTRACED_WIRE_VERSION in untraced
             assert b'"q"' not in untraced
         else:
-            assert untraced[5] == codec.UNTRACED_WIRE_VERSION
+            assert untraced[5] == codec.BINARY_WIRE_VERSION
+            assert traced[5] == codec.BINARY_TRACED_WIRE_VERSION
         assert len(traced) > len(untraced)
         sender, receiver, sent_at, seq, payload = codec.decode_envelope(untraced[4:])
         assert seq is None

@@ -31,7 +31,7 @@ from repro.crypto.threshold import ThresholdScheme
 from repro.experiments.report import format_network_breakdown
 from repro.ledger.block import Block, make_genesis_block
 from repro.ledger.transaction import Transaction
-from repro.live import codec
+from repro.live import codec, layout
 from repro.types import NULL_DIGEST
 
 
@@ -201,23 +201,26 @@ class TestVersionSkew:
 
     def test_current_version_is_5_and_older_versions_remain_supported(self):
         # v2 added view-sync evidence, v3 the snapshot state-transfer
-        # messages, v4 the binary codec, v5 the optional trace sequence.
+        # messages, v4 the request batch, v5 the optional trace sequence.
         assert codec.WIRE_VERSION == 5
         assert set(codec.SUPPORTED_WIRE_VERSIONS) == {1, 2, 3, 4, 5}
         # Frames without trace context still go out at v4 — byte-identical
         # to what pre-v5 peers emit and accept.
         assert codec.UNTRACED_WIRE_VERSION == 4
+        # Binary envelopes are numbered apart from the JSON ones, past the
+        # retired self-describing binary versions (4, 5).
+        assert (codec.BINARY_WIRE_VERSION, codec.BINARY_TRACED_WIRE_VERSION) == (6, 7)
 
 
 class TestBinaryCodec:
-    """Wire version 4: the struct-packed codec behind the same API."""
+    """Binary wire versions 6-7: the schema-compiled codec behind the same API."""
 
     def test_every_message_type_round_trips_in_binary(self):
         seen_types = set()
         with codec.wire_codec_scope("binary"):
             for message in _all_messages():
                 data = codec.encode_message(message)
-                assert data[:1] == b"\x09"  # every message is a registered object
+                assert data[0] >= codec.BINARY_TAG_BASE  # the type tag, never "{"
                 assert codec.decode_message(data) == message
                 seen_types.add(type(message))
         assert seen_types == set(codec.MESSAGE_TYPES)
@@ -238,14 +241,24 @@ class TestBinaryCodec:
             json_bytes = codec.encode_message(message)
             assert len(binary) < len(json_bytes), type(message).__name__
 
-    def test_json_peer_decodes_v4_binary_frames(self):
+    def test_json_peer_decodes_binary_frames(self):
         """Mid-upgrade skew: a JSON-emitting peer receives binary frames."""
         codec.reset_size_cache()
         message = _all_messages()[0]
         with codec.wire_codec_scope("binary"):
             frame = codec.encode_envelope_frame(0, 2, message, 0.5)
+        assert frame[5] == codec.BINARY_WIRE_VERSION
         assert codec.wire_codec() == "json"
         assert codec.decode_envelope_body(frame[4:]) == (0, 2, 0.5, message)
+
+    @pytest.mark.parametrize("retired", [4, 5])
+    def test_retired_binary_layout_rejected(self, retired):
+        """Versions 4 and 5 were the self-describing binary encoding (varint
+        ids, then a 0x09 object): a body in that layout is refused by its
+        version (tests/test_properties.py restamps current frames)."""
+        old_head = bytes((codec.BINARY_MAGIC, retired, 0, 4)) + layout.DOUBLE.pack(0.5)
+        with pytest.raises(codec.CodecError, match="version"):
+            codec.decode_envelope_body(old_head + b"\x09\x06\x03\x02")
 
     def test_binary_peer_decodes_v1_v2_v3_json_frames(self):
         """Mid-upgrade skew the other way: a binary-emitting peer receives
@@ -279,7 +292,7 @@ class TestBinaryCodec:
         with codec.wire_codec_scope("binary"):
             frame = codec.encode_envelope_frame(0, 1, _all_messages()[0], 0.0)
         body = bytearray(frame[4:])
-        assert body[1] == codec.UNTRACED_WIRE_VERSION  # single-byte varint
+        assert body[1] == codec.BINARY_WIRE_VERSION
         body[1] = 99
         with pytest.raises(codec.CodecError, match="version"):
             codec.decode_envelope_body(bytes(body))
@@ -301,19 +314,39 @@ class TestBinaryCodec:
             with pytest.raises(codec.CodecError, match="trailing"):
                 codec.decode_message(codec.encode_message(_all_messages()[0]) + b"\x00")
 
-    def test_unknown_binary_type_code_rejected(self):
-        # v4 layout: no trailing seq varint between the double and the payload.
-        head = bytearray((codec.BINARY_MAGIC, codec.UNTRACED_WIRE_VERSION, 0, 2))
-        head += codec._DOUBLE.pack(0.0)
-        with pytest.raises(codec.CodecError, match="type code"):
-            codec.decode_envelope_body(bytes(head) + b"\xff")
+    def test_unknown_binary_type_tag_rejected(self):
+        unregistered = codec.BINARY_TAG_BASE + len(codec._DECODERS)
+        head = codec._ENVELOPE.pack(codec.BINARY_MAGIC, codec.BINARY_WIRE_VERSION, 0, 2, 0.0)
+        with pytest.raises(codec.CodecError, match="type tag"):
+            codec.decode_envelope_body(head + bytes((unregistered,)))
+        with pytest.raises(codec.CodecError, match="type tag"):
+            codec.decode_message(b"\xff")
+
+    def test_unknown_value_code_rejected(self):
+        """Schemaless fields keep one-byte value codes; an unassigned one is refused."""
+        txn = Transaction.create(client_id=1, operation="op", payload={"k": 7})
+        with codec.wire_codec_scope("binary"):
+            data = bytearray(codec.encode_message(ClientRequest(txn=txn)))
+        assert data[-2:] == bytes((layout.B_INT, 14))  # zigzag(7)
+        data[-2] = 0x7F
+        with pytest.raises(codec.CodecError, match="value code"):
+            codec.decode_message(bytes(data))
 
     def test_overlong_varint_rejected(self):
-        # v4 layout: no trailing seq varint between the double and the payload.
-        head = bytearray((codec.BINARY_MAGIC, codec.UNTRACED_WIRE_VERSION, 0, 2))
-        head += codec._DOUBLE.pack(0.0)
+        txn = Transaction.create(client_id=1, operation="op", payload={"k": 7})
+        with codec.wire_codec_scope("binary"):
+            data = codec.encode_message(ClientRequest(txn=txn))
         with pytest.raises(codec.CodecError, match="varint"):
-            codec.decode_envelope_body(bytes(head) + b"\x03" + b"\x80" * 11)
+            codec.decode_message(data[:-1] + b"\x80" * 11)
+
+    def test_count_beyond_the_frame_rejected(self):
+        """A corrupt item count must not size a loop."""
+        with codec.wire_codec_scope("binary"):
+            data = bytearray(codec.encode_message(ClientRequestBatch(txns=())))
+        assert data[1:] == b"\x00"  # the empty batch is its count
+        data[1:] = b"\xff\xff\xff\x7f"
+        with pytest.raises(codec.CodecError, match="count"):
+            codec.decode_message(bytes(data))
 
     def test_oversized_frame_raises_configuration_error(self, monkeypatch):
         from repro.errors import ConfigurationError
@@ -339,7 +372,27 @@ class TestBinaryCodec:
         assert payload_a == message
         assert payload_a is payload_b
 
+    def test_response_entries_are_fixed_width_records(self):
+        """41 bytes per entry while every id fits i32; one id beyond it
+        repacks the whole batch at 49, so the records stay one packed array."""
+        def batch_size(ids):
+            entries = tuple(
+                ResponseEntry(txn_id=i, client_id=-1 - i, result_digest="a" * 64, success=True) for i in ids
+            )
+            batch = ClientResponseBatch(replica_id=0, view=1, slot=1, block_hash="c" * 64,
+                                        speculative=False, entries=entries)
+            with codec.wire_codec_scope("binary"):
+                data = codec.encode_message(batch)
+                assert codec.decode_message(data) == batch
+            return len(data)
+
+        sizes = [batch_size(range(count)) for count in range(6)]
+        assert [b - a for a, b in zip(sizes, sizes[1:])] == [41] * 5
+        assert batch_size([0, 1, 2, 3, 2**31]) - sizes[0] == 5 * 49
+
     def test_response_entries_cache_keeps_distinct_batches_distinct(self):
+        """Equal packed records share one decoded tuple; a batch differing in
+        one flag, or in a digest that rides as text, does not."""
         codec.reset_size_cache()
         entries_a = tuple(
             ResponseEntry(txn_id=i, client_id=-1 - i, result_digest="a" * 64, success=True)
@@ -348,16 +401,22 @@ class TestBinaryCodec:
         entries_b = entries_a[:-1] + (
             ResponseEntry(txn_id=4, client_id=-5, result_digest="b" * 64, success=False),
         )
+        entries_c = entries_a[:-1] + (
+            ResponseEntry(txn_id=4, client_id=-5, result_digest="not-a-digest", success=True),
+        )
+        entries_d = entries_a[:-1] + (
+            ResponseEntry(txn_id=4, client_id=-5, result_digest="A" * 64, success=True),
+        )
         batches = [
             ClientResponseBatch(replica_id=r, view=1, slot=1, block_hash="c" * 64,
                                 speculative=False, entries=entries)
-            for entries in (entries_a, entries_b)
+            for entries in (entries_a, entries_b, entries_c, entries_d)
             for r in range(3)
         ]
         with codec.wire_codec_scope("binary"):
-            for batch in batches:
-                assert codec.decode_message(codec.encode_message(batch)) == batch
-
+            decoded = [codec.decode_message(codec.encode_message(batch)) for batch in batches]
+        assert decoded == batches
+        assert decoded[0].entries is decoded[1].entries  # one decode per block
 
 class TestEncodedSize:
     def test_known_messages_are_sized_from_their_encoding(self):
@@ -397,3 +456,34 @@ class TestNetworkBreakdownReport:
     def test_plain_stats_render_totals_only(self):
         table = format_network_breakdown({"messages_sent": 1, "bytes_sent": 256})
         assert "(total)" in table
+
+
+class TestProfileBuckets:
+    def test_no_hot_codec_function_lands_in_codec_other(self):
+        """`repro profile` splits codec time into encode / decode by function
+        name: every function a binary message passes through on its way onto
+        or off the wire (compiled per-type layouts included) must carry a
+        prefix `_categorize` knows."""
+        import cProfile
+        import pstats
+
+        from repro.live.profiling import _categorize
+
+        messages = _all_messages()
+        profiler = cProfile.Profile()
+        with codec.wire_codec_scope("binary"):
+            profiler.enable()
+            for message in messages:
+                wire = codec.encode_message(message)
+                frame = codec.frame_from_message(0, 1, wire, 0.5, seq=3)
+                assert codec.frame_size(0, 1, wire, 0.5, seq=3) == len(frame)
+                codec.decode_envelope(frame[4:])
+                codec.decode_message(wire)
+            profiler.disable()
+        buckets = {}
+        for filename, _lineno, funcname in pstats.Stats(profiler).stats:
+            if "repro/live/" in filename.replace("\\", "/"):
+                buckets.setdefault(_categorize(filename, funcname), set()).add(funcname)
+        assert {"_enc_propose", "_enc_txn", "_enc_entries", "frame_size"} <= buckets["encode"]
+        assert {"_dec_propose", "_dec_txn", "_dec_entries", "_dec_count"} <= buckets["decode"]
+        assert set(buckets) == {"encode", "decode"}, buckets.get("codec-other")

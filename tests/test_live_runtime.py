@@ -107,6 +107,51 @@ class TestAsyncTcpTransport:
         assert left.stats.bytes_sent > 0
         assert not left.delivery_errors and not right.delivery_errors
 
+    @pytest.mark.parametrize("kind", ["json", "binary"])
+    def test_self_send_counts_the_frame_it_does_not_build(self, kind, monkeypatch):
+        """A self-send is delivered in-process: it must charge exactly the
+        bytes its frame would have had without building it, and read the
+        clock once."""
+        from repro.live import codec, transport as transport_module
+
+        class CountingClock:
+            reads = 0
+
+            @property
+            def now(self):
+                self.reads += 1
+                return 12.345678
+
+        built = []
+        real_frame = codec.frame_from_message
+        monkeypatch.setattr(
+            transport_module, "frame_from_message",
+            lambda *args: built.append(args[1]) or real_frame(*args),
+        )
+        message = FetchRequest(block_hash="a" * 64, requester=0)
+
+        async def scenario():
+            clock = CountingClock()
+            transport = AsyncTcpTransport(0, clock)
+            sink = _Sink(0)
+            transport.register(sink)
+            with codec.wire_codec_scope(kind):
+                envelope = transport.send(0, 0, message)
+                transport.broadcast(0, message, receivers=[0])
+            reads = clock.reads
+            await asyncio.sleep(0)  # let the scheduled local deliveries run
+            return transport.stats, envelope, reads, sink
+
+        stats, envelope, reads, sink = asyncio.run(scenario())
+        with codec.wire_codec_scope(kind):
+            frame = codec.encode_envelope_frame(0, 0, message, 12.345678)
+        assert built == []
+        assert reads == 2  # one per send
+        assert envelope.size_bytes == len(frame)
+        assert stats.bytes_sent == 2 * len(frame)
+        assert stats.bytes_by_type == {"FetchRequest": 2 * len(frame)}
+        assert [received.payload for received in sink.received] == [message, message]
+
     def test_unknown_receiver_counts_as_drop(self):
         async def scenario():
             clock = WallClock()

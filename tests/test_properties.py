@@ -3,20 +3,34 @@ and protocol-level invariants."""
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.consensus.certificates import CertKind, Certificate
 from repro.consensus.mempool import Mempool
-from repro.crypto.threshold import ThresholdScheme
+from repro.consensus.messages import (
+    ClientRequest,
+    ClientResponseBatch,
+    FetchRequest,
+    Prepare,
+    ResponseEntry,
+    SnapshotRequest,
+)
+from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
 from repro.ledger.kvstore import KVStateMachine
 from repro.ledger.speculative import SpeculativeLedger
 from repro.ledger.transaction import Transaction
+from repro.live import codec
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import Simulator
+from repro.types import NULL_DIGEST
 from repro.workloads.zipf import ZipfGenerator
 
 
@@ -273,3 +287,137 @@ def test_simulator_fires_in_nondecreasing_time_order(delays):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
+
+
+# --------------------------------------------------------------------------
+# Wire codec: every message type, generated fields, both codecs
+# --------------------------------------------------------------------------
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+_WIRE_INTS = st.one_of(
+    st.integers(min_value=-5, max_value=300),
+    st.integers(min_value=_I64_MIN, max_value=_I64_MAX),
+    st.sampled_from([2**31 - 1, 2**31, -(2**31) - 1, 2**40, _I64_MIN, _I64_MAX]),
+)
+_HEX_DIGESTS = st.binary(min_size=32, max_size=32).map(bytes.hex)
+#: Every ``str`` field gets digests and non-digests alike: the ``digest`` kind
+#: must fall back for anything but 64 lowercase hex chars, the ``str`` kind
+#: must not care.
+_WIRE_STRINGS = st.one_of(
+    st.just(NULL_DIGEST),
+    _HEX_DIGESTS,
+    _HEX_DIGESTS.map(str.upper),  # fromhex would take it; the text must survive
+    _HEX_DIGESTS.map(lambda d: d[:30] + "  " + d[30:62]),  # 64 chars, fromhex skips spaces
+    _HEX_DIGESTS.map(lambda d: d[:62]),
+    st.text(max_size=24),
+    st.just("k" * 300),  # past the one-byte lengths
+)
+#: Schemaless ints ride as zigzag varints of at most 10 bytes.
+_VALUE_INTS = st.integers(min_value=-(2**69), max_value=2**69 - 1)
+#: Payload values as the workloads produce them: YCSB strings, TPC-C ints,
+#: floats and a list of per-line maps (``workloads/tpcc.py``).
+_PAYLOAD_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _VALUE_INTS, st.floats(allow_nan=False), st.text(max_size=12)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.text(max_size=6), _VALUE_INTS), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_PAYLOADS = st.dictionaries(
+    st.one_of(st.text(max_size=8), st.just("k" * 300), _VALUE_INTS), _PAYLOAD_VALUES, max_size=4
+)
+
+
+def _wire_strategy(hint):
+    """Hypothesis strategy for one annotated field type of the wire dataclasses."""
+    hint = getattr(hint, "__supertype__", hint)  # Digest = NewType("Digest", str)
+    if hint is bool:
+        return st.booleans()
+    if hint is int:
+        return _WIRE_INTS
+    if hint is float:
+        return st.floats(allow_nan=False)
+    if hint is str:
+        return _WIRE_STRINGS
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return st.sampled_from(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return st.builds(hint, **{f.name: _wire_strategy(hints[f.name]) for f in dataclasses.fields(hint)})
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[T]
+        return st.one_of(st.none(), *(_wire_strategy(arg) for arg in args if arg is not type(None)))
+    if origin is tuple:  # Tuple[T, ...]
+        return st.lists(_wire_strategy(args[0]), max_size=3).map(tuple)
+    if origin is list:
+        return st.lists(_wire_strategy(args[0]), max_size=3)
+    assert origin in (dict, typing.get_origin(typing.Mapping[str, int])), hint
+    return _PAYLOADS  # Transaction.payload, Snapshot.state
+
+
+@pytest.mark.parametrize("kind", codec.WIRE_CODECS)
+@pytest.mark.parametrize("cls", codec.MESSAGE_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_message_type_round_trips_with_generated_fields(cls, kind, data):
+    message = data.draw(_wire_strategy(cls))
+    with codec.wire_codec_scope(kind):
+        wire = codec.encode_message(message)
+        frame = codec.frame_from_message(3, -1, wire, 0.5)
+    assert codec.decode_message(wire) == message
+    assert codec.decode_envelope(frame[4:]) == (3, -1, 0.5, None, message)
+
+
+@pytest.mark.parametrize("cls", codec.MESSAGE_TYPES, ids=lambda cls: cls.__name__)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_every_strict_prefix_of_a_binary_frame_body_is_a_codec_error(cls, data):
+    message = data.draw(_wire_strategy(cls))
+    with codec.wire_codec_scope("binary"):
+        wire = codec.encode_message(message)
+        body = codec.frame_from_message(0, 1, wire, 0.5, seq=data.draw(st.none() | st.just(9)))[4:]
+    for cut in range(len(body)):
+        with pytest.raises(codec.CodecError):  # never IndexError / struct.error
+            codec.decode_envelope(body[:cut])
+    for cut in range(len(wire)):
+        with pytest.raises(codec.CodecError):
+            codec.decode_message(wire[:cut])
+
+
+@pytest.mark.parametrize("retired", [4, 5])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_retired_binary_versions_are_rejected(retired, data):
+    message = data.draw(_wire_strategy(data.draw(st.sampled_from(codec.MESSAGE_TYPES))))
+    with codec.wire_codec_scope("binary"):
+        body = bytearray(codec.encode_envelope_frame(0, 1, message, 0.5)[4:])
+    assert body[1] == codec.BINARY_WIRE_VERSION
+    body[1] = retired
+    with pytest.raises(codec.CodecError, match="version"):
+        codec.decode_envelope(bytes(body))
+
+
+@pytest.mark.parametrize("too_big", [2**63, -(2**63) - 1, 2**80])
+def test_ints_outside_i64_are_refused_at_encode_time(too_big):
+    """Header ints, packed int arrays and both hand-laid records refuse an
+    out-of-range int instead of truncating it."""
+    signature = ThresholdSignature(NULL_DIGEST, "prepare", (0, too_big), 2, NULL_DIGEST)
+    entry = ResponseEntry(txn_id=too_big, client_id=1, result_digest=NULL_DIGEST, success=True)
+    messages = [
+        SnapshotRequest(requester=1, have_height=too_big),
+        FetchRequest(block_hash=NULL_DIGEST, requester=too_big),
+        Prepare(view=1, cert=Certificate(CertKind.PREPARE, 1, 1, NULL_DIGEST, signature, 1)),
+        ClientRequest(txn=Transaction.create(client_id=too_big, operation="op", txn_id=1)),
+        ClientResponseBatch(1, 1, 1, NULL_DIGEST, True, (entry,)),
+    ]
+    with codec.wire_codec_scope("binary"):
+        for message in messages:
+            with pytest.raises(codec.CodecError):
+                codec.encode_message(message)
+        # ...while a schemaless payload value is a varint, with room to 2**69.
+        roomy = ClientRequest(txn=Transaction.create(client_id=1, operation="op", payload={"n": too_big}, txn_id=1))
+        if -(2**69) <= too_big < 2**69:
+            assert codec.decode_message(codec.encode_message(roomy)) == roomy
+        else:
+            with pytest.raises(codec.CodecError):
+                codec.encode_message(roomy)
