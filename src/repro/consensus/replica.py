@@ -706,7 +706,7 @@ def honest_committed_chains(replicas: Sequence["BaseReplica"]) -> List[List[str]
     """Committed block-hash chains of the honest replicas, in replica order.
 
     Shared by the run-level safety check
-    (:func:`repro.experiments.runner.check_ledger_safety`) and the chaos
+    (:func:`repro.experiments.runner.verify`) and the chaos
     report's prefix-agreement computation, so the two can never apply
     different notions of "same committed prefix".  Chains span checkpointed
     prefixes (hash-only positions below a snapshot), so a replica restored

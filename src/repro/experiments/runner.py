@@ -1,21 +1,37 @@
-"""Build and run one simulated deployment from a declarative spec."""
+"""Experiment specs, deployments and the substrate-independent run phases.
+
+One run, whatever hosts it, is *prepare → serve → poll → close → verify →
+report*.  The only thing the four drivers differ in is **placement** — the
+set of node ids the process hosts: every replica plus the client pool (the
+simulator here, in-process live in :mod:`repro.live.deploy`), ``{r}`` (a
+``repro replica`` child) or ``{client}`` (the multi-process coordinator,
+both in :mod:`repro.live.procs`).  This module holds the phases that need no
+sockets — :func:`prepare`, :func:`start`, :func:`verify`, :func:`report` —
+and the simulator driver; the wall-clock phases live in
+:mod:`repro.live.deploy`.
+"""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
+from typing import Dict, List, Optional, Sequence, Set, get_args, get_type_hints
 
 from repro.consensus.byzantine import ReplicaBehavior
 from repro.consensus.certificates import CertificateAuthority
-from repro.consensus.client import ClientPool
+from repro.consensus.client import CLIENT_POOL_NODE_ID, ClientPool
 from repro.consensus.config import ProtocolConfig
 from repro.consensus.costs import CostModel
 from repro.consensus.leader import RoundRobinLeaderElection
 from repro.consensus.mempool import Mempool
 from repro.consensus.metrics import MetricsCollector, MetricsSummary
-from repro.consensus.replica import BaseReplica, honest_committed_chains
+from repro.consensus.replica import (
+    BaseReplica,
+    chains_prefix_consistent,
+    honest_committed_chains,
+)
 from repro.core.registry import (
     PROTOCOLS,
     canonical_protocol,
@@ -23,7 +39,7 @@ from repro.core.registry import (
     replica_class_for,
 )
 from repro.crypto.threshold import ThresholdScheme
-from repro.errors import ConfigurationError, SafetyViolationError
+from repro.errors import ConfigurationError, ConsensusError, SafetyViolationError
 from repro.faults.crashpoints import CrashPointInjector, CrashPointPlan
 from repro.faults.injector import ChaosController
 from repro.faults.plan import FaultPlan, load_plan
@@ -517,7 +533,8 @@ class RunResult:
         return row
 
 
-def _build_latency_model(spec: ExperimentSpec) -> LatencyModel:
+def latency_model_for(spec: ExperimentSpec) -> LatencyModel:
+    """The spec's link model: custom, geo (replicas round-robin over ``regions``) or constant."""
     if spec.latency_model is not None:
         return spec.latency_model
     if spec.regions:
@@ -574,6 +591,10 @@ class Deployment:
     mempools: Optional[Dict[int, Mempool]] = None
     #: Admission cap distributed pools are built with (restarts reuse it).
     mempool_limit: Optional[int] = None
+    #: Set by :func:`prepare`: the chaos controller of a run with a fault or
+    #: crash-point plan, and the client pool when this process hosts it.
+    controller: Optional[ChaosController] = None
+    client_pool: Optional[ClientPool] = None
 
     def mempool_for(self, replica_id: int) -> Mempool:
         """The pool replica *replica_id* proposes from (shared or its own)."""
@@ -599,9 +620,9 @@ class Deployment:
 
 
 def build_deployment(
-    spec: ExperimentSpec, scheduler, network_for, store_for=None
+    spec: ExperimentSpec, scheduler, network_for, store_for=None, hosted=None
 ) -> Deployment:
-    """Construct config, crypto, workload and replicas for one deployment.
+    """Construct config, crypto, workload and the *hosted* replicas of one deployment.
 
     ``scheduler`` is the shared time source (a :class:`Simulator` or a
     :class:`~repro.live.runtime.WallClock`); ``network_for(replica_id)``
@@ -609,9 +630,13 @@ def build_deployment(
     shared :class:`SimNetwork`, or that replica's ``AsyncTcpTransport``).
     ``store_for(replica_id)``, when given, supplies each replica's durable
     :class:`~repro.storage.store.ReplicaStore` (chaos runs) — the replica is
-    then built over the store's persisted block tree.  The first honest
-    replica is marked as the metrics reporter.
+    then built over the store's persisted block tree.  ``hosted`` names the
+    replica ids this process runs (default: all ``spec.n``); replicas hosted
+    elsewhere are not built — keys, workload tables and protocol config
+    derive from the spec and seed alone, so every process agrees on them.
+    The first honest hosted replica is marked as the metrics reporter.
     """
+    hosted = list(range(spec.n) if hosted is None else hosted)
     config = ProtocolConfig(
         n=spec.n,
         batch_size=spec.batch_size,
@@ -630,10 +655,9 @@ def build_deployment(
     mempools: Optional[Dict[int, Mempool]] = None
     if spec.distributed_mempool:
         mempools = {
-            replica_id: Mempool(limit=spec.mempool_limit, shared=False)
-            for replica_id in range(config.n)
+            replica_id: Mempool(limit=spec.mempool_limit, shared=False) for replica_id in hosted
         }
-        mempool = mempools[0]
+        mempool = next(iter(mempools.values()), None)
     else:
         mempool = Mempool(limit=spec.mempool_limit)
     metrics = MetricsCollector(warmup=spec.warmup)
@@ -663,7 +687,7 @@ def build_deployment(
             pool.tracer = tracer
     replica_class = replica_class_for(spec.protocol)
     replicas: List[BaseReplica] = []
-    for replica_id in range(config.n):
+    for replica_id in hosted:
         store = store_for(replica_id) if store_for is not None else None
         replica = replica_class(
             replica_id,
@@ -686,10 +710,9 @@ def build_deployment(
             replica.checkpointer = CheckpointManager(replica, spec.checkpoint_interval)
         replica.tracer = tracer
         replicas.append(replica)
-    reporter = next(
-        (replica for replica in replicas if not replica.behavior.is_byzantine), replicas[0]
-    )
-    reporter.report_metrics = True
+    honest = [replica for replica in replicas if not replica.behavior.is_byzantine]
+    if replicas:
+        (honest or replicas)[0].report_metrics = True
     return Deployment(
         config=config,
         authority=authority,
@@ -708,8 +731,8 @@ def build_deployment(
     )
 
 
-def build_replica_stores(spec: ExperimentSpec) -> Dict[int, ReplicaStore]:
-    """One durable store per replica: file-backed under ``spec.storage_dir``
+def build_replica_stores(spec: ExperimentSpec, hosted: Sequence[int]) -> Dict[int, ReplicaStore]:
+    """One durable store per hosted replica: file-backed under ``spec.storage_dir``
     when set, in-memory otherwise (either way the store outlives crashes).
 
     Every experiment starts from genesis, so file-backed stores left over
@@ -719,15 +742,15 @@ def build_replica_stores(spec: ExperimentSpec) -> Dict[int, ReplicaStore]:
     if spec.storage_dir:
         stores = {
             replica_id: ReplicaStore.at_path(spec.storage_dir, replica_id)
-            for replica_id in range(spec.n)
+            for replica_id in hosted
         }
         for store in stores.values():
             store.clear()
         return stores
-    return {replica_id: ReplicaStore.memory() for replica_id in range(spec.n)}
+    return {replica_id: ReplicaStore.memory() for replica_id in hosted}
 
 
-def assign_chaos_reporter(deployment: Deployment, avoid: Sequence[int]) -> None:
+def assign_chaos_reporter(deployment: Deployment, avoid: Set[int]) -> None:
     """Re-pick the metrics reporter to dodge the replicas a plan will take down.
 
     ``build_deployment`` marks the first honest replica; under a fault plan
@@ -736,7 +759,6 @@ def assign_chaos_reporter(deployment: Deployment, avoid: Sequence[int]) -> None:
     touches.  Dynamic ``"leader"`` targets cannot be predicted — the chaos
     adapters hand the role over at crash time as a fallback.
     """
-    avoid = set(avoid)
     honest = [r for r in deployment.replicas if not r.behavior.is_byzantine]
     preferred = [r for r in honest if r.replica_id not in avoid]
     pick = (preferred or honest or deployment.replicas)[0]
@@ -744,33 +766,178 @@ def assign_chaos_reporter(deployment: Deployment, avoid: Sequence[int]) -> None:
         replica.report_metrics = replica is pick
 
 
+def prepare(
+    spec: ExperimentSpec,
+    scheduler,
+    network_for,
+    hosted: Sequence[int],
+    chaos_adapter=None,
+    client_class=None,
+    **client_args,
+) -> Deployment:
+    """Phase 1: build everything the *hosted* node ids need; schedule nothing.
+
+    Fault / crash-point plan → durable stores → :func:`build_deployment` for
+    the hosted replica ids → chaos controller (``chaos_adapter(deployment,
+    stores)`` supplies the substrate's adapter) → a ``client_class`` pool when
+    :data:`CLIENT_POOL_NODE_ID` is hosted, built against
+    ``network_for(CLIENT_POOL_NODE_ID)`` with the substrate's *client_args*.
+    :func:`start` arms what this returns.
+    """
+    replica_ids = [node_id for node_id in hosted if node_id != CLIENT_POOL_NODE_ID]
+    chaotic = bool(spec.faults or spec.crash_points)
+    stores = None
+    if chaotic or spec.storage_dir or spec.checkpoint_interval is not None:
+        stores = build_replica_stores(spec, replica_ids)
+    deployment = build_deployment(
+        spec,
+        scheduler,
+        network_for,
+        store_for=stores.__getitem__ if stores is not None else None,
+        hosted=replica_ids,
+    )
+    if chaotic:
+        plan = FaultPlan.from_dict(spec.faults or {})
+        crash_plan = CrashPointPlan.from_dict(spec.crash_points or {})
+        assign_chaos_reporter(deployment, plan.touched_replicas() | crash_plan.touched_replicas())
+        deployment.controller = ChaosController(
+            plan, scheduler, chaos_adapter(deployment, stores)
+        )
+        if crash_plan.points:
+            injector = CrashPointInjector(crash_plan, scheduler, deployment.controller)
+            injector.attach(deployment.replicas)
+    if CLIENT_POOL_NODE_ID in hosted:
+        deployment.client_pool = client_class(
+            sim=scheduler,
+            network=network_for(CLIENT_POOL_NODE_ID),
+            workload=deployment.workload,
+            config=deployment.config,
+            metrics=deployment.metrics,
+            num_clients=spec.num_clients or default_num_clients(spec, deployment.replica_class),
+            required_quorum=client_quorum_for(spec.protocol, deployment.config),
+            broadcast_requests=bool(spec.broadcast_requests),
+            **client_args,
+        )
+        deployment.client_pool.tracer = deployment.tracer
+    return deployment
+
+
+def start(deployment: Deployment) -> None:
+    """Arm the fault plan, then start the hosted replicas and the client pool.
+
+    The first point of a run at which anything is scheduled, so a wall clock
+    can restart its origin right before it and every fault-plan timestamp
+    counts from the moment the protocol starts.
+    """
+    if deployment.controller is not None:
+        deployment.controller.install()
+    for replica in deployment.replicas:
+        replica.start()
+    if deployment.client_pool is not None:
+        deployment.client_pool.start()
+
+
+def verify(spec: ExperimentSpec, delivery_errors: Dict[int, Sequence], chains) -> bool:
+    """Phase 5: fail the run on any handler exception or divergent committed prefix.
+
+    *delivery_errors* maps node id to what its transport collected (exception
+    objects for hosted nodes, their ``repr`` strings when read from a replica
+    process's result file); any entry raises :class:`ConsensusError` naming
+    the node.  *chains* are the honest replicas' committed hash chains,
+    wherever they ran; unless every one is a prefix of the longest,
+    :class:`SafetyViolationError` is raised when ``spec.check_safety`` is set
+    and ``False`` returned otherwise (this never happens with the implemented
+    behaviours; the check guards the reproduction itself).
+    """
+    for node_id, errors in sorted(delivery_errors.items()):
+        if errors:
+            first = errors[0]
+            who = "client pool" if node_id == CLIENT_POOL_NODE_ID else f"replica {node_id}"
+            raise ConsensusError(
+                f"{who} (node {node_id}) hit {len(errors)} delivery error(s); "
+                f"first: {first if isinstance(first, str) else repr(first)}"
+            ) from (first if isinstance(first, BaseException) else None)
+    consistent = chains_prefix_consistent(chains)
+    if spec.check_safety and not consistent:
+        raise SafetyViolationError(
+            "honest replicas committed ledgers that are not prefixes of the longest one"
+        )
+    return consistent
+
+
+def report(
+    spec: ExperimentSpec,
+    deployment: Deployment,
+    network_stats: Dict,
+    elapsed: float,
+    multiproc: Optional[Dict] = None,
+) -> RunResult:
+    """Phase 6: fold counters, finalize the trace and assemble the :class:`RunResult`.
+
+    *network_stats* is the run's traffic snapshot (the simulated network's, or
+    the hosted transports' merged at window close), *elapsed* the measured
+    window.  The chaos report is where operators look after a fault run, so
+    the online detector's alert history is folded into it.
+    """
+    metrics, replicas, tracer = deployment.metrics, deployment.replicas, deployment.tracer
+    honest = [replica for replica in replicas if not replica.behavior.is_byzantine]
+    metrics.rollbacks = sum(replica.ledger.rollback_count for replica in honest)
+    metrics.rolled_back_txns = sum(replica.ledger.rolled_back_txns for replica in honest)
+    metrics.speculative_executions = sum(
+        replica.ledger.speculated_block_count for replica in honest
+    )
+    metrics.pruned_blocks = sum(replica.block_store.pruned_count for replica in honest)
+    metrics.messages_sent = network_stats["messages_sent"]
+    if tracer is not None:
+        tracer.finalize(elapsed)
+    summary = metrics.summarize(spec.protocol, elapsed)
+    chaos = None
+    if deployment.controller is not None:
+        chaos = deployment.controller.report(replicas)
+        if tracer is not None and tracer.detector is not None:
+            chaos["alerts"] = tracer.detector.summary()
+    return RunResult(
+        spec=spec,
+        summary=summary,
+        replicas=replicas,
+        client_pool=deployment.client_pool,
+        network_stats=network_stats,
+        chaos=chaos,
+        trace=tracer,
+        multiproc=multiproc,
+    )
+
+
 def run_experiment(spec: ExperimentSpec) -> RunResult:
     """Run one experiment and return its result.
 
     Raises :class:`SafetyViolationError` if ``spec.check_safety`` is set and
-    the committed ledgers of two honest replicas diverge (this never happens
-    with the implemented behaviours; the check guards the reproduction
-    itself).  The spec is validated first, so configuration mistakes raise
+    the committed ledgers of two honest replicas diverge (see :func:`verify`).
+    The spec is validated first, so configuration mistakes raise
     :class:`~repro.errors.ConfigurationError` before any simulator state is
     built.
 
     Specs with ``mode="live"`` are dispatched to the asyncio deployment
     runtime (:func:`repro.live.deploy.run_live_experiment`), which executes
     the same replicas over real localhost TCP sockets and returns through the
-    identical :class:`RunResult` pipeline.
+    same phases.
     """
-    spec.validate()
     if spec.mode == "live":
         from repro.live.deploy import run_live_experiment  # local import: avoids cycle
 
         return run_live_experiment(spec)
     from repro.live.codec import wire_codec_scope
 
+    spec.validate()
     with wire_codec_scope(spec.codec):  # also resets the per-shape size memo
         return _run_sim(spec)
 
 
 def _run_sim(spec: ExperimentSpec) -> RunResult:
+    """Full placement on the simulated substrate: nothing to serve, poll or close."""
+    from repro.faults.sim import SimChaosAdapter  # local imports: avoid cycles
+    from repro.net.network import SimNetwork
+
     sim = Simulator(seed=spec.seed)
     faults = FaultInjector()
     if spec.delay_injection:
@@ -778,88 +945,21 @@ def _run_sim(spec: ExperimentSpec) -> RunResult:
         extra = spec.delay_injection.get("extra_delay", 0.0)
         if impacted and extra > 0:
             faults.inject_delay(impacted, extra)
-    latency = _build_latency_model(spec)
-
-    from repro.net.network import SimNetwork  # local import to avoid cycles
-
+    latency = latency_model_for(spec)
     network = SimNetwork(sim, latency=latency, faults=faults)
-    plan = FaultPlan.from_dict(spec.faults) if spec.faults else None
-    crash_plan = (
-        CrashPointPlan.from_dict(spec.crash_points) if spec.crash_points else None
-    )
-    chaotic = plan is not None or crash_plan is not None
-    durable = chaotic or spec.storage_dir or spec.checkpoint_interval is not None
-    stores = build_replica_stores(spec) if durable else None
-    deployment = build_deployment(
+    deployment = prepare(
         spec,
         sim,
-        lambda replica_id: network,
-        store_for=stores.__getitem__ if stores is not None else None,
-    )
-    metrics = deployment.metrics
-
-    controller: Optional[ChaosController] = None
-    if chaotic:
-        from repro.faults.sim import SimChaosAdapter  # local import: avoids cycle
-
-        avoid = set(plan.touched_replicas()) if plan is not None else set()
-        if crash_plan is not None:
-            avoid |= crash_plan.touched_replicas()
-        assign_chaos_reporter(deployment, avoid)
-        adapter = SimChaosAdapter(sim, network, deployment, stores)
-        controller = ChaosController(plan or FaultPlan(), sim, adapter)
-        controller.install()
-        if crash_plan is not None:
-            injector = CrashPointInjector(crash_plan, sim, controller)
-            injector.attach(deployment.replicas)
-
-    client_pool = ClientPool(
-        sim=sim,
-        network=network,
-        workload=deployment.workload,
-        config=deployment.config,
-        metrics=metrics,
-        num_clients=spec.num_clients or default_num_clients(spec, deployment.replica_class),
-        required_quorum=client_quorum_for(spec.protocol, deployment.config),
+        lambda node_id: network,
+        [*range(spec.n), CLIENT_POOL_NODE_ID],
+        chaos_adapter=functools.partial(SimChaosAdapter, sim, network),
+        client_class=ClientPool,
         target_replicas=_client_targets(spec, latency),
-        broadcast_requests=bool(spec.broadcast_requests),
     )
-    client_pool.tracer = deployment.tracer
-
-    for replica in deployment.replicas:
-        replica.start()
-    client_pool.start()
+    start(deployment)
     sim.run(until=spec.duration)
-
-    aggregate_replica_counters(metrics, deployment.replicas, network.stats)
-    if spec.check_safety:
-        check_ledger_safety(deployment.replicas)
-    if deployment.tracer is not None:
-        deployment.tracer.finalize(spec.duration)
-    summary = metrics.summarize(spec.protocol, spec.duration)
-    chaos = controller.report(deployment.replicas) if controller is not None else None
-    attach_detector_alerts(chaos, deployment.tracer)
-    return RunResult(
-        spec=spec,
-        summary=summary,
-        replicas=deployment.replicas,
-        client_pool=client_pool,
-        network_stats=network.stats.as_dict(),
-        chaos=chaos,
-        trace=deployment.tracer,
-    )
-
-
-def attach_detector_alerts(chaos: Optional[Dict], tracer) -> Optional[Dict]:
-    """Fold the online detector's alert history into a chaos report.
-
-    Shared by the sim runner and the live deploy harness: the chaos report
-    is where operators look after a fault run, and detector firings should
-    bracket the injected faults there.
-    """
-    if chaos is not None and tracer is not None and tracer.detector is not None:
-        chaos["alerts"] = tracer.detector.summary()
-    return chaos
+    verify(spec, {}, honest_committed_chains(deployment.replicas))
+    return report(spec, deployment, network.stats.as_dict(), spec.duration)
 
 
 def _client_targets(spec: ExperimentSpec, latency: LatencyModel) -> Optional[List[int]]:
@@ -879,35 +979,3 @@ def _client_targets(spec: ExperimentSpec, latency: LatencyModel) -> Optional[Lis
         if latency.region_of(replica_id) == spec.client_region
     ]
     return local or None
-
-
-def aggregate_replica_counters(
-    metrics: MetricsCollector, replicas: Sequence[BaseReplica], stats
-) -> None:
-    """Fold per-replica ledger counters and network *stats* into the collector.
-
-    Shared by the simulated runner and the live deployment harness, which
-    passes the :class:`~repro.net.network.NetworkStats` merged across every
-    node's transport.
-    """
-    honest = [replica for replica in replicas if not replica.behavior.is_byzantine]
-    metrics.rollbacks = sum(replica.ledger.rollback_count for replica in honest)
-    metrics.rolled_back_txns = sum(replica.ledger.rolled_back_txns for replica in honest)
-    metrics.speculative_executions = sum(
-        replica.ledger.speculated_block_count for replica in honest
-    )
-    metrics.pruned_blocks = sum(replica.block_store.pruned_count for replica in honest)
-    metrics.messages_sent = stats.messages_sent
-
-
-def check_ledger_safety(replicas: Sequence[BaseReplica]) -> None:
-    """Verify that honest replicas' committed ledgers are prefixes of each other."""
-    honest = [replica for replica in replicas if not replica.behavior.is_byzantine]
-    chains = honest_committed_chains(replicas)
-    reference = max(chains, key=len, default=[])
-    for replica, chain in zip(honest, chains):
-        if chain != reference[: len(chain)]:
-            raise SafetyViolationError(
-                f"replica {replica.replica_id} committed a ledger that is not a prefix "
-                "of the longest honest ledger"
-            )

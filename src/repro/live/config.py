@@ -8,10 +8,10 @@ endpoint, and learns every peer's address from the rest — the live twin of
 the simulator's implicit "everyone knows everyone" topology.
 
 Regions are carried per endpoint so the emulated geography follows the
-deployment file, not the spec: the same config drives
-:meth:`link_delays_for`, which reuses the simulator's
-:class:`~repro.net.latency.GeoLatencyModel` RTT tables to produce the
-per-sender delay maps :meth:`AsyncTcpTransport.set_link_delays` installs.
+deployment file, not the spec: :meth:`DeploymentConfig.geo_model` places
+them in the simulator's :class:`~repro.net.latency.GeoLatencyModel`, whose
+RTT tables produce the per-sender delay maps
+:meth:`AsyncTcpTransport.set_link_delays` installs.
 """
 
 from __future__ import annotations
@@ -141,31 +141,26 @@ class DeploymentConfig:
         }
         return placement or None
 
-    def link_delays_for(self, node_id: int) -> Optional[Dict[int, float]]:
-        """Per-peer one-way delays (seconds) *node_id* should shape, or ``None``.
+    def geo_model(self):
+        """The :class:`~repro.net.latency.GeoLatencyModel` of this placement, or ``None``.
 
-        Uses the same RTT tables as the simulator's geo model so a
-        multi-process run reproduces the cross-region figures; the client
-        node's region defaults to ``client_region`` (or the simulator's
-        default when unset).
+        The same RTT tables as the simulator's geo model, so a multi-process
+        run reproduces the cross-region figures; the client node sits in
+        ``client_region`` (or the model's default when unset).
         """
         placement = self.regions()
         if placement is None:
             return None
         from repro.net.latency import GeoLatencyModel
 
-        kwargs = {}
-        if self.client_region is not None:
-            kwargs["default_region"] = self.client_region
-        model = GeoLatencyModel(placement, **kwargs)
-        node_ids = [endpoint.replica_id for endpoint in self.replicas]
-        node_ids.append(CLIENT_NODE_ID)
-        src_region = model.region_of(node_id)
-        return {
-            dst: model.one_way_ms(src_region, model.region_of(dst)) / 1000.0
-            for dst in node_ids
-            if dst != node_id
-        }
+        if self.client_region is None:
+            return GeoLatencyModel(placement)
+        return GeoLatencyModel(placement, default_region=self.client_region)
+
+    def link_delays_for(self, node_id: int) -> Optional[Dict[int, float]]:
+        """Per-peer one-way delays (seconds) *node_id* should shape, or ``None``."""
+        model = self.geo_model()
+        return None if model is None else model.link_delays(node_id, self.address_book())
 
     # --------------------------------------------------------------- serialize
     def to_dict(self) -> Dict:

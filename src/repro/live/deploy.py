@@ -1,4 +1,4 @@
-"""Live deployment harness: an n-replica localhost cluster plus load generator.
+"""Live deployment harness: the wall-clock run phases plus the in-process driver.
 
 :func:`run_live_experiment` is the wall-clock twin of
 :func:`repro.experiments.runner.run_experiment`: it takes the same
@@ -11,6 +11,14 @@ operations complete), and funnels the measurements through the identical
 rule is forked: speculation, slotting and commit logic run byte-for-byte the
 same code as in simulation.
 
+The phases that need sockets are written once here — :func:`serve`,
+:func:`poll`, :func:`close` — for every live placement: all nodes in this
+process (:func:`run_live_experiment`), or one replica / the client pool per
+process (:mod:`repro.live.procs`).  What a
+process does beyond its hosted nodes (trace-shard identity, wire events, the
+readiness barrier) follows from the address book naming endpoints it does
+not host, never from which driver called.
+
 Request dissemination follows the spec (see :mod:`repro.consensus.mempool`):
 the default is one shared in-process pool (perfect dissemination), while
 ``spec.distributed_mempool`` gives every replica its own pool fed by clients
@@ -19,38 +27,40 @@ delays on every transport from the same
 :class:`~repro.net.latency.GeoLatencyModel` tables the simulator uses, so the
 cross-region figures (8 e–h) reproduce over real sockets.  Consensus traffic —
 proposals, votes, certificates, client responses — always travels over real
-TCP.  Multi-*process* deployments build on this module in
-:mod:`repro.live.procs`.
+TCP.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional
+import contextlib
+import functools
+import time
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.consensus.client import CLIENT_POOL_NODE_ID, ClientPool
 from repro.consensus.messages import ClientRequest, ClientRequestBatch
-from repro.core.registry import client_quorum_for
-from repro.errors import ConfigurationError, ConsensusError
+from repro.consensus.replica import honest_committed_chains
+from repro.errors import ConfigurationError
 from repro.experiments.runner import (
+    Deployment,
     ExperimentSpec,
     RunResult,
-    aggregate_replica_counters,
-    assign_chaos_reporter,
-    attach_detector_alerts,
-    build_deployment,
-    build_replica_stores,
-    check_ledger_safety,
-    default_num_clients,
+    latency_model_for,
+    prepare,
+    report,
+    start,
+    verify,
 )
-from repro.faults.crashpoints import CrashPointInjector, CrashPointPlan
-from repro.faults.injector import ChaosController
-from repro.faults.plan import FaultPlan
 from repro.live.codec import wire_codec_scope
 from repro.live.runtime import LiveCluster, LiveNode, WallClock
 from repro.live.transport import AsyncTcpTransport
+from repro.net.latency import GeoLatencyModel
 from repro.net.network import NetworkStats
 from repro.sim.process import PeriodicTimer
+
+#: ``node id -> (host, port)`` for every node of a deployment.
+AddressBook = Dict[int, Tuple[str, int]]
 
 #: How often the measurement loop checks the stop conditions (seconds).  At
 #: live throughputs past ~10k tps a 20 ms poll overshoots a 1000-op target by
@@ -61,6 +71,10 @@ POLL_INTERVAL = 0.005
 #: Open-loop injection ticks are capped at this period; each tick submits
 #: however many transactions the target rate is behind by.
 MIN_INJECT_PERIOD = 0.005
+
+#: How long the readiness barrier waits for every endpoint hosted elsewhere
+#: to accept (seconds).
+READY_TIMEOUT = 20.0
 
 
 class LiveLoadGenerator(ClientPool):
@@ -179,41 +193,178 @@ class LiveLoadGenerator(ClientPool):
                 self.network.send(self.node_id, target, ClientRequestBatch(txns=tuple(txns)))
 
 
-def geo_link_delays(spec: ExperimentSpec) -> Optional[Dict[int, Dict[int, float]]]:
-    """Per-sender link-delay maps (seconds) emulating the spec's regions.
+def open_transports(
+    clock: WallClock, hosted: Sequence[int], book: Optional[AddressBook] = None
+) -> Dict[int, AsyncTcpTransport]:
+    """One unbound transport per hosted node id, at its *book* address.
 
-    Reuses the simulator's :class:`~repro.net.latency.GeoLatencyModel` tables
-    — replicas placed round-robin across ``spec.regions``, the client pool in
-    ``spec.client_region`` — so live and simulated geo runs shape the same
-    one-way delays.  Returns ``{sender id: {peer id: delay}}`` covering every
-    replica plus the client node, or ``None`` when no regions are configured.
+    Without an address book every node is hosted here, so each binds an
+    ephemeral localhost port and :func:`serve` builds the book afterwards.
     """
-    if not spec.regions:
-        return None
-    from repro.net.latency import GeoLatencyModel
-
-    placement = {
-        replica_id: spec.regions[replica_id % len(spec.regions)]
-        for replica_id in range(spec.n)
-    }
-    model = GeoLatencyModel(placement, default_region=spec.client_region)
-    node_ids = list(range(spec.n)) + [CLIENT_POOL_NODE_ID]
     return {
-        src: {
-            dst: model.one_way_ms(model.region_of(src), model.region_of(dst)) / 1000.0
-            for dst in node_ids
-            if dst != src
-        }
-        for src in node_ids
+        node_id: AsyncTcpTransport(node_id, clock, *(book[node_id] if book else ()))
+        for node_id in hosted
     }
 
 
-def merge_network_stats(transports) -> NetworkStats:
-    """Sum the per-node transport counters into one cluster-wide view."""
-    merged = NetworkStats()
-    for transport in transports:
-        merged.merge(transport.stats)
-    return merged
+async def _wait_for_endpoints(endpoints: Iterable[Tuple[str, int]]) -> None:
+    """Poll TCP-connect each endpoint until it accepts (readiness barrier)."""
+    deadline = time.monotonic() + READY_TIMEOUT
+    for host, port in endpoints:
+        while True:
+            try:
+                _, writer = await asyncio.open_connection(host, port)
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):
+                    pass
+                break
+            except (ConnectionError, OSError):
+                if time.monotonic() >= deadline:
+                    raise ConfigurationError(
+                        f"endpoint {host}:{port} did not come up within {READY_TIMEOUT}s"
+                    )
+                await asyncio.sleep(0.05)
+
+
+@contextlib.asynccontextmanager
+async def serve(
+    spec: ExperimentSpec,
+    clock: WallClock,
+    deployment: Deployment,
+    transports: Dict[int, AsyncTcpTransport],
+    book: Optional[AddressBook] = None,
+    geo: Optional[GeoLatencyModel] = None,
+):
+    """Phase 2: put the hosted nodes on the network, wait for everyone else's, start.
+
+    Binds the hosted transports, installs the address book (*book*, or the
+    ports just bound when every node is hosted here) and the per-link delays
+    *geo* derives, and starts one scrape server per hosted replica.  When the
+    book names endpoints hosted elsewhere, the trace shard gets this
+    process's identity, the transports record wire events for the
+    cross-process merge, and a barrier waits until every such endpoint
+    accepts — without it the first proposals of the run die in connect-retry
+    loops and the cluster opens with view changes.  Then the clock restarts
+    and the hosted nodes :func:`~repro.experiments.runner.start`.
+
+    Yields the scrape servers; leaving the context closes them and every
+    transport, whatever happened inside.
+    """
+    cluster = LiveCluster(clock, [LiveNode(node_id, t) for node_id, t in transports.items()])
+    scrape_servers: List = []
+    tracer = deployment.tracer
+    try:
+        peers = await cluster.start()
+        if book is not None:
+            peers = book
+            for transport in transports.values():
+                transport.set_peers(book)
+        if geo is not None:
+            for node_id, transport in transports.items():
+                transport.set_link_delays(geo.link_delays(node_id, peers))
+        if spec.scrape_port is not None:
+            from repro.obs.scrape import ReplicaTelemetry, ScrapeServer
+
+            for replica_id in sorted(set(transports) - {CLIENT_POOL_NODE_ID}):
+                telemetry = ReplicaTelemetry(
+                    replica_id,
+                    # Chaos restarts swap the instance in place; resolve on
+                    # every probe so the endpoint tracks the current one.
+                    lambda replica_id=replica_id: next(
+                        (r for r in deployment.replicas if r.replica_id == replica_id), None
+                    ),
+                    clock,
+                    tracer=tracer,
+                    transport=transports[replica_id],
+                    mempool=deployment.mempool_for(replica_id),
+                )
+                port = 0 if spec.scrape_port == 0 else spec.scrape_port + replica_id
+                scrape_servers.append(ScrapeServer(telemetry.routes(), port=port))
+                await scrape_servers[-1].start()
+        remote = [address for node_id, address in peers.items() if node_id not in transports]
+        if remote and tracer is not None:
+            # This shard's timestamps are on this process's clock; the merge
+            # needs to know whose (the client pool's when it is hosted here:
+            # its shard is the reference timeline).  With no client pool to
+            # open spans at submission they open at mempool admission.
+            tracer.node_id = min(transports)
+            if CLIENT_POOL_NODE_ID not in transports:
+                tracer.span_origin = "mempool"
+            for transport in transports.values():
+                transport.set_tracer(tracer)
+        await _wait_for_endpoints(remote)
+        # Building the deployment (workload zeta tables, threshold keys,
+        # replica stacks) and waiting at the barrier cost real time on the
+        # clock that also times the run; restart it so the measured window —
+        # and every fault-plan timestamp — begins when the protocol starts.
+        clock.reset_origin()
+        start(deployment)
+        yield scrape_servers
+    finally:
+        for server in scrape_servers:
+            await server.close()
+        await cluster.close()
+
+
+async def poll(
+    clock: WallClock,
+    deployment: Deployment,
+    until: float,
+    target_ops: Optional[int] = None,
+    alive: Optional[Callable[[], bool]] = None,
+) -> float:
+    """Phase 3: tick until *until*, *target_ops* completions or ``alive()`` turning false.
+
+    Returns the elapsed clock time.  The collector keeps an exact post-warmup
+    completion counter, so a tick reads one int instead of scanning the
+    sample list on the loop that is also running consensus.
+    """
+    tracer, metrics = deployment.tracer, deployment.metrics
+    while clock.now < until and (alive is None or alive()):
+        await asyncio.sleep(POLL_INTERVAL)
+        if tracer is not None:
+            # Close timeline buckets on wall time so the SLO detector fires
+            # during a stall and the streaming sink keeps flushing even when
+            # no event would advance the bucket cursor.
+            tracer.advance(clock.now)
+        if target_ops is not None and metrics.completed_count >= target_ops:
+            break
+    return clock.now
+
+
+def close(
+    deployment: Deployment, transports: Dict[int, AsyncTcpTransport], elapsed: float
+) -> Dict:
+    """Phase 4: end the measured window and snapshot the traffic counters.
+
+    The window closes first — completions recorded while the teardown drains
+    would otherwise inflate throughput past the window that was timed — and
+    the counters are read before any transport closes: teardown traffic does
+    not belong in the report (replica timers keep firing, post-close sends
+    count as drops) and closing destroys the per-peer connection state the
+    reconnect counts live on.
+    """
+    deployment.metrics.close_window(elapsed)
+    if deployment.client_pool is not None:
+        deployment.client_pool.stop()
+    stats = NetworkStats()
+    wire: Dict = {"batch_writes": 0, "batched_frames": 0, "reconnects": {}}
+    for transport in transports.values():
+        stats.merge(transport.stats)
+        counters = transport.wire_counters()
+        wire["batch_writes"] += counters["batch_writes"]
+        wire["batched_frames"] += counters["batched_frames"]
+        for peer_id, count in counters["reconnects"].items():
+            if count:
+                wire["reconnects"][peer_id] = wire["reconnects"].get(peer_id, 0) + count
+    return {**stats.as_dict(), **wire}
+
+
+def delivery_errors(transports: Dict[int, AsyncTcpTransport]) -> Dict[int, List[BaseException]]:
+    """What each hosted node's handlers raised, keyed by node id (for ``verify``)."""
+    return {node_id: transport.delivery_errors for node_id, transport in transports.items()}
 
 
 def run_live_experiment(
@@ -251,177 +402,31 @@ def run_live_experiment(
     # callbacks); scope it to the run so back-to-back experiments with
     # different codecs in one process never leak into each other.
     with wire_codec_scope(spec.codec):
-        return asyncio.run(
-            _run_live(
-                spec,
-                target_ops=target_ops,
-                rate=rate,
-                on_started=on_started,
-                max_outstanding=max_outstanding,
-            )
-        )
+        return asyncio.run(_run_live(spec, target_ops, rate, on_started, max_outstanding))
 
 
-async def _run_live(
-    spec: ExperimentSpec,
-    target_ops: Optional[int],
-    rate: Optional[float],
-    on_started: Optional[Callable[[Dict], None]] = None,
-    max_outstanding: Optional[int] = None,
-) -> RunResult:
+async def _run_live(spec, target_ops, rate, on_started, max_outstanding) -> RunResult:
+    """Full placement in one process: every replica plus the client pool."""
+    from repro.faults.live import LiveChaosAdapter  # local import: avoids cycle
+
     clock = WallClock(seed=spec.seed)
-    transports: Dict[int, AsyncTcpTransport] = {
-        replica_id: AsyncTcpTransport(replica_id, clock) for replica_id in range(spec.n)
-    }
-    client_transport = AsyncTcpTransport(CLIENT_POOL_NODE_ID, clock)
-    nodes = [LiveNode(node_id, transport) for node_id, transport in transports.items()]
-    nodes.append(LiveNode(CLIENT_POOL_NODE_ID, client_transport))
-    cluster = LiveCluster(clock, nodes)
-    await cluster.start()
-    link_delays = geo_link_delays(spec)
-    if link_delays is not None:
-        for node_id, transport in transports.items():
-            transport.set_link_delays(link_delays[node_id])
-        client_transport.set_link_delays(link_delays[CLIENT_POOL_NODE_ID])
-    scrape_servers: List = []
-
-    try:
-        plan = FaultPlan.from_dict(spec.faults) if spec.faults else None
-        crash_plan = (
-            CrashPointPlan.from_dict(spec.crash_points) if spec.crash_points else None
-        )
-        chaotic = plan is not None or crash_plan is not None
-        durable = chaotic or spec.storage_dir or spec.checkpoint_interval is not None
-        stores = build_replica_stores(spec) if durable else None
-        deployment = build_deployment(
-            spec,
-            clock,
-            lambda replica_id: transports[replica_id],
-            store_for=stores.__getitem__ if stores is not None else None,
-        )
-        replicas = deployment.replicas
-        metrics = deployment.metrics
-
-        # Building the deployment (workload zeta tables, threshold keys, n
-        # replica stacks) costs real wall-clock time on the loop that also
-        # times the run; restart the clock so the measured window — and every
-        # fault-plan timestamp — begins when the protocol starts, not when
-        # the process did.
-        clock.reset_origin()
-
-        controller: Optional[ChaosController] = None
-        if chaotic:
-            from repro.faults.live import LiveChaosAdapter  # local import: avoids cycle
-
-            avoid = set(plan.touched_replicas()) if plan is not None else set()
-            if crash_plan is not None:
-                avoid |= crash_plan.touched_replicas()
-            assign_chaos_reporter(deployment, avoid)
-            adapter = LiveChaosAdapter(clock, transports, deployment, stores)
-            controller = ChaosController(plan or FaultPlan(), clock, adapter)
-            controller.install()
-            if crash_plan is not None:
-                injector = CrashPointInjector(crash_plan, clock, controller)
-                injector.attach(replicas)
-
-        client_pool = LiveLoadGenerator(
-            sim=clock,
-            network=client_transport,
-            workload=deployment.workload,
-            config=deployment.config,
-            metrics=metrics,
-            num_clients=spec.num_clients or default_num_clients(spec, deployment.replica_class),
-            required_quorum=client_quorum_for(spec.protocol, deployment.config),
-            rate=rate,
-            max_outstanding=max_outstanding,
-            broadcast_requests=bool(spec.broadcast_requests),
-        )
-        client_pool.tracer = deployment.tracer
-
-        if spec.scrape_port is not None:
-            from repro.obs.scrape import ReplicaTelemetry, ScrapeServer
-
-            def _replica_provider(replica_id: int):
-                def provide():
-                    # Chaos restarts swap the instance in place; resolve on
-                    # every probe so the endpoint tracks the current one.
-                    return deployment.replicas[replica_id]
-
-                return provide
-
-            for replica_id in range(spec.n):
-                telemetry = ReplicaTelemetry(
-                    replica_id,
-                    _replica_provider(replica_id),
-                    clock,
-                    tracer=deployment.tracer,
-                    transport=transports[replica_id],
-                    mempool=deployment.mempool_for(replica_id),
-                )
-                port = 0 if spec.scrape_port == 0 else spec.scrape_port + replica_id
-                server = ScrapeServer(telemetry.routes(), port=port)
-                await server.start()
-                scrape_servers.append(server)
-
-        for replica in replicas:
-            replica.start()
-        client_pool.start()
+    hosted = [*range(spec.n), CLIENT_POOL_NODE_ID]
+    transports = open_transports(clock, hosted)
+    deployment = prepare(
+        spec,
+        clock,
+        transports.__getitem__,
+        hosted,
+        chaos_adapter=functools.partial(LiveChaosAdapter, clock, transports),
+        client_class=LiveLoadGenerator,
+        rate=rate,
+        max_outstanding=max_outstanding,
+    )
+    geo = latency_model_for(spec) if spec.regions else None
+    async with serve(spec, clock, deployment, transports, geo=geo) as scrape_servers:
         if on_started is not None:
             on_started({"scrape_ports": [server.port for server in scrape_servers]})
-
-        # The collector keeps an exact post-warmup completion counter, so the
-        # poll reads one int instead of scanning the sample list on the loop
-        # that is also running consensus.
-        tracer = deployment.tracer
-        while clock.now < spec.duration:
-            await asyncio.sleep(POLL_INTERVAL)
-            if tracer is not None:
-                # Close timeline buckets on wall time so the SLO detector
-                # fires during a stall and the streaming sink keeps flushing
-                # even when no event would advance the bucket cursor.
-                tracer.advance(clock.now)
-            if target_ops is not None and metrics.completed_count >= target_ops:
-                break
-        elapsed = clock.now
-        # Close the measurement window first: completions recorded while the
-        # teardown drains would otherwise inflate throughput past the window
-        # that was actually timed.
-        metrics.close_window(elapsed)
-        client_pool.stop()
-        # Snapshot traffic counters at the end of the measurement window, so
-        # the report excludes teardown traffic (replica timers keep firing
-        # until the transports close, and post-close sends count as drops).
-        # Wire counters must be read here too — closing the cluster destroys
-        # the per-peer connection state the reconnect counts live on.
-        stats = merge_network_stats(cluster.transports)
-        wire = cluster.wire_counters()
-    finally:
-        for server in scrape_servers:
-            await server.close()
-        await cluster.close()
-
-    errors = cluster.delivery_errors()
-    if errors:
-        raise ConsensusError(
-            f"live run hit {len(errors)} delivery error(s); first: {errors[0]!r}"
-        ) from errors[0]
-
-    aggregate_replica_counters(metrics, replicas, stats)
-    if spec.check_safety:
-        check_ledger_safety(replicas)
-    if deployment.tracer is not None:
-        deployment.tracer.finalize(elapsed)
-    summary = metrics.summarize(spec.protocol, elapsed)
-    network_stats = stats.as_dict()
-    network_stats.update(wire)
-    chaos = controller.report(replicas) if controller is not None else None
-    attach_detector_alerts(chaos, deployment.tracer)
-    return RunResult(
-        spec=spec,
-        summary=summary,
-        replicas=replicas,
-        client_pool=client_pool,
-        network_stats=network_stats,
-        chaos=chaos,
-        trace=deployment.tracer,
-    )
+        elapsed = await poll(clock, deployment, spec.duration, target_ops)
+        network_stats = close(deployment, transports, elapsed)
+    verify(spec, delivery_errors(transports), honest_committed_chains(deployment.replicas))
+    return report(spec, deployment, network_stats, elapsed)

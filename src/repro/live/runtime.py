@@ -123,19 +123,6 @@ class LiveCluster:
     def __init__(self, clock: WallClock, nodes: List[LiveNode]) -> None:
         self.clock = clock
         self.nodes = nodes
-        self._started = False
-
-    @property
-    def transports(self) -> List[AsyncTcpTransport]:
-        """Every node's transport, in node order."""
-        return [node.transport for node in self.nodes]
-
-    def transport_for(self, node_id: int) -> AsyncTcpTransport:
-        """The transport serving *node_id*."""
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node.transport
-        raise KeyError(node_id)
 
     async def start(self) -> Dict[int, Tuple[str, int]]:
         """Bind every server, then install the address book on every node."""
@@ -146,7 +133,6 @@ class LiveCluster:
         }
         for node in self.nodes:
             node.transport.set_peers(peers)
-        self._started = True
         return peers
 
     async def close(self) -> None:
@@ -160,30 +146,3 @@ class LiveCluster:
             await node.transport.close()
         for node in self.nodes:
             await node.transport.drain_readers()
-
-    def delivery_errors(self) -> List[BaseException]:
-        """Protocol exceptions raised inside ``deliver`` across all nodes."""
-        errors: List[BaseException] = []
-        for node in self.nodes:
-            errors.extend(node.transport.delivery_errors)
-        return errors
-
-    def wire_counters(self) -> Dict:
-        """Cluster-wide wire counters, merged across every node's transport.
-
-        ``batch_writes`` / ``batched_frames`` sum the write-coalescing
-        counters (PR 6); ``reconnects`` sums re-connections per *target*
-        peer.  Read before :meth:`close` — closing destroys the per-peer
-        connection state the reconnect counts live on.
-        """
-        totals: Dict = {"batch_writes": 0, "batched_frames": 0, "reconnects": {}}
-        for node in self.nodes:
-            counters = node.transport.wire_counters()
-            totals["batch_writes"] += counters["batch_writes"]
-            totals["batched_frames"] += counters["batched_frames"]
-            for peer_id, count in counters["reconnects"].items():
-                if count:
-                    totals["reconnects"][peer_id] = (
-                        totals["reconnects"].get(peer_id, 0) + count
-                    )
-        return totals

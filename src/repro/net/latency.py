@@ -13,7 +13,7 @@ Three models cover the paper's deployments:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.sim.rng import SeededRng
@@ -148,6 +148,20 @@ class GeoLatencyModel(LatencyModel):
     def sample(self, src: int, dst: int, rng: SeededRng) -> float:
         delay_ms = self.one_way_ms(self.region_of(src), self.region_of(dst))
         return delay_ms / 1000.0
+
+    def link_delays(self, src: int, node_ids: Iterable[int]) -> Dict[int, float]:
+        """One-way delays in seconds from *src* to every other node of *node_ids*.
+
+        The map a live transport shapes its outbound links with
+        (:meth:`~repro.live.transport.AsyncTcpTransport.set_link_delays`):
+        the same table lookup :meth:`sample` gives the simulated network.
+        """
+        src_region = self.region_of(src)
+        return {
+            dst: self.one_way_ms(src_region, self.region_of(dst)) / 1000.0
+            for dst in node_ids
+            if dst != src
+        }
 
     def describe(self) -> str:
         regions = sorted(set(self.placement.values()))

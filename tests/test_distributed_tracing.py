@@ -23,6 +23,11 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
+import tempfile
+import threading
+import time
+import urllib.request
 
 import pytest
 
@@ -51,6 +56,23 @@ from repro.obs.merge import (
 from repro.obs.trace import TraceRecorder, TxnSpan
 
 GEO_ORDER = ["virginia", "london", "hongkong", "saopaulo"]
+
+
+def _free_port_range(count: int) -> int:
+    """Base of *count* consecutive free localhost ports (scrape_port + replica_id)."""
+    for base in range(19470, 29470, 16):
+        sockets = []
+        try:
+            for offset in range(count):
+                sockets.append(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+                sockets[-1].bind(("127.0.0.1", base + offset))
+            return base
+        except OSError:
+            continue
+        finally:
+            for sock in sockets:
+                sock.close()
+    raise RuntimeError("no free port range for the scrape endpoints")
 
 
 def _all_message():
@@ -377,7 +399,7 @@ class TestCriticalPath:
 
 # ----------------------------------------------- real multi-process runs
 class TestMultiprocessTracing:
-    def test_geo_run_merges_into_wan_critical_path(self, tmp_path):
+    def test_geo_run_merges_into_wan_critical_path(self, tmp_path, monkeypatch):
         """The acceptance bar: a real 4-process geo deployment yields shards
         that merge into a skew-corrected timeline whose critical path shows
         virginia↔hongkong as the dominant network cost, with hotstuff-1's
@@ -386,9 +408,33 @@ class TestMultiprocessTracing:
             protocol="hotstuff-1", mode="live", n=4, batch_size=8,
             duration=8.0, warmup=1.0, seed=3, view_timeout=1.5,
             regions=list(GEO_ORDER), distributed_mempool=True, trace=True,
-            storage_dir=str(tmp_path / "wal"),
+            storage_dir=str(tmp_path / "wal"), scrape_port=_free_port_range(4),
         )
-        result = run_multiprocess_experiment(spec, rate=40.0, max_outstanding=200)
+        # A traced run keeps its scratch directory; keep that under tmp_path.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        # A replica process serves the same /metrics as an in-process replica,
+        # the tracer exposition included; scraped mid-run from a side thread.
+        scraped = {}
+
+        def scrape_replica_2():
+            url = f"http://127.0.0.1:{spec.scrape_port + 2}/metrics"
+            deadline = time.monotonic() + 30.0
+            while "body" not in scraped and time.monotonic() < deadline:
+                try:
+                    with urllib.request.urlopen(url, timeout=2.0) as response:
+                        scraped["body"] = response.read().decode()
+                except OSError:
+                    time.sleep(0.1)
+
+        scraper = threading.Thread(target=scrape_replica_2)
+        scraper.start()
+        try:
+            result = run_multiprocess_experiment(spec, rate=40.0, max_outstanding=200)
+        finally:
+            scraper.join(timeout=40.0)
+        assert not scraper.is_alive()
+        assert "repro_replica_up" in scraped["body"]
+        assert "repro_trace_spans_sampled" in scraped["body"]
         info = result.multiproc
         assert info["prefix_consistent"] is True
         assert info["replica_deaths"] == {}
@@ -400,6 +446,7 @@ class TestMultiprocessTracing:
         assert set(shards) == {"client", "r0", "r1", "r2", "r3"}
         for path in shards.values():
             assert os.path.isfile(path)
+            assert os.path.dirname(path) == info["workdir"]  # a traced run keeps its scratch dir
         for rid in range(4):
             assert os.path.isdir(tmp_path / "wal" / f"r{rid}")
 

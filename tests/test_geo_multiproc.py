@@ -19,15 +19,16 @@ from __future__ import annotations
 import asyncio
 import json
 import statistics
+import tempfile
 
 import pytest
 
 from repro.consensus.client import CLIENT_POOL_NODE_ID
 from repro.consensus.messages import FetchRequest
 from repro.errors import ConfigurationError, ConsensusError
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.experiments.runner import ExperimentSpec, latency_model_for, run_experiment
 from repro.live.config import CLIENT_NODE_ID, DeploymentConfig, ReplicaEndpoint
-from repro.live.deploy import geo_link_delays, run_live_experiment
+from repro.live.deploy import run_live_experiment
 from repro.live.procs import run_multiprocess_experiment, validate_multiprocess_spec
 from repro.live.runtime import LiveCluster, LiveNode, WallClock
 from repro.live.transport import AsyncTcpTransport
@@ -140,14 +141,21 @@ class TestMultiprocessSpecValidation:
 
 class TestLinkDelayShaping:
     def test_geo_link_delays_cover_replicas_and_client(self):
+        """The one derivation both placements shape their links with: the
+        spec's geo model (in-process) and the deployment document's
+        (multi-process) give the same per-sender maps."""
         spec = ExperimentSpec(protocol="hotstuff-1", mode="live", n=4,
                               regions=list(GEO_ORDER))
-        delays = geo_link_delays(spec)
+        model = latency_model_for(spec)
+        node_ids = [0, 1, 2, 3, CLIENT_POOL_NODE_ID]
+        delays = {src: model.link_delays(src, node_ids) for src in node_ids}
         va_hk = REGION_RTT_MS[frozenset(["virginia", "hongkong"])] / 2 / 1000.0
         assert delays[0][2] == pytest.approx(va_hk)
         assert delays[2][CLIENT_POOL_NODE_ID] == pytest.approx(va_hk)
-        assert geo_link_delays(ExperimentSpec(protocol="hotstuff-1",
-                                              mode="live", n=4)) is None
+        assert all(src not in delays[src] for src in node_ids)  # no self entry
+        config = DeploymentConfig.local(4, regions=spec.regions,
+                                        client_region=spec.client_region)
+        assert {src: config.link_delays_for(src) for src in node_ids} == delays
 
     def test_virginia_hongkong_p50_is_at_least_the_table_one_way(self):
         """Figures 8 e–h sanity: a shaped link really delays by RTT/2."""
@@ -288,6 +296,56 @@ class TestMultiprocessFailureVisibility:
         )
         with pytest.raises(ConsensusError, match=r"replica 2 .*injected handler failure"):
             run_multiprocess_experiment(spec, rate=100.0, max_outstanding=200)
+
+
+    def test_client_handler_exception_fails_the_run_naming_the_client(
+        self, tmp_path, monkeypatch
+    ):
+        """The coordinator's own transport is held to the same rule: an
+        exception in the client pool's response handling is a delivery error
+        of the client node, and verify fails the run on it."""
+        from repro.live.deploy import LiveLoadGenerator
+
+        original, fired = LiveLoadGenerator.deliver, []
+
+        def deliver(self, envelope):
+            original(self, envelope)
+            if not fired:
+                fired.append(True)
+                raise RuntimeError("injected client failure")
+
+        monkeypatch.setattr(LiveLoadGenerator, "deliver", deliver)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = ExperimentSpec(
+            protocol="hotstuff-1", mode="live", n=4, batch_size=8,
+            duration=2.0, warmup=0.2, seed=7, view_timeout=1.0,
+            distributed_mempool=True,
+        )
+        with pytest.raises(
+            ConsensusError, match=rf"client pool \(node {CLIENT_POOL_NODE_ID}\) .*injected client failure"
+        ):
+            run_multiprocess_experiment(spec, rate=100.0, max_outstanding=200)
+        assert fired
+        assert list(tmp_path.iterdir()) == []  # the failed run's scratch dir is gone too
+
+
+class TestMultiprocessScratchDirectory:
+    def test_untraced_run_leaves_no_scratch_directory(self, tmp_path, monkeypatch):
+        """Hand-off documents and result files are consumed by the run; only a
+        traced run keeps its directory (the trace shards live there — asserted
+        by test_distributed_tracing's 4-process geo run)."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = ExperimentSpec(
+            protocol="hotstuff-1", mode="live", n=4, batch_size=8,
+            duration=2.0, warmup=0.2, seed=7, view_timeout=1.0,
+            distributed_mempool=True,
+        )
+        result = run_multiprocess_experiment(spec, rate=100.0, max_outstanding=200)
+        assert result.multiproc["prefix_consistent"] is True
+        assert result.multiproc["workdir"] is None
+        assert result.multiproc["trace_shards"] is None
+        assert [entry.name for entry in tmp_path.iterdir()
+                if entry.name.startswith("repro-multiproc-")] == []
 
 
 class TestGeoSpeculationLead:
