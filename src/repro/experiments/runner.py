@@ -773,6 +773,7 @@ def prepare(
     hosted: Sequence[int],
     chaos_adapter=None,
     client_class=None,
+    latency: Optional[LatencyModel] = None,
     **client_args,
 ) -> Deployment:
     """Phase 1: build everything the *hosted* node ids need; schedule nothing.
@@ -781,7 +782,10 @@ def prepare(
     the hosted replica ids → chaos controller (``chaos_adapter(deployment,
     stores)`` supplies the substrate's adapter) → a ``client_class`` pool when
     :data:`CLIENT_POOL_NODE_ID` is hosted, built against
-    ``network_for(CLIENT_POOL_NODE_ID)`` with the substrate's *client_args*.
+    ``network_for(CLIENT_POOL_NODE_ID)`` with the substrate's *client_args*
+    and submitting to the replicas :func:`_client_targets` picks under
+    *latency* — the spec's link model unless the geography comes from
+    elsewhere (a coordinator's deployment document).
     :func:`start` arms what this returns.
     """
     replica_ids = [node_id for node_id in hosted if node_id != CLIENT_POOL_NODE_ID]
@@ -816,6 +820,9 @@ def prepare(
             num_clients=spec.num_clients or default_num_clients(spec, deployment.replica_class),
             required_quorum=client_quorum_for(spec.protocol, deployment.config),
             broadcast_requests=bool(spec.broadcast_requests),
+            target_replicas=_client_targets(
+                spec, latency_model_for(spec) if latency is None else latency
+            ),
             **client_args,
         )
         deployment.client_pool.tracer = deployment.tracer
@@ -954,7 +961,6 @@ def _run_sim(spec: ExperimentSpec) -> RunResult:
         [*range(spec.n), CLIENT_POOL_NODE_ID],
         chaos_adapter=functools.partial(SimChaosAdapter, sim, network),
         client_class=ClientPool,
-        target_replicas=_client_targets(spec, latency),
     )
     start(deployment)
     sim.run(until=spec.duration)
@@ -973,9 +979,10 @@ def _client_targets(spec: ExperimentSpec, latency: LatencyModel) -> Optional[Lis
         return None
     if not isinstance(latency, GeoLatencyModel):
         return None
+    client_region = latency.region_of(CLIENT_POOL_NODE_ID)
     local = [
         replica_id
         for replica_id in range(spec.n)
-        if latency.region_of(replica_id) == spec.client_region
+        if latency.region_of(replica_id) == client_region
     ]
     return local or None

@@ -8,6 +8,8 @@ concrete machines implement this with per-transaction undo records.
 
 from __future__ import annotations
 
+import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -39,14 +41,29 @@ class ExecutionResult:
 
     @staticmethod
     def of(txn: Transaction, success: bool, output: Any) -> "ExecutionResult":
-        """Build a result for *txn*, computing the matching digest."""
-        digest = hash_fields("result", txn.txn_id, success, output)
-        return ExecutionResult(txn_id=txn.txn_id, success=success, output=output, result_digest=digest)
+        """Build a result for *txn*, computing the matching digest.
+
+        The digest is ``hash_fields("result", txn_id, success, output)``; this
+        runs once per transaction on every replica, so the same bytes are
+        rendered by one f-string instead of a generator and a ``join``.
+        """
+        txn_id = txn.txn_id
+        rendered = f"'result'\x1f{txn_id!r}\x1f{success!r}\x1f{output!r}"
+        digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        return ExecutionResult(txn_id, success, output, digest)
+
+
+#: Old value recorded for a key the transaction created (undo removes it).
+_MISSING = object()
 
 
 @dataclass
 class UndoRecord:
-    """Inverse of an applied transaction, sufficient to restore prior state."""
+    """Inverse of an applied transaction, sufficient to restore prior state.
+
+    ``changes`` holds one ``(table_name, key, old_value)`` per write, in write
+    order; ``old_value`` is :data:`_MISSING` when the write created the key.
+    """
 
     txn_id: int
     changes: List[tuple]
@@ -101,26 +118,27 @@ class RecordingStateMachine(StateMachine):
     """
 
     def __init__(self) -> None:
-        self._tables: Dict[str, Dict[Any, Any]] = {}
+        # A table exists from its first access; an empty one is
+        # indistinguishable from an absent one (digests and snapshots skip it).
+        self._tables: Dict[str, Dict[Any, Any]] = defaultdict(dict)
         self._current_changes: Optional[List[tuple]] = None
 
     # -------------------------------------------------------------- plumbing
     def table(self, name: str) -> Dict[Any, Any]:
         """Return (creating if needed) the named table."""
-        return self._tables.setdefault(name, {})
+        return self._tables[name]
 
     def _write(self, table_name: str, key: Any, value: Any) -> None:
         """Write ``table[key] = value`` recording the previous value for undo."""
-        table = self.table(table_name)
-        if self._current_changes is not None:
-            had_key = key in table
-            old_value = table.get(key)
-            self._current_changes.append((table_name, key, had_key, old_value))
+        table = self._tables[table_name]
+        changes = self._current_changes
+        if changes is not None:
+            changes.append((table_name, key, table.get(key, _MISSING)))
         table[key] = value
 
     def _read(self, table_name: str, key: Any, default: Any = None) -> Any:
         """Read ``table[key]`` with a default."""
-        return self.table(table_name).get(key, default)
+        return self._tables[table_name].get(key, default)
 
     # ------------------------------------------------------------------- api
     def apply(self, txn: Transaction) -> ExecutionResult:
@@ -128,7 +146,7 @@ class RecordingStateMachine(StateMachine):
         return result
 
     def apply_with_undo(self, txn: Transaction) -> tuple:
-        self._current_changes = []
+        changes = self._current_changes = []
         try:
             success, output = self._execute(txn)
         except ExecutionError:
@@ -136,18 +154,16 @@ class RecordingStateMachine(StateMachine):
         except Exception as exc:  # pragma: no cover - defensive
             raise ExecutionError(f"transaction {txn.txn_id} failed: {exc}") from exc
         finally:
-            changes = self._current_changes or []
             self._current_changes = None
-        record = UndoRecord(txn_id=txn.txn_id, changes=changes)
-        return ExecutionResult.of(txn, success, output), record
+        return ExecutionResult.of(txn, success, output), UndoRecord(txn.txn_id, changes)
 
     def undo(self, record: UndoRecord) -> None:
-        for table_name, key, had_key, old_value in reversed(record.changes):
-            table = self.table(table_name)
-            if had_key:
-                table[key] = old_value
+        tables = self._tables
+        for table_name, key, old_value in reversed(record.changes):
+            if old_value is _MISSING:
+                tables[table_name].pop(key, None)
             else:
-                table.pop(key, None)
+                tables[table_name][key] = old_value
 
     def state_digest(self) -> str:
         parts = []
@@ -187,10 +203,13 @@ class RecordingStateMachine(StateMachine):
         return {"tables": payload_tables}
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
-        self._tables = {
-            name: {self._decode_key(key): value for key, value in items}
-            for name, items in payload.get("tables", {}).items()
-        }
+        self._tables = defaultdict(
+            dict,
+            {
+                name: {self._decode_key(key): value for key, value in items}
+                for name, items in payload.get("tables", {}).items()
+            },
+        )
         self._current_changes = None
 
     @classmethod

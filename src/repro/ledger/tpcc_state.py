@@ -8,6 +8,28 @@ self-contained TPC-C subset with the five standard transaction profiles
 district, customer, item, stock and order tables, with undo support so the
 speculative ledger can roll it back.
 
+Every profile costs O(rows it touches): no profile iterates, sorts or
+measures a table, so a transaction costs the same on the first order as on
+the hundred-thousandth.  The three read paths that would otherwise scan are
+served by secondary indexes, which are ordinary tables written through
+``_write`` — undo, rollback, snapshots and ``state_digest`` cover them
+like any other row:
+
+``customer_last_order[(w, d, c)] -> order_id``
+    written by NewOrder, read by OrderStatus;
+``delivery_cursor[(w, d)] -> order_id``
+    the oldest undelivered order of the district (absent: 1).  Order ids are
+    dense per district (an aborted NewOrder consumes none), so the order is
+    pending exactly when its row exists;
+``stock_qty[(w, quantity)] -> rows``
+    per-warehouse histogram of stock quantities, moved by each stock write
+    and summed below the threshold by StockLevel.  NewOrder's restock rule
+    keeps quantities within 10..100 for order lines of 1..10 units (others
+    abort the order), which bounds the buckets a StockLevel probes.
+
+Delivery follows TPC-C 2.7.4: it delivers the oldest undelivered order of
+each of the warehouse's ten districts and skips districts with none.
+
 The full TPC-C specification includes many details (C-last name generation,
 think times, terminal emulation) that do not affect consensus behaviour; what
 matters for the reproduction is that TPC-C transactions touch many records
@@ -28,6 +50,11 @@ DISTRICTS_PER_WAREHOUSE = 10
 CUSTOMERS_PER_DISTRICT = 30
 #: Items in the catalogue (scaled down from 100k).
 DEFAULT_ITEMS = 1000
+#: Largest quantity one order line may ask for (TPC-C: OL_QUANTITY is 1..10).
+_MAX_LINE_QUANTITY = 10
+#: Range NewOrder's restock rule keeps every stock quantity in.
+_MIN_STOCK_QUANTITY = 10
+_MAX_STOCK_QUANTITY = 100
 
 
 class TPCCStateMachine(RecordingStateMachine):
@@ -65,7 +92,12 @@ class TPCCStateMachine(RecordingStateMachine):
         for i_id in range(1, self.items + 1):
             item_table[i_id] = {"price": 1.0 + (i_id % 100) / 10.0, "name": f"item-{i_id}"}
             for w_id in range(1, self.warehouses + 1):
-                stock_table[(w_id, i_id)] = {"quantity": 100, "ytd": 0, "order_cnt": 0}
+                stock_table[(w_id, i_id)] = {
+                    "quantity": _MAX_STOCK_QUANTITY, "ytd": 0, "order_cnt": 0
+                }
+        stock_qty_table = self.table("stock_qty")
+        for w_id in range(1, self.warehouses + 1):
+            stock_qty_table[(w_id, _MAX_STOCK_QUANTITY)] = self.items
 
     @property
     def record_count(self) -> int:
@@ -74,59 +106,72 @@ class TPCCStateMachine(RecordingStateMachine):
 
     # -------------------------------------------------------------- execute
     def _execute(self, txn: Transaction) -> Tuple[bool, object]:
-        operation = txn.operation
-        handlers = {
-            "tpcc_new_order": self._new_order,
-            "tpcc_payment": self._payment,
-            "tpcc_order_status": self._order_status,
-            "tpcc_delivery": self._delivery,
-            "tpcc_stock_level": self._stock_level,
-        }
-        handler = handlers.get(operation)
+        handler = self._PROFILES.get(txn.operation)
         if handler is None:
-            raise ExecutionError(f"TPCCStateMachine cannot execute operation {operation!r}")
-        return handler(txn.payload)
+            raise ExecutionError(f"TPCCStateMachine cannot execute operation {txn.operation!r}")
+        return handler(self, txn.payload)
 
     # ------------------------------------------------------------ new order
     def _new_order(self, payload: Dict) -> Tuple[bool, object]:
+        write = self._write
         w_id = int(payload["w_id"])
         d_id = int(payload["d_id"])
         c_id = int(payload["c_id"])
         lines = payload.get("lines", [])
-        district = dict(self._read("district", (w_id, d_id)) or {})
-        if not district:
+        district = self._read("district", (w_id, d_id))
+        if district is None:
             return False, {"error": "missing district"}
         order_id = district["next_o_id"]
-        district["next_o_id"] = order_id + 1
-        self._write("district", (w_id, d_id), district)
 
+        # The per-line loop is most of a TPC-C run: probe the tables directly.
+        item_table = self.table("item")
+        stock_table = self.table("stock")
+        stock_qty_table = self.table("stock_qty")
         total_amount = 0.0
         for line in lines:
             i_id = int(line["i_id"])
             quantity = int(line.get("quantity", 1))
-            item = self._read("item", i_id)
-            if item is None:
-                # 1% of new-order transactions abort on an unused item id per spec.
+            item = item_table.get(i_id)
+            if item is None or not 1 <= quantity <= _MAX_LINE_QUANTITY:
+                # Aborts: an unused item id (1% of new-order transactions per
+                # spec) or a quantity that would take stock out of its range.
+                # The order id is only consumed below, once no line can abort.
                 return False, {"error": "invalid item", "order_id": order_id}
-            stock_key = (int(line.get("supply_w_id", w_id)), i_id)
-            stock = dict(self._read("stock", stock_key) or {"quantity": 100, "ytd": 0, "order_cnt": 0})
-            if stock["quantity"] >= quantity + 10:
-                stock["quantity"] -= quantity
+            supply_w_id = int(line.get("supply_w_id", w_id))
+            stock_key = (supply_w_id, i_id)
+            stock = stock_table.get(stock_key)
+            if stock is None:
+                stock = {"quantity": _MAX_STOCK_QUANTITY, "ytd": 0, "order_cnt": 0}
             else:
-                stock["quantity"] = stock["quantity"] - quantity + 91
-            stock["ytd"] += quantity
-            stock["order_cnt"] += 1
-            self._write("stock", stock_key, stock)
+                bucket = (supply_w_id, stock["quantity"])
+                write("stock_qty", bucket, stock_qty_table[bucket] - 1)
+            remaining = stock["quantity"] - quantity
+            if remaining < _MIN_STOCK_QUANTITY:
+                remaining += 91
+            write(
+                "stock",
+                stock_key,
+                {
+                    "quantity": remaining,
+                    "ytd": stock["ytd"] + quantity,
+                    "order_cnt": stock["order_cnt"] + 1,
+                },
+            )
+            bucket = (supply_w_id, remaining)
+            write("stock_qty", bucket, stock_qty_table.get(bucket, 0) + 1)
             total_amount += item["price"] * quantity
 
+        write("district", (w_id, d_id), dict(district, next_o_id=order_id + 1))
         order_key = (w_id, d_id, order_id)
-        self._write(
+        total = round(total_amount, 2)
+        write(
             "orders",
             order_key,
-            {"c_id": c_id, "line_count": len(lines), "total": round(total_amount, 2), "delivered": False},
+            {"c_id": c_id, "line_count": len(lines), "total": total, "delivered": False},
         )
-        self._write("new_orders", order_key, True)
-        return True, {"order_id": order_id, "total": round(total_amount, 2)}
+        write("new_orders", order_key, True)
+        write("customer_last_order", (w_id, d_id, c_id), order_id)
+        return True, {"order_id": order_id, "total": total}
 
     # -------------------------------------------------------------- payment
     def _payment(self, payload: Dict) -> Tuple[bool, object]:
@@ -151,52 +196,56 @@ class TPCCStateMachine(RecordingStateMachine):
 
     # --------------------------------------------------------- order status
     def _order_status(self, payload: Dict) -> Tuple[bool, object]:
-        w_id = int(payload["w_id"])
-        d_id = int(payload["d_id"])
-        c_id = int(payload["c_id"])
-        customer = self._read("customer", (w_id, d_id, c_id))
+        customer_key = (int(payload["w_id"]), int(payload["d_id"]), int(payload["c_id"]))
+        customer = self._read("customer", customer_key)
         if customer is None:
             return False, {"error": "missing customer"}
-        latest = None
-        orders = self.table("orders")
-        for (order_w, order_d, order_id), order in orders.items():
-            if order_w == w_id and order_d == d_id and order["c_id"] == c_id:
-                if latest is None or order_id > latest[0]:
-                    latest = (order_id, order)
         return True, {
             "balance": round(customer["balance"], 2),
-            "last_order": latest[0] if latest else None,
+            "last_order": self._read("customer_last_order", customer_key),
         }
 
     # -------------------------------------------------------------- delivery
     def _delivery(self, payload: Dict) -> Tuple[bool, object]:
         w_id = int(payload["w_id"])
         delivered = 0
-        new_orders = self.table("new_orders")
-        pending = sorted(key for key in new_orders if key[0] == w_id)
-        for key in pending[:DISTRICTS_PER_WAREHOUSE]:
-            order = dict(self._read("orders", key) or {})
-            if not order:
-                continue
-            order["delivered"] = True
-            self._write("orders", key, order)
+        for d_id in range(1, DISTRICTS_PER_WAREHOUSE + 1):
+            order_id = self._read("delivery_cursor", (w_id, d_id), 1)
+            key = (w_id, d_id, order_id)
+            order = self._read("orders", key)
+            if order is None:
+                continue  # nothing pending in this district
+            self._write("delivery_cursor", (w_id, d_id), order_id + 1)
+            self._write("orders", key, dict(order, delivered=True))
             self._write("new_orders", key, False)
-            customer_key = (key[0], key[1], order["c_id"])
-            customer = dict(self._read("customer", customer_key) or {})
-            if customer:
-                customer["balance"] += order.get("total", 0.0)
-                customer["delivery_cnt"] += 1
-                self._write("customer", customer_key, customer)
+            customer_key = (w_id, d_id, order["c_id"])
+            customer = self._read("customer", customer_key)
+            if customer is not None:
+                self._write(
+                    "customer",
+                    customer_key,
+                    dict(
+                        customer,
+                        balance=customer["balance"] + order["total"],
+                        delivery_cnt=customer["delivery_cnt"] + 1,
+                    ),
+                )
             delivered += 1
         return True, {"delivered": delivered}
 
     # ----------------------------------------------------------- stock level
     def _stock_level(self, payload: Dict) -> Tuple[bool, object]:
         w_id = int(payload["w_id"])
-        threshold = int(payload.get("threshold", 15))
+        threshold = min(int(payload.get("threshold", 15)), _MAX_STOCK_QUANTITY + 1)
         low = 0
-        stock_table = self.table("stock")
-        for (stock_w, _), stock in stock_table.items():
-            if stock_w == w_id and stock["quantity"] < threshold:
-                low += 1
+        for quantity in range(_MIN_STOCK_QUANTITY, threshold):
+            low += self._read("stock_qty", (w_id, quantity), 0)
         return True, {"low_stock": low}
+
+    _PROFILES = {
+        "tpcc_new_order": _new_order,
+        "tpcc_payment": _payment,
+        "tpcc_order_status": _order_status,
+        "tpcc_delivery": _delivery,
+        "tpcc_stock_level": _stock_level,
+    }

@@ -310,7 +310,8 @@ async def _run_coordinator(
     transports = open_transports(clock, [CLIENT_POOL_NODE_ID], book)
     deployment = prepare(
         spec, clock, transports.__getitem__, [CLIENT_POOL_NODE_ID],
-        client_class=LiveLoadGenerator, rate=rate, max_outstanding=max_outstanding,
+        client_class=LiveLoadGenerator, latency=config.geo_model(),
+        rate=rate, max_outstanding=max_outstanding,
     )
     tracer = deployment.tracer
     trace_shards: Optional[Dict[str, str]] = None

@@ -109,6 +109,43 @@ class TestRollbackAttack:
         # honest replica (allowing for blocks committed after the window closed).
         assert len(missing) <= attacked.spec.batch_size
 
+    def test_tpcc_state_and_indexes_survive_rollbacks(self):
+        # At n=4 one victim is all f allows, and it must not be the attacker's
+        # successor as leader (that replica collects the fork's votes).
+        spec = ExperimentSpec(
+            protocol="hotstuff-1",
+            n=4,
+            batch_size=20,
+            duration=0.3,
+            warmup=0.1,
+            seed=13,
+            behaviors={0: RollbackAttackBehavior(victims=[3], colluders=[0])},
+            view_timeout=0.01,
+            workload="tpcc",
+            check_safety=True,
+        )
+        attacked = run_experiment(spec)
+        assert attacked.summary.rollbacks > 0
+        # Clients finalise on n - f matching result digests, which the victim
+        # could not supply if a rolled-back block had left anything behind
+        # (TPC-C answers are read from index tables the undo log must cover).
+        assert attacked.summary.committed_txns > 0
+        honest = [replica for replica in attacked.replicas if not replica.behavior.is_byzantine]
+        assert max(replica.ledger.rollback_count for replica in honest) > 0
+        # Every honest replica's committed-only state is exactly what a fresh
+        # machine reaches by executing the committed chain up to that height.
+        longest = max((replica.ledger.committed.blocks() for replica in honest), key=len)
+        heights = {len(replica.ledger.committed) for replica in honest}
+        reference = attacked.client_pool.workload.make_state_machine()
+        digest_at = {}
+        for height, block in enumerate(longest, start=1):
+            reference.apply_batch(block.transactions)
+            if height in heights:
+                digest_at[height] = reference.state_digest()
+        for replica in honest:
+            _, digest = replica.ledger.snapshot_committed_state()
+            assert digest == digest_at[len(replica.ledger.committed)]
+
     def test_rollback_attack_degrades_throughput(self):
         clean = run_with_behaviors("hotstuff-1", {})
         behaviors = {0: RollbackAttackBehavior(victims=[2, 3], colluders=[0, 1]),

@@ -55,6 +55,45 @@ class TestRunner:
         assert set(result.client_pool.target_replicas) == {0, 2}
         assert result.summary.committed_txns > 0
 
+    def test_live_geo_spec_places_clients_near_local_replicas(self):
+        # The live twin of the test above: the same spec, over sockets, picks
+        # the same submission targets (they are derived once, in ``prepare``).
+        from repro.live.deploy import run_live_experiment
+
+        result = run_live_experiment(
+            ExperimentSpec(
+                protocol="hotstuff-1",
+                mode="live",
+                n=4,
+                batch_size=10,
+                duration=10.0,
+                warmup=0.05,
+                regions=["virginia", "london"],
+                view_timeout=2.0,
+            ),
+            target_ops=40,
+        )
+        assert set(result.client_pool.target_replicas) == {0, 2}
+        assert result.summary.committed_txns > 0
+
+    def test_broadcasting_clients_reach_every_region(self):
+        # A distributed mempool needs every request at every replica, so the
+        # co-location preference does not apply.
+        result = run_experiment(
+            ExperimentSpec(
+                protocol="hotstuff-1",
+                n=4,
+                batch_size=10,
+                duration=0.4,
+                warmup=0.1,
+                regions=["virginia", "london"],
+                view_timeout=0.5,
+                delta=0.05,
+                distributed_mempool=True,
+            )
+        )
+        assert set(result.client_pool.target_replicas) == {0, 1, 2, 3}
+
 
 class TestSpecValidation:
     def test_valid_spec_passes_and_chains(self):

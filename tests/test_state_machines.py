@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto.hashing import hash_fields
 from repro.errors import ExecutionError
 from repro.ledger.kvstore import KVStateMachine
+from repro.ledger.state_machine import ExecutionResult
 from repro.ledger.tpcc_state import TPCCStateMachine
 from repro.ledger.transaction import Transaction
 
@@ -62,6 +64,24 @@ class TestKVStateMachine:
         b = KVStateMachine()
         txn = write("user5", "same", txn_id=42)
         assert a.apply(txn).result_digest == b.apply(txn).result_digest
+
+    @pytest.mark.parametrize(
+        "txn_id, success, output, digest",
+        [
+            (42, True, {"written": "user5"},
+             "6190563c3b3c8e98f426f405c515bda76f320340c196596fb2867bddfaeaa350"),
+            (7, False, {"error": "invalid item", "order_id": 3},
+             "82ec9fc4fc91d2d6f5f30347af59b3e6ce88b35c372f2c8a1d9fda0489114002"),
+            (123456, True, {"order_id": 17, "total": 104.35},
+             "f4e32d3ac808d203b33a4f7ef5d73ea0448ca2f02c60f4d179c32aa5f0d86fac"),
+        ],
+    )
+    def test_result_digest_rendering_is_pinned(self, txn_id, success, output, digest):
+        # Clients match responses across replicas (and across versions of
+        # this code) by this digest: hash_fields("result", id, success, output).
+        txn = Transaction.create(1, "noop", {}, txn_id=txn_id)
+        result = ExecutionResult.of(txn, success, output)
+        assert result.result_digest == digest == hash_fields("result", txn_id, success, output)
 
     def test_eager_preload_materialises_records(self):
         machine = KVStateMachine(preload_records=10, eager_preload=True)
@@ -152,6 +172,25 @@ class TestTPCCStateMachine:
         digest_before = machine.state_digest()
         _, record = machine.apply_with_undo(self.new_order_txn())
         assert machine.state_digest() != digest_before
+        machine.undo(record)
+        assert machine.state_digest() == digest_before
+
+    @pytest.mark.parametrize(
+        "operation, payload",
+        [
+            ("tpcc_delivery", {"w_id": 1}),
+            ("tpcc_payment", {"w_id": 1, "d_id": 1, "c_id": 1, "amount": 12.5}),
+            ("tpcc_order_status", {"w_id": 1, "d_id": 1, "c_id": 1}),
+            ("tpcc_stock_level", {"w_id": 1, "threshold": 99}),
+        ],
+    )
+    def test_undo_restores_effects_of_every_profile(self, operation, payload):
+        machine = self.make_machine()
+        machine.apply(self.new_order_txn())  # something to deliver and report
+        digest_before = machine.state_digest()
+        result, record = machine.apply_with_undo(Transaction.create(1, operation, payload))
+        assert result.success
+        assert bool(record.changes) == (machine.state_digest() != digest_before)
         machine.undo(record)
         assert machine.state_digest() == digest_before
 
