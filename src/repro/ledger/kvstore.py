@@ -7,14 +7,21 @@ read-modify-writes so extended workload mixes also run.
 
 from __future__ import annotations
 
+import zlib
 from typing import Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.ledger.state_machine import RecordingStateMachine
-from repro.ledger.transaction import Transaction
+from repro.ledger.transaction import Transaction, declare_operation
 
 #: Table name used for all YCSB records.
 KV_TABLE = "usertable"
+
+# Payload schemas of the operations ``KVStateMachine._execute`` interprets.
+declare_operation("ycsb_write", 1, key="str", value="str")
+declare_operation("ycsb_read", 2, key="str")
+declare_operation("ycsb_rmw", 3, key="str", value="str")
+declare_operation("noop", 4)
 
 
 class KVStateMachine(RecordingStateMachine):
@@ -80,7 +87,9 @@ class KVStateMachine(RecordingStateMachine):
         if operation == "ycsb_rmw":
             key = payload["key"]
             value = self._read(KV_TABLE, key, self.default_value(0))
-            new_value = f"{payload['value']}|prev={hash(value) & 0xffff}"
+            # crc32, not hash(): str hashes are salted per process, and every
+            # replica process must write the same value.
+            new_value = f"{payload['value']}|prev={zlib.crc32(value.encode('utf-8')) & 0xffff}"
             self._write(KV_TABLE, key, new_value)
             return True, {"key": key, "value": new_value}
         if operation == "noop":

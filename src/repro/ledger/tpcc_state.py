@@ -42,7 +42,7 @@ from typing import Dict, Tuple
 
 from repro.errors import ExecutionError
 from repro.ledger.state_machine import RecordingStateMachine
-from repro.ledger.transaction import Transaction
+from repro.ledger.transaction import Transaction, declare_operation, record, seq
 
 #: Districts per warehouse (TPC-C standard).
 DISTRICTS_PER_WAREHOUSE = 10
@@ -55,6 +55,18 @@ _MAX_LINE_QUANTITY = 10
 #: Range NewOrder's restock rule keeps every stock quantity in.
 _MIN_STOCK_QUANTITY = 10
 _MAX_STOCK_QUANTITY = 100
+
+# Payload schemas of the five profiles (``TPCCStateMachine._PROFILES``), as
+# ``workloads/tpcc.py`` generates them.  An order line is a fixed-width record
+# (the declared widths are the narrow form; wider ints repack the lines as i64).
+declare_operation(
+    "tpcc_new_order", 16, w_id="uint", d_id="uint", c_id="uint",
+    lines=seq(record(i_id="u16", quantity="u8", supply_w_id="u8")),
+)
+declare_operation("tpcc_payment", 17, w_id="uint", d_id="uint", c_id="uint", amount="float")
+declare_operation("tpcc_order_status", 18, w_id="uint", d_id="uint", c_id="uint")
+declare_operation("tpcc_delivery", 19, w_id="uint")
+declare_operation("tpcc_stock_level", 20, w_id="uint", threshold="uint")
 
 
 class TPCCStateMachine(RecordingStateMachine):

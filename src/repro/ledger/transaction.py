@@ -4,12 +4,43 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.crypto.hashing import hash_fields
 from repro.types import Digest
 
 _TXN_COUNTER = itertools.count()
+
+#: Declared operations: name -> (opcode, payload fields as ``(key, kind)`` in
+#: payload order).  Plain data: each state machine declares the operations it
+#: interprets next to its ``_execute``, and the binary wire codec
+#: (:mod:`repro.live.layout` defines the kinds) compiles one layout per entry.
+OPERATION_SCHEMAS: Dict[str, Tuple[int, Tuple[Tuple[str, Any], ...]]] = {}
+
+
+def record(**fields: Any) -> Tuple:
+    """Kind of a dict with exactly these keys, in this order."""
+    return ("record", tuple(fields.items()))
+
+
+def seq(kind: Any) -> Tuple:
+    """Kind of a list of *kind*."""
+    return ("seq", kind, list)
+
+
+def declare_operation(name: str, opcode: int, **fields: Any) -> None:
+    """Declare operation *name*'s payload schema and its one-byte *opcode*.
+
+    The opcode is what every process puts on the wire for *name*, so it is an
+    explicit constant of the declaration (1..255, never reused; 0 marks a
+    transaction sent in the self-describing form), not an import order.
+    The codec compiles the declarations it finds when it is imported:
+    declare in a module :mod:`repro.ledger` imports.
+    """
+    taken = {code: other for other, (code, _) in OPERATION_SCHEMAS.items() if other != name}
+    if not 0 < opcode < 256 or opcode in taken:
+        raise ValueError(f"operation {name!r}: opcode {opcode} is out of range or taken by {taken.get(opcode)!r}")
+    OPERATION_SCHEMAS[name] = (opcode, tuple(fields.items()))
 
 
 @dataclass(frozen=True)

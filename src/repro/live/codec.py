@@ -13,13 +13,13 @@ wire as a length-prefixed frame:
       |                |  "a": sent_at, "m": {"__t": tag, ...}} |
       +----------------+----------------------------------------+
 
-* ``binary`` (binary wire versions 6–7) — one schema-compiled layout per
+* ``binary`` (binary wire versions 8–9) — one schema-compiled layout per
   type: a fixed envelope, a tag byte naming the message type, then the type's
   fields with no per-value type code::
 
       +----------------+----------------------------------------------+
       | 4-byte big-    | 0xB1 | version | sender i32 | receiver i32 | |
-      | endian length  | sent_at f64 | [send seq u64, version 7]    | |
+      | endian length  | sent_at f64 | [send seq u64, version 9]    | |
       |                | 0x80 + type index | the type's layout        |
       +----------------+----------------------------------------------+
 
@@ -74,11 +74,18 @@ wire as a length-prefixed frame:
   id did not fit, ids are i64, ``w`` = 8)::
 
       Transaction     width 1 | txn_id w | client_id w | submitted_at f64 |
-                      operation length u16 | payload items u16 (21 or 29 bytes),
-                      the operation's UTF-8, then per payload item: key length u8
-                      + UTF-8 (0xFF: the key follows as a ``value``), then the
-                      item as a ``value`` (``05`` + varint length + UTF-8 for a
-                      string)
+                      opcode u8 (18 or 26 bytes), then the payload as the
+                      record its operation declared
+                      (``repro.ledger.transaction.declare_operation``):
+                      ``ycsb_write`` is key ``str``, value ``str``;
+                      ``tpcc_new_order`` is w_id, d_id, c_id ``uint`` and the
+                      order lines as one packed array of (i_id u16, quantity u8,
+                      supply_w_id u8).  Opcode 0 is the escape (an undeclared
+                      operation, or a payload that is not exactly its record):
+                      operation length u16 | payload items u16, the operation's
+                      UTF-8, then per payload item: key length u8 + UTF-8
+                      (0xFF: the key follows as a ``value``), then the item as
+                      a ``value``
       ResponseEntry   txn_id w | client_id w | 32 raw digest bytes | flags u8
                       (41 or 49 bytes; flags 0x01 success, 0x02 the digest is not
                       64 lowercase hex chars and follows the records as a ``str``);
@@ -135,10 +142,9 @@ from repro.consensus.messages import (
 )
 from repro.crypto.threshold import SignatureShare, ThresholdSignature
 from repro.errors import ConfigurationError
-from repro.ledger.block import Block
-from repro.ledger.transaction import Transaction
+from repro.ledger import Block  # the package: both state machines declare their operations
+from repro.ledger.transaction import OPERATION_SCHEMAS, Transaction
 from repro.live.layout import (
-    B_STR,
     SCALAR_CODECS,
     Codec,
     CodecError,
@@ -150,8 +156,8 @@ from repro.live.layout import (
     _enc_raw_digest,
     _enc_str,
     _enc_value,
-    _read_uvarint,
     compile_layout,
+    compile_record,
     is_enum,
     opt,
     seq,
@@ -177,11 +183,12 @@ SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4, 5)
 #: tracing on — and an untraced run pays zero wire bytes for the v5 feature.
 UNTRACED_WIRE_VERSION = 4
 
-#: Binary envelope versions: 6 without trace context, 7 with the send
-#: sequence.  Versions 4 and 5 were the self-describing binary encoding this
-#: layout replaced; no deployed peer speaks them and their bodies are rejected.
-BINARY_WIRE_VERSION = 6
-BINARY_TRACED_WIRE_VERSION = 7
+#: Binary envelope versions: 8 without trace context, 9 with the send
+#: sequence.  Versions 4 and 5 were a self-describing binary encoding and 6 / 7
+#: carried every transaction payload self-described; no deployed peer speaks
+#: them and their bodies are rejected.
+BINARY_WIRE_VERSION = 8
+BINARY_TRACED_WIRE_VERSION = 9
 
 #: Codec names :func:`set_wire_codec` accepts.
 WIRE_CODECS = ("json", "binary")
@@ -307,22 +314,44 @@ def _dec(value: Any) -> Any:
 # batch) are laid out by hand.  Like a compiled header, each opens with a
 # width byte: 0 packs its ids as i32, 1 (when one does not fit) as i64.
 
-#: Transaction header: width, txn_id, client_id, submitted_at, operation byte
-#: length, payload item count; the operation and the payload items follow.
-_TXN_NARROW = struct.Struct(">BiidHH")
-_TXN_WIDE = struct.Struct(">BqqdHH")
+#: Transaction header: width, txn_id, client_id, submitted_at, opcode.  A
+#: non-zero opcode names a declared operation and its compiled payload record
+#: follows; opcode 0 is the escape: operation byte length, payload item count,
+#: the operation and the payload items in the self-describing form.
+_TXN_NARROW = struct.Struct(">BiidB")
+_TXN_WIDE = struct.Struct(">BqqdB")
+_TXN_TAGGED = struct.Struct(">HH")
 #: Payload keys are strings of < 255 UTF-8 bytes in every workload: they ride
 #: as a length byte + bytes; this length marks any other key, sent as a value.
 _TAGGED_KEY = 0xFF
+#: Compiled payload records: operation -> (opcode, encode), opcode -> (operation, decode).
+_OP_ENCODERS: Dict[str, Tuple[int, Callable[[Any, bytearray], None]]] = {}
+_OP_DECODERS: Dict[int, Tuple[str, Callable[[bytes, int], Tuple[Any, int]]]] = {}
+for _name, (_opcode, _fields) in OPERATION_SCHEMAS.items():
+    _encode, _decode = compile_record(_name, _fields, SCALAR_CODECS)
+    _OP_ENCODERS[_name] = (_opcode, _encode)
+    _OP_DECODERS[_opcode] = (_name, _decode)
+#: What a record encoder raises on a payload that is not exactly its schema:
+#: its own checks, an int beyond i64 in a record array, ``.encode`` of a non-str.
+_NOT_THE_SCHEMA = (CodecError, struct.error, AttributeError)
 
 
 def _enc_txn(txn: Transaction, buf: bytearray) -> None:
-    operation = txn.operation.encode("utf-8")
+    opcode, encode = _OP_ENCODERS.get(txn.operation, (0, None))
     payload = txn.payload
     try:
-        buf += _TXN_NARROW.pack(0, txn.txn_id, txn.client_id, txn.submitted_at, len(operation), len(payload))
+        buf += _TXN_NARROW.pack(0, txn.txn_id, txn.client_id, txn.submitted_at, opcode)
     except struct.error:
-        buf += _TXN_WIDE.pack(1, txn.txn_id, txn.client_id, txn.submitted_at, len(operation), len(payload))
+        buf += _TXN_WIDE.pack(1, txn.txn_id, txn.client_id, txn.submitted_at, opcode)
+    if opcode:
+        mark = len(buf)
+        try:
+            return encode(payload, buf)
+        except _NOT_THE_SCHEMA:  # the escape: same header, opcode 0
+            del buf[mark:]
+            buf[mark - 1] = 0
+    operation = txn.operation.encode("utf-8")
+    buf += _TXN_TAGGED.pack(len(operation), len(payload))
     buf += operation
     for key, item in payload.items():
         raw = key.encode("utf-8") if key.__class__ is str else None
@@ -332,28 +361,28 @@ def _enc_txn(txn: Transaction, buf: bytearray) -> None:
         else:
             buf.append(_TAGGED_KEY)
             _enc_value(key, buf)
-        if item.__class__ is str:  # _enc_value's string form, without the walk
-            raw = item.encode("utf-8")
-            buf.append(B_STR)
-            if len(raw) < 0x80:
-                buf.append(len(raw))
-            else:
-                _append_uvarint(buf, len(raw))
-            buf += raw
-        else:
-            _enc_value(item, buf)
+        _enc_value(item, buf)
 
 
 def _dec_txn(data: bytes, pos: int) -> Tuple[Transaction, int]:
     head = _TXN_WIDE if data[pos] else _TXN_NARROW
-    _, txn_id, client_id, submitted_at, size, count = head.unpack_from(data, pos)
+    _, txn_id, client_id, submitted_at, opcode = head.unpack_from(data, pos)
     pos += head.size
+    if opcode:
+        entry = _OP_DECODERS.get(opcode)
+        if entry is None:
+            raise CodecError(f"unknown operation code {opcode}")
+        operation, decode = entry
+        payload, pos = decode(data, pos)
+        return Transaction(txn_id, client_id, operation, payload, submitted_at), pos
+    size, count = _TXN_TAGGED.unpack_from(data, pos)
+    pos += _TXN_TAGGED.size
     end = pos + size
     operation = str(data[pos:end], "utf-8")
     pos = end
     if count > len(data) - pos:
         raise CodecError(f"payload count {count} exceeds the {len(data) - pos} bytes that follow")
-    payload: Dict[Any, Any] = {}
+    payload = {}
     for _ in range(count):
         size = data[pos]
         pos += 1
@@ -363,17 +392,7 @@ def _dec_txn(data: bytes, pos: int) -> Tuple[Transaction, int]:
             pos = end
         else:
             key, pos = _dec_value(data, pos)
-        if data[pos] == B_STR:
-            size = data[pos + 1]
-            if size < 0x80:
-                pos += 2
-            else:
-                size, pos = _read_uvarint(data, pos + 1)
-            end = pos + size
-            payload[key] = str(data[pos:end], "utf-8")
-            pos = end
-        else:
-            payload[key], pos = _dec_value(data, pos)
+        payload[key], pos = _dec_value(data, pos)
     return Transaction(txn_id, client_id, operation, payload, submitted_at), pos
 
 
@@ -652,36 +671,35 @@ def decode_message(data: bytes) -> Any:
 
 
 # The simulator asks for a size on *every* send; encoding a 100-transaction
-# block costs ~0.5 ms of real CPU, which would dominate simulated runs.  Two
-# messages of the same type and shape (same batch size, same payload weight,
-# same optional fields) differ by at most a few digit widths, so sizes are
-# computed exactly once per shape and reused.  The per-shape key functions
-# below capture the fields that change a message's size materially; batched
-# messages additionally key on a bucketed payload weight sampled from their
-# first transaction, so workloads with different payload sizes (YCSB value
-# sizes, TPC-C order-line counts) do not share cache entries.
-_PAYLOAD_BUCKET_BYTES = 32
+# block costs ~0.1 ms of real CPU, which would dominate simulated runs.  Two
+# messages of the same type and shape (same optional fields, same batch
+# composition) differ by at most a few digit widths — in the binary codec's
+# fixed-width records, by nothing — so sizes are computed exactly once per
+# shape and reused.  The per-shape key functions below capture the fields
+# that change a message's size; a batch is keyed on its length and, per
+# operation, how many of its transactions run it and their summed payload
+# weight, so a TPC-C proposal is charged for its own mix of profiles and
+# order lines, not for those of the first batch that began the same way.
+_SIZED = frozenset((str, list, tuple, dict))
 
 
-def _txn_weight(txn: Transaction) -> Tuple:
-    """Coarse size signature of one transaction's operation and payload."""
-    weight = sum(
-        len(key) if isinstance(key, str) else 8 for key in txn.payload
-    ) + sum(
-        len(value) if isinstance(value, str) else 8 * (len(value) if isinstance(value, (list, tuple, dict)) else 1)
-        for value in txn.payload.values()
-    )
-    return (txn.operation, weight // _PAYLOAD_BUCKET_BYTES)
+def _txn_weight(txn: Transaction) -> int:
+    """What varies in the size of one operation's payloads: the characters of
+    its strings and the items of its containers."""
+    return sum(len(value) for value in txn.payload.values() if value.__class__ in _SIZED)
 
 
 def _batch_weight(transactions: Tuple[Transaction, ...]) -> Tuple:
-    if not transactions:
-        return (0,)
-    return (len(transactions),) + _txn_weight(transactions[0])
+    mix: Dict[str, Tuple[int, int]] = {}
+    for txn in transactions:
+        count, weight = mix.get(txn.operation, (0, 0))
+        mix[txn.operation] = (count + 1, weight + _txn_weight(txn))
+    return tuple(sorted(mix.items()))
 
 
 _SHAPE_KEYS: Dict[Type, Callable[[Any], Tuple]] = {
-    ClientRequest: lambda m: _txn_weight(m.txn),
+    ClientRequest: lambda m: (m.txn.operation, _txn_weight(m.txn)),
+    ClientRequestBatch: lambda m: _batch_weight(m.txns),
     ClientResponseBatch: lambda m: (len(m.entries),),
     Propose: lambda m: _batch_weight(m.block.transactions) + (m.commit_cert is None,),
     FetchResponse: lambda m: _batch_weight(m.block.transactions),

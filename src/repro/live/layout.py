@@ -18,9 +18,16 @@ opt(T)    ``00`` for ``None``, else ``01`` + T
 seq(T)    varint count + items; ``seq("int")`` is one packed array behind a
           width byte (``00`` i32 items, ``01`` i64 items)
 T         a registered type nested in another: its own layout, no tag
-value     schemaless (transaction payloads, snapshot state): one type code per
+value     schemaless (unregistered payloads, snapshot state): one type code per
           value — ``00`` None, ``01`` True, ``02`` False, ``03`` zigzag varint
           int (≤ 10 bytes), ``04`` f64, ``05`` str, ``07`` list, ``08`` map
+uint      unsigned varint (≤ 10 bytes; below 128: the byte itself)
+record    a ``dict`` with exactly the declared keys in the declared order: the
+          fields' values in that order — no key names, no type codes.  A
+          ``float`` field is an f64.  ``seq(record(...))`` whose fields are
+          all fixed-width ints (``u8`` ``u16``) is a varint count, a
+          width byte and one packed array (``00``: the declared widths;
+          ``01``: every int as i64), read with one ``iter_unpack``
 ========  ====================================================================
 
 A type's layout is its *header* — every fixed-width field in declared order,
@@ -28,6 +35,19 @@ packed by one ``struct.Struct``, behind a width byte (``00`` = every int is
 i32, ``01`` = every int is i64) when it has ints — followed by its remaining
 fields in declared order.  A codec for a kind is a pair ``(encode(value,
 buf), decode(data, pos) -> (value, next_pos))``.
+
+Records carry transaction payloads.  Each state-machine operation declares
+its payload as a record and a one-byte *opcode*
+(``repro.ledger.transaction.declare_operation``); a transaction's header ends
+in that opcode and the compiled record follows — no operation string, no key
+names, no per-value codes.  The *escape rule*: opcode ``00`` is followed by the
+operation string and the payload in the self-describing ``value`` form, and
+is what an unregistered operation and any payload that is not *exactly* its
+record take.  A record encoder raises ``CodecError`` on anything else than a
+``dict`` of the declared keys in order whose values are of exactly the
+declared classes (``True`` is not ``1``, ``1`` is not ``1.0``) and in range,
+so what decodes is equal to what was encoded, value for value, and hashes to
+the same digest.
 
 Decoders index and slice without bounds checks: on a truncated buffer they
 either raise (``IndexError``, ``struct.error``, ``ValueError``) or return a
@@ -115,6 +135,22 @@ def _dec_str(data: bytes, pos: int) -> Tuple[str, int]:
     size, pos = _read_uvarint(data, pos)
     end = pos + size
     return str(data[pos:end], "utf-8"), end
+
+
+def _enc_uint(value: int, buf: bytearray) -> None:
+    if value.__class__ is not int or value < 0:
+        raise CodecError(f"{value!r} is not an unsigned int")
+    _append_uvarint(buf, value)
+
+
+def _enc_float(value: float, buf: bytearray) -> None:
+    if value.__class__ is not float:
+        raise CodecError(f"{value!r} is not a float")
+    buf += DOUBLE.pack(value)
+
+
+def _dec_float(data: bytes, pos: int) -> Tuple[float, int]:
+    return DOUBLE.unpack_from(data, pos)[0], pos + 8
 
 
 def _enc_raw_digest(text: str) -> Optional[bytes]:
@@ -246,6 +282,8 @@ def _dec_value(data: bytes, pos: int) -> Tuple[Any, int]:
 #: a copy with every registered type (and its record arrays).
 SCALAR_CODECS: Dict[Any, Codec] = {
     "str": (_enc_str, _dec_str),
+    "uint": (_enc_uint, _read_uvarint),
+    "float": (_enc_float, _dec_float),  # outside a header: strictly a float
     "digest": (_enc_digest, _dec_digest),
     "value": (_enc_value, _dec_value),
 }
@@ -299,6 +337,83 @@ def _seq_codec(encode: Callable, decode: Callable, into: Callable) -> Codec:
     return _enc_seq, _dec_seq
 
 
+#: Fixed-width (int) kinds of a record array and their narrow ``struct`` codes.
+_RECORD_FIXED = {"u8": "B", "u16": "H"}
+_INT = frozenset((int,))
+
+
+def _record_seq_codec(fields: Tuple[Tuple[str, str], ...], into: Callable) -> Codec:
+    """A sequence of dicts with the fixed-width *fields*, as one packed array."""
+    keys = tuple(name for name, _ in fields)
+    codes = "".join(_RECORD_FIXED[kind] for _, kind in fields)
+    wide_codes = "q" * len(keys)
+    sizes = (struct.calcsize(">" + codes), struct.calcsize(">" + wide_codes))
+    scope: Dict[str, Any] = {}
+    names = ", ".join(f"f{index}" for index in range(len(keys)))
+    items = ", ".join(f"{key!r}: f{index}" for index, key in enumerate(keys))
+    source = f"def _dec_rows(rows):\n    return [{{{items}}} for {names}, in rows]\n"
+    exec(compile(source, f"{__file__}:rows", "exec"), scope)
+    rows = scope["_dec_rows"]
+
+    def _enc_records(items: Any, buf: bytearray) -> None:
+        if items.__class__ is not into:
+            raise CodecError(f"records of {keys} are not in a {into.__name__}")
+        flat: List[Any] = []
+        for item in items:
+            if item.__class__ is not dict or tuple(item) != keys:
+                raise CodecError(f"record keys are not {keys}")
+            flat += item.values()
+        if not _INT.issuperset(map(type, flat)):  # struct would pack True as 1
+            raise CodecError(f"a value of record {keys} is not an int")
+        _append_uvarint(buf, len(items))
+        try:
+            buf += struct.pack(">B" + codes * len(items), 0, *flat)
+        except struct.error:
+            buf += struct.pack(">B" + wide_codes * len(items), 1, *flat)
+
+    def _dec_records(data: bytes, pos: int) -> Tuple[Any, int]:
+        count, pos = _dec_count(data, pos)
+        wide = data[pos]
+        end = pos + 1 + count * sizes[wide]  # any other width byte: IndexError
+        return into(rows(struct.iter_unpack(">" + (wide_codes if wide else codes), data[pos + 1 : end]))), end
+
+    return _enc_records, _dec_records
+
+
+def compile_record(tag: str, fields: Tuple[Tuple[str, Any], ...], codecs: Dict[Any, Codec]) -> Codec:
+    """Compile the codec of a ``dict`` with exactly the keys of *fields*, in
+    that order: flat source like :func:`compile_layout`, with ``uint`` and
+    ``str`` (the kinds of nearly every payload field) written out in place."""
+    keys = tuple(name for name, _ in fields)
+    scope: Dict[str, Any] = {"keys": keys, "CodecError": CodecError, "enc_uint": _enc_uint, "dec_uint": _read_uvarint}
+    names = "".join(f"f_{name}, " for name in keys)
+    enc_lines = ["if p.__class__ is not dict or tuple(p) != keys:", "    raise CodecError(f'payload keys are not {keys}')"]
+    enc_lines += [f"{names}= p.values()"] if keys else []
+    dec_lines: List[str] = []
+    for name, kind in fields:
+        if kind == "uint":  # one byte in every workload: append / index in place
+            enc_lines += [f"if f_{name}.__class__ is int and 0 <= f_{name} < 0x80:", f"    buf.append(f_{name})"]
+            enc_lines += ["else:", f"    enc_uint(f_{name}, buf)"]
+            dec_lines += [f"f_{name} = data[pos]", f"if f_{name} < 0x80:", "    pos += 1"]
+            dec_lines += ["else:", f"    f_{name}, pos = dec_uint(data, pos)"]
+        elif kind == "str":  # under 128 bytes in every workload
+            enc_lines += [f"f_{name} = f_{name}.encode('utf-8')", f"if len(f_{name}) < 0x80:", f"    buf.append(len(f_{name}))"]
+            enc_lines += ["else:", f"    enc_uint(len(f_{name}), buf)", f"buf += f_{name}"]
+            dec_lines += ["size = data[pos]", "if size < 0x80:", "    pos += 1", "else:", "    size, pos = dec_uint(data, pos)"]
+            dec_lines += [f"f_{name} = str(data[pos : pos + size], 'utf-8')", "pos += size"]
+        else:
+            scope[f"enc_{name}"], scope[f"dec_{name}"] = kind_codec(kind, codecs)
+            enc_lines.append(f"enc_{name}(f_{name}, buf)")
+            dec_lines.append(f"f_{name}, pos = dec_{name}(data, pos)")
+    source = (
+        f"def _enc_{tag}(p, buf):\n    " + "\n    ".join(enc_lines) + "\n"
+        f"def _dec_{tag}(data, pos):\n    " + "\n    ".join(dec_lines) + "\n"
+        f"    return {{{', '.join(f'{name!r}: f_{name}' for name in keys)}}}, pos\n"
+    )
+    exec(compile(source, f"{__file__}:{tag}", "exec"), scope)
+    return scope[f"_enc_{tag}"], scope[f"_dec_{tag}"]
+
+
 def kind_codec(kind: Any, codecs: Dict[Any, Codec]) -> Codec:
     """The codec of one variable-width *kind*; *codecs* holds the scalar
     kinds, the registered types and any sequence with a codec of its own."""
@@ -308,8 +423,14 @@ def kind_codec(kind: Any, codecs: Dict[Any, Codec]) -> Codec:
         raise TypeError(f"unknown wire kind {kind!r} (a nested type must be registered first)")
     if kind[0] == "opt":
         return _opt_codec(*kind_codec(kind[1], codecs))
+    if kind[0] == "record":
+        return compile_record("record", kind[1], codecs)
     _, item, into = kind
-    return _int_seq_codec(into) if item == "int" else _seq_codec(*kind_codec(item, codecs), into)
+    if item == "int":
+        return _int_seq_codec(into)
+    if isinstance(item, tuple) and item[0] == "record" and all(k in _RECORD_FIXED for _, k in item[1]):
+        return _record_seq_codec(item[1], into)
+    return _seq_codec(*kind_codec(item, codecs), into)
 
 
 # -------------------------------------------------------------------- layouts

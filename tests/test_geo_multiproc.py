@@ -258,6 +258,26 @@ class TestMultiprocessRun:
         assert all(chain == longest[: len(chain)] for chain in chains)
         assert live.summary.committed_txns > 0
 
+    def test_four_process_tpcc_cluster_agrees_on_operation_codes(self):
+        """The binary codec names an operation by a one-byte code and drops
+        its payload's key names; every `repro replica` child compiles those
+        layouts from its own imports.  A TPC-C run (five operations, nested
+        order lines) that commits and verifies across four of them proves
+        they agree — a child that disagreed would fail to decode a frame
+        (`delivery_errors` fails the run) or execute a different payload
+        (the committed prefixes' state would diverge)."""
+        spec = ExperimentSpec(
+            protocol="hotstuff-1", mode="live", n=4, batch_size=8, workload="tpcc", codec="binary",
+            duration=3.0, warmup=0.5, seed=11, view_timeout=1.0,
+            distributed_mempool=True, scrape_port=None,
+        )
+        result = run_multiprocess_experiment(spec, rate=150.0, max_outstanding=300)
+        info = result.multiproc
+        assert info["prefix_consistent"] is True
+        assert info["duplicate_commits"] == {}
+        assert min(info["committed_heights"].values()) > 0
+        assert result.summary.committed_txns > 100
+
 
 #: Dropped into a scratch directory that rides ``PYTHONPATH`` into the replica
 #: processes: replica 2's first delivery is handled normally and then raises,

@@ -30,9 +30,12 @@ from repro.checkpoint.snapshot import Snapshot
 from repro.crypto.threshold import ThresholdScheme
 from repro.experiments.report import format_network_breakdown
 from repro.ledger.block import Block, make_genesis_block
-from repro.ledger.transaction import Transaction
+from repro.ledger.transaction import OPERATION_SCHEMAS, Transaction
 from repro.live import codec, layout
+from repro.sim.rng import SeededRng
 from repro.types import NULL_DIGEST
+from repro.workloads.base import make_workload
+from tests.helpers import binary_round_trip
 
 
 def _fixture_objects():
@@ -208,12 +211,12 @@ class TestVersionSkew:
         # to what pre-v5 peers emit and accept.
         assert codec.UNTRACED_WIRE_VERSION == 4
         # Binary envelopes are numbered apart from the JSON ones, past the
-        # retired self-describing binary versions (4, 5).
-        assert (codec.BINARY_WIRE_VERSION, codec.BINARY_TRACED_WIRE_VERSION) == (6, 7)
+        # retired binary versions (4, 5: self-describing; 6, 7: tagged payloads).
+        assert (codec.BINARY_WIRE_VERSION, codec.BINARY_TRACED_WIRE_VERSION) == (8, 9)
 
 
 class TestBinaryCodec:
-    """Binary wire versions 6-7: the schema-compiled codec behind the same API."""
+    """Binary wire versions 8-9: the schema-compiled codec behind the same API."""
 
     def test_every_message_type_round_trips_in_binary(self):
         seen_types = set()
@@ -251,13 +254,14 @@ class TestBinaryCodec:
         assert codec.wire_codec() == "json"
         assert codec.decode_envelope_body(frame[4:]) == (0, 2, 0.5, message)
 
-    @pytest.mark.parametrize("retired", [4, 5])
+    @pytest.mark.parametrize("retired", [4, 5, 6, 7])
     def test_retired_binary_layout_rejected(self, retired):
         """Versions 4 and 5 were the self-describing binary encoding (varint
-        ids, then a 0x09 object): a body in that layout is refused by its
+        ids, then a 0x09 object), 6 and 7 spelled every transaction payload
+        out: a body in either layout is refused with an error naming its
         version (tests/test_properties.py restamps current frames)."""
         old_head = bytes((codec.BINARY_MAGIC, retired, 0, 4)) + layout.DOUBLE.pack(0.5)
-        with pytest.raises(codec.CodecError, match="version"):
+        with pytest.raises(codec.CodecError, match=f"version {retired}"):
             codec.decode_envelope_body(old_head + b"\x09\x06\x03\x02")
 
     def test_binary_peer_decodes_v1_v2_v3_json_frames(self):
@@ -418,7 +422,164 @@ class TestBinaryCodec:
         assert decoded == batches
         assert decoded[0].entries is decoded[1].entries  # one decode per block
 
+
+def _workload_txns(name, count, seed=1):
+    """The first *count* transactions of workload *name*'s seeded stream, with
+    ids from 0 (`Transaction.create` numbers them from a process-global
+    counter, and an id past i32 widens the header)."""
+    workload, rng = make_workload(name), SeededRng(seed).fork("clients")
+    txns = (workload.next_transaction(client_id=-1_000_000 - i % 7, rng=rng, now=0.5) for i in range(count))
+    return tuple(Transaction(i, t.client_id, t.operation, t.payload, t.submitted_at) for i, t in enumerate(txns))
+
+
+def _canonical_propose(name, count=100):
+    _, block, cert, _ = _fixture_objects()
+    body = Block.build(view=5, slot=2, parent_hash=block.parent_hash, proposer=1, transactions=_workload_txns(name, count))
+    return Propose(view=5, slot=2, block=body, justify=cert, commit_cert=cert)
+
+
+#: One payload per declared operation that is exactly its schema.
+_CONFORMING = {
+    "ycsb_write": {"key": "user17", "value": "v" * 64},
+    "ycsb_read": {"key": "k" * 300},
+    "ycsb_rmw": {"key": "", "value": "é"},
+    "noop": {},
+    "tpcc_new_order": {
+        "w_id": 2, "d_id": 10, "c_id": 3000,
+        "lines": [{"i_id": 100_000, "quantity": 10, "supply_w_id": 1}, {"i_id": 1, "quantity": 1, "supply_w_id": 2}],
+    },
+    "tpcc_payment": {"w_id": 1, "d_id": 1, "c_id": 30, "amount": 4999.99},
+    "tpcc_order_status": {"w_id": 1, "d_id": 2, "c_id": 3},
+    "tpcc_delivery": {"w_id": 2**40},
+    "tpcc_stock_level": {"w_id": 1, "threshold": 15},
+}
+
+
+class TestOperationSchemas:
+    """Declared operations ride as an opcode + their compiled record; anything
+    else takes opcode 0 and the self-describing form."""
+
+    def test_opcodes_are_the_declared_constants(self):
+        # What `repro replica` children must agree on without talking: a
+        # renumbering is a wire-format change (bump the envelope versions).
+        assert {name: opcode for name, (opcode, _) in OPERATION_SCHEMAS.items()} == {
+            "ycsb_write": 1, "ycsb_read": 2, "ycsb_rmw": 3, "noop": 4,
+            "tpcc_new_order": 16, "tpcc_payment": 17, "tpcc_order_status": 18,
+            "tpcc_delivery": 19, "tpcc_stock_level": 20,
+        }
+        assert set(_CONFORMING) == set(OPERATION_SCHEMAS)
+
+    @pytest.mark.parametrize("operation", sorted(_CONFORMING))
+    def test_conforming_payload_rides_its_opcode(self, operation):
+        txn = Transaction.create(client_id=-5, operation=operation, payload=_CONFORMING[operation], txn_id=2**40)
+        opcode, decoded = binary_round_trip(txn)
+        assert opcode == OPERATION_SCHEMAS[operation][0]
+        assert decoded.digest() == txn.digest()
+        assert repr(decoded.payload) == repr(txn.payload)  # classes and key order, not only ==
+
+    def test_workload_streams_never_take_the_escape(self):
+        for name in ("ycsb", "tpcc"):
+            assert 0 not in {binary_round_trip(txn)[0] for txn in _workload_txns(name, 300)}
+
+    @pytest.mark.parametrize(
+        "operation, payload",
+        [
+            ("unregistered", {"key": "a"}),
+            ("ycsb_write", {"key": "a"}),  # missing key
+            ("ycsb_write", {"key": "a", "value": "b", "ttl": 3}),  # extra key
+            ("ycsb_write", {"key": 40, "value": "b"}),  # not a str
+            ("ycsb_read", {1: "a"}),  # not a str key
+            ("noop", {"x": None}),
+            ("tpcc_delivery", {"w_id": True}),  # True is not 1
+            ("tpcc_delivery", {"w_id": -1}),
+            ("tpcc_payment", {"w_id": 1, "d_id": 1, "c_id": 1, "amount": 10}),  # 10 is not 10.0
+            ("tpcc_payment", {"d_id": 1, "w_id": 1, "c_id": 1, "amount": 1.5}),  # declared order
+            ("tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": [{"quantity": 1, "i_id": 1, "supply_w_id": 1}]}),
+            ("tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": [{"i_id": 1, "quantity": False, "supply_w_id": 1}]}),
+            ("tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": [{"i_id": 2**64, "quantity": 1, "supply_w_id": 1}]}),
+            ("tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": [{"i_id": 1, "quantity": 1}]}),
+            ("tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": [[1, 1, 1]]}),
+        ],
+    )
+    def test_any_other_payload_takes_the_escape_and_survives(self, operation, payload):
+        txn = Transaction.create(client_id=1, operation=operation, payload=payload, txn_id=9)
+        opcode, decoded = binary_round_trip(txn)
+        assert opcode == 0
+        assert decoded.digest() == txn.digest()
+
+    def test_a_tuple_of_lines_is_not_a_list_of_lines(self):
+        """The self-describing form has always decoded tuples as lists; the
+        record array must not make that a silent `list` either way."""
+        lines = ({"i_id": 1, "quantity": 1, "supply_w_id": 1},)
+        txn = Transaction.create(1, "tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": lines}, txn_id=9)
+        with codec.wire_codec_scope("binary"):
+            wire = codec.encode_message(ClientRequest(txn=txn))
+        assert wire[codec._TXN_NARROW.size] == 0
+
+    def test_order_lines_repack_as_i64_before_escaping(self):
+        lines = [{"i_id": -7, "quantity": 2**40, "supply_w_id": 300}]
+        txn = Transaction.create(1, "tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": lines}, txn_id=1)
+        assert binary_round_trip(txn)[0] == 16
+
+    def test_unknown_opcode_rejected(self):
+        txn = Transaction.create(client_id=1, operation="noop", txn_id=3)
+        with codec.wire_codec_scope("binary"):
+            data = bytearray(codec.encode_message(ClientRequest(txn=txn)))
+        assert data[-1] == 4  # a noop is its header
+        data[-1] = 0xEE
+        with pytest.raises(codec.CodecError, match="operation code 238"):
+            codec.decode_message(bytes(data))
+
+    def test_every_single_byte_corruption_decodes_or_raises_codec_error(self):
+        """Never IndexError / struct.error / UnicodeDecodeError, whichever byte
+        of a proposal (headers, opcodes, counts, width bytes, records) flips."""
+        with codec.wire_codec_scope("binary"):
+            wire = codec.encode_message(_canonical_propose("tpcc", count=12))
+        for position in range(len(wire)):
+            for flip in (0x01, 0x80, 0xFF):
+                damaged = bytearray(wire)
+                damaged[position] ^= flip
+                try:
+                    codec.decode_message(bytes(damaged))
+                except codec.CodecError:
+                    pass
+
+
+class TestWireSizeBudget:
+    """What a canonical proposal may weigh.  `bytes_per_op` is dominated by
+    transaction bodies (one copy per replica plus the request), so a layout
+    edit that grows them fails here, not in a ten-pair benchmark.  With every
+    payload spelled out (binary versions 6-7) these two proposals were 12119
+    (YCSB) and 17239 (TPC-C) bytes; they are 9619 and 4058."""
+
+    @pytest.mark.parametrize("workload, ceiling", [("ycsb", 9700), ("tpcc", 6000)])
+    def test_canonical_100_transaction_propose_fits_its_budget(self, workload, ceiling):
+        propose = _canonical_propose(workload)
+        with codec.wire_codec_scope("binary"):
+            wire = codec.encode_message(propose)
+            assert codec.decode_message(wire) == propose
+        assert len(wire) <= ceiling, f"{workload}: {len(wire)} B for 100 transactions"
+
+
 class TestEncodedSize:
+    def test_batches_are_charged_for_their_own_mix(self):
+        """A simulated run is charged what the live transport would write:
+        batches of different lengths and profile mixes never share a memoised
+        size (fixed-width records make the memo exact for TPC-C)."""
+        txns = _workload_txns("tpcc", 400)
+        _, block, cert, _ = _fixture_objects()
+        with codec.wire_codec_scope("binary"):  # resets the memo on entry
+            for start, length in [(0, 100), (100, 100), (200, 37), (237, 1), (238, 100), (338, 0), (338, 62)]:
+                batch = txns[start : start + length]
+                body = Block.build(view=5, slot=2, parent_hash=block.parent_hash, proposer=1, transactions=batch)
+                for message in (
+                    ClientRequestBatch(txns=batch),
+                    FetchResponse(block=body),
+                    Propose(view=5, slot=2, block=body, justify=cert),
+                ):
+                    expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
+                    assert codec.encoded_size(message) == expected, (type(message).__name__, start, length)
+
     def test_known_messages_are_sized_from_their_encoding(self):
         codec._size_cache.clear()  # other tests' runs may have seeded shapes
         for message in _all_messages():

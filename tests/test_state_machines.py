@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.crypto.hashing import hash_fields
@@ -30,6 +34,25 @@ class TestKVStateMachine:
         result = machine.apply(Transaction.create(1, "ycsb_rmw", {"key": "user2", "value": "new"}))
         assert result.success
         assert machine.read("user2").startswith("new")
+
+    def test_rmw_is_deterministic_across_processes(self):
+        """`repro replica` children each have their own `str` hash salt: what a
+        read-modify-write stores must not depend on it."""
+        script = (
+            "from repro.ledger.kvstore import KVStateMachine\n"
+            "from repro.ledger.transaction import Transaction\n"
+            "machine = KVStateMachine()\n"
+            "for i, key in enumerate(['user1', 'user2', 'user1']):\n"
+            "    machine.apply(Transaction.create(1, 'ycsb_rmw', {'key': key, 'value': f'v{i}'}, txn_id=i))\n"
+            "print(machine.state_digest(), machine.read('user1'))\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_unknown_operation_raises(self):
         machine = KVStateMachine()
