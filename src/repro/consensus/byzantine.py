@@ -21,9 +21,12 @@ confined to the last slot of the previous view.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.consensus.certificates import Certificate
+from repro.consensus.messages import ClientResponseBatch, ResponseEntry
+from repro.crypto.hashing import hash_text
 
 
 class ReplicaBehavior:
@@ -73,6 +76,10 @@ class ReplicaBehavior:
         certificates.
         """
         return False
+
+    def outgoing_response(self, replica, batch: ClientResponseBatch) -> ClientResponseBatch:
+        """The response batch the replica sends its clients (honest: as built)."""
+        return batch
 
 
 class HonestBehavior(ReplicaBehavior):
@@ -184,6 +191,38 @@ class RollbackAttackBehavior(ReplicaBehavior):
 
     def votes_unsafely(self, replica, proposal) -> bool:
         return not replica.supports_slotting
+
+
+class ForgedResponseBehavior(ReplicaBehavior):
+    """Follows the protocol among replicas but mis-states results to clients,
+    in each way block-level result roots allow (colluders share a *mode*, so
+    their votes add up — to at most ``f``): ``foreign-txn`` appends an entry
+    for a transaction of the block's *child* (pending at the client, executed
+    by nobody yet) to the honest batch; ``flip-success`` inverts every success
+    bit under the honest root; ``own-root`` puts the honest entries under a
+    root of its own; ``entry-digest`` sets the reserved per-entry digest.
+    None finalises anything (:mod:`repro.consensus.client`, "Matching responses").
+    """
+
+    name = "forged-response"
+    is_byzantine = True
+    MODES = ("foreign-txn", "flip-success", "own-root", "entry-digest")
+
+    def __init__(self, mode: str) -> None:
+        if mode not in self.MODES:
+            raise ValueError(f"unknown forgery mode {mode!r}; available: {self.MODES}")
+        self.mode = mode
+
+    def outgoing_response(self, replica, batch: ClientResponseBatch) -> ClientResponseBatch:
+        forge = dataclasses.replace
+        if self.mode == "own-root":
+            return forge(batch, results_root=hash_text("forged:" + batch.results_root))
+        if self.mode == "foreign-txn":
+            pending = [txn for child in replica.block_store.children_of(batch.block_hash) for txn in child.transactions]
+            return forge(batch, entries=batch.entries + tuple(ResponseEntry(t.txn_id, t.client_id) for t in pending[:1]))
+        if self.mode == "flip-success":
+            return forge(batch, entries=tuple(forge(entry, success=not entry.success) for entry in batch.entries))
+        return forge(batch, entries=tuple(forge(entry, result_digest=batch.results_root) for entry in batch.entries))
 
 
 #: Backwards-compatible alias used by earlier revisions of the scenarios.

@@ -12,12 +12,41 @@ submits it to a replica over the network (one hop), collects responses (one
 hop each), applies the quorum rule, records latency, and immediately issues
 its next request.  A retry timer resubmits requests whose block was abandoned
 by a faulty leader (tail-forking) so the system never deadlocks.
+
+Matching responses
+------------------
+A replica answers a block with one :class:`ClientResponseBatch`: the block
+hash, one ``results_root`` and, per transaction, its id and success bit.
+
+* **What the root covers.**  ``results_root = combine_digests([block_hash,
+  *result digests in block order])``, each result digest a hash of ``(txn_id,
+  success, output)``: the block and the outcome of every transaction in it.
+* **Honest replicas agree on the root iff they agree on every entry.**  The
+  block hash fixes the whole ancestry and execution is deterministic, so
+  replicas that executed the same block computed the same results and root;
+  equal roots mean (collision resistance) the same block and result list.
+  One root says strictly more than a digest per transaction.
+* **Counting stays per transaction.**  The matching key of a response for
+  transaction *t* is everything the batch states about it — ``(block_hash,
+  results_root, entry.result_digest, entry.success)`` — and a replica counts
+  for *t* only if its *own* batch lists *t*.  A key reaches the quorum
+  (``n - f`` speculative, ``f + 1`` committed) only with an honest replica in
+  it, which lists *t* under a root only if *t* is in that block with that
+  outcome.  A faulty replica keeps exactly the power it had with a digest per
+  transaction: add its one vote to a key honest replicas also state, or state
+  anything else (a foreign transaction, a flipped success bit, its own root,
+  a per-entry digest) and gather at most ``f`` votes there.
+* **Rollback and tail-forking attacks change nothing.**  A victim of
+  :class:`~repro.consensus.byzantine.RollbackAttackBehavior` or
+  :class:`~repro.consensus.byzantine.TailForkingBehavior` speculated a block
+  the rest never execute; its speculative root counts only towards that
+  block's key, as its per-transaction digests did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.consensus.config import ProtocolConfig
 from repro.consensus.messages import ClientRequest, ClientResponseBatch
@@ -41,8 +70,8 @@ class OutstandingRequest:
     logical_client: int
     submitted_at: float
     last_sent_at: float
-    responders: Dict[Tuple[str, str], Set[int]] = field(default_factory=dict)
-    speculative_seen: bool = False
+    #: Matching key -> the replicas that stated it -> whether speculatively.
+    responders: Dict[Tuple[str, str, str, bool], Dict[int, bool]] = field(default_factory=dict)
 
 
 class ClientPool:
@@ -143,32 +172,30 @@ class ClientPool:
 
     # ------------------------------------------------------------- responses
     def _handle_response_batch(self, batch: ClientResponseBatch) -> None:
+        block_hash, root = batch.block_hash, batch.results_root
+        replica_id, speculative = batch.replica_id, batch.speculative
         for entry in batch.entries:
             request = self.outstanding.get(entry.txn_id)
             if request is None:
                 continue
-            key = (batch.block_hash, entry.result_digest)
-            responders = request.responders.setdefault(key, set())
-            responders.add(batch.replica_id)
-            if batch.speculative:
-                request.speculative_seen = True
+            key = (block_hash, root, entry.result_digest, entry.success)
+            responders = request.responders.setdefault(key, {})
+            responders[replica_id] = speculative or responders.get(replica_id, False)
             if len(responders) >= self.required_quorum:
-                self._complete(request, speculative=batch.speculative)
+                # Speculative iff the quorum that finalised it holds a
+                # speculative response: a stray one under another key is not.
+                self._complete(request, speculative=any(responders.values()))
 
     def _complete(self, request: OutstandingRequest, speculative: bool) -> None:
         self.outstanding.pop(request.txn.txn_id, None)
         self.completed_count += 1
         if self.tracer is not None:
-            self.tracer.txn_responded(
-                request.txn.txn_id,
-                request.submitted_at,
-                speculative or request.speculative_seen,
-            )
+            self.tracer.txn_responded(request.txn.txn_id, request.submitted_at, speculative)
         self.metrics.record_completion(
             txn_id=request.txn.txn_id,
             submitted_at=request.submitted_at,
             completed_at=self.sim.now,
-            speculative=speculative or request.speculative_seen,
+            speculative=speculative,
         )
         self._after_completion(request)
 

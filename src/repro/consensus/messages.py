@@ -44,12 +44,17 @@ class ClientRequestBatch:
 
 @dataclass(frozen=True)
 class ResponseEntry:
-    """Per-transaction part of a :class:`ClientResponseBatch`."""
+    """Per-transaction part of a :class:`ClientResponseBatch`.
+
+    The transaction's result is covered by the batch's ``results_root``;
+    ``result_digest`` stays :data:`NULL_DIGEST` in what replicas send and is
+    reserved for a per-transaction proof against the root.
+    """
 
     txn_id: int
     client_id: int
-    result_digest: str
-    success: bool
+    result_digest: str = NULL_DIGEST
+    success: bool = True
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,10 @@ class ClientResponseBatch:
 
     ``speculative`` distinguishes early finality confirmations (HotStuff-1's
     commit-votes with speculative results) from post-commit responses.
+    ``results_root`` is ``combine_digests([block_hash, *result digests in
+    block order])``: one digest over the whole block's execution, which is
+    what clients match across replicas (:mod:`repro.consensus.client`,
+    "Matching responses").
     """
 
     replica_id: int
@@ -66,6 +75,7 @@ class ClientResponseBatch:
     block_hash: str
     speculative: bool
     entries: Tuple[ResponseEntry, ...]
+    results_root: str = NULL_DIGEST
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from repro.consensus.messages import (
 )
 from repro.consensus.metrics import MetricsCollector
 from repro.consensus.pacemaker import Pacemaker
+from repro.crypto.hashing import combine_digests
 from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
 from repro.ledger.speculative import CommitOutcome, SpeculativeLedger
@@ -293,23 +294,23 @@ class BaseReplica:
         """
         if not block.transactions or not results:
             return
-        entries = tuple(
-            ResponseEntry(
-                txn_id=result.txn_id,
-                client_id=txn.client_id,
-                result_digest=result.result_digest,
-                success=result.success,
-            )
-            for txn, result in zip(block.transactions, results)
-        )
         batch = ClientResponseBatch(
             replica_id=self.replica_id,
             view=block.view,
             slot=block.slot,
             block_hash=block.block_hash,
             speculative=speculative,
-            entries=entries,
+            entries=tuple(
+                ResponseEntry(txn_id=result.txn_id, client_id=txn.client_id, success=result.success)
+                for txn, result in zip(block.transactions, results)
+            ),
+            # One digest for the block's whole execution (each result digest
+            # binds its txn id, success and output) instead of one per entry.
+            results_root=combine_digests(
+                [block.block_hash, *[result.result_digest for result in results]]
+            ),
         )
+        batch = self.behavior.outgoing_response(self, batch)
         for client_node in self.client_node_ids:
             if delay > 0:
                 self.sim.schedule(delay, self.send, client_node, batch)

@@ -230,7 +230,7 @@ class ExperimentSpec:
     codec: str = knob(
         "json", group="core", flags=("--codec",), choices=("json", "binary"),
         help="wire codec: json (debuggable, wire versions 1-5) or binary (per-type struct layouts, "
-             "versions 8-9, 2-3x smaller frames); applies to live sockets and to the simulator's "
+             "versions 10-11, 2-3x smaller frames); applies to live sockets and to the simulator's "
              "byte accounting alike, decoding always accepts both",
     )
     pipeline_depth: int = knob(

@@ -13,13 +13,13 @@ wire as a length-prefixed frame:
       |                |  "a": sent_at, "m": {"__t": tag, ...}} |
       +----------------+----------------------------------------+
 
-* ``binary`` (binary wire versions 8–9) — one schema-compiled layout per
+* ``binary`` (binary wire versions 10–11) — one schema-compiled layout per
   type: a fixed envelope, a tag byte naming the message type, then the type's
   fields with no per-value type code::
 
       +----------------+----------------------------------------------+
       | 4-byte big-    | 0xB1 | version | sender i32 | receiver i32 | |
-      | endian length  | sent_at f64 | [send seq u64, version 9]    | |
+      | endian length  | sent_at f64 | [send seq u64, version 11]   | |
       |                | 0x80 + type index | the type's layout        |
       +----------------+----------------------------------------------+
 
@@ -45,7 +45,8 @@ wire as a length-prefixed frame:
       ClientRequest        —                                       txn Transaction
       ClientRequestBatch   —                                       txns seq(Transaction)
       ClientResponseBatch  1 + replica_id w, view w, slot w,       block_hash 33, entries
-                           speculative 1                           seq(ResponseEntry)
+                           speculative 1                           seq(ResponseEntry) (columns,
+                                                                   below), results_root 33
       Propose              1 + view w, slot w                      block, justify Certificate,
                                                                    commit_cert opt(Certificate),
                                                                    carry_hash 33
@@ -69,9 +70,10 @@ wire as a length-prefixed frame:
       SnapshotRequest      1 + requester w, have_height w          —
       SnapshotResponse     1 + responder w                         snapshot opt(Snapshot)
 
-  The two shapes that carry the traffic are records laid out by hand, each
-  behind a width byte of its own (``00``: ids are i32, ``w`` = 4; ``01``: an
-  id did not fit, ids are i64, ``w`` = 8)::
+  The two shapes that carry the traffic are laid out by hand: a transaction is
+  a record behind a width byte of its own (``00``: ids are i32, ``w`` = 4;
+  ``01``: an id did not fit, ids are i64, ``w`` = 8), the entries of a response
+  batch are columns, and a column is a constant or a packed array::
 
       Transaction     width 1 | txn_id w | client_id w | submitted_at f64 |
                       opcode u8 (18 or 26 bytes), then the payload as the
@@ -86,11 +88,18 @@ wire as a length-prefixed frame:
                       UTF-8, then per payload item: key length u8 + UTF-8
                       (0xFF: the key follows as a ``value``), then the item as
                       a ``value``
-      ResponseEntry   txn_id w | client_id w | 32 raw digest bytes | flags u8
-                      (41 or 49 bytes; flags 0x01 success, 0x02 the digest is not
-                      64 lowercase hex chars and follows the records as a ``str``);
-                      a sequence is a varint count + width 1 + the packed records,
-                      all of one width
+      ResponseEntry   a sequence is a varint count and (count > 0) the varint
+                      byte size of its four columns, then the columns:
+                      txn_id, client_id — width 1 | first id i64 | every next
+                      id as its difference from the one before, all i8 (width
+                      ``00``), i16 (``01``) or i32 (``02``); width ``03`` is
+                      the ids themselves, i64 each.  success — ``00`` (all
+                      succeeded) or ``01`` + a bitmap of ceil(count / 8) bytes.
+                      result_digest — ``00`` (all null: the result rides in the
+                      batch's ``results_root``), ``01`` + the one ``digest``
+                      all have, or ``02`` + a ``digest`` per entry.  A
+                      replica's 100-entry batch is 401 bytes, tag to root (3.2
+                      per entry; 41 as fixed records before binary version 10)
 
 Receivers sniff the first body byte (``{`` versus ``0xB1``), so a cluster
 mid-upgrade decodes both formats regardless of which codec it emits; the
@@ -114,10 +123,12 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
+import operator
 import struct
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.checkpoint.snapshot import Snapshot
 from repro.consensus.certificates import CertKind, Certificate
@@ -151,17 +162,18 @@ from repro.live.layout import (
     UnknownWireTypeError,
     _append_uvarint,
     _dec_count,
-    _dec_str,
+    _dec_digest,
     _dec_value,
-    _enc_raw_digest,
-    _enc_str,
+    _enc_digest,
     _enc_value,
+    _read_uvarint,
     compile_layout,
     compile_record,
     is_enum,
     opt,
     seq,
 )
+from repro.types import NULL_DIGEST
 
 #: JSON envelope version, bumped on incompatible format changes.  Version 2
 #: added the view-synchronisation fields (``ViewSync``; ``current_view`` /
@@ -183,12 +195,13 @@ SUPPORTED_WIRE_VERSIONS = (1, 2, 3, 4, 5)
 #: tracing on — and an untraced run pays zero wire bytes for the v5 feature.
 UNTRACED_WIRE_VERSION = 4
 
-#: Binary envelope versions: 8 without trace context, 9 with the send
-#: sequence.  Versions 4 and 5 were a self-describing binary encoding and 6 / 7
-#: carried every transaction payload self-described; no deployed peer speaks
-#: them and their bodies are rejected.
-BINARY_WIRE_VERSION = 8
-BINARY_TRACED_WIRE_VERSION = 9
+#: Binary envelope versions: 10 without trace context, 11 with the send
+#: sequence.  Versions 4 and 5 were a self-describing binary encoding, 6 / 7
+#: carried every transaction payload self-described and 8 / 9 a result digest
+#: per response entry; no deployed peer speaks them and their bodies are
+#: rejected.
+BINARY_WIRE_VERSION = 10
+BINARY_TRACED_WIRE_VERSION = 11
 
 #: Codec names :func:`set_wire_codec` accepts.
 WIRE_CODECS = ("json", "binary")
@@ -311,8 +324,8 @@ def _dec(value: Any) -> Any:
 
 # ----------------------------------------------------------- binary: records
 # The two shapes that carry the traffic (100 per proposal, 100 per response
-# batch) are laid out by hand.  Like a compiled header, each opens with a
-# width byte: 0 packs its ids as i32, 1 (when one does not fit) as i64.
+# batch) are laid out by hand.  Like a compiled header, a transaction opens
+# with a width byte: 0 packs its ids as i32, 1 (when one does not fit) as i64.
 
 #: Transaction header: width, txn_id, client_id, submitted_at, opcode.  A
 #: non-zero opcode names a declared operation and its compiled payload record
@@ -396,82 +409,124 @@ def _dec_txn(data: bytes, pos: int) -> Tuple[Transaction, int]:
     return Transaction(txn_id, client_id, operation, payload, submitted_at), pos
 
 
-#: One response entry: txn_id, client_id, 32 raw digest bytes, flags.  A batch
-#: is a count, the width byte, the packed records (all of one width), then the
-#: text of each flagged digest.
-_ENTRY_NARROW = struct.Struct(">ii32sB")
-_ENTRY_WIDE = struct.Struct(">qq32sB")
-_ENTRY_SUCCESS = 0x01
-_ENTRY_TEXT_DIGEST = 0x02  # result_digest is not 64 lowercase hex: sent as str after the records
-_NO_DIGEST = bytes(32)
+# A response batch's entries ride as columns, one per field, and a column is
+# a constant or a packed array: ``count`` | ``size`` of what follows | txn_id
+# | client_id | success | result_digest.
+#: Id columns: width byte, the first id as i64, then every next id as its
+#: difference from the one before, all of the narrowest of these widths;
+#: width 3 (a difference beyond i32) is the ids themselves as i64.
+_ID_DELTAS = (("b", 1), ("h", 2), ("i", 4))
+_IDS_WIDE = len(_ID_DELTAS)
+#: ``success``: every entry succeeded, or a bitmap follows (first entry in the
+#: highest bit of ``count`` bits, big-endian).
+_SUCCESS_ALL, _SUCCESS_BITMAP = 0, 1
+#: ``result_digest``: every entry has :data:`NULL_DIGEST` (what replicas
+#: send), or the one ``digest`` they all have follows, or a ``digest`` each.
+_DIGEST_NULL, _DIGEST_SHARED, _DIGEST_EACH = 0, 1, 2
 
 
-def _enc_entry_records(entries: Tuple[ResponseEntry, ...], pack: Callable) -> Tuple[bytes, List[str]]:
-    records, texts = [], []
-    for entry in entries:
-        raw = _enc_raw_digest(entry.result_digest)
-        if raw is not None:
-            records.append(pack(entry.txn_id, entry.client_id, raw, entry.success))
-        else:
-            records.append(pack(entry.txn_id, entry.client_id, _NO_DIGEST, entry.success | _ENTRY_TEXT_DIGEST))
-            texts.append(entry.result_digest)
-    return b"".join(records), texts
+def _enc_id_column(ids: List[int], buf: bytearray) -> None:
+    deltas = list(map(operator.sub, ids[1:], ids))
+    for width, (code, _) in enumerate(_ID_DELTAS):
+        try:
+            buf += struct.pack(f">Bq{len(deltas)}{code}", width, ids[0], *deltas)
+            return
+        except struct.error:
+            pass
+    buf += struct.pack(f">B{len(ids)}q", _IDS_WIDE, *ids)
+
+
+def _dec_id_column(data: bytes, pos: int, count: int) -> Tuple[Iterable[int], int]:
+    width = data[pos]
+    if width == _IDS_WIDE:
+        return struct.unpack_from(f">{count}q", data, pos + 1), pos + 1 + 8 * count
+    code, size = _ID_DELTAS[width]  # any other width byte: IndexError
+    ids = itertools.accumulate(struct.unpack_from(f">q{count - 1}{code}", data, pos + 1))
+    return ids, pos + 9 + (count - 1) * size
 
 
 def _enc_entries(entries: Tuple[ResponseEntry, ...], buf: bytearray) -> None:
     _append_uvarint(buf, len(entries))
-    try:
-        records, texts = _enc_entry_records(entries, _ENTRY_NARROW.pack)
-        buf.append(0)
-    except struct.error:
-        records, texts = _enc_entry_records(entries, _ENTRY_WIDE.pack)
-        buf.append(1)
-    buf += records
-    for text in texts:
-        _enc_str(text, buf)
+    if not entries:
+        return
+    txn_ids, client_ids, digests, successes = [], [], [], []
+    for entry in entries:
+        txn_ids.append(entry.txn_id)
+        client_ids.append(entry.client_id)
+        digests.append(entry.result_digest)
+        successes.append(entry.success)
+    columns = bytearray()
+    _enc_id_column(txn_ids, columns)
+    _enc_id_column(client_ids, columns)
+    if all(successes):
+        columns.append(_SUCCESS_ALL)
+    else:
+        columns.append(_SUCCESS_BITMAP)
+        bits = 0
+        for success in successes:
+            bits = bits << 1 | bool(success)
+        columns += bits.to_bytes((len(entries) + 7) // 8, "big")
+    if len(set(digests)) > 1:
+        columns.append(_DIGEST_EACH)
+        for digest in digests:
+            _enc_digest(digest, columns)
+    elif digests[0] == NULL_DIGEST:
+        columns.append(_DIGEST_NULL)
+    else:
+        columns.append(_DIGEST_SHARED)
+        _enc_digest(digests[0], columns)
+    _append_uvarint(buf, len(columns))
+    buf += columns
 
 
 def _dec_entries(data: bytes, pos: int) -> Tuple[Tuple[ResponseEntry, ...], int]:
+    start = pos
     count, pos = _dec_count(data, pos)
-    record = _ENTRY_WIDE if data[pos] else _ENTRY_NARROW
-    end = pos + 1 + count * record.size
+    if not count:
+        return (), pos
+    size, pos = _read_uvarint(data, pos)
+    end = pos + size
     if end > len(data):
         raise CodecError("truncated response entries")
-    records = data[pos:end]  # width byte + packed records
     # A client collects one response batch per replica for the same block
-    # (twice when a speculative response is later confirmed), and the records
+    # (twice when a speculative response is later confirmed), and the columns
     # are byte-identical across them; equal bytes decode to equal entries.
-    cached = _entries_dec_cache.get(records)
+    packed = data[start:end]
+    cached = _entries_dec_cache.get(packed)
     if cached is not None:
         return cached, end
-    entries = []
-    texts = []
-    for txn_id, client_id, raw, flags in record.iter_unpack(records[1:]):
-        if flags & _ENTRY_TEXT_DIGEST:
-            texts.append(len(entries))
-        entries.append(ResponseEntry(txn_id, client_id, raw.hex(), (flags & _ENTRY_SUCCESS) == 1))
-    for index in texts:
-        text, end = _dec_str(data, end)
-        entries[index] = dataclasses.replace(entries[index], result_digest=text)
-    batch = tuple(entries)
-    if not texts:  # the records alone determine the entries
-        if len(_entries_dec_cache) >= _ENTRIES_CACHE_MAX:
-            _entries_dec_cache.clear()
-        _entries_dec_cache[records] = batch
+    txn_ids, pos = _dec_id_column(data, pos, count)
+    client_ids, pos = _dec_id_column(data, pos, count)
+    successes: Iterable[bool] = itertools.repeat(True)
+    if data[pos] != _SUCCESS_ALL:
+        bitmap = data[pos + 1 : pos + 1 + (count + 7) // 8]
+        pos += len(bitmap)
+        bits = format(int.from_bytes(bitmap, "big"), f"0{count}b")
+        if len(bits) != count:
+            raise CodecError("success bitmap is wider than its entries")
+        successes = map("1".__eq__, bits)
+    mode = data[pos + 1]
+    pos += 2
+    digests: Iterable[str] = itertools.repeat(NULL_DIGEST)
+    if mode == _DIGEST_EACH:
+        digests = each = []
+        for _ in range(count):
+            digest, pos = _dec_digest(data, pos)
+            each.append(digest)
+    elif mode != _DIGEST_NULL:  # shared; any other mode byte reads as it
+        digest, pos = _dec_digest(data, pos)
+        digests = itertools.repeat(digest)
+    if pos != end:
+        raise CodecError(f"response entry columns end at {pos}, not {end}")
+    batch = tuple(map(ResponseEntry, txn_ids, client_ids, digests, successes))
+    if len(_entries_dec_cache) >= _ENTRIES_CACHE_MAX:
+        _entries_dec_cache.clear()
+    _entries_dec_cache[packed] = batch
     return batch, end
 
 
-def _enc_entry(entry: ResponseEntry, buf: bytearray) -> None:
-    _enc_entries((entry,), buf)
-
-
-def _dec_entry(data: bytes, pos: int) -> Tuple[ResponseEntry, int]:
-    (entry,), pos = _dec_entries(data, pos)
-    return entry, pos
-
-
 _CODECS[seq(ResponseEntry)] = (_enc_entries, _dec_entries)
-#: Decoded entries keyed by their packed records (see :func:`_dec_entries`).
+#: Decoded entries keyed by their packed columns (see :func:`_dec_entries`).
 _entries_dec_cache: Dict[bytes, Tuple[ResponseEntry, ...]] = {}
 _ENTRIES_CACHE_MAX = 64
 
@@ -515,8 +570,8 @@ def wire_codec_scope(name: str) -> Iterator[None]:
 
 
 # ------------------------------------------------------------ the wire types
-# Support objects nested inside protocol messages.  The two records' kinds
-# name their JSON fields; their binary form is the hand-written layout.
+# Support objects nested inside protocol messages.  The transaction record's
+# kinds name its JSON fields; its binary form is the hand-written layout.
 _register(
     Transaction, "txn", layout=(_enc_txn, _dec_txn),
     txn_id="int", client_id="int", operation="str", payload="value", submitted_at="float",
@@ -536,16 +591,14 @@ _register(
     Certificate, "cert", kind=CertKind, view="int", slot="int", block_hash="digest",
     signature=opt(ThresholdSignature), formed_in_view="int",
 )
-_register(
-    ResponseEntry, "entry", layout=(_enc_entry, _dec_entry),
-    txn_id="int", client_id="int", result_digest="digest", success="bool",
-)
+# Entries travel only as a sequence, whose binary form is the columns above.
+_register(ResponseEntry, "entry", txn_id="int", client_id="int", result_digest="digest", success="bool")
 
 # Protocol messages (one tag per dataclass in repro.consensus.messages).
 _register(ClientRequest, "client_request", txn=Transaction)
 _register(
     ClientResponseBatch, "client_response", replica_id="int", view="int", slot="int", block_hash="digest",
-    speculative="bool", entries=seq(ResponseEntry),
+    speculative="bool", entries=seq(ResponseEntry), results_root="digest",
 )
 _register(
     Propose, "propose", view="int", slot="int", block=Block, justify=Certificate,
@@ -679,7 +732,9 @@ def decode_message(data: bytes) -> Any:
 # that change a message's size; a batch is keyed on its length and, per
 # operation, how many of its transactions run it and their summed payload
 # weight, so a TPC-C proposal is charged for its own mix of profiles and
-# order lines, not for those of the first batch that began the same way.
+# order lines, not for those of the first batch that began the same way.  A
+# response batch's size follows its columns' widths and modes, so its key is
+# the size of the packed columns themselves.
 _SIZED = frozenset((str, list, tuple, dict))
 
 
@@ -687,6 +742,12 @@ def _txn_weight(txn: Transaction) -> int:
     """What varies in the size of one operation's payloads: the characters of
     its strings and the items of its containers."""
     return sum(len(value) for value in txn.payload.values() if value.__class__ in _SIZED)
+
+
+def _entries_weight(entries: Tuple[ResponseEntry, ...]) -> Tuple[int, int]:
+    columns = bytearray()
+    _enc_entries(entries, columns)
+    return len(entries), len(columns)
 
 
 def _batch_weight(transactions: Tuple[Transaction, ...]) -> Tuple:
@@ -700,7 +761,7 @@ def _batch_weight(transactions: Tuple[Transaction, ...]) -> Tuple:
 _SHAPE_KEYS: Dict[Type, Callable[[Any], Tuple]] = {
     ClientRequest: lambda m: (m.txn.operation, _txn_weight(m.txn)),
     ClientRequestBatch: lambda m: _batch_weight(m.txns),
-    ClientResponseBatch: lambda m: (len(m.entries),),
+    ClientResponseBatch: lambda m: _entries_weight(m.entries),
     Propose: lambda m: _batch_weight(m.block.transactions) + (m.commit_cert is None,),
     FetchResponse: lambda m: _batch_weight(m.block.transactions),
     NewView: lambda m: (m.share is None, m.commit_share is None),

@@ -9,14 +9,22 @@ from __future__ import annotations
 
 import pytest
 
+import dataclasses
+
 from repro.consensus.byzantine import (
     CrashBehavior,
+    ForgedResponseBehavior,
     HonestBehavior,
+    ReplicaBehavior,
     RollbackAttackBehavior,
     SlowLeaderBehavior,
     TailForkingBehavior,
 )
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.consensus.client import CLIENT_POOL_NODE_ID, ClientPool
+from repro.consensus.messages import ClientResponseBatch
+from repro.experiments.runner import ExperimentSpec, latency_model_for, prepare, run_experiment, start
+from repro.net.network import SimNetwork
+from repro.sim.scheduler import Simulator
 
 
 def run_with_behaviors(protocol, behaviors, n=7, duration=0.4, view_timeout=0.01, seed=13):
@@ -159,6 +167,122 @@ class TestRollbackAttack:
         attacked = run_with_behaviors("hotstuff-1-slotting", behaviors, duration=0.5)
         assert attacked.summary.rollbacks == 0
         assert attacked.throughput > 0.85 * clean.throughput
+
+
+class _RecordingPool(ClientPool):
+    """Remembers the matching key every finalisation was made under and, once
+    ``draining``, issues nothing new (so what was finalised gets to commit)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.finalised = {}
+        self.draining = False
+
+    def _complete(self, request, speculative):
+        (key,) = [key for key, votes in request.responders.items() if len(votes) >= self.required_quorum]
+        self.finalised[request.txn.txn_id] = key
+        super()._complete(request, speculative)
+
+    def _after_completion(self, request):
+        if not self.draining:
+            super()._after_completion(request)
+
+
+class _SilentResponder(ReplicaBehavior):
+    """Faulty towards clients only, and in the weakest way: it states nothing."""
+
+    is_byzantine = True
+
+    def outgoing_response(self, replica, batch):
+        return dataclasses.replace(batch, entries=())
+
+
+class _TruthfulResponder(ReplicaBehavior):
+    """Marked faulty (so the same replicas count as honest in every run) but honest."""
+
+    is_byzantine = True
+
+
+def run_with_responders(behavior, n, protocol="hotstuff-1", required_quorum=None):
+    """Run with the first f replicas answering clients through *behavior*; returns
+    ``(completions inside the window, finalisations no honest replica backs)``.
+
+    A finalisation is backed when every honest replica committed the block it
+    names, at one position, with the transaction in it, and stated exactly the
+    root / digest / success the client matched on.
+    """
+    f = (n - 1) // 3
+    spec = ExperimentSpec(
+        protocol=protocol, n=n, batch_size=20, duration=0.3, warmup=0.05, seed=13, view_timeout=0.01,
+        behaviors={replica_id: behavior() for replica_id in range(f)},
+    )
+    sim = Simulator(seed=spec.seed)
+    network = SimNetwork(sim, latency=latency_model_for(spec))
+    stated = {}  # what honest replicas told the clients: (block hash, txn id) -> keys
+
+    def record(envelope):
+        batch = envelope.payload
+        if isinstance(batch, ClientResponseBatch) and envelope.sender >= f:
+            for entry in batch.entries:
+                key = (batch.block_hash, batch.results_root, entry.result_digest, entry.success)
+                stated.setdefault((batch.block_hash, entry.txn_id), set()).add(key)
+
+    network.set_trace_hook(record)
+    deployment = prepare(
+        spec, sim, lambda node_id: network, [*range(n), CLIENT_POOL_NODE_ID], client_class=_RecordingPool
+    )
+    pool = deployment.client_pool
+    if required_quorum is not None:
+        pool.required_quorum = required_quorum
+    start(deployment)
+    sim.run(until=spec.duration)
+    completed = pool.completed_count
+    pool.draining = True
+    sim.run(until=spec.duration + 0.2)
+
+    honest = [replica for replica in deployment.replicas if not replica.behavior.is_byzantine]
+    assert len(honest) == n - f and completed > 10 * spec.batch_size
+    unbacked = []
+    for txn_id, key in pool.finalised.items():
+        positions = {replica.ledger.committed.position_of(key[0]) for replica in honest}
+        position = positions.pop()
+        backed = (
+            not positions
+            and position is not None
+            and txn_id in {txn.txn_id for txn in honest[0].ledger.committed.block_at(position).transactions}
+            and stated.get((key[0], txn_id)) == {key}
+        )
+        if not backed:
+            unbacked.append((txn_id, key))
+    return completed, unbacked
+
+
+class TestForgedResponses:
+    """A faulty responder gains nothing from block-level result roots: whatever
+    it states, clients finalise exactly what honest replicas executed."""
+
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("mode", ForgedResponseBehavior.MODES)
+    def test_forged_statements_never_finalise_and_cost_what_silence_costs(self, mode, n):
+        forged, unbacked = run_with_responders(lambda: ForgedResponseBehavior(mode), n)
+        assert unbacked == []
+        # A forger whose statements about the block's own transactions are
+        # true (it only adds a foreign one) is, for those, an honest responder;
+        # every other forgery withholds its vote from the honest key.
+        baseline = _TruthfulResponder if mode == "foreign-txn" else _SilentResponder
+        assert forged == run_with_responders(baseline, n)[0]
+
+    def test_committed_responses_need_f_plus_one_too(self):
+        """HotStuff-2's clients wait for f + 1 post-commit responses: f forgers fall one short."""
+        completed, unbacked = run_with_responders(lambda: ForgedResponseBehavior("foreign-txn"), 7, "hotstuff-2")
+        assert unbacked == []
+
+    @pytest.mark.parametrize("mode", ["foreign-txn", "own-root"])
+    def test_negative_control_a_quorum_of_one_does_finalise_forgeries(self, mode):
+        """The same run with `required_quorum=1` accepts the forger's word, so
+        the check above is known to be able to fire."""
+        _, unbacked = run_with_responders(lambda: ForgedResponseBehavior(mode), 4, required_quorum=1)
+        assert unbacked
 
 
 class TestDelayInjection:

@@ -27,6 +27,7 @@ from repro.consensus.messages import (
     Wish,
 )
 from repro.checkpoint.snapshot import Snapshot
+from repro.core.streamlined import HotStuff1Replica
 from repro.crypto.threshold import ThresholdScheme
 from repro.experiments.report import format_network_breakdown
 from repro.ledger.block import Block, make_genesis_block
@@ -35,7 +36,7 @@ from repro.live import codec, layout
 from repro.sim.rng import SeededRng
 from repro.types import NULL_DIGEST
 from repro.workloads.base import make_workload
-from tests.helpers import binary_round_trip
+from tests.helpers import ReplicaHarness, binary_round_trip
 
 
 def _fixture_objects():
@@ -211,12 +212,13 @@ class TestVersionSkew:
         # to what pre-v5 peers emit and accept.
         assert codec.UNTRACED_WIRE_VERSION == 4
         # Binary envelopes are numbered apart from the JSON ones, past the
-        # retired binary versions (4, 5: self-describing; 6, 7: tagged payloads).
-        assert (codec.BINARY_WIRE_VERSION, codec.BINARY_TRACED_WIRE_VERSION) == (8, 9)
+        # retired binary versions (4, 5: self-describing; 6, 7: tagged
+        # payloads; 8, 9: a result digest per response entry).
+        assert (codec.BINARY_WIRE_VERSION, codec.BINARY_TRACED_WIRE_VERSION) == (10, 11)
 
 
 class TestBinaryCodec:
-    """Binary wire versions 8-9: the schema-compiled codec behind the same API."""
+    """Binary wire versions 10-11: the schema-compiled codec behind the same API."""
 
     def test_every_message_type_round_trips_in_binary(self):
         seen_types = set()
@@ -254,12 +256,13 @@ class TestBinaryCodec:
         assert codec.wire_codec() == "json"
         assert codec.decode_envelope_body(frame[4:]) == (0, 2, 0.5, message)
 
-    @pytest.mark.parametrize("retired", [4, 5, 6, 7])
+    @pytest.mark.parametrize("retired", [4, 5, 6, 7, 8, 9])
     def test_retired_binary_layout_rejected(self, retired):
         """Versions 4 and 5 were the self-describing binary encoding (varint
         ids, then a 0x09 object), 6 and 7 spelled every transaction payload
-        out: a body in either layout is refused with an error naming its
-        version (tests/test_properties.py restamps current frames)."""
+        out, 8 and 9 sent a 41-byte record per response entry: a body in any
+        of these layouts is refused with an error naming its version
+        (tests/test_properties.py restamps current frames)."""
         old_head = bytes((codec.BINARY_MAGIC, retired, 0, 4)) + layout.DOUBLE.pack(0.5)
         with pytest.raises(codec.CodecError, match=f"version {retired}"):
             codec.decode_envelope_body(old_head + b"\x09\x06\x03\x02")
@@ -376,27 +379,34 @@ class TestBinaryCodec:
         assert payload_a == message
         assert payload_a is payload_b
 
-    def test_response_entries_are_fixed_width_records(self):
-        """41 bytes per entry while every id fits i32; one id beyond it
-        repacks the whole batch at 49, so the records stay one packed array."""
-        def batch_size(ids):
-            entries = tuple(
-                ResponseEntry(txn_id=i, client_id=-1 - i, result_digest="a" * 64, success=True) for i in ids
-            )
-            batch = ClientResponseBatch(replica_id=0, view=1, slot=1, block_hash="c" * 64,
-                                        speculative=False, entries=entries)
+    def test_response_entries_are_packed_columns(self):
+        """One byte per txn id and per client id while neighbours stay within
+        an i8 of each other; a wider difference repacks that column alone; a
+        failed transaction adds a bitmap, a digest of its own one `digest`."""
+        def batch_size(ids, client_ids=None, **entry):
+            client_ids = ids if client_ids is None else client_ids
+            entries = tuple(ResponseEntry(txn_id=i, client_id=c, **entry) for i, c in zip(ids, client_ids))
+            batch = ClientResponseBatch(replica_id=0, view=1, slot=1, block_hash="c" * 64, speculative=False,
+                                        entries=entries, results_root="d" * 64)
             with codec.wire_codec_scope("binary"):
                 data = codec.encode_message(batch)
                 assert codec.decode_message(data) == batch
             return len(data)
 
-        sizes = [batch_size(range(count)) for count in range(6)]
-        assert [b - a for a, b in zip(sizes, sizes[1:])] == [41] * 5
-        assert batch_size([0, 1, 2, 3, 2**31]) - sizes[0] == 5 * 49
+        sizes = [batch_size(range(count)) for count in range(1, 7)]
+        assert [b - a for a, b in zip(sizes, sizes[1:])] == [2] * 5
+        assert sizes[0] - batch_size([]) == 1 + 2 * (1 + 8) + 2  # size, two columns of one id, two constants
+        ids = list(range(6))
+        assert batch_size([0, 1, 2, 3, 4, 200], ids) - sizes[-1] == 5  # txn ids as i16 differences
+        assert batch_size(ids, [0, 40_000, 0, 0, 0, 0]) - sizes[-1] == 5 * 3  # client ids as i32 differences
+        assert batch_size([0, 1, 2, 3, 4, 2**40], ids) - sizes[-1] == 5 * 7  # txn ids as i64 values
+        assert batch_size(ids, success=False) - sizes[-1] == 1
+        assert batch_size(ids, result_digest="a" * 64) - sizes[-1] == 33
+        assert batch_size(ids, result_digest="not-a-digest") - sizes[-1] == 2 + len("not-a-digest")
 
     def test_response_entries_cache_keeps_distinct_batches_distinct(self):
-        """Equal packed records share one decoded tuple; a batch differing in
-        one flag, or in a digest that rides as text, does not."""
+        """Equal packed columns share one decoded tuple; a batch differing in
+        one flag, or in one digest (raw or riding as text), does not."""
         codec.reset_size_cache()
         entries_a = tuple(
             ResponseEntry(txn_id=i, client_id=-1 - i, result_digest="a" * 64, success=True)
@@ -545,12 +555,43 @@ class TestOperationSchemas:
                     pass
 
 
+def _canonical_response_batch():
+    """What a replica answers its clients after executing a 100-transaction
+    block of a 270-client closed-loop pool (ids a few apart, clients in any
+    order), built by the replica itself."""
+    harness = ReplicaHarness(HotStuff1Replica)
+    sent = []
+    harness.replica.send = lambda receiver, payload: sent.append(payload)
+    rng = SeededRng(1).fork("clients")
+    txns = tuple(
+        Transaction(5000 + 3 * i + rng.randint(0, 2), -1_000_000 - rng.randint(0, 269), t.operation, t.payload, 0.5)
+        for i, t in enumerate(_workload_txns("ycsb", 100))
+    )
+    block = harness.replica.block_store.add(
+        Block.build(view=1, slot=1, parent_hash=make_genesis_block().block_hash, proposer=0, transactions=txns)
+    )
+    harness.replica.speculate_block(block)
+    (batch,) = sent
+    return batch
+
+
 class TestWireSizeBudget:
-    """What a canonical proposal may weigh.  `bytes_per_op` is dominated by
-    transaction bodies (one copy per replica plus the request), so a layout
-    edit that grows them fails here, not in a ten-pair benchmark.  With every
-    payload spelled out (binary versions 6-7) these two proposals were 12119
-    (YCSB) and 17239 (TPC-C) bytes; they are 9619 and 4058."""
+    """What a canonical proposal and the answer to it may weigh.  `bytes_per_op`
+    is dominated by transaction bodies (one copy per replica plus the request)
+    and by the n response batches per block, so a layout edit that grows them
+    fails here, not in a ten-pair benchmark.  With every payload spelled out
+    (binary versions 6-7) these two proposals were 12119 (YCSB) and 17239
+    (TPC-C) bytes; they are 9619 and 4058.  With a 41-byte record per entry
+    (versions 8-9) the response batch was 4150 bytes; it is 401."""
+
+    def test_canonical_100_entry_response_batch_fits_its_budget(self):
+        batch = _canonical_response_batch()
+        assert len(batch.entries) == 100 and batch.results_root != NULL_DIGEST
+        assert {entry.result_digest for entry in batch.entries} == {NULL_DIGEST}
+        with codec.wire_codec_scope("binary"):
+            wire = codec.encode_message(batch)
+            assert codec.decode_message(wire) == batch
+        assert len(wire) <= 450, f"{len(wire)} B for 100 entries"
 
     @pytest.mark.parametrize("workload, ceiling", [("ycsb", 9700), ("tpcc", 6000)])
     def test_canonical_100_transaction_propose_fits_its_budget(self, workload, ceiling):
@@ -579,6 +620,32 @@ class TestEncodedSize:
                 ):
                     expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
                     assert codec.encoded_size(message) == expected, (type(message).__name__, start, length)
+
+    def test_response_batches_are_charged_for_their_own_columns(self):
+        """Column widths and modes change a response batch's size at equal
+        length, so the memo may not be keyed on the length alone."""
+        def batch(ids, client_ids=None, failed=(), digests=None):
+            digests = digests or [NULL_DIGEST] * len(ids)
+            entries = tuple(
+                ResponseEntry(txn_id, client_id, digest, index not in failed)
+                for index, (txn_id, client_id, digest) in enumerate(zip(ids, client_ids or ids, digests))
+            )
+            return ClientResponseBatch(1, 5, 2, "c" * 64, True, entries, "d" * 64)
+
+        ids = list(range(40))
+        shapes = [
+            batch(ids), batch(ids[:7]), batch(ids[:1]), batch([]),
+            batch(ids[:-1] + [200]), batch(ids[:-1] + [40_000]), batch(ids[:-1] + [2**40]),
+            batch(ids, client_ids=ids[:-1] + [200]), batch(ids, failed=(3,)),
+            batch(ids, digests=["a" * 64] * 40), batch(ids, digests=["not-a-digest"] * 40),
+            batch(ids, digests=["a" * 64] * 39 + ["b" * 64]),
+        ]
+        with codec.wire_codec_scope("binary"):  # resets the memo on entry
+            sizes = {codec.encoded_size(message) for message in shapes + shapes}
+            for message in shapes:
+                expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
+                assert codec.encoded_size(message) == expected, message.entries[-1:]
+        assert len(sizes) == len(shapes)
 
     def test_known_messages_are_sized_from_their_encoding(self):
         codec._size_cache.clear()  # other tests' runs may have seeded shapes

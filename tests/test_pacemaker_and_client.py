@@ -235,8 +235,8 @@ def build_client_pool(required_quorum, num_clients=2, n=4):
     return sim, network, metrics, pool
 
 
-def response_batch(replica_id, txn, block_hash="b" * 64, speculative=True, digest="d1"):
-    entry = ResponseEntry(txn_id=txn.txn_id, client_id=txn.client_id, result_digest=digest, success=True)
+def response_batch(replica_id, txn, block_hash="b" * 64, speculative=True, root="r1", **stated):
+    entry = ResponseEntry(txn_id=txn.txn_id, client_id=txn.client_id, **stated)
     return ClientResponseBatch(
         replica_id=replica_id,
         view=1,
@@ -244,6 +244,7 @@ def response_batch(replica_id, txn, block_hash="b" * 64, speculative=True, diges
         block_hash=block_hash,
         speculative=speculative,
         entries=(entry,),
+        results_root=root,
     )
 
 
@@ -274,12 +275,36 @@ class TestClientPool:
         assert txn.txn_id in pool.outstanding
 
     def test_mismatched_results_do_not_combine(self):
+        """Everything a batch states about the transaction is the key: the
+        root, the success bit and the (reserved) per-entry digest."""
         sim, network, metrics, pool = build_client_pool(required_quorum=2)
         pool.start()
         txn = next(iter(pool.outstanding.values())).txn
-        pool._handle_response_batch(response_batch(0, txn, digest="d1"))
-        pool._handle_response_batch(response_batch(1, txn, digest="d2"))
+        pool._handle_response_batch(response_batch(0, txn, root="r1"))
+        pool._handle_response_batch(response_batch(1, txn, root="r2"))
+        pool._handle_response_batch(response_batch(2, txn, root="r1", success=False))
+        pool._handle_response_batch(response_batch(3, txn, root="r1", result_digest="d" * 64))
         assert txn.txn_id in pool.outstanding
+        pool._handle_response_batch(response_batch(1, txn, root="r1"))
+        assert txn.txn_id not in pool.outstanding
+
+    def test_a_stray_speculative_response_does_not_relabel_a_committed_completion(self):
+        """The sample is speculative iff the quorum that finalised it holds a
+        speculative response — not because one replica (faulty, or honest and
+        later rolled back) answered speculatively under another root."""
+        sim, network, metrics, pool = build_client_pool(required_quorum=2)
+        pool.start()
+        first, second = (request.txn for request in pool.outstanding.values())
+        pool._handle_response_batch(response_batch(0, first, root="rA", speculative=True))
+        pool._handle_response_batch(response_batch(1, first, root="rB", speculative=False))
+        pool._handle_response_batch(response_batch(2, first, root="rB", speculative=False))
+        assert first.txn_id not in pool.outstanding
+        assert not metrics.samples[0].speculative
+        # ...while a speculative response inside the finalising quorum still counts,
+        # whichever of the quorum's batches arrived last.
+        pool._handle_response_batch(response_batch(0, second, speculative=True))
+        pool._handle_response_batch(response_batch(1, second, speculative=False))
+        assert metrics.samples[1].speculative
 
     def test_responses_for_different_blocks_do_not_combine(self):
         sim, network, metrics, pool = build_client_pool(required_quorum=2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import random
 import typing
 
@@ -443,7 +444,87 @@ def test_every_strict_prefix_of_a_binary_frame_body_is_a_codec_error(cls, data):
             codec.decode_message(wire[:cut])
 
 
-@pytest.mark.parametrize("retired", [4, 5, 6, 7])
+def _id_columns(count):
+    """*count* ids as a block carries them: one start, then steps that fit an
+    i8, an i16, an i32 or nothing narrower than the ids themselves."""
+    steps = st.one_of(
+        st.integers(min_value=-128, max_value=127),
+        st.integers(min_value=-(2**15), max_value=2**15 - 1),
+        st.integers(min_value=-(2**31), max_value=2**31 - 1),
+    )
+    walk = st.tuples(_WIRE_INTS, st.lists(steps, min_size=count - 1, max_size=count - 1)).map(
+        lambda drawn: [max(_I64_MIN, min(_I64_MAX, value)) for value in itertools.accumulate(drawn[1], initial=drawn[0])]
+    )
+    return st.one_of(walk, st.lists(_WIRE_INTS, min_size=count, max_size=count))
+
+
+@st.composite
+def _response_batches(draw):
+    """Batches with every column in both of its modes (constant / packed)."""
+    count = draw(st.sampled_from([0, 1, 2, 7, 8, 9, 40]))
+    if not count:
+        entries = ()
+    else:
+        txn_ids, client_ids = draw(_id_columns(count)), draw(_id_columns(count))
+        several = st.lists(_WIRE_STRINGS, min_size=count, max_size=count)
+        digests = draw(st.one_of(st.just([NULL_DIGEST] * count), _WIRE_STRINGS.map(lambda d: [d] * count), several))
+        successes = draw(st.one_of(st.just([True] * count), st.lists(st.booleans(), min_size=count, max_size=count)))
+        entries = tuple(map(ResponseEntry, txn_ids, client_ids, digests, successes))
+    return ClientResponseBatch(
+        draw(_WIRE_INTS), draw(_WIRE_INTS), 1, draw(_WIRE_STRINGS), draw(st.booleans()), entries, draw(_WIRE_STRINGS)
+    )
+
+
+@pytest.mark.parametrize("kind", codec.WIRE_CODECS)
+@settings(max_examples=150, deadline=None)
+@given(batch=_response_batches())
+def test_response_batches_round_trip_in_every_column_mode(kind, batch):
+    with codec.wire_codec_scope(kind):
+        wire = codec.encode_message(batch)
+    assert codec.decode_message(wire) == batch
+    assert codec.decode_message(wire) == batch  # ...and again from the entries cache
+
+
+def _replica_batch(failed=(), digest=lambda txn_id: NULL_DIGEST):
+    """100 entries as a replica answers a block of the closed-loop pool."""
+    rng = SeededRng(7).fork("clients")
+    txn_ids = [5000 + index + rng.randint(0, 2) for index in range(100)]
+    entries = tuple(
+        ResponseEntry(txn_id, -1_000_000 - rng.randint(0, 269), digest(txn_id), index not in failed)
+        for index, txn_id in enumerate(txn_ids)
+    )
+    return ClientResponseBatch(2, 41, 1, "ab" * 32, True, entries, "cd" * 32)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        _replica_batch(),
+        _replica_batch(failed=(3, 99), digest=lambda txn_id: "ef" * 32),
+        _replica_batch(digest=lambda txn_id: f"{txn_id:064x}"),
+    ],
+    ids=["as-sent", "bitmap-and-one-digest", "digest-per-entry"],
+)
+def test_a_damaged_100_entry_response_batch_decodes_or_raises_codec_error(batch):
+    """Never IndexError / struct.error: every strict prefix is refused, every
+    single-byte flip (widths, modes, sizes, bitmap, deltas) decodes or is."""
+    with codec.wire_codec_scope("binary"):
+        wire = codec.encode_message(batch)
+    assert codec.decode_message(wire) == batch
+    for cut in range(len(wire)):
+        with pytest.raises(codec.CodecError):
+            codec.decode_message(wire[:cut])
+    for position in range(len(wire)):
+        for flip in (0x01, 0x80, 0xFF):
+            damaged = bytearray(wire)
+            damaged[position] ^= flip
+            try:
+                codec.decode_message(bytes(damaged))
+            except codec.CodecError:
+                pass
+
+
+@pytest.mark.parametrize("retired", [4, 5, 6, 7, 8, 9])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_retired_binary_versions_are_rejected(retired, data):
@@ -461,13 +542,14 @@ def test_ints_outside_i64_are_refused_at_encode_time(too_big):
     """Header ints, packed int arrays and both hand-laid records refuse an
     out-of-range int instead of truncating it."""
     signature = ThresholdSignature(NULL_DIGEST, "prepare", (0, too_big), 2, NULL_DIGEST)
-    entry = ResponseEntry(txn_id=too_big, client_id=1, result_digest=NULL_DIGEST, success=True)
+    entry = ResponseEntry(txn_id=too_big, client_id=1)
     messages = [
         SnapshotRequest(requester=1, have_height=too_big),
         FetchRequest(block_hash=NULL_DIGEST, requester=too_big),
         Prepare(view=1, cert=Certificate(CertKind.PREPARE, 1, 1, NULL_DIGEST, signature, 1)),
         ClientRequest(txn=Transaction.create(client_id=too_big, operation="op", txn_id=1)),
         ClientResponseBatch(1, 1, 1, NULL_DIGEST, True, (entry,)),
+        ClientResponseBatch(1, 1, 1, NULL_DIGEST, True, (ResponseEntry(1, 1), ResponseEntry(2, too_big))),
     ]
     with codec.wire_codec_scope("binary"):
         for message in messages:
