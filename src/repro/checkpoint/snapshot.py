@@ -15,9 +15,10 @@ prefix at a checkpoint height:
   prefix-agreement checks exact even after the block objects below the
   snapshot leave the compacted log.
 
-Snapshots round-trip through plain JSON (the block and certificate serialize
-via the live wire codec), so the same representation serves the durable
-snapshot log and the ``SnapshotResponse`` wire message.
+Snapshots round-trip through durable record documents — plain, tagged JSON
+built from the same type declarations as the wire layouts — for the
+snapshot log; the ``SnapshotResponse`` wire message carries the binary
+layout of the same fields.
 """
 
 from __future__ import annotations
@@ -78,10 +79,10 @@ class Snapshot:
 
     # ------------------------------------------------------------ round trips
     def to_dict(self) -> Dict[str, Any]:
-        """Tagged-JSON representation via the wire codec.
+        """The durable record document (tagged JSON) the snapshot log stores.
 
-        One serialization source of truth: the durable snapshot log stores
-        exactly the document the ``SnapshotResponse`` message carries.
+        A snapshot record written before a field existed decodes with that
+        field's default (see :func:`repro.live.codec.message_from_wire`).
         """
         from repro.live.codec import message_to_wire
 

@@ -276,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = command(
         "profile", command_profile, "cProfile a live run and report CPU by layer (encode/decode/transport/...)"
     )
-    add_spec_arguments(
-        profile_parser, ("core",), omit=("mode",), warmup=0.05, codec="binary", **LIVE_DEFAULTS
-    )
+    add_spec_arguments(profile_parser, ("core",), omit=("mode",), warmup=0.05, **LIVE_DEFAULTS)
     _add_load_flags(profile_parser)
     profile_parser.add_argument("--top", type=int, default=15,
                                 help="how many hottest functions to list")

@@ -228,10 +228,9 @@ class ExperimentSpec:
         help="default client population as a fraction of the protocol's pipeline knee",
     )
     codec: str = knob(
-        "json", group="core", flags=("--codec",), choices=("json", "binary"),
-        help="wire codec: json (debuggable, wire versions 1-5) or binary (per-type struct layouts, "
-             "versions 10-11, 2-3x smaller frames); applies to live sockets and to the simulator's "
-             "byte accounting alike, decoding always accepts both",
+        "binary", group="core", flags=None, choices=("binary",),
+        help="wire codec: binary (per-type struct layouts, envelope versions 10-11) is the only "
+             "framed format, for live sockets and the simulator's byte accounting alike",
     )
     pipeline_depth: int = knob(
         1, group="core", flags=("--pipeline-depth",), low=1,
@@ -936,7 +935,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     from repro.live.codec import wire_codec_scope
 
     spec.validate()
-    with wire_codec_scope(spec.codec):  # also resets the per-shape size memo
+    with wire_codec_scope(spec.codec):  # fresh per-shape size memo for the run
         return _run_sim(spec)
 
 

@@ -398,9 +398,8 @@ def run_live_experiment(
         unbounded (rate-limited only).
     """
     spec.validate()
-    # The codec is process-global (the transports call it from timer
-    # callbacks); scope it to the run so back-to-back experiments with
-    # different codecs in one process never leak into each other.
+    # The codec's size and decode memos are process-global; scope them to the
+    # run so back-to-back experiments in one process never share them.
     with wire_codec_scope(spec.codec):
         return asyncio.run(_run_live(spec, target_ops, rate, on_started, max_outstanding))
 

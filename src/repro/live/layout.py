@@ -1,4 +1,4 @@
-"""Schema-compiled binary layouts: the mechanism under the ``binary`` wire codec.
+"""Schema-compiled binary layouts: the mechanism under the wire codec.
 
 :mod:`repro.live.codec` declares, per wire type, each field's *kind*; this
 module turns such a declaration into one encoder and one decoder, compiled
@@ -52,7 +52,7 @@ the same digest.
 Decoders index and slice without bounds checks: on a truncated buffer they
 either raise (``IndexError``, ``struct.error``, ``ValueError``) or return a
 position beyond the data.  The caller owns both: see
-``repro.live.codec._decode_binary``.
+``repro.live.codec.decode_message``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ over the same backend replays it and reconstructs the tree, which is exactly
 how a restarted replica gets its blocks back.  Pruning (see
 :meth:`BlockStore.prune_siblings_of`) only trims the in-memory tree — the
 append-only log keeps the raw history and pruned orphans are simply re-pruned
-as the committed chain replays after a restart.
+as the committed chain replays after a restart.  Each block is logged as its
+durable record document (:func:`repro.live.codec.message_to_wire`), not as
+its wire layout.
 """
 
 from __future__ import annotations

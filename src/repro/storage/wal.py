@@ -14,10 +14,12 @@ across a crash:
   HotStuff-1's ``C(v_lc)`` / a classic ``locked_qc``).
 * ``commit`` — a block hash was appended to the committed ledger.
 
-Certificates are serialized through the live wire codec
-(:func:`repro.live.codec.message_to_wire`), so the WAL shares one
-serialization source of truth with the network.  :meth:`WriteAheadLog.reduce`
-folds the record stream into the latest-state summary recovery needs.
+Certificates are stored as durable record documents
+(:func:`repro.live.codec.message_to_wire`): the tagged-JSON form of the
+type declarations the wire layouts are compiled from, never framed, and
+tolerant of fields a record written before them lacks.
+:meth:`WriteAheadLog.reduce` folds the record stream into the latest-state
+summary recovery needs.
 """
 
 from __future__ import annotations

@@ -67,14 +67,12 @@ class ReplicaHarness:
 
 def binary_round_trip(txn):
     """``(opcode on the wire, decoded transaction)`` of *txn* sent in a batch
-    under the binary codec (opcode 0: the self-describing escape); asserts the
-    batch decodes equal."""
+    (opcode 0: the self-describing escape); asserts the batch decodes equal."""
     from repro.consensus.messages import ClientRequestBatch
     from repro.live import codec
 
     message = ClientRequestBatch(txns=(txn, txn))
-    with codec.wire_codec_scope("binary"):
-        wire = codec.encode_message(message)
+    wire = codec.encode_message(message)
     decoded = codec.decode_message(wire)
     assert decoded == message
     header = codec._TXN_WIDE if wire[2] else codec._TXN_NARROW  # type tag, count, then the header

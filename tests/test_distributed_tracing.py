@@ -2,8 +2,8 @@
 
 Covers the tracing plane that spans process boundaries:
 
-* wire codec v5 carries an optional per-sender send sequence — and frames
-  without one stay byte-identical to v4 (zero wire cost when tracing is off);
+* envelope version 11 carries an optional per-sender send sequence — and
+  frames without one stay at version 10 (zero wire cost when tracing is off);
 * :class:`AsyncTcpTransport` emits matched send/recv wire events when (and
   only when) a tracer is attached;
 * the NTP-style skew estimator recovers deliberately offset child clocks,
@@ -79,43 +79,28 @@ def _all_message():
     return FetchRequest(block_hash="a" * 64, requester=0)
 
 
-# ------------------------------------------------------------- codec v5
-class TestWireCodecV5:
-    @pytest.mark.parametrize("kind", ["json", "binary"])
-    def test_traced_frames_round_trip_the_send_sequence(self, kind):
+# ------------------------------------------------- codec trace context
+class TestWireCodecTraceContext:
+    def test_traced_frames_round_trip_the_send_sequence(self):
         message = _all_message()
-        with codec.wire_codec_scope(kind):
-            frame = codec.frame_from_message(
-                3, 1, codec.encode_message(message), 1.25, seq=42)
+        frame = codec.frame_from_message(3, 1, codec.encode_message(message), 1.25, seq=42)
         sender, receiver, sent_at, seq, payload = codec.decode_envelope(frame[4:])
         assert (sender, receiver, sent_at, seq) == (3, 1, 1.25, 42)
         assert payload == message
 
-    @pytest.mark.parametrize("kind", ["json", "binary"])
-    def test_untraced_frames_stay_at_the_untraced_version(self, kind):
-        """seq=None must not add a single wire byte: untraced runs pay nothing
-        for the feature, and JSON clusters where only some peers understand v5
-        interoperate as long as tracing is off."""
+    def test_untraced_frames_stay_at_the_untraced_version(self):
+        """seq=None must not add a single wire byte: untraced runs pay
+        nothing for the feature."""
         message = _all_message()
-        with codec.wire_codec_scope(kind):
-            encoded = codec.encode_message(message)
-            untraced = codec.frame_from_message(3, 1, encoded, 1.25)
-            traced = codec.frame_from_message(3, 1, encoded, 1.25, seq=7)
-        if kind == "json":
-            assert b'"v":%d' % codec.UNTRACED_WIRE_VERSION in untraced
-            assert b'"q"' not in untraced
-        else:
-            assert untraced[5] == codec.BINARY_WIRE_VERSION
-            assert traced[5] == codec.BINARY_TRACED_WIRE_VERSION
-        assert len(traced) > len(untraced)
+        encoded = codec.encode_message(message)
+        untraced = codec.frame_from_message(3, 1, encoded, 1.25)
+        traced = codec.frame_from_message(3, 1, encoded, 1.25, seq=7)
+        assert untraced[5] == codec.BINARY_WIRE_VERSION
+        assert traced[5] == codec.BINARY_TRACED_WIRE_VERSION
+        assert len(traced) - len(untraced) == 8  # the u64 send sequence
         sender, receiver, sent_at, seq, payload = codec.decode_envelope(untraced[4:])
         assert seq is None
         assert (sender, receiver, sent_at, payload) == (3, 1, 1.25, message)
-
-    def test_decode_envelope_body_stays_a_four_tuple(self):
-        frame = codec.frame_from_message(
-            0, 2, codec.encode_message(_all_message()), 0.5, seq=9)
-        assert codec.decode_envelope_body(frame[4:]) == (0, 2, 0.5, _all_message())
 
 
 # --------------------------------------------------- transport wire events

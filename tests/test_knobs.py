@@ -77,17 +77,18 @@ class TestEveryFieldIsDeclaredOnce:
 
 # ------------------------------------------- (b) CLI compatibility contract
 #: Every option string each sub-command accepted at the commit before the
-#: flags were derived from the dataclass.  No flag added, removed or renamed.
+#: flags were derived from the dataclass.  No flag added or renamed; the one
+#: removed is ``--codec`` (binary became the only wire format).
 PARENT_FLAGS = {
     "run": {
-        "-h", "--help", "--batch", "--checkpoint-interval", "--codec", "--duration", "--faults",
+        "-h", "--help", "--batch", "--checkpoint-interval", "--duration", "--faults",
         "--no-detect", "--pipeline-depth", "--protocol", "--replicas", "--seed", "--trace",
         "--trace-bucket", "--trace-max-events", "--trace-max-txns", "--trace-out",
         "--trace-sampler", "--trace-stream", "--view-timeout", "--warmup", "--workload",
     },
     "live": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--client-region", "--clients",
-        "--codec", "--deployment", "--distributed-mempool", "--duration", "--faults",
+        "--deployment", "--distributed-mempool", "--duration", "--faults",
         "--max-outstanding", "--mempool-limit", "--multiprocess", "--n", "--no-detect",
         "--pipeline-depth", "--protocol", "--rate", "--regions", "--replicas", "--scrape-port",
         "--seed", "--storage-dir", "--target-ops", "--trace", "--trace-bucket",
@@ -95,23 +96,23 @@ PARENT_FLAGS = {
         "--trace-stream", "--view-timeout", "--warmup", "--workload",
     },
     "chaos": {
-        "-h", "--help", "--at", "--batch", "--checkpoint-interval", "--codec", "--down-for",
+        "-h", "--help", "--at", "--batch", "--checkpoint-interval", "--down-for",
         "--duration", "--emit-plan", "--mode", "--no-detect", "--pipeline-depth", "--plan",
         "--protocol", "--replica", "--replicas", "--scrape-port", "--seed", "--storage-dir",
         "--trace", "--trace-bucket", "--trace-max-events", "--trace-max-txns", "--trace-out",
         "--trace-sampler", "--trace-stream", "--view-timeout", "--warmup", "--workload",
     },
     "fuzz": {
-        "-h", "--help", "--batch", "--checkpoint-interval", "--codec", "--crashes", "--down-for",
+        "-h", "--help", "--batch", "--checkpoint-interval", "--crashes", "--down-for",
         "--duration", "--hooks", "--jobs", "--pipeline-depth", "--protocol", "--replicas",
         "--seed", "--seeds", "--view-timeout", "--warmup", "--workload",
     },
     "compare": {
-        "-h", "--help", "--batch", "--checkpoint-interval", "--codec", "--duration",
+        "-h", "--help", "--batch", "--checkpoint-interval", "--duration",
         "--pipeline-depth", "--replicas", "--seed", "--view-timeout", "--warmup", "--workload",
     },
     "profile": {
-        "-h", "--help", "--batch", "--codec", "--duration", "--n", "--pipeline-depth",
+        "-h", "--help", "--batch", "--duration", "--n", "--pipeline-depth",
         "--protocol", "--rate", "--replicas", "--seed", "--target-ops", "--top",
         "--view-timeout", "--warmup", "--workload",
     },
@@ -134,12 +135,12 @@ PARENT_FLAGS = {
     },
 }
 
-#: What a bare invocation built at the parent commit, as direct construction.
+#: What a bare invocation built at the parent commit, as direct construction
+#: (the codec, then a JSON default, is no longer a choice).
 SIM_DEFAULTS = dict(protocol="hotstuff-1", n=4, batch_size=100, workload="ycsb", duration=0.5,
-                    warmup=0.1, seed=1, view_timeout=0.03, codec="json", pipeline_depth=1)
+                    warmup=0.1, seed=1, view_timeout=0.03, pipeline_depth=1)
 LIVE_DEFAULTS = dict(protocol="hotstuff-1", mode="live", n=4, batch_size=100, workload="ycsb",
-                     duration=15.0, warmup=0.25, seed=1, view_timeout=0.05, codec="json",
-                     pipeline_depth=1)
+                     duration=15.0, warmup=0.25, seed=1, view_timeout=0.05, pipeline_depth=1)
 
 #: Every spec flag of each sub-command spelled the way the parent spelled it,
 #: with a non-default value, next to the spec it must build.
@@ -149,10 +150,10 @@ TRACE_ARGV = ["--trace", "--trace-bucket", "0.05", "--trace-max-txns", "77", "--
 TRACE_SPEC = dict(trace=True, trace_bucket=0.05, trace_max_txns=77, trace_sampler="tail",
                   trace_stream="/tmp/knobs-stream.jsonl", trace_max_events=99, trace_detect=False)
 COMMON_ARGV = ["--replicas", "7", "--batch", "20", "--workload", "tpcc", "--duration", "0.9",
-               "--warmup", "0.2", "--seed", "5", "--view-timeout", "0.04", "--codec", "binary",
+               "--warmup", "0.2", "--seed", "5", "--view-timeout", "0.04",
                "--pipeline-depth", "2", "--checkpoint-interval", "6"]
 COMMON_SPEC = dict(n=7, batch_size=20, workload="tpcc", duration=0.9, warmup=0.2, seed=5,
-                   view_timeout=0.04, codec="binary", pipeline_depth=2, checkpoint_interval=6)
+                   view_timeout=0.04, pipeline_depth=2, checkpoint_interval=6)
 
 
 class _Captured(Exception):
@@ -202,7 +203,7 @@ class TestCliIsTheParentsCli:
             (["run"], SIM_DEFAULTS),
             (["compare"], {**SIM_DEFAULTS, "protocol": "hotstuff"}),
             (["live"], LIVE_DEFAULTS),
-            (["profile"], {**LIVE_DEFAULTS, "warmup": 0.05, "codec": "binary"}),
+            (["profile"], {**LIVE_DEFAULTS, "warmup": 0.05}),
         ],
         ids=["run", "compare", "live", "profile"],
     )
@@ -294,8 +295,15 @@ class TestCliIsTheParentsCli:
 
     def test_bad_choice_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
-            cli.main(["run", "--codec", "xml"])
-        assert "--codec" in capsys.readouterr().err
+            cli.main(["run", "--workload", "tatp"])
+        assert "--workload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "live", "chaos", "fuzz", "compare", "profile"])
+    def test_codec_is_not_a_flag(self, command, capsys):
+        """Binary is the only wire format: no sub-command offers a choice."""
+        with pytest.raises(SystemExit):
+            cli.main([command, "--codec", "binary"])
+        assert "unrecognized arguments: --codec" in capsys.readouterr().err
 
 
 # ------------------------------------------------- (c) JSON process hand-off
@@ -347,6 +355,13 @@ class TestJsonHandOff:
         with pytest.raises(ConfigurationError, match="latency_model"):
             ExperimentSpec(protocol="hotstuff-1", latency_model=ConstantLatency(0.001)).to_dict()
 
+    def test_a_json_codec_document_is_refused(self):
+        """Specs written when JSON was a wire format still load, and fail
+        validation naming the one codec left."""
+        doc = {**ExperimentSpec(protocol="hotstuff-1").to_dict(), "codec": "json"}
+        with pytest.raises(ConfigurationError, match=r"unknown codec 'json'; available: \['binary'\]"):
+            ExperimentSpec.from_dict(doc).validate()
+
     @pytest.mark.parametrize("key", ["sneaky", "behaviors", "latency_model"])
     def test_unknown_and_non_wire_keys_are_rejected_not_dropped(self, key):
         doc = ExperimentSpec(protocol="hotstuff-1").to_dict()
@@ -370,7 +385,7 @@ class TestValidationIsNotWeakened:
             (dict(duration=0.1, warmup=0.1), "warmup"),
             (dict(warmup=-0.1), "warmup"),
             (dict(workload="tatp"), "unknown workload 'tatp'"),
-            (dict(codec="xml"), "unknown codec 'xml'"),
+            (dict(codec="json"), r"unknown codec 'json'; available: \['binary'\]"),
             (dict(mode="cloud"), "unknown mode 'cloud'"),
             (dict(trace_sampler="psychic"), "unknown trace_sampler 'psychic'"),
             (dict(pipeline_depth=0), "pipeline_depth must be >= 1"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -29,7 +31,9 @@ from repro.consensus.messages import (
 from repro.checkpoint.snapshot import Snapshot
 from repro.core.streamlined import HotStuff1Replica
 from repro.crypto.threshold import ThresholdScheme
+from repro.errors import ConfigurationError
 from repro.experiments.report import format_network_breakdown
+from repro.ledger import transaction as transaction_module
 from repro.ledger.block import Block, make_genesis_block
 from repro.ledger.transaction import OPERATION_SCHEMAS, Transaction
 from repro.live import codec, layout
@@ -120,8 +124,9 @@ class TestMessageRoundTrip:
     def test_every_message_type_round_trips(self):
         seen_types = set()
         for message in _all_messages():
-            decoded = codec.decode_message(codec.encode_message(message))
-            assert decoded == message
+            data = codec.encode_message(message)
+            assert data[0] >= codec.BINARY_TAG_BASE  # the type tag
+            assert codec.decode_message(data) == message
             seen_types.add(type(message))
         assert seen_types == set(codec.MESSAGE_TYPES)
 
@@ -148,113 +153,57 @@ class TestMessageRoundTrip:
         with pytest.raises(codec.CodecError):
             codec.decode_message(b"not json at all{")
 
+    def test_the_bytes_did_not_move(self, monkeypatch):
+        """One digest over every message's encoding and its untraced and
+        traced frames: a layout change must bump the envelope versions and
+        this digest together."""
+        monkeypatch.setattr(transaction_module, "_TXN_COUNTER", itertools.count())  # ids from 0
+        digest = hashlib.sha256()
+        for message in _all_messages():
+            wire = codec.encode_message(message)
+            digest.update(wire)
+            digest.update(codec.frame_from_message(3, -1, wire, 1.25))
+            digest.update(codec.frame_from_message(3, -1, wire, 1.25, seq=7))
+        assert digest.hexdigest() == "1e0365bbe3e0f0dff122b20ed91f0d5d66d19d2a58470ab99e0a4261a54b1c0e"
+
+
+def _frame_body(message):
+    return codec.frame_from_message(0, 1, codec.encode_message(message), 0.0)[4:]
+
 
 class TestEnvelopeFrames:
+    """Envelope versions 10 (untraced) and 11 (traced): the only framed format."""
+
     def test_frame_round_trip_preserves_routing_fields(self):
-        message = _all_messages()[0]
-        frame = codec.encode_envelope_frame(3, -1, message, 1.25)
-        (length,) = codec.FRAME_HEADER.unpack(frame[:4])
-        assert length == len(frame) - 4
-        sender, receiver, sent_at, payload = codec.decode_envelope_body(frame[4:])
-        assert (sender, receiver, sent_at, payload) == (3, -1, 1.25, message)
+        codec.reset_size_cache()
+        for message in (_all_messages()[0], _all_messages()[3]):  # a request, a Propose with a full block
+            frame = codec.frame_from_message(3, -1, codec.encode_message(message), 1.25)
+            (length,) = codec.FRAME_HEADER.unpack(frame[:4])
+            assert length == len(frame) - 4
+            assert frame[4] == codec.BINARY_MAGIC and frame[5] == codec.BINARY_WIRE_VERSION
+            assert codec.decode_envelope(frame[4:]) == (3, -1, 1.25, None, message)
 
-    def test_wire_version_mismatch_rejected(self):
-        frame = codec.encode_envelope_frame(0, 1, _all_messages()[0], 0.0)
-        # Untraced frames stay at the pre-tracing version on the wire.
-        marker = b'{"v":%d,' % codec.UNTRACED_WIRE_VERSION
-        body = frame[4:].replace(marker, b'{"v":99,')
-        assert body != frame[4:]  # the marker must have been found and replaced
-        with pytest.raises(codec.CodecError):
-            codec.decode_envelope_body(body)
-
-
-class TestVersionSkew:
-    """Version-1 peers predate the view-synchronisation fields; their
-    documents (and frames) must still decode, with the new fields falling
-    back to the dataclass defaults."""
-
-    def test_v1_wish_document_decodes_with_default_evidence_fields(self):
-        shares, _, _, _ = _fixture_objects()
-        wish = Wish(view=6, voter=3, share=shares[0], current_view=5)
-        document = codec.message_to_wire(wish)
-        del document["current_view"]
-        del document["high_cert"]
-        decoded = codec.message_from_wire(document)
-        assert decoded == Wish(view=6, voter=3, share=shares[0])
-
-    def test_v1_timeout_cert_document_decodes_with_default_evidence_fields(self):
-        _, _, cert, _ = _fixture_objects()
-        message = TimeoutCertificateMsg(view=6, cert=cert, sender_view=5, high_cert=cert)
-        document = codec.message_to_wire(message)
-        del document["sender_view"]
-        del document["high_cert"]
-        decoded = codec.message_from_wire(document)
-        assert decoded == TimeoutCertificateMsg(view=6, cert=cert)
-
-    def test_v1_frames_are_still_accepted(self):
-        shares, _, _, _ = _fixture_objects()
-        document = codec.message_to_wire(Wish(view=6, voter=3, share=shares[0]))
-        del document["current_view"]
-        del document["high_cert"]
-        body = json.dumps(
-            {"v": 1, "s": 0, "r": 1, "a": 0.5, "m": document}, separators=(",", ":")
-        ).encode("utf-8")
-        sender, receiver, sent_at, payload = codec.decode_envelope_body(body)
-        assert (sender, receiver, sent_at) == (0, 1, 0.5)
-        assert payload == Wish(view=6, voter=3, share=shares[0])
-
-    def test_current_version_is_5_and_older_versions_remain_supported(self):
-        # v2 added view-sync evidence, v3 the snapshot state-transfer
-        # messages, v4 the request batch, v5 the optional trace sequence.
-        assert codec.WIRE_VERSION == 5
-        assert set(codec.SUPPORTED_WIRE_VERSIONS) == {1, 2, 3, 4, 5}
-        # Frames without trace context still go out at v4 — byte-identical
-        # to what pre-v5 peers emit and accept.
-        assert codec.UNTRACED_WIRE_VERSION == 4
-        # Binary envelopes are numbered apart from the JSON ones, past the
-        # retired binary versions (4, 5: self-describing; 6, 7: tagged
-        # payloads; 8, 9: a result digest per response entry).
+    def test_envelope_versions_are_10_and_11(self):
+        # Numbered past the retired binary versions (4, 5: self-describing;
+        # 6, 7: tagged payloads; 8, 9: a result digest per response entry).
         assert (codec.BINARY_WIRE_VERSION, codec.BINARY_TRACED_WIRE_VERSION) == (10, 11)
 
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    def test_json_envelope_bodies_are_refused_by_their_first_byte(self, version):
+        """The JSON envelope (versions 1-5) is no longer a wire format: its
+        body is refused before anything in it is parsed."""
+        document = codec.message_to_wire(_all_messages()[0])
+        body = json.dumps({"v": version, "s": 0, "r": 1, "a": 0.5, "m": document}).encode("utf-8")
+        with pytest.raises(codec.CodecError, match="starts with 0x7b, not the envelope magic 0xb1"):
+            codec.decode_envelope(body)
 
-class TestBinaryCodec:
-    """Binary wire versions 10-11: the schema-compiled codec behind the same API."""
-
-    def test_every_message_type_round_trips_in_binary(self):
-        seen_types = set()
-        with codec.wire_codec_scope("binary"):
-            for message in _all_messages():
-                data = codec.encode_message(message)
-                assert data[0] >= codec.BINARY_TAG_BASE  # the type tag, never "{"
-                assert codec.decode_message(data) == message
-                seen_types.add(type(message))
-        assert seen_types == set(codec.MESSAGE_TYPES)
-
-    def test_binary_envelope_frame_round_trips(self):
-        codec.reset_size_cache()
-        message = _all_messages()[2]  # a Propose with a full block
-        with codec.wire_codec_scope("binary"):
-            frame = codec.encode_envelope_frame(3, -1, message, 1.25)
-            body = frame[4:]
-            assert body[0] == codec.BINARY_MAGIC
-            assert codec.decode_envelope_body(body) == (3, -1, 1.25, message)
-
-    def test_binary_is_leaner_than_json_for_every_message(self):
-        for message in _all_messages():
-            with codec.wire_codec_scope("binary"):
-                binary = codec.encode_message(message)
-            json_bytes = codec.encode_message(message)
-            assert len(binary) < len(json_bytes), type(message).__name__
-
-    def test_json_peer_decodes_binary_frames(self):
-        """Mid-upgrade skew: a JSON-emitting peer receives binary frames."""
-        codec.reset_size_cache()
-        message = _all_messages()[0]
-        with codec.wire_codec_scope("binary"):
-            frame = codec.encode_envelope_frame(0, 2, message, 0.5)
-        assert frame[5] == codec.BINARY_WIRE_VERSION
-        assert codec.wire_codec() == "json"
-        assert codec.decode_envelope_body(frame[4:]) == (0, 2, 0.5, message)
+    def test_json_message_bodies_are_refused_by_their_type_tag(self):
+        document = json.dumps(codec.message_to_wire(_all_messages()[0])).encode("utf-8")
+        with pytest.raises(codec.CodecError, match="type tag 0x7b"):
+            codec.decode_message(document)
+        head = codec._ENVELOPE.pack(codec.BINARY_MAGIC, codec.BINARY_WIRE_VERSION, 0, 2, 0.0)
+        with pytest.raises(codec.CodecError, match="type tag 0x7b"):
+            codec.decode_envelope(head + document)
 
     @pytest.mark.parametrize("retired", [4, 5, 6, 7, 8, 9])
     def test_retired_binary_layout_rejected(self, retired):
@@ -264,120 +213,116 @@ class TestBinaryCodec:
         of these layouts is refused with an error naming its version
         (tests/test_properties.py restamps current frames)."""
         old_head = bytes((codec.BINARY_MAGIC, retired, 0, 4)) + layout.DOUBLE.pack(0.5)
-        with pytest.raises(codec.CodecError, match=f"version {retired}"):
-            codec.decode_envelope_body(old_head + b"\x09\x06\x03\x02")
-
-    def test_binary_peer_decodes_v1_v2_v3_json_frames(self):
-        """Mid-upgrade skew the other way: a binary-emitting peer receives
-        older JSON frames, including ones missing post-v1 fields."""
-        shares, _, cert, _ = _fixture_objects()
-        document = codec.message_to_wire(Wish(view=6, voter=3, share=shares[0]))
-        del document["current_view"]
-        del document["high_cert"]
-        v1_body = json.dumps(
-            {"v": 1, "s": 0, "r": 1, "a": 0.5, "m": document}, separators=(",", ":")
-        ).encode("utf-8")
-        v2_message = TimeoutCertificateMsg(view=6, cert=cert, sender_view=5, high_cert=cert)
-        v2_body = json.dumps(
-            {"v": 2, "s": 2, "r": 3, "a": 1.5, "m": codec.message_to_wire(v2_message)},
-            separators=(",", ":"),
-        ).encode("utf-8")
-        v3_message = SnapshotRequest(requester=2, have_height=7)
-        v3_body = json.dumps(
-            {"v": 3, "s": 1, "r": 0, "a": 2.5, "m": codec.message_to_wire(v3_message)},
-            separators=(",", ":"),
-        ).encode("utf-8")
-        with codec.wire_codec_scope("binary"):
-            assert codec.decode_envelope_body(v1_body) == (
-                0, 1, 0.5, Wish(view=6, voter=3, share=shares[0])
-            )
-            assert codec.decode_envelope_body(v2_body) == (2, 3, 1.5, v2_message)
-            assert codec.decode_envelope_body(v3_body) == (1, 0, 2.5, v3_message)
+        with pytest.raises(codec.CodecError, match=f"envelope version {retired}"):
+            codec.decode_envelope(old_head + b"\x09\x06\x03\x02")
 
     def test_unsupported_binary_wire_version_rejected(self):
-        codec.reset_size_cache()
-        with codec.wire_codec_scope("binary"):
-            frame = codec.encode_envelope_frame(0, 1, _all_messages()[0], 0.0)
-        body = bytearray(frame[4:])
+        body = bytearray(_frame_body(_all_messages()[0]))
         assert body[1] == codec.BINARY_WIRE_VERSION
         body[1] = 99
         with pytest.raises(codec.CodecError, match="version"):
-            codec.decode_envelope_body(bytes(body))
+            codec.decode_envelope(bytes(body))
 
     def test_truncated_binary_frames_raise_codec_error(self):
-        codec.reset_size_cache()
-        with codec.wire_codec_scope("binary"):
-            body = codec.encode_envelope_frame(0, 1, _all_messages()[2], 0.0)[4:]
+        body = _frame_body(_all_messages()[2])
         for cut in (len(body) // 2, len(body) - 1, 12):
             with pytest.raises(codec.CodecError):
-                codec.decode_envelope_body(body[:cut])
+                codec.decode_envelope(body[:cut])
 
     def test_trailing_bytes_after_binary_payload_rejected(self):
         codec.reset_size_cache()
-        with codec.wire_codec_scope("binary"):
-            body = codec.encode_envelope_frame(0, 1, _all_messages()[0], 0.0)[4:]
-            with pytest.raises(codec.CodecError, match="trailing"):
-                codec.decode_envelope_body(body + b"\x00")
-            with pytest.raises(codec.CodecError, match="trailing"):
-                codec.decode_message(codec.encode_message(_all_messages()[0]) + b"\x00")
+        with pytest.raises(codec.CodecError, match="trailing"):
+            codec.decode_envelope(_frame_body(_all_messages()[0]) + b"\x00")
+        with pytest.raises(codec.CodecError, match="trailing"):
+            codec.decode_message(codec.encode_message(_all_messages()[0]) + b"\x00")
 
     def test_unknown_binary_type_tag_rejected(self):
         unregistered = codec.BINARY_TAG_BASE + len(codec._DECODERS)
         head = codec._ENVELOPE.pack(codec.BINARY_MAGIC, codec.BINARY_WIRE_VERSION, 0, 2, 0.0)
         with pytest.raises(codec.CodecError, match="type tag"):
-            codec.decode_envelope_body(head + bytes((unregistered,)))
+            codec.decode_envelope(head + bytes((unregistered,)))
         with pytest.raises(codec.CodecError, match="type tag"):
             codec.decode_message(b"\xff")
 
-    def test_unknown_value_code_rejected(self):
-        """Schemaless fields keep one-byte value codes; an unassigned one is refused."""
-        txn = Transaction.create(client_id=1, operation="op", payload={"k": 7})
-        with codec.wire_codec_scope("binary"):
-            data = bytearray(codec.encode_message(ClientRequest(txn=txn)))
-        assert data[-2:] == bytes((layout.B_INT, 14))  # zigzag(7)
-        data[-2] = 0x7F
-        with pytest.raises(codec.CodecError, match="value code"):
-            codec.decode_message(bytes(data))
-
-    def test_overlong_varint_rejected(self):
-        txn = Transaction.create(client_id=1, operation="op", payload={"k": 7})
-        with codec.wire_codec_scope("binary"):
-            data = codec.encode_message(ClientRequest(txn=txn))
-        with pytest.raises(codec.CodecError, match="varint"):
-            codec.decode_message(data[:-1] + b"\x80" * 11)
-
-    def test_count_beyond_the_frame_rejected(self):
-        """A corrupt item count must not size a loop."""
-        with codec.wire_codec_scope("binary"):
-            data = bytearray(codec.encode_message(ClientRequestBatch(txns=())))
-        assert data[1:] == b"\x00"  # the empty batch is its count
-        data[1:] = b"\xff\xff\xff\x7f"
-        with pytest.raises(codec.CodecError, match="count"):
-            codec.decode_message(bytes(data))
-
     def test_oversized_frame_raises_configuration_error(self, monkeypatch):
-        from repro.errors import ConfigurationError
-
         monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 64)
-        with codec.wire_codec_scope("binary"):
-            with pytest.raises(codec.FrameTooLargeError) as excinfo:
-                codec.encode_envelope_frame(0, 1, _all_messages()[2], 0.0)
+        with pytest.raises(codec.FrameTooLargeError) as excinfo:
+            _frame_body(_all_messages()[2])
         assert isinstance(excinfo.value, ConfigurationError)
         assert isinstance(excinfo.value, codec.CodecError)
+
+    @pytest.mark.parametrize("slack, fits", [(0, True), (-1, False)])
+    def test_message_fits_frame_agrees_with_the_traced_frame(self, monkeypatch, slack, fits):
+        """The pre-flight bound is the traced envelope head (26 bytes), the
+        largest a frame wraps a message in: a snapshot that frames is never
+        declined, one that does not is never sent."""
+        response = _all_messages()[-1]
+        encoded = codec.encode_message(response)
+        monkeypatch.setattr(codec, "MAX_FRAME_BYTES", len(encoded) + 26 + slack)
+        assert codec.message_fits_frame(response) is fits
+        if fits:
+            codec.frame_from_message(0, 1, encoded, 0.5, seq=1)
+        else:
+            with pytest.raises(codec.FrameTooLargeError):
+                codec.frame_from_message(0, 1, encoded, 0.5, seq=1)
 
     def test_broadcast_payloads_share_one_decoded_object(self):
         """Per-receiver frames spliced around one encoded message decode to
         the same object, mirroring the simulator's single delivered message."""
         codec.reset_size_cache()
         message = _all_messages()[2]
-        with codec.wire_codec_scope("binary"):
-            encoded = codec.encode_message(message)
-            body_a = codec.frame_from_message(0, 1, encoded, 0.25)[4:]
-            body_b = codec.frame_from_message(0, 2, encoded, 0.25)[4:]
-            payload_a = codec.decode_envelope_body(body_a)[3]
-            payload_b = codec.decode_envelope_body(body_b)[3]
+        encoded = codec.encode_message(message)
+        body_a = codec.frame_from_message(0, 1, encoded, 0.25)[4:]
+        body_b = codec.frame_from_message(0, 2, encoded, 0.25)[4:]
+        payload_a = codec.decode_envelope(body_a)[4]
+        payload_b = codec.decode_envelope(body_b)[4]
         assert payload_a == message
         assert payload_a is payload_b
+
+
+class TestWireCodecScope:
+    def test_only_binary_is_a_wire_codec(self):
+        with pytest.raises(ConfigurationError, match=r"unknown wire codec 'json'; available: \['binary'\]"):
+            with codec.wire_codec_scope("json"):
+                pass
+
+    def test_the_scope_is_a_fresh_set_of_caches(self):
+        message = _all_messages()[2]
+        codec.encoded_size(message)
+        codec.decode_envelope(_frame_body(message))
+        with codec.wire_codec_scope("binary"):
+            assert not codec._size_cache and not codec._decode_cache
+            codec.encoded_size(message)
+        assert not codec._size_cache
+
+
+class TestDurableRecordDocuments:
+    """Tagged-JSON documents are the WAL, block-log and snapshot-log record
+    form: never framed, and a record written before a field existed decodes
+    with that field's dataclass default."""
+
+    def test_wish_record_without_later_fields_decodes_with_defaults(self):
+        shares, _, _, _ = _fixture_objects()
+        wish = Wish(view=6, voter=3, share=shares[0], current_view=5)
+        document = codec.message_to_wire(wish)
+        del document["current_view"]
+        del document["high_cert"]
+        decoded = codec.message_from_wire(document)
+        assert decoded == Wish(view=6, voter=3, share=shares[0])
+
+    def test_timeout_cert_record_without_later_fields_decodes_with_defaults(self):
+        _, _, cert, _ = _fixture_objects()
+        message = TimeoutCertificateMsg(view=6, cert=cert, sender_view=5, high_cert=cert)
+        document = codec.message_to_wire(message)
+        del document["sender_view"]
+        del document["high_cert"]
+        decoded = codec.message_from_wire(document)
+        assert decoded == TimeoutCertificateMsg(view=6, cert=cert)
+
+
+class TestResponseColumns:
+    """A replica's response batch on the wire: packed id columns, a success
+    column and a result-digest column."""
 
     def test_response_entries_are_packed_columns(self):
         """One byte per txn id and per client id while neighbours stay within
@@ -388,9 +333,8 @@ class TestBinaryCodec:
             entries = tuple(ResponseEntry(txn_id=i, client_id=c, **entry) for i, c in zip(ids, client_ids))
             batch = ClientResponseBatch(replica_id=0, view=1, slot=1, block_hash="c" * 64, speculative=False,
                                         entries=entries, results_root="d" * 64)
-            with codec.wire_codec_scope("binary"):
-                data = codec.encode_message(batch)
-                assert codec.decode_message(data) == batch
+            data = codec.encode_message(batch)
+            assert codec.decode_message(data) == batch
             return len(data)
 
         sizes = [batch_size(range(count)) for count in range(1, 7)]
@@ -427,10 +371,34 @@ class TestBinaryCodec:
             for entries in (entries_a, entries_b, entries_c, entries_d)
             for r in range(3)
         ]
-        with codec.wire_codec_scope("binary"):
-            decoded = [codec.decode_message(codec.encode_message(batch)) for batch in batches]
+        decoded = [codec.decode_message(codec.encode_message(batch)) for batch in batches]
         assert decoded == batches
         assert decoded[0].entries is decoded[1].entries  # one decode per block
+
+
+class TestScalarCodes:
+    def test_unknown_value_code_rejected(self):
+        """Schemaless fields keep one-byte value codes; an unassigned one is refused."""
+        txn = Transaction.create(client_id=1, operation="op", payload={"k": 7})
+        data = bytearray(codec.encode_message(ClientRequest(txn=txn)))
+        assert data[-2:] == bytes((layout.B_INT, 14))  # zigzag(7)
+        data[-2] = 0x7F
+        with pytest.raises(codec.CodecError, match="value code"):
+            codec.decode_message(bytes(data))
+
+    def test_overlong_varint_rejected(self):
+        txn = Transaction.create(client_id=1, operation="op", payload={"k": 7})
+        data = codec.encode_message(ClientRequest(txn=txn))
+        with pytest.raises(codec.CodecError, match="varint"):
+            codec.decode_message(data[:-1] + b"\x80" * 11)
+
+    def test_count_beyond_the_frame_rejected(self):
+        """A corrupt item count must not size a loop."""
+        data = bytearray(codec.encode_message(ClientRequestBatch(txns=())))
+        assert data[1:] == b"\x00"  # the empty batch is its count
+        data[1:] = b"\xff\xff\xff\x7f"
+        with pytest.raises(codec.CodecError, match="count"):
+            codec.decode_message(bytes(data))
 
 
 def _workload_txns(name, count, seed=1):
@@ -522,8 +490,7 @@ class TestOperationSchemas:
         record array must not make that a silent `list` either way."""
         lines = ({"i_id": 1, "quantity": 1, "supply_w_id": 1},)
         txn = Transaction.create(1, "tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": lines}, txn_id=9)
-        with codec.wire_codec_scope("binary"):
-            wire = codec.encode_message(ClientRequest(txn=txn))
+        wire = codec.encode_message(ClientRequest(txn=txn))
         assert wire[codec._TXN_NARROW.size] == 0
 
     def test_order_lines_repack_as_i64_before_escaping(self):
@@ -533,8 +500,7 @@ class TestOperationSchemas:
 
     def test_unknown_opcode_rejected(self):
         txn = Transaction.create(client_id=1, operation="noop", txn_id=3)
-        with codec.wire_codec_scope("binary"):
-            data = bytearray(codec.encode_message(ClientRequest(txn=txn)))
+        data = bytearray(codec.encode_message(ClientRequest(txn=txn)))
         assert data[-1] == 4  # a noop is its header
         data[-1] = 0xEE
         with pytest.raises(codec.CodecError, match="operation code 238"):
@@ -543,8 +509,7 @@ class TestOperationSchemas:
     def test_every_single_byte_corruption_decodes_or_raises_codec_error(self):
         """Never IndexError / struct.error / UnicodeDecodeError, whichever byte
         of a proposal (headers, opcodes, counts, width bytes, records) flips."""
-        with codec.wire_codec_scope("binary"):
-            wire = codec.encode_message(_canonical_propose("tpcc", count=12))
+        wire = codec.encode_message(_canonical_propose("tpcc", count=12))
         for position in range(len(wire)):
             for flip in (0x01, 0x80, 0xFF):
                 damaged = bytearray(wire)
@@ -588,17 +553,15 @@ class TestWireSizeBudget:
         batch = _canonical_response_batch()
         assert len(batch.entries) == 100 and batch.results_root != NULL_DIGEST
         assert {entry.result_digest for entry in batch.entries} == {NULL_DIGEST}
-        with codec.wire_codec_scope("binary"):
-            wire = codec.encode_message(batch)
-            assert codec.decode_message(wire) == batch
+        wire = codec.encode_message(batch)
+        assert codec.decode_message(wire) == batch
         assert len(wire) <= 450, f"{len(wire)} B for 100 entries"
 
     @pytest.mark.parametrize("workload, ceiling", [("ycsb", 9700), ("tpcc", 6000)])
     def test_canonical_100_transaction_propose_fits_its_budget(self, workload, ceiling):
         propose = _canonical_propose(workload)
-        with codec.wire_codec_scope("binary"):
-            wire = codec.encode_message(propose)
-            assert codec.decode_message(wire) == propose
+        wire = codec.encode_message(propose)
+        assert codec.decode_message(wire) == propose
         assert len(wire) <= ceiling, f"{workload}: {len(wire)} B for 100 transactions"
 
 
@@ -609,17 +572,17 @@ class TestEncodedSize:
         size (fixed-width records make the memo exact for TPC-C)."""
         txns = _workload_txns("tpcc", 400)
         _, block, cert, _ = _fixture_objects()
-        with codec.wire_codec_scope("binary"):  # resets the memo on entry
-            for start, length in [(0, 100), (100, 100), (200, 37), (237, 1), (238, 100), (338, 0), (338, 62)]:
-                batch = txns[start : start + length]
-                body = Block.build(view=5, slot=2, parent_hash=block.parent_hash, proposer=1, transactions=batch)
-                for message in (
-                    ClientRequestBatch(txns=batch),
-                    FetchResponse(block=body),
-                    Propose(view=5, slot=2, block=body, justify=cert),
-                ):
-                    expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
-                    assert codec.encoded_size(message) == expected, (type(message).__name__, start, length)
+        codec.reset_size_cache()
+        for start, length in [(0, 100), (100, 100), (200, 37), (237, 1), (238, 100), (338, 0), (338, 62)]:
+            batch = txns[start : start + length]
+            body = Block.build(view=5, slot=2, parent_hash=block.parent_hash, proposer=1, transactions=batch)
+            for message in (
+                ClientRequestBatch(txns=batch),
+                FetchResponse(block=body),
+                Propose(view=5, slot=2, block=body, justify=cert),
+            ):
+                expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
+                assert codec.encoded_size(message) == expected, (type(message).__name__, start, length)
 
     def test_response_batches_are_charged_for_their_own_columns(self):
         """Column widths and modes change a response batch's size at equal
@@ -640,17 +603,17 @@ class TestEncodedSize:
             batch(ids, digests=["a" * 64] * 40), batch(ids, digests=["not-a-digest"] * 40),
             batch(ids, digests=["a" * 64] * 39 + ["b" * 64]),
         ]
-        with codec.wire_codec_scope("binary"):  # resets the memo on entry
-            sizes = {codec.encoded_size(message) for message in shapes + shapes}
-            for message in shapes:
-                expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
-                assert codec.encoded_size(message) == expected, message.entries[-1:]
+        codec.reset_size_cache()
+        sizes = {codec.encoded_size(message) for message in shapes + shapes}
+        for message in shapes:
+            expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
+            assert codec.encoded_size(message) == expected, message.entries[-1:]
         assert len(sizes) == len(shapes)
 
     def test_known_messages_are_sized_from_their_encoding(self):
-        codec._size_cache.clear()  # other tests' runs may have seeded shapes
+        codec.reset_size_cache()  # other tests' runs may have seeded shapes
         for message in _all_messages():
-            expected = len(codec.encode_message(message)) + codec.ENVELOPE_OVERHEAD
+            expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
             assert codec.encoded_size(message) == expected
 
     def test_unknown_payloads_charge_the_default(self):
@@ -699,15 +662,15 @@ class TestProfileBuckets:
 
         messages = _all_messages()
         profiler = cProfile.Profile()
-        with codec.wire_codec_scope("binary"):
-            profiler.enable()
-            for message in messages:
-                wire = codec.encode_message(message)
-                frame = codec.frame_from_message(0, 1, wire, 0.5, seq=3)
-                assert codec.frame_size(0, 1, wire, 0.5, seq=3) == len(frame)
-                codec.decode_envelope(frame[4:])
-                codec.decode_message(wire)
-            profiler.disable()
+        codec.reset_size_cache()
+        profiler.enable()
+        for message in messages:
+            wire = codec.encode_message(message)
+            frame = codec.frame_from_message(0, 1, wire, 0.5, seq=3)
+            assert codec.frame_size(0, 1, wire, 0.5, seq=3) == len(frame)
+            codec.decode_envelope(frame[4:])
+            codec.decode_message(wire)
+        profiler.disable()
         buckets = {}
         for filename, _lineno, funcname in pstats.Stats(profiler).stats:
             if "repro/live/" in filename.replace("\\", "/"):

@@ -107,8 +107,7 @@ class TestAsyncTcpTransport:
         assert left.stats.bytes_sent > 0
         assert not left.delivery_errors and not right.delivery_errors
 
-    @pytest.mark.parametrize("kind", ["json", "binary"])
-    def test_self_send_counts_the_frame_it_does_not_build(self, kind, monkeypatch):
+    def test_self_send_counts_the_frame_it_does_not_build(self, monkeypatch):
         """A self-send is delivered in-process: it must charge exactly the
         bytes its frame would have had without building it, and read the
         clock once."""
@@ -135,16 +134,14 @@ class TestAsyncTcpTransport:
             transport = AsyncTcpTransport(0, clock)
             sink = _Sink(0)
             transport.register(sink)
-            with codec.wire_codec_scope(kind):
-                envelope = transport.send(0, 0, message)
-                transport.broadcast(0, message, receivers=[0])
+            envelope = transport.send(0, 0, message)
+            transport.broadcast(0, message, receivers=[0])
             reads = clock.reads
             await asyncio.sleep(0)  # let the scheduled local deliveries run
             return transport.stats, envelope, reads, sink
 
         stats, envelope, reads, sink = asyncio.run(scenario())
-        with codec.wire_codec_scope(kind):
-            frame = codec.encode_envelope_frame(0, 0, message, 12.345678)
+        frame = codec.frame_from_message(0, 0, codec.encode_message(message), 12.345678)
         assert built == []
         assert reads == 2  # one per send
         assert envelope.size_bytes == len(frame)

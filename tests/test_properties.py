@@ -6,12 +6,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
+import json
 import random
 import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.checkpoint.snapshot import Snapshot
 from repro.consensus.certificates import CertKind, Certificate
 from repro.consensus.mempool import Mempool
 from repro.consensus.messages import (
@@ -292,7 +294,7 @@ def test_simulator_fires_in_nondecreasing_time_order(delays):
 
 
 # --------------------------------------------------------------------------
-# Wire codec: every message type, generated fields, both codecs
+# Wire codec: every message type, generated fields; record documents
 # --------------------------------------------------------------------------
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _WIRE_INTS = st.one_of(
@@ -357,17 +359,28 @@ def _wire_strategy(hint):
     return _PAYLOADS  # Transaction.payload, Snapshot.state
 
 
-@pytest.mark.parametrize("kind", codec.WIRE_CODECS)
 @pytest.mark.parametrize("cls", codec.MESSAGE_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_every_message_type_round_trips_with_generated_fields(cls, kind, data):
+def test_every_message_type_round_trips_with_generated_fields(cls, data):
     message = data.draw(_wire_strategy(cls))
-    with codec.wire_codec_scope(kind):
-        wire = codec.encode_message(message)
-        frame = codec.frame_from_message(3, -1, wire, 0.5)
+    wire = codec.encode_message(message)
+    frame = codec.frame_from_message(3, -1, wire, 0.5)
     assert codec.decode_message(wire) == message
     assert codec.decode_envelope(frame[4:]) == (3, -1, 0.5, None, message)
+
+
+@pytest.mark.parametrize(
+    "cls", codec.MESSAGE_TYPES + (Block, Certificate, Snapshot), ids=lambda cls: cls.__name__
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_registered_type_round_trips_as_a_record_document(cls, data):
+    """The WAL, block log and snapshot log store record documents as JSON
+    lines: whatever a field holds comes back equal, through the JSON text."""
+    value = data.draw(_wire_strategy(cls))
+    document = json.loads(json.dumps(codec.message_to_wire(value)))
+    assert codec.message_from_wire(document) == value
 
 
 def _schema_strategy(kind, uint_max=2**70 - 1):
@@ -433,9 +446,8 @@ def test_any_payload_under_a_declared_operation_round_trips(data):
 @given(data=st.data())
 def test_every_strict_prefix_of_a_binary_frame_body_is_a_codec_error(cls, data):
     message = data.draw(_wire_strategy(cls))
-    with codec.wire_codec_scope("binary"):
-        wire = codec.encode_message(message)
-        body = codec.frame_from_message(0, 1, wire, 0.5, seq=data.draw(st.none() | st.just(9)))[4:]
+    wire = codec.encode_message(message)
+    body = codec.frame_from_message(0, 1, wire, 0.5, seq=data.draw(st.none() | st.just(9)))[4:]
     for cut in range(len(body)):
         with pytest.raises(codec.CodecError):  # never IndexError / struct.error
             codec.decode_envelope(body[:cut])
@@ -475,12 +487,10 @@ def _response_batches(draw):
     )
 
 
-@pytest.mark.parametrize("kind", codec.WIRE_CODECS)
 @settings(max_examples=150, deadline=None)
 @given(batch=_response_batches())
-def test_response_batches_round_trip_in_every_column_mode(kind, batch):
-    with codec.wire_codec_scope(kind):
-        wire = codec.encode_message(batch)
+def test_response_batches_round_trip_in_every_column_mode(batch):
+    wire = codec.encode_message(batch)
     assert codec.decode_message(wire) == batch
     assert codec.decode_message(wire) == batch  # ...and again from the entries cache
 
@@ -508,8 +518,7 @@ def _replica_batch(failed=(), digest=lambda txn_id: NULL_DIGEST):
 def test_a_damaged_100_entry_response_batch_decodes_or_raises_codec_error(batch):
     """Never IndexError / struct.error: every strict prefix is refused, every
     single-byte flip (widths, modes, sizes, bitmap, deltas) decodes or is."""
-    with codec.wire_codec_scope("binary"):
-        wire = codec.encode_message(batch)
+    wire = codec.encode_message(batch)
     assert codec.decode_message(wire) == batch
     for cut in range(len(wire)):
         with pytest.raises(codec.CodecError):
@@ -524,13 +533,37 @@ def test_a_damaged_100_entry_response_batch_decodes_or_raises_codec_error(batch)
                 pass
 
 
+@pytest.mark.parametrize(
+    "batch, bitmap, shared",
+    [
+        (_replica_batch(), 0, 0),
+        (_replica_batch(failed=(3, 99), digest=lambda txn_id: "ef" * 32), 13, 33),
+    ],
+    ids=["as-sent", "bitmap-and-one-digest"],
+)
+def test_response_column_mode_bytes_the_encoder_never_writes_are_refused(batch, bitmap, shared):
+    """``success`` is 0 or 1 and ``result_digest`` 0, 1 or 2: any other mode
+    byte is refused by name, never read as a neighbouring mode — otherwise two
+    byte strings would decode to one message."""
+    wire = codec.encode_message(batch)
+    digest_mode = len(wire) - 33 - shared - 1  # then the shared digest and results_root
+    success_mode = digest_mode - bitmap - 1
+    assert (wire[success_mode], wire[digest_mode]) == (int(bool(bitmap)), int(bool(shared)))
+    for position, modes in ((success_mode, {0, 1}), (digest_mode, {0, 1, 2})):
+        for byte in (0x02, 0x03, 0xFF):
+            damaged = bytearray(wire)
+            damaged[position] = byte
+            # 0x02 is a real digest mode: its 100 digests are simply not there.
+            with pytest.raises(codec.CodecError, match=None if byte in modes else f"column mode {byte:#04x}"):
+                codec.decode_message(bytes(damaged))
+
+
 @pytest.mark.parametrize("retired", [4, 5, 6, 7, 8, 9])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_retired_binary_versions_are_rejected(retired, data):
     message = data.draw(_wire_strategy(data.draw(st.sampled_from(codec.MESSAGE_TYPES))))
-    with codec.wire_codec_scope("binary"):
-        body = bytearray(codec.encode_envelope_frame(0, 1, message, 0.5)[4:])
+    body = bytearray(codec.frame_from_message(0, 1, codec.encode_message(message), 0.5)[4:])
     assert body[1] == codec.BINARY_WIRE_VERSION
     body[1] = retired
     with pytest.raises(codec.CodecError, match=f"version {retired}"):
@@ -551,14 +584,13 @@ def test_ints_outside_i64_are_refused_at_encode_time(too_big):
         ClientResponseBatch(1, 1, 1, NULL_DIGEST, True, (entry,)),
         ClientResponseBatch(1, 1, 1, NULL_DIGEST, True, (ResponseEntry(1, 1), ResponseEntry(2, too_big))),
     ]
-    with codec.wire_codec_scope("binary"):
-        for message in messages:
-            with pytest.raises(codec.CodecError):
-                codec.encode_message(message)
-        # ...while a schemaless payload value is a varint, with room to 2**69.
-        roomy = ClientRequest(txn=Transaction.create(client_id=1, operation="op", payload={"n": too_big}, txn_id=1))
-        if -(2**69) <= too_big < 2**69:
-            assert codec.decode_message(codec.encode_message(roomy)) == roomy
-        else:
-            with pytest.raises(codec.CodecError):
-                codec.encode_message(roomy)
+    for message in messages:
+        with pytest.raises(codec.CodecError):
+            codec.encode_message(message)
+    # ...while a schemaless payload value is a varint, with room to 2**69.
+    roomy = ClientRequest(txn=Transaction.create(client_id=1, operation="op", payload={"n": too_big}, txn_id=1))
+    if -(2**69) <= too_big < 2**69:
+        assert codec.decode_message(codec.encode_message(roomy)) == roomy
+    else:
+        with pytest.raises(codec.CodecError):
+            codec.encode_message(roomy)
