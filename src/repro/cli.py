@@ -20,7 +20,12 @@ Sub-commands
 ``live``
     Run one experiment on the live asyncio runtime: an n-replica localhost
     TCP cluster plus a client load generator, reported through the same
-    pipeline as simulations.
+    pipeline as simulations.  Where its CPU goes per layer is
+    ``python3 -m bench run --workload W --trace 1``'s report; a cProfile of
+    any spec is ``python -m cProfile -s tottime -m repro live ...``.
+``replica``
+    Serve one replica process of a multi-process deployment (started by the
+    ``live --multiprocess`` coordinator, or by hand on each host).
 ``chaos``
     Run one experiment (sim or live) under a fault plan — a named preset
     (``kill-replica``, ``kill-leader``, ``cascade``, ``partition-heal``,
@@ -52,9 +57,6 @@ Sub-commands
     Inspect the durable checkpoint snapshots under a ``--storage-dir``: per
     replica, the latest snapshot's height/view/digest and the (compacted) WAL
     and block-log record counts.
-``profile``
-    cProfile one live run and report where the event loop's CPU goes, bucketed
-    by layer (encode / decode / transport / hashing / consensus / ...).
 ``trace``
     Inspect a JSONL trace dump (written by ``--trace-out`` or streamed by
     ``--trace-stream`` on ``run`` / ``live`` / ``chaos``) and re-export it as
@@ -128,7 +130,7 @@ FIGURES: Dict[str, Dict] = {
 
 #: CLI defaults that differ from the :class:`ExperimentSpec` field defaults:
 #: quick simulated runs for ``run`` / ``chaos`` / ``fuzz`` / ``compare``,
-#: wall-clock caps and a socket-friendly view timer for ``live`` / ``profile``.
+#: a wall-clock cap and a socket-friendly view timer for ``live``.
 SIM_DEFAULTS = {"protocol": "hotstuff-1", "duration": 0.5, "warmup": 0.1}
 LIVE_DEFAULTS = {"protocol": "hotstuff-1", "duration": 15.0, "view_timeout": 0.05}
 
@@ -157,7 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
         "live", command_live, "run one experiment over real localhost TCP sockets"
     )
     add_spec_arguments(live_parser, KNOB_GROUPS, omit=("mode",), warmup=0.25, **LIVE_DEFAULTS)
-    _add_load_flags(live_parser)
+    live_parser.add_argument("--target-ops", type=int, default=1000,
+                             help="stop once this many client operations completed (0: run full duration)")
+    live_parser.add_argument("--rate", type=float, default=None,
+                             help="open-loop injection rate in txn/s (default: closed loop)")
     live_parser.add_argument("--max-outstanding", type=int, default=None, metavar="TXNS",
                              help="open-loop client-side cap on outstanding requests")
     live_parser.add_argument(
@@ -273,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect one replica id (default: every replica-* subdirectory)",
     )
 
-    profile_parser = command(
-        "profile", command_profile, "cProfile a live run and report CPU by layer (encode/decode/transport/...)"
-    )
-    add_spec_arguments(profile_parser, ("core",), omit=("mode",), warmup=0.05, **LIVE_DEFAULTS)
-    _add_load_flags(profile_parser)
-    profile_parser.add_argument("--top", type=int, default=15,
-                                help="how many hottest functions to list")
-
     trace_parser = command(
         "trace", command_trace, "inspect a JSONL trace dump and re-export it (Chrome / Prometheus)"
     )
@@ -381,13 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict_parser.add_argument("--batch", type=int, default=100)
     predict_parser.add_argument("--hop-latency", type=float, default=0.0005)
     return parser
-
-
-def _add_load_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--target-ops", type=int, default=1000,
-                        help="stop once this many client operations completed (0: run full duration)")
-    parser.add_argument("--rate", type=float, default=None,
-                        help="open-loop injection rate in txn/s (default: closed loop)")
 
 
 def _add_trace_out_flag(parser: argparse.ArgumentParser) -> None:
@@ -755,17 +745,6 @@ def command_snapshot(args: argparse.Namespace) -> int:
 
     rows = inspect_storage_dir(args.storage_dir, args.replica)
     print(format_series(rows, title=f"snapshots under {args.storage_dir}"))
-    return 0
-
-
-def command_profile(args: argparse.Namespace) -> int:
-    """cProfile one live run and print the per-layer CPU breakdown."""
-    from repro.live.profiling import format_profile, profile_live_run
-
-    spec = _spec_from_cli(args, mode="live")
-    target_ops = args.target_ops if args.target_ops > 0 else None
-    profile = profile_live_run(spec, target_ops=target_ops, rate=args.rate, top=args.top)
-    print(format_profile(profile))
     return 0
 
 

@@ -444,8 +444,8 @@ def compile_layout(cls: Type, tag: str, kinds: Dict[str, Any], codecs: Dict[Any,
     Both functions are generated as flat source — one ``pack`` /
     ``unpack_from`` for the whole header, one call per remaining field, no
     loop over fields, no per-value type code — and named ``_enc_<tag>`` /
-    ``_dec_<tag>`` so profiles attribute time per type
-    (:mod:`repro.live.profiling` buckets on the ``_enc`` / ``_dec`` prefixes).
+    ``_dec_<tag>`` so a profile (``python -m cProfile``) attributes codec time
+    per message type instead of to one generic function.
     The decoder builds ``cls`` positionally, so *kinds* must list its fields
     in constructor order.
     """

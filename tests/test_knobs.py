@@ -11,7 +11,9 @@ what is derived from it:
   and every registered scenario, and still rejects what cannot cross a
   process boundary;
 * input checking is as strict as the hand-written ``validate()`` was;
-* a new ``knob(...)`` field needs no further code anywhere.
+* a new ``knob(...)`` field needs no further code anywhere;
+* the figure suite's ``REPRO_BENCH_*`` environment is refused outside its
+  allowed values.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class TestEveryFieldIsDeclaredOnce:
 # ------------------------------------------- (b) CLI compatibility contract
 #: Every option string each sub-command accepted at the commit before the
 #: flags were derived from the dataclass.  No flag added or renamed; the one
-#: removed is ``--codec`` (binary became the only wire format).
+#: removed is ``--codec`` (binary became the only wire format), and the one
+#: sub-command removed is ``profile`` (``python3 -m bench`` attributes CPU).
 PARENT_FLAGS = {
     "run": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--duration", "--faults",
@@ -110,11 +113,6 @@ PARENT_FLAGS = {
     "compare": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--duration",
         "--pipeline-depth", "--replicas", "--seed", "--view-timeout", "--warmup", "--workload",
-    },
-    "profile": {
-        "-h", "--help", "--batch", "--duration", "--n", "--pipeline-depth",
-        "--protocol", "--rate", "--replicas", "--seed", "--target-ops", "--top",
-        "--view-timeout", "--warmup", "--workload",
     },
     "figure": {"-h", "--help", "--duration", "--jobs", "--out", "--repeats", "--seed"},
     "suite": {
@@ -174,7 +172,6 @@ def capture(monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", stub)
     monkeypatch.setattr(cli, "execute_scenario", stub)
     monkeypatch.setattr("repro.live.deploy.run_live_experiment", stub)
-    monkeypatch.setattr("repro.live.profiling.profile_live_run", stub)
 
     def run(argv):
         with pytest.raises(_Captured) as caught:
@@ -203,9 +200,8 @@ class TestCliIsTheParentsCli:
             (["run"], SIM_DEFAULTS),
             (["compare"], {**SIM_DEFAULTS, "protocol": "hotstuff"}),
             (["live"], LIVE_DEFAULTS),
-            (["profile"], {**LIVE_DEFAULTS, "warmup": 0.05}),
         ],
-        ids=["run", "compare", "live", "profile"],
+        ids=["run", "compare", "live"],
     )
     def test_bare_invocation_builds_the_parents_default_spec(self, capture, argv, expected):
         assert capture(argv).built == ExperimentSpec(**expected)
@@ -283,22 +279,18 @@ class TestCliIsTheParentsCli:
         built = capture(["compare", *COMMON_ARGV]).built
         assert built == ExperimentSpec(protocol="hotstuff", **COMMON_SPEC)
 
-    def test_profile_spells_every_flag(self, capture):
-        captured = capture([
-            "profile", "--protocol", "hotstuff-1-slotting", "--replicas", "7",
-            *COMMON_ARGV[2:-2], "--target-ops", "300", "--rate", "900", "--top", "5",
-        ])
-        spec = {k: v for k, v in COMMON_SPEC.items() if k != "checkpoint_interval"}
-        assert captured.built == ExperimentSpec(
-            protocol="hotstuff-1-slotting", mode="live", **spec)
-        assert captured.call == {"target_ops": 300, "rate": 900.0, "top": 5}
-
     def test_bad_choice_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["run", "--workload", "tatp"])
         assert "--workload" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "live", "chaos", "fuzz", "compare", "profile"])
+    def test_profile_is_not_a_subcommand(self, capsys):
+        """CPU attribution is ``python3 -m bench run --trace 1``'s job."""
+        with pytest.raises(SystemExit):
+            cli.main(["profile"])
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "live", "chaos", "fuzz", "compare"])
     def test_codec_is_not_a_flag(self, command, capsys):
         """Binary is the only wire format: no sub-command offers a choice."""
         with pytest.raises(SystemExit):
@@ -516,3 +508,43 @@ class TestExecutorPassThrough:
         )
         with pytest.raises(ConfigurationError, match="hooks"):
             execute_request(request)
+
+
+# ------------------------------------- (d) the benchmark suite's environment
+class TestBenchSuiteEnvironment:
+    """``REPRO_BENCH_*`` pick what the golden tables hold, so a value outside
+    the allowed set is refused, not read as the default."""
+
+    @pytest.fixture
+    def bench_env(self, monkeypatch):
+        monkeypatch.syspath_prepend(REPO_ROOT)  # benchmarks/ is a top-level package
+        for name in ("REPRO_BENCH_SCALE", "REPRO_BENCH_JOBS", "REPRO_BENCH_REPEATS"):
+            monkeypatch.delenv(name, raising=False)
+        from benchmarks.conftest import bench_env
+
+        return bench_env
+
+    def test_defaults_and_allowed_values(self, bench_env, monkeypatch):
+        assert bench_env() == ("quick", 1, 1)
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "full")
+        monkeypatch.setenv("REPRO_BENCH_JOBS", "4")
+        monkeypatch.setenv("REPRO_BENCH_REPEATS", "3")
+        assert bench_env() == ("full", 4, 3)
+
+    @pytest.mark.parametrize(
+        "name, value, allowed",
+        [
+            ("REPRO_BENCH_SCALE", "fulll", "quick|full"),
+            ("REPRO_BENCH_SCALE", "", "quick|full"),
+            ("REPRO_BENCH_JOBS", "-1", "positive integer"),
+            ("REPRO_BENCH_JOBS", "two", "positive integer"),
+            ("REPRO_BENCH_REPEATS", "0", "positive integer"),
+        ],
+    )
+    def test_a_value_outside_the_allowed_set_is_a_usage_error(
+        self, bench_env, monkeypatch, name, value, allowed
+    ):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(pytest.UsageError) as caught:
+            bench_env()
+        assert name in str(caught.value) and allowed in str(caught.value)

@@ -166,6 +166,16 @@ class TestMessageRoundTrip:
             digest.update(codec.frame_from_message(3, -1, wire, 1.25, seq=7))
         assert digest.hexdigest() == "1e0365bbe3e0f0dff122b20ed91f0d5d66d19d2a58470ab99e0a4261a54b1c0e"
 
+    @pytest.mark.parametrize("seq", [None, 3], ids=["untraced", "traced"])
+    def test_frame_size_is_the_framed_length(self, seq):
+        """Live ``bytes_per_op`` charges ``frame_size`` without building the
+        frame: it must equal the length of the frame actually written."""
+        codec.reset_size_cache()
+        for message in _all_messages():
+            wire = codec.encode_message(message)
+            frame = codec.frame_from_message(0, 1, wire, 0.5, seq=seq)
+            assert codec.frame_size(0, 1, wire, 0.5, seq=seq) == len(frame), type(message).__name__
+
 
 def _frame_body(message):
     return codec.frame_from_message(0, 1, codec.encode_message(message), 0.0)[4:]
@@ -648,33 +658,3 @@ class TestNetworkBreakdownReport:
         table = format_network_breakdown({"messages_sent": 1, "bytes_sent": 256})
         assert "(total)" in table
 
-
-class TestProfileBuckets:
-    def test_no_hot_codec_function_lands_in_codec_other(self):
-        """`repro profile` splits codec time into encode / decode by function
-        name: every function a binary message passes through on its way onto
-        or off the wire (compiled per-type layouts included) must carry a
-        prefix `_categorize` knows."""
-        import cProfile
-        import pstats
-
-        from repro.live.profiling import _categorize
-
-        messages = _all_messages()
-        profiler = cProfile.Profile()
-        codec.reset_size_cache()
-        profiler.enable()
-        for message in messages:
-            wire = codec.encode_message(message)
-            frame = codec.frame_from_message(0, 1, wire, 0.5, seq=3)
-            assert codec.frame_size(0, 1, wire, 0.5, seq=3) == len(frame)
-            codec.decode_envelope(frame[4:])
-            codec.decode_message(wire)
-        profiler.disable()
-        buckets = {}
-        for filename, _lineno, funcname in pstats.Stats(profiler).stats:
-            if "repro/live/" in filename.replace("\\", "/"):
-                buckets.setdefault(_categorize(filename, funcname), set()).add(funcname)
-        assert {"_enc_propose", "_enc_txn", "_enc_entries", "frame_size"} <= buckets["encode"]
-        assert {"_dec_propose", "_dec_txn", "_dec_entries", "_dec_count"} <= buckets["decode"]
-        assert set(buckets) == {"encode", "decode"}, buckets.get("codec-other")

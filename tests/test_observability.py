@@ -10,6 +10,7 @@ is byte-identical to an untraced one).
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -245,11 +246,19 @@ class TestExports:
 
 class TestTracedRuns:
     def test_tracing_does_not_perturb_the_simulation(self):
+        """The recorder only observes the clock, so a traced run commits the
+        same transactions; its bookkeeping is a small constant per event, so
+        the traced run costs well under twice the CPU of the untraced one."""
         base = dict(protocol="hotstuff-1", duration=0.3, seed=11)
+        started = time.process_time()
         untraced = run_experiment(ExperimentSpec(**base))
+        untraced_s = time.process_time() - started
+        started = time.process_time()
         traced = run_experiment(ExperimentSpec(trace=True, **base))
+        traced_s = time.process_time() - started
         assert untraced.summary.as_dict() == traced.summary.as_dict()
         assert untraced.trace is None and traced.trace is not None
+        assert traced_s / untraced_s < 2.0, f"traced {traced_s:.3f}s vs untraced {untraced_s:.3f}s CPU"
 
     def test_hotstuff1_speculative_response_beats_commit(self):
         result = run_experiment(
