@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+
+#: Upper bound on slots per view for the slotting design: a safety valve for
+#: the simulation (the adaptive mechanism usually stops earlier, when the
+#: view timer expires) and the cap on ``pipeline_depth``.
+MAX_SLOTS_PER_VIEW = 64
 
 
 @dataclass
@@ -24,23 +29,16 @@ class ProtocolConfig:
     delta:
         The presumed network transmission-delay bound used by the pacemaker's
         ``ShareTimer`` (``start_time + 3 * delta``).
-    max_slots_per_view:
-        Upper bound on slots per view for the slotting design (a safety valve
-        for the simulation; the adaptive mechanism usually stops earlier when
-        the view timer expires).
     pipeline_depth:
         How many uncertified slot proposals a slotted leader keeps in flight
         at once.  The default 1 reproduces the paper's one-round-trip-at-a-
         time slotting exactly; deeper pipelines overlap proposal dissemination
         with vote aggregation (multi-pipeline HotStuff style) and pay off once
-        real network/IO latency dominates, i.e. in the live runtime.
+        real network/IO latency dominates, i.e. in the live runtime.  At most
+        :data:`MAX_SLOTS_PER_VIEW`.
     speculation_enabled:
         Whether HotStuff-1 replicas speculatively execute (disabling it turns
         HotStuff-1 into a useful ablation baseline).
-    epoch_sync_enabled:
-        Whether the pacemaker performs Wish/TC epoch synchronisation at epoch
-        boundaries (Figure 3).  Disabling it keeps timers purely local, which
-        is convenient for some unit tests.
     seed:
         Deployment seed for crypto and workload randomness.
     """
@@ -49,10 +47,8 @@ class ProtocolConfig:
     batch_size: int = 100
     view_timeout: float = 0.010
     delta: float = 0.001
-    max_slots_per_view: int = 64
     pipeline_depth: int = 1
     speculation_enabled: bool = True
-    epoch_sync_enabled: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -68,10 +64,9 @@ class ProtocolConfig:
             raise ConfigurationError("delta must be positive")
         if self.pipeline_depth < 1:
             raise ConfigurationError(f"pipeline_depth must be >= 1, got {self.pipeline_depth}")
-        if self.pipeline_depth > self.max_slots_per_view:
+        if self.pipeline_depth > MAX_SLOTS_PER_VIEW:
             raise ConfigurationError(
-                f"pipeline_depth ({self.pipeline_depth}) cannot exceed "
-                f"max_slots_per_view ({self.max_slots_per_view})"
+                f"pipeline_depth must be <= {MAX_SLOTS_PER_VIEW}, got {self.pipeline_depth}"
             )
 
     # ------------------------------------------------------------ quorums

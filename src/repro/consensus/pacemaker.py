@@ -5,7 +5,8 @@ leaders can collect quorums.  Views are grouped into epochs of ``f + 1``
 consecutive views; at every epoch boundary replicas run a Wish / timeout
 certificate (TC) exchange to re-synchronise, and inside an epoch views advance
 locally (at network speed in the happy path, or on the view timer when the
-leader stalls).
+leader stalls).  As in Figure 3, the exchange runs at every boundary, also
+after views that certified at network speed.
 
 The pacemaker exposes exactly the calls the paper's pseudocode uses:
 
@@ -96,7 +97,7 @@ class Pacemaker:
         if self.stopped:
             return
         self._started = True
-        if self.config.epoch_sync_enabled and first_view % self.config.epoch_length == 0:
+        if first_view % self.config.epoch_length == 0:
             self.synchronize_epoch(first_view)
         else:
             self.enter_view(first_view)
@@ -160,7 +161,7 @@ class Pacemaker:
         next_view = view + 1
         if next_view <= self.current_view:
             return
-        if self.config.epoch_sync_enabled and next_view % self.config.epoch_length == 0:
+        if next_view % self.config.epoch_length == 0:
             self.synchronize_epoch(next_view)
         else:
             self.enter_view(next_view)

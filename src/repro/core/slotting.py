@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.consensus.certificates import Certificate, CertKind
+from repro.consensus.config import MAX_SLOTS_PER_VIEW
 from repro.consensus.messages import NewSlot, NewView, Propose, Reject
 from repro.consensus.replica import HOOK_MID_CERT, BaseReplica
 from repro.core.speculation import SpeculationGuard
@@ -291,7 +292,7 @@ class SlottedHotStuff1Replica(BaseReplica):
                 self._pipeline_justify[msg.view] = cert
             if self.config.pipeline_depth > 1:
                 self._pump_pipeline(msg.view)
-            elif msg.slot + 1 <= self.config.max_slots_per_view:
+            elif msg.slot + 1 <= MAX_SLOTS_PER_VIEW:
                 self._broadcast_slot_proposal(
                     msg.view, msg.slot + 1, cert, cert.block_hash, NULL_DIGEST
                 )
@@ -365,7 +366,7 @@ class SlottedHotStuff1Replica(BaseReplica):
             # released closed-loop clients back into the mempool.
             return
         next_slot = proposed + 1
-        if next_slot > self.config.max_slots_per_view or self.pacemaker.has_completed(view):
+        if next_slot > MAX_SLOTS_PER_VIEW or self.pacemaker.has_completed(view):
             return
         justify = self._pipeline_justify.get(view)
         parent_hash = self._last_proposed_hash.get(view)

@@ -81,8 +81,16 @@ def execute_request(request: RunRequest) -> RunRecord:
     # So a live mode param runs any point of any scenario over real sockets,
     # a fault plan turns it into a chaos run, a trace switch attaches a
     # recorder (whose phase columns land in the report row) — without any
-    # point builder threading those through.
+    # point builder threading those through.  Anything else is a typo or a
+    # knob that no longer exists, and running the defaults instead would
+    # pass for a result.
     spec_fields = {spec_field.name for spec_field in dataclasses.fields(spec)}
+    unknown = params.keys() - params.read - spec_fields
+    if unknown:
+        raise ConfigurationError(
+            f"{request.kind!r} scenario params {sorted(unknown)} are neither read by its "
+            "point builder nor the name of a spec knob"
+        )
     for name in (params.keys() & spec_fields) - params.read:
         if params[name] is not None:
             setattr(spec, name, params[name])

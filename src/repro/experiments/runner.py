@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, get_args, get_type_hints
 from repro.consensus.byzantine import ReplicaBehavior
 from repro.consensus.certificates import CertificateAuthority
 from repro.consensus.client import CLIENT_POOL_NODE_ID, ClientPool
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import MAX_SLOTS_PER_VIEW, ProtocolConfig
 from repro.consensus.costs import CostModel
 from repro.consensus.leader import RoundRobinLeaderElection
 from repro.consensus.mempool import Mempool
@@ -90,12 +90,6 @@ def knob(
         default=default, default_factory=default_factory,
         metadata={**metadata, **_KNOB_RULES, **rules},
     )
-
-
-def _trace_samplers() -> Sequence[str]:
-    from repro.obs.sampling import SAMPLER_KINDS  # local import: repro.obs imports the report module
-
-    return SAMPLER_KINDS
 
 
 def _region_list(text: str) -> Optional[List[str]]:
@@ -213,19 +207,9 @@ class ExperimentSpec:
     speculation_enabled: bool = knob(
         True, group="core", flags=None, help="speculative execution and early client responses"
     )
-    epoch_sync_enabled: bool = knob(
-        True, group="core", flags=None, help="epoch-based view synchronisation"
-    )
     check_safety: bool = knob(
         True, group="core", flags=None,
         help="verify after the run that honest committed ledgers are prefixes of each other",
-    )
-    max_slots_per_view: int = knob(
-        64, group="core", flags=None, help="slots a slotted leader may propose in one view"
-    )
-    knee_factor: float = knob(
-        0.9, group="mempool", flags=None,
-        help="default client population as a fraction of the protocol's pipeline knee",
     )
     codec: str = knob(
         "binary", group="core", flags=None, choices=("binary",),
@@ -233,7 +217,7 @@ class ExperimentSpec:
              "framed format, for live sockets and the simulator's byte accounting alike",
     )
     pipeline_depth: int = knob(
-        1, group="core", flags=("--pipeline-depth",), low=1,
+        1, group="core", flags=("--pipeline-depth",), low=1, high=MAX_SLOTS_PER_VIEW,
         help="uncertified slot proposals a slotted leader keeps in flight (>1 needs a protocol "
              "with supports_slotting, e.g. hotstuff-1-slotting); 1 is the paper's sequential "
              "slotting, deeper pipelines overlap dissemination with vote aggregation",
@@ -272,17 +256,9 @@ class ExperimentSpec:
         None, group="telemetry", flags=("--trace-bucket",), positive=True, metavar="SECONDS",
         help="time-series bucket width (default: duration/8, clamped to 20ms..1s)",
     )
-    trace_sampler: str = knob(
-        "head", group="telemetry", flags=("--trace-sampler",), choices=_trace_samplers,
-        help="span sampling once the cap fills: head keeps the first N, reservoir a uniform "
-             "sample over the whole run, tail the slowest",
-    )
     trace_max_events: int = knob(
         4096, group="telemetry", flags=("--trace-max-events",), low=1,
         help="ring size for raw protocol events and trace instants",
-    )
-    trace_reservoir: int = knob(
-        512, group="telemetry", flags=None, low=1, help="per-bucket latency reservoir size"
     )
     trace_stream: Optional[str] = knob(
         None, group="telemetry", flags=("--trace-stream",), metavar="FILE.jsonl",
@@ -311,11 +287,6 @@ class ExperimentSpec:
         help="admission cap on pending transactions per pool; adds beyond it are rejected and "
              "counted (admission_rejected), the backpressure signal for open-loop arrivals",
     )
-    broadcast_requests: Optional[bool] = knob(
-        None, group="mempool", flags=None,
-        help="send every client request to all target replicas instead of round-robin "
-             "(implied by distributed_mempool: per-replica pools starve without broadcast)",
-    )
 
     def validate(self) -> "ExperimentSpec":
         """Check the spec for configuration errors before any simulator state exists.
@@ -335,11 +306,6 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"warmup ({self.warmup}) must satisfy 0 <= warmup < duration ({self.duration})"
             )
-        if self.pipeline_depth > self.max_slots_per_view:
-            raise ConfigurationError(
-                f"pipeline_depth ({self.pipeline_depth}) cannot exceed "
-                f"max_slots_per_view ({self.max_slots_per_view})"
-            )
         if self.pipeline_depth > 1 and not getattr(
             replica_class_for(self.protocol), "supports_slotting", False
         ):
@@ -358,13 +324,6 @@ class ExperimentSpec:
             self.crash_points = crash_plan.to_dict()
         if self.trace_stream:
             self.trace = True
-        if self.broadcast_requests is None:
-            self.broadcast_requests = self.distributed_mempool
-        elif self.distributed_mempool and not self.broadcast_requests:
-            raise ConfigurationError(
-                "distributed_mempool needs broadcast_requests: with round-robin "
-                "submission a rotating leader's local pool would starve"
-            )
         if self.scrape_port is not None and self.mode != "live":
             raise ConfigurationError(
                 "scrape_port serves HTTP from the live runtime; "
@@ -551,10 +510,10 @@ def default_num_clients(spec: ExperimentSpec, replica_class) -> int:
     The paper tunes the client count to the saturation knee so that measured
     latency reflects protocol half-phases rather than queueing; the knee is
     roughly ``client_knee_blocks`` full batches in flight (more for protocols
-    with more half-phases), scaled by ``knee_factor``.
+    with more half-phases), at 90 % of it.
     """
     knee_blocks = getattr(replica_class, "client_knee_blocks", 4.0)
-    return max(16, int(round(spec.knee_factor * knee_blocks * spec.batch_size)))
+    return max(16, int(round(0.9 * knee_blocks * spec.batch_size)))
 
 
 @dataclass
@@ -642,9 +601,7 @@ def build_deployment(
         view_timeout=spec.view_timeout,
         delta=spec.delta,
         speculation_enabled=spec.speculation_enabled,
-        epoch_sync_enabled=spec.epoch_sync_enabled,
         seed=spec.seed,
-        max_slots_per_view=spec.max_slots_per_view,
         pipeline_depth=spec.pipeline_depth,
     )
     scheme = ThresholdScheme(n=config.n, threshold=config.quorum, seed=spec.seed)
@@ -664,7 +621,6 @@ def build_deployment(
     tracer = None
     if spec.trace:
         from repro.obs.detect import SloDetector
-        from repro.obs.sampling import make_sampler
         from repro.obs.stream import StreamingTraceSink
         from repro.obs.trace import TraceRecorder, default_bucket_width
 
@@ -674,10 +630,7 @@ def build_deployment(
             bucket=spec.trace_bucket or default_bucket_width(spec.duration),
             max_txns=spec.trace_max_txns,
             max_events=spec.trace_max_events,
-            reservoir_per_bucket=spec.trace_reservoir,
         )
-        if spec.trace_sampler != "head":
-            tracer.sampler = make_sampler(spec.trace_sampler, spec.trace_max_txns, tracer._rng)
         if spec.trace_detect:
             SloDetector(tracer)
         if spec.trace_stream:
@@ -818,7 +771,7 @@ def prepare(
             metrics=deployment.metrics,
             num_clients=spec.num_clients or default_num_clients(spec, deployment.replica_class),
             required_quorum=client_quorum_for(spec.protocol, deployment.config),
-            broadcast_requests=bool(spec.broadcast_requests),
+            broadcast_requests=spec.distributed_mempool,
             target_replicas=_client_targets(
                 spec, latency_model_for(spec) if latency is None else latency
             ),
@@ -974,7 +927,7 @@ def _client_targets(spec: ExperimentSpec, latency: LatencyModel) -> Optional[Lis
     a rotating leader whose pool never hears a request could not propose it —
     so the co-location preference only applies to round-robin submission.
     """
-    if spec.broadcast_requests:
+    if spec.distributed_mempool:
         return None
     if not isinstance(latency, GeoLatencyModel):
         return None

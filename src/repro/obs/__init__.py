@@ -1,11 +1,10 @@
 """Observability layer: lifecycle tracing, phase decomposition, exports,
-and the live telemetry plane (streaming sinks, span samplers, online SLO
-detectors, per-replica scrape endpoints, terminal dashboard).
+and the live telemetry plane (streaming sinks, online SLO detectors,
+per-replica scrape endpoints, terminal dashboard).
 
 See :mod:`repro.obs.trace` for the recorder both substrates feed,
 :mod:`repro.obs.export` for the JSONL / Chrome-trace / Prometheus surfaces,
 :mod:`repro.obs.stream` for bounded-memory streaming export,
-:mod:`repro.obs.sampling` for span-sampling strategies,
 :mod:`repro.obs.detect` for the hysteresis-gated SLO rules,
 :mod:`repro.obs.scrape` / :mod:`repro.obs.watch` for the live endpoints and
 the ``repro watch`` dashboard, and :mod:`repro.obs.merge` /
@@ -51,13 +50,6 @@ from repro.obs.export import (
     write_trace_bundle,
 )
 from repro.obs.stream import StreamingTraceSink, TraceTail
-from repro.obs.sampling import (
-    SAMPLER_KINDS,
-    HeadSampler,
-    ReservoirSampler,
-    TailBiasedSampler,
-    make_sampler,
-)
 from repro.obs.detect import Alert, BucketStats, SloDetector, default_rules
 from repro.obs.scrape import ReplicaTelemetry, ScrapeServer
 from repro.obs.watch import render_dashboard, watch_file, watch_scrape
@@ -94,11 +86,6 @@ __all__ = [
     "write_trace_bundle",
     "StreamingTraceSink",
     "TraceTail",
-    "SAMPLER_KINDS",
-    "HeadSampler",
-    "ReservoirSampler",
-    "TailBiasedSampler",
-    "make_sampler",
     "Alert",
     "BucketStats",
     "SloDetector",

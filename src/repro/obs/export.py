@@ -73,7 +73,7 @@ def chrome_trace(trace: TraceRecorder) -> Dict:
         _process_name(_SERIES_PID, "time series"),
         _process_name(_INSTANT_PID, "faults & alerts"),
     ]
-    per_replica = bool(getattr(trace, "per_replica_tracks", False))
+    per_replica = trace.per_replica_tracks
     if per_replica:
         for replica in sorted({e.replica for e in trace.events if e.replica >= 0}):
             events.append(

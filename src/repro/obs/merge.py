@@ -195,15 +195,11 @@ def merge_shards(
     reference = offsets.reference
     base = shards[reference]
 
-    merged = TraceRecorder(
-        clock=None,
+    merged = TraceRecorder.offline(
         warmup=base.warmup,
         bucket=base.bucket_width,
         max_txns=max(trace.max_txns for trace in shards.values()),
     )
-    merged.events = deque()
-    merged.instants = deque()
-    merged.wire = deque()
     merged.per_replica_tracks = True
 
     for node in sorted(shards):

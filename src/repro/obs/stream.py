@@ -7,8 +7,8 @@ PR 7's recorder held every span, event and bucket until the end of the run
 no longer live:
 
 * **spans** are written when they complete (both ``responded`` and
-  ``committed`` observed) and linger past a short grace window, when the
-  sampler evicts them, or at close — then dropped from the working set;
+  ``committed`` observed) and linger past a short grace window, or at
+  close — then dropped from the working set;
 * **protocol events** and **instants** are drained out of their rings on
   every flush, so the ring never wraps and the stream is lossless;
 * **timeline buckets** are written exactly once, when the recorder closes
@@ -106,14 +106,9 @@ class StreamingTraceSink:
         self._handle.flush()
 
     def _retire_spans(self) -> bool:
-        """Flush-and-evict completed spans whose last event went stale.
-
-        Only the default head-cap policy retires on completion; an explicit
-        sampler (reservoir / tail-biased) owns its working set and drives
-        eviction itself via the recorder.
-        """
+        """Flush-and-evict completed spans whose last event went stale."""
         recorder = self.recorder
-        if recorder.sampler is not None or recorder.clock is None:
+        if recorder.clock is None:
             return False
         now = recorder.clock.now
         horizon = now - self.retire_after

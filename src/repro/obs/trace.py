@@ -16,7 +16,7 @@ Memory is bounded everywhere:
   ``max_txns`` post-warmup submissions (exact event counters cover the rest);
 * per-block/per-view **protocol events** live in a ring (`deque(maxlen=...)`);
 * per-bucket latency distributions are true **reservoirs** of
-  ``reservoir_per_bucket`` samples;
+  :data:`DEFAULT_RESERVOIR` samples;
 * block-level first-wins dedup uses an LRU window of recent block hashes
   (blocks are processed temporally close together, so the window is exact in
   practice).
@@ -72,7 +72,7 @@ _KIND_BITS = {kind: 1 << index for index, kind in enumerate(EVENT_KINDS)}
 DEFAULT_MAX_TXNS = 2000
 #: Default ring size for block/view protocol events.
 DEFAULT_MAX_EVENTS = 4096
-#: Default per-bucket latency reservoir size.
+#: Per-bucket latency reservoir size.
 DEFAULT_RESERVOIR = 512
 #: LRU window of block hashes used for first-wins event dedup.
 _MARK_WINDOW = 8192
@@ -338,8 +338,6 @@ class TraceRecorder:
         Time-series bucket width in (simulated or wall-clock) seconds.
     max_txns:
         Head cap on sampled spans; exact counters cover every transaction.
-        (A :mod:`~repro.obs.sampling` strategy attached as ``self.sampler``
-        replaces the head-cap admission policy.)
     """
 
     def __init__(
@@ -349,7 +347,6 @@ class TraceRecorder:
         bucket: float = 0.25,
         max_txns: int = DEFAULT_MAX_TXNS,
         max_events: int = DEFAULT_MAX_EVENTS,
-        reservoir_per_bucket: int = DEFAULT_RESERVOIR,
         seed: int = 2025,
     ) -> None:
         if float(bucket) <= 0.0:
@@ -358,16 +355,11 @@ class TraceRecorder:
             raise ConfigurationError(f"trace span cap must be >= 1, got {max_txns!r}")
         if int(max_events) < 1:
             raise ConfigurationError(f"trace event ring size must be >= 1, got {max_events!r}")
-        if int(reservoir_per_bucket) < 1:
-            raise ConfigurationError(
-                f"trace latency reservoir must be >= 1, got {reservoir_per_bucket!r}"
-            )
         self.clock = clock
         self.warmup = float(warmup)
         self.bucket_width = float(bucket)
         self.max_txns = int(max_txns)
         self.max_events = int(max_events)
-        self.reservoir_per_bucket = int(reservoir_per_bucket)
         self.spans: "OrderedDict[int, TxnSpan]" = OrderedDict()
         self.events: deque = deque(maxlen=self.max_events)
         self.events_seen = 0
@@ -381,6 +373,9 @@ class TraceRecorder:
         #: Which node's clock this recorder's timestamps are on (``None`` for
         #: single-process runs, where one recorder spans the whole cluster).
         self.node_id: Optional[int] = None
+        #: Set on a multi-process shard merge: exports give each replica
+        #: process its own track.
+        self.per_replica_tracks = False
         #: Which lifecycle event opens a span.  The client-side default is
         #: ``"submitted"``; replica *shards* (no client pool in the process)
         #: switch to ``"mempool"`` so the merge has replica-side per-txn
@@ -389,9 +384,6 @@ class TraceRecorder:
         self.buckets: Dict[int, TimelineBucket] = {}
         self.counts: Dict[str, int] = {}
         self.highest_view = 0
-        #: Optional span-admission strategy (see :mod:`repro.obs.sampling`);
-        #: ``None`` keeps the legacy head-cap behavior.
-        self.sampler = None
         #: Optional streaming sink (see :mod:`repro.obs.stream`).
         self.sink = None
         #: Optional online SLO detector (see :mod:`repro.obs.detect`).
@@ -471,12 +463,6 @@ class TraceRecorder:
         if self.sink is not None:
             self.sink.close()
 
-    def _evict_span(self, txn_id: int) -> None:
-        """Drop a span from the working set, persisting it first if streaming."""
-        span = self.spans.pop(txn_id, None)
-        if span is not None and self.sink is not None:
-            self.sink.write_span(span)
-
     def _mark_block(self, block_hash: str, kind: str) -> bool:
         """First-wins dedup per ``(block, kind)`` over an LRU hash window."""
         bit = _KIND_BITS[kind]
@@ -530,16 +516,10 @@ class TraceRecorder:
         self._bucket(t).submitted += 1
         if t < self.warmup:
             return
-        if self.sampler is not None:
-            admit, evict = self.sampler.offer(txn_id, len(self.spans))
-            if evict is not None:
-                self._evict_span(evict)
-            if admit:
-                self.spans[txn_id] = TxnSpan(txn_id=txn_id, events={"submitted": t})
-        elif len(self.spans) < self.max_txns:
-            # Head-cap default.  With a streaming sink attached the sink
-            # retires completed spans, so admission keeps running for the
-            # whole run instead of stopping at the first max_txns.
+        if len(self.spans) < self.max_txns:
+            # Head cap.  With a streaming sink attached the sink retires
+            # completed spans, so admission keeps running for the whole run
+            # instead of stopping at the first max_txns.
             self.spans[txn_id] = TxnSpan(txn_id=txn_id, events={"submitted": t})
 
     def txn_mempool(self, txn_id: int) -> None:
@@ -624,17 +604,13 @@ class TraceRecorder:
             self._count("responded-speculative")
             bucket.responded_speculative += 1
         latency = t - submitted_at
-        if len(bucket.latencies) < self.reservoir_per_bucket:
+        if len(bucket.latencies) < DEFAULT_RESERVOIR:
             bucket.latencies.append(latency)
         else:
             slot = self._rng.randrange(bucket.offered)
-            if slot < self.reservoir_per_bucket:
+            if slot < DEFAULT_RESERVOIR:
                 bucket.latencies[slot] = latency
         self._mark_span(txn_id, "responded", t)
-        if self.sampler is not None and txn_id in self.spans:
-            evict = self.sampler.on_responded(txn_id, latency)
-            if evict is not None:
-                self._evict_span(evict)
 
     def view_entered(self, view: int, replica: int = -1) -> None:
         """Replica: the pacemaker entered *view* (first replica to do so wins)."""
@@ -727,7 +703,7 @@ class TraceRecorder:
         }
         if self.node_id is not None:
             record["node"] = self.node_id
-        if getattr(self, "per_replica_tracks", False):
+        if self.per_replica_tracks:
             record["merged"] = True
         return record
 
@@ -853,15 +829,23 @@ class TraceRecorder:
             )
 
     @classmethod
-    def from_records(cls, records: Iterable[Dict]) -> "TraceRecorder":
-        """Rebuild a (clock-less, read-only) recorder from dumped records."""
-        recorder = cls(clock=None)
-        # Offline rebuilds are analysis surfaces: lift the live-memory ring
-        # caps so a long streamed shard loads losslessly (the bounds protect
-        # recording processes, not post-mortem readers).
+    def offline(cls, **params) -> "TraceRecorder":
+        """A clock-less, read-only recorder with the live-memory ring caps lifted.
+
+        Offline recorders (loaded, windowed or merged) are analysis surfaces,
+        so a long streamed shard loads losslessly: the bounds protect
+        recording processes, not post-mortem readers.
+        """
+        recorder = cls(clock=None, **params)
         recorder.events = deque()
         recorder.instants = deque()
         recorder.wire = deque()
+        return recorder
+
+    @classmethod
+    def from_records(cls, records: Iterable[Dict]) -> "TraceRecorder":
+        """Rebuild a (clock-less, read-only) recorder from dumped records."""
+        recorder = cls.offline()
         for record in records:
             recorder.apply_record(record)
         return recorder
@@ -877,15 +861,15 @@ class TraceRecorder:
         """
         lo = -math.inf if since is None else float(since)
         hi = math.inf if until is None else float(until)
-        out = TraceRecorder(clock=None, warmup=self.warmup, bucket=self.bucket_width,
-                            max_txns=self.max_txns, max_events=self.max_events,
-                            reservoir_per_bucket=self.reservoir_per_bucket)
+        out = TraceRecorder.offline(warmup=self.warmup, bucket=self.bucket_width,
+                                    max_txns=self.max_txns, max_events=self.max_events)
         out.counts = dict(self.counts)
         out.events_seen = self.events_seen
         out.instants_seen = self.instants_seen
         out.wire_seen = self.wire_seen
         out.highest_view = self.highest_view
         out.node_id = self.node_id
+        out.per_replica_tracks = self.per_replica_tracks
         for txn_id, span in self.spans.items():
             if span.events and lo <= min(span.events.values()) < hi:
                 out.spans[txn_id] = span

@@ -325,6 +325,20 @@ class TestMerge:
         # First observation wins: r1 saw the txn in its mempool later.
         assert span.sources["mempool"] == 0
 
+    def test_merged_timeline_is_not_capped_by_a_live_ring(self):
+        """Four shards each at the live event cap merge into one timeline
+        that keeps all of their events, on each replica's own track."""
+        shards = {node: _shard(node) for node in range(4)}
+        for node, trace in shards.items():
+            for index in range(trace.max_events):
+                trace.clock.now = index * 1e-3
+                trace.view_entered(index + 1)
+        merged, _ = merge_shards(shards)
+        cap = shards[0].max_events
+        assert len(merged.events) == 4 * cap
+        assert {event.replica for event in merged.events} == {0, 1, 2, 3}
+        assert merged.per_replica_tracks
+
     def test_duplicate_shard_node_ids_are_rejected(self, tmp_path):
         trace = _shard(2)
         a, b = str(tmp_path / "trace-r2.jsonl"), str(tmp_path / "x.jsonl")

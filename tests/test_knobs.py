@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro import cli
+from repro.core.registry import replica_class_for
 from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.experiments.executor import execute_request
@@ -34,6 +35,7 @@ from repro.experiments.runner import (
     KNOB_GROUPS,
     ExperimentSpec,
     add_spec_arguments,
+    default_num_clients,
     knob,
     spec_from_args,
 )
@@ -50,7 +52,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ------------------------------------------------------------ (a) metadata
 class TestEveryFieldIsDeclaredOnce:
     def test_field_count_is_unchanged(self):
-        assert len(dataclasses.fields(ExperimentSpec)) == 41
+        assert len(dataclasses.fields(ExperimentSpec)) == 35
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentSpec), ids=lambda f: f.name)
     def test_field_has_help_group_and_flag_or_explicit_no_cli_mark(self, field):
@@ -79,15 +81,17 @@ class TestEveryFieldIsDeclaredOnce:
 
 # ------------------------------------------- (b) CLI compatibility contract
 #: Every option string each sub-command accepted at the commit before the
-#: flags were derived from the dataclass.  No flag added or renamed; the one
-#: removed is ``--codec`` (binary became the only wire format), and the one
-#: sub-command removed is ``profile`` (``python3 -m bench`` attributes CPU).
+#: flags were derived from the dataclass.  No flag added or renamed; the two
+#: removed are ``--codec`` (binary became the only wire format) and
+#: ``--trace-sampler`` (spans are head-capped, the one policy every consumer
+#: reads), and the one sub-command removed is ``profile`` (``python3 -m
+#: bench`` attributes CPU).
 PARENT_FLAGS = {
     "run": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--duration", "--faults",
         "--no-detect", "--pipeline-depth", "--protocol", "--replicas", "--seed", "--trace",
         "--trace-bucket", "--trace-max-events", "--trace-max-txns", "--trace-out",
-        "--trace-sampler", "--trace-stream", "--view-timeout", "--warmup", "--workload",
+        "--trace-stream", "--view-timeout", "--warmup", "--workload",
     },
     "live": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--client-region", "--clients",
@@ -95,7 +99,7 @@ PARENT_FLAGS = {
         "--max-outstanding", "--mempool-limit", "--multiprocess", "--n", "--no-detect",
         "--pipeline-depth", "--protocol", "--rate", "--regions", "--replicas", "--scrape-port",
         "--seed", "--storage-dir", "--target-ops", "--trace", "--trace-bucket",
-        "--trace-max-events", "--trace-max-txns", "--trace-out", "--trace-sampler",
+        "--trace-max-events", "--trace-max-txns", "--trace-out",
         "--trace-stream", "--view-timeout", "--warmup", "--workload",
     },
     "chaos": {
@@ -103,7 +107,7 @@ PARENT_FLAGS = {
         "--duration", "--emit-plan", "--mode", "--no-detect", "--pipeline-depth", "--plan",
         "--protocol", "--replica", "--replicas", "--scrape-port", "--seed", "--storage-dir",
         "--trace", "--trace-bucket", "--trace-max-events", "--trace-max-txns", "--trace-out",
-        "--trace-sampler", "--trace-stream", "--view-timeout", "--warmup", "--workload",
+        "--trace-stream", "--view-timeout", "--warmup", "--workload",
     },
     "fuzz": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--crashes", "--down-for",
@@ -142,10 +146,10 @@ LIVE_DEFAULTS = dict(protocol="hotstuff-1", mode="live", n=4, batch_size=100, wo
 
 #: Every spec flag of each sub-command spelled the way the parent spelled it,
 #: with a non-default value, next to the spec it must build.
-TRACE_ARGV = ["--trace", "--trace-bucket", "0.05", "--trace-max-txns", "77", "--trace-sampler",
-              "tail", "--trace-stream", "/tmp/knobs-stream.jsonl", "--trace-max-events", "99",
+TRACE_ARGV = ["--trace", "--trace-bucket", "0.05", "--trace-max-txns", "77",
+              "--trace-stream", "/tmp/knobs-stream.jsonl", "--trace-max-events", "99",
               "--no-detect"]
-TRACE_SPEC = dict(trace=True, trace_bucket=0.05, trace_max_txns=77, trace_sampler="tail",
+TRACE_SPEC = dict(trace=True, trace_bucket=0.05, trace_max_txns=77,
                   trace_stream="/tmp/knobs-stream.jsonl", trace_max_events=99, trace_detect=False)
 COMMON_ARGV = ["--replicas", "7", "--batch", "20", "--workload", "tpcc", "--duration", "0.9",
                "--warmup", "0.2", "--seed", "5", "--view-timeout", "0.04",
@@ -297,6 +301,13 @@ class TestCliIsTheParentsCli:
             cli.main([command, "--codec", "binary"])
         assert "unrecognized arguments: --codec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "live", "chaos"])
+    def test_trace_sampler_is_not_a_flag(self, command, capsys):
+        """Spans are head-capped: no sub-command offers another policy."""
+        with pytest.raises(SystemExit):
+            cli.main([command, "--trace-sampler", "tail"])
+        assert "unrecognized arguments: --trace-sampler" in capsys.readouterr().err
+
 
 # ------------------------------------------------- (c) JSON process hand-off
 def _first_point_spec(name: str) -> ExperimentSpec:
@@ -379,15 +390,13 @@ class TestValidationIsNotWeakened:
             (dict(workload="tatp"), "unknown workload 'tatp'"),
             (dict(codec="json"), r"unknown codec 'json'; available: \['binary'\]"),
             (dict(mode="cloud"), "unknown mode 'cloud'"),
-            (dict(trace_sampler="psychic"), "unknown trace_sampler 'psychic'"),
             (dict(pipeline_depth=0), "pipeline_depth must be >= 1"),
             (dict(pipeline_depth=2), "slotted"),
-            (dict(protocol="hotstuff-1-slotting", pipeline_depth=65), "max_slots_per_view"),
+            (dict(protocol="hotstuff-1-slotting", pipeline_depth=65), "pipeline_depth must be <= 64"),
             (dict(checkpoint_interval=0), "checkpoint_interval must be >= 1"),
             (dict(trace_max_txns=0), "trace_max_txns must be >= 1"),
             (dict(trace_bucket=0.0), "trace_bucket must be positive"),
             (dict(trace_max_events=0), "trace_max_events must be >= 1"),
-            (dict(trace_reservoir=0), "trace_reservoir must be >= 1"),
             (dict(mempool_limit=0), "mempool_limit must be >= 1"),
             (dict(mode="live", scrape_port=-1), "scrape_port must be >= 0"),
             (dict(mode="live", scrape_port=70000), "scrape_port must be <= 65535"),
@@ -395,7 +404,6 @@ class TestValidationIsNotWeakened:
             (dict(mode="live", latency_model=ConstantLatency(0.001)), "latency_model is a simulation-only"),
             (dict(mode="live", delay_injection={"impacted": [1], "extra_delay": 0.01}),
              "delay_injection is a simulation-only"),
-            (dict(distributed_mempool=True, broadcast_requests=False), "broadcast_requests"),
             (dict(faults={"events": [{"at": 0.1, "action": "crash", "replica": 9}]}), "replica"),
         ],
     )
@@ -419,11 +427,19 @@ class TestValidationIsNotWeakened:
         with pytest.raises(ConfigurationError, match=fragment):
             validate_multiprocess_spec(ExperimentSpec(**{**base, **overrides}))
 
+    def test_default_clients_are_ninety_percent_of_the_knee(self, monkeypatch):
+        """``live-sat`` names its population (270 = 0.9 x 3 blocks x 100)."""
+        monkeypatch.syspath_prepend(REPO_ROOT)  # bench/ is a top-level package
+        from bench.workloads import WORKLOADS
+
+        spec = ExperimentSpec(**WORKLOADS["live-sat"].spec_kwargs(1, 10.0)).validate()
+        assert spec.num_clients is None and spec.batch_size == 100
+        assert default_num_clients(spec, replica_class_for(spec.protocol)) == 270
+
     def test_none_skips_the_range_rules_and_validate_still_normalises(self):
         spec = ExperimentSpec(protocol="hotstuff1", trace_stream="/tmp/knobs.jsonl").validate()
         assert spec.protocol == "hotstuff-1"
         assert spec.trace is True  # implied by trace_stream
-        assert spec.broadcast_requests is False  # derived from distributed_mempool
 
 
 # ----------------------------------------- (d) a new knob needs no more code
@@ -474,7 +490,7 @@ class TestOneMoreKnobIsZeroMoreCode:
         monkeypatch.setattr(runner, "run_experiment", stub)
         request = RunRequest(
             index=0, group=0, scenario="s", kind="throwaway", protocol="hotstuff-1",
-            params={"n": 4, "fanout": 7, "codec": "binary", "duration": 9.0, "crashes": 2},
+            params={"n": 4, "fanout": 7, "codec": "binary", "duration": 9.0},
             point={}, repeat=0, seed=11,
         )
         with pytest.raises(_Captured) as caught:
@@ -500,6 +516,24 @@ class TestExecutorPassThrough:
         with pytest.raises(_Captured) as caught:
             execute_request(request)
         assert caught.value.built.duration == pytest.approx(0.8)  # 16 x 50 ms
+
+    @pytest.mark.parametrize("param", [
+        "view_timout", "epoch_sync_enabled", "max_slots_per_view", "knee_factor",
+        "broadcast_requests", "trace_reservoir", "trace_sampler",
+    ])
+    def test_a_param_nothing_reads_is_a_configuration_error(self, param, monkeypatch):
+        """A typo, or any of the knobs that no longer exist, is refused by
+        name instead of silently running the defaults."""
+        def stub(spec):
+            raise _Captured(spec)
+
+        monkeypatch.setattr(runner, "run_experiment", stub)
+        request = expand_scenario(
+            scenario_spec("fig8-scalability", replica_counts=(4,), protocols=("hotstuff-1",))
+        )[0]
+        request.params[param] = 0.5
+        with pytest.raises(ConfigurationError, match=rf"'scalability'.*\['{param}'\]"):
+            execute_request(request)
 
     def test_missing_required_param_is_a_configuration_error(self):
         request = RunRequest(

@@ -467,13 +467,28 @@ class TestLiveSpecValidation:
         ).validate()
         assert spec.regions == ["virginia", "london"]
 
-    def test_distributed_mempool_requires_broadcast(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentSpec(
-                protocol="hotstuff-1",
-                distributed_mempool=True,
-                broadcast_requests=False,
-            ).validate()
+    @pytest.mark.parametrize("distributed", [False, True])
+    def test_clients_broadcast_exactly_when_the_mempool_is_distributed(self, distributed):
+        """Per-replica pools starve under round-robin submission, so the
+        client pool broadcasts to every replica exactly when the mempool is
+        distributed; otherwise geo clients submit to their co-located ones."""
+        from repro.consensus.client import CLIENT_POOL_NODE_ID, ClientPool
+        from repro.experiments.runner import latency_model_for, prepare
+        from repro.net.network import SimNetwork
+        from repro.sim.scheduler import Simulator
+
+        spec = ExperimentSpec(
+            protocol="hotstuff-1", regions=["virginia", "london"], distributed_mempool=distributed
+        ).validate()
+        sim = Simulator(seed=spec.seed)
+        network = SimNetwork(sim, latency=latency_model_for(spec))
+        deployment = prepare(
+            spec, sim, lambda node_id: network, [*range(spec.n), CLIENT_POOL_NODE_ID],
+            client_class=ClientPool,
+        )
+        pool = deployment.client_pool
+        assert pool.broadcast_requests is distributed
+        assert pool.target_replicas == ([0, 1, 2, 3] if distributed else [0, 2])
 
     def test_open_loop_rate_must_be_positive(self):
         with pytest.raises(ConfigurationError):

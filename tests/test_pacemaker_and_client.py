@@ -45,6 +45,23 @@ class TestPacemaker:
         assert pacemaker.has_completed(2)
         assert pacemaker.current_view == 3
 
+    def test_starting_at_an_epoch_boundary_wishes_instead_of_entering(self):
+        """Figure 3 has no switch for the epoch exchange: a pacemaker started
+        at a boundary view sends its Wish to the epoch's f + 1 leaders and
+        parks there until the TC arrives."""
+        from repro.consensus.messages import Wish
+
+        harness = ReplicaHarness(HotStuff2Replica, replica_id=0, n=4)
+        pacemaker = harness.replica.pacemaker
+        wishes = []
+        harness.replica.send = lambda target, payload, **kw: (
+            wishes.append((target, payload)) if isinstance(payload, Wish) else None
+        )
+        pacemaker.start(2)
+        assert pacemaker.current_view < 2
+        assert sorted(target for target, _ in wishes) == sorted(pacemaker.epoch_leaders(2))
+        assert all(payload.view == 2 for _, payload in wishes)
+
     def test_entering_a_view_completes_all_older_views(self):
         harness = ReplicaHarness(HotStuff2Replica)
         pacemaker = harness.replica.pacemaker

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.certificates import CertKind
+from repro.consensus.config import MAX_SLOTS_PER_VIEW, ProtocolConfig
 from repro.consensus.messages import Propose
 from repro.core.slotting import SlottedHotStuff1Replica
 from repro.errors import ConfigurationError
@@ -27,10 +28,13 @@ class TestSpecValidation:
             ExperimentSpec(protocol="hotstuff-1-slotting", pipeline_depth=0).validate()
 
     def test_depth_cannot_exceed_max_slots_per_view(self):
-        with pytest.raises(ConfigurationError, match="max_slots_per_view"):
-            ExperimentSpec(
-                protocol="hotstuff-1-slotting", pipeline_depth=9, max_slots_per_view=8
-            ).validate()
+        assert MAX_SLOTS_PER_VIEW == 64
+        ExperimentSpec(protocol="hotstuff-1-slotting", pipeline_depth=64).validate()
+        ProtocolConfig(n=4, pipeline_depth=64)
+        with pytest.raises(ConfigurationError, match="pipeline_depth must be <= 64"):
+            ExperimentSpec(protocol="hotstuff-1-slotting", pipeline_depth=65).validate()
+        with pytest.raises(ConfigurationError, match="pipeline_depth must be <= 64"):
+            ProtocolConfig(n=4, pipeline_depth=65)
 
     def test_slotting_protocol_accepts_deep_pipelines(self):
         spec = ExperimentSpec(protocol="hotstuff-1-slotting", pipeline_depth=4).validate()
@@ -192,6 +196,19 @@ class TestPipelinedSimulation:
             for replica in explicit.replicas
         ]
         assert default_shape == explicit_shape
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_a_view_never_proposes_past_max_slots_per_view(self, depth):
+        """With a view timer long enough for more slots, both the sequential
+        and the pipelined arm stop at ``MAX_SLOTS_PER_VIEW``."""
+        spec = ExperimentSpec(**{**self.BASE, "duration": 0.15, "view_timeout": 0.1},
+                              pipeline_depth=depth)
+        result = run_experiment(spec)
+        last_slot = {}
+        for replica in result.replicas:
+            for block in replica.ledger.committed.blocks():
+                last_slot[block.view] = max(last_slot.get(block.view, 0), block.slot)
+        assert max(last_slot.values()) == MAX_SLOTS_PER_VIEW
 
 
 class TestPipelinedLive:

@@ -1,8 +1,8 @@
-"""Live telemetry plane: streaming sinks, samplers, detectors, scrape, watch.
+"""Live telemetry plane: streaming sinks, detectors, scrape, watch.
 
 Covers the PR's tentpole guarantees: a streaming trace sink keeps recorder
-memory bounded while the JSONL file stays lossless and readable mid-run;
-tail-biased sampling retains the slowest spans; the online SLO detector
+memory bounded while the JSONL file stays lossless and readable mid-run; the
+online SLO detector
 fires during injected faults (bracketing a chaos blackout) without flapping
 on noise; the per-replica scrape endpoints answer concurrent probes during a
 real live run; and the `repro watch` / extended `repro trace` CLI surfaces
@@ -30,12 +30,8 @@ from repro.obs.detect import (
     SpecLeadCollapseRule,
     ViewStormRule,
 )
-from repro.obs.export import parse_prometheus, read_jsonl
-from repro.obs.sampling import (
-    ReservoirSampler,
-    TailBiasedSampler,
-    make_sampler,
-)
+from repro.obs.export import chrome_trace, parse_prometheus, read_jsonl, write_jsonl
+from repro.obs.merge import merge_shards
 from repro.obs.scrape import ReplicaTelemetry, ScrapeServer
 from repro.obs.stream import StreamingTraceSink, TraceTail
 from repro.obs.trace import TraceRecorder
@@ -153,45 +149,6 @@ class TestStreamingSink:
         assert {"c": 3} in records
         path.write_text('{"fresh": 1}\n', encoding="utf-8")  # rotation
         assert tail.poll() == [{"fresh": 1}]
-
-
-class TestSampling:
-    def test_tail_biased_keeps_the_slowest_spans(self):
-        recorder = recorder_with(bucket=10.0)
-        recorder.sampler = TailBiasedSampler(capacity=5)
-        # 50 fast transactions and 5 slow outliers, interleaved.
-        latencies = {}
-        for txn_id in range(55):
-            latency = 0.5 if txn_id % 11 == 10 else 0.01 + txn_id * 1e-5
-            latencies[txn_id] = latency
-            complete_txn(recorder, txn_id, submitted_at=txn_id * 1.0, latency=latency)
-        kept = set(recorder.spans)
-        slowest = {txn_id for txn_id, lat in latencies.items() if lat == 0.5}
-        assert slowest <= kept
-
-    def test_reservoir_is_capacity_bounded_and_counts_offers(self):
-        recorder = recorder_with(bucket=10.0)
-        sampler = recorder.sampler = ReservoirSampler(capacity=8, rng=recorder._rng)
-        for txn_id in range(200):
-            recorder.clock.now = txn_id * 0.01
-            recorder.txn_submitted(txn_id)
-        assert sampler.seen == 200
-        assert len(recorder.spans) == 8
-        assert recorder.counts["submitted"] == 200  # counters stay exact
-
-    def test_sampler_evictions_stream_to_disk(self, tmp_path):
-        recorder = recorder_with(bucket=10.0, max_txns=5)
-        StreamingTraceSink(recorder, str(tmp_path / "stream.jsonl"))
-        recorder.sampler = TailBiasedSampler(capacity=5)
-        for txn_id in range(40):
-            complete_txn(recorder, txn_id, submitted_at=txn_id * 1.0, latency=0.01)
-        recorder.finalize(50.0)
-        # In-memory working set is the sampler's choice; the file has it all.
-        assert len(read_jsonl(str(tmp_path / "stream.jsonl")).spans) == 40
-
-    def test_make_sampler_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            make_sampler("bogus", 10)
 
 
 class TestSloDetector:
@@ -335,10 +292,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             TraceRecorder(clock=FakeClock(), max_events=0)
 
-    def test_unknown_sampler_rejected(self):
-        with pytest.raises(ConfigurationError, match="trace_sampler"):
-            ExperimentSpec(protocol="hotstuff-1", trace_sampler="bogus").validate()
-
     def test_stream_implies_trace(self, tmp_path):
         spec = ExperimentSpec(
             protocol="hotstuff-1", trace_stream=str(tmp_path / "s.jsonl")
@@ -381,6 +334,23 @@ class TestTracedStreamedRuns:
         assert window.buckets
         for bucket in window.buckets.values():
             assert 0.2 <= bucket.index * window.bucket_width < 0.22
+
+    def test_filtered_keeps_every_event_and_the_per_replica_tracks(self):
+        """A window of a loaded merged bundle is as lossless as the bundle:
+        no live ring cap drops its head, and each replica keeps its track."""
+        records = [{"type": "meta", "merged": True}] + [
+            {"type": "event", "kind": "view", "t": index * 1e-3, "view": index,
+             "replica": index % 4}
+            for index in range(10_000)
+        ]
+        loaded = TraceRecorder.from_records(records)
+        window = loaded.filtered(since=0.0, until=11.0)
+        assert len(window.events) == 10_000
+        assert window.events[0].t == 0.0
+        assert window.per_replica_tracks
+        names = {e["args"]["name"] for e in chrome_trace(window)["traceEvents"]
+                 if e.get("name") == "process_name"}
+        assert {"replica r0", "replica r3"} <= names
 
 
 def fake_replica(view=7, height=3, halted=False):
@@ -565,11 +535,30 @@ class TestWatchAndCli:
         assert "trace window: [0.1s, 0.25s)" in out
         assert "lifecycle event counters" in out
 
-    def test_cli_run_with_stream_and_sampler(self, tmp_path, capsys):
+    def test_cli_trace_window_of_a_merged_bundle_keeps_replica_tracks(self, tmp_path, capsys):
+        """``repro trace merged.jsonl --since 0 --chrome`` renders every event
+        of a merged bundle larger than one live ring, each replica on its own
+        track."""
+        shards = {}
+        for node in range(4):
+            shard = shards[node] = TraceRecorder(FakeClock(), warmup=0.0, bucket=0.25)
+            shard.node_id = node
+            for index in range(shard.max_events):
+                shard.clock.now = index * 1e-3
+                shard.view_entered(index + 1)
+        path = write_jsonl(merge_shards(shards)[0], str(tmp_path / "merged.jsonl"))
+        out = tmp_path / "window.chrome.json"
+        assert main(["trace", path, "--since", "0", "--chrome", str(out)]) == 0
+        assert "trace window: [0.0s, end)" in capsys.readouterr().out
+        events = json.loads(out.read_text())["traceEvents"]
+        names = {e["args"]["name"] for e in events if e.get("name") == "process_name"}
+        assert {f"replica r{replica}" for replica in range(4)} <= names
+        assert sum(1 for e in events if e.get("name") == "view") == 4 * shards[0].max_events
+
+    def test_cli_run_with_stream(self, tmp_path, capsys):
         path = str(tmp_path / "s.jsonl")
         code = main([
-            "run", "--protocol", "hotstuff-1", "--duration", "0.3",
-            "--trace-stream", path, "--trace-sampler", "tail",
+            "run", "--protocol", "hotstuff-1", "--duration", "0.3", "--trace-stream", path,
         ])
         assert code == 0
         out = capsys.readouterr().out
