@@ -2,11 +2,53 @@
 
 The pacemaker keeps at least ``n - f`` correct replicas in the same view so
 leaders can collect quorums.  Views are grouped into epochs of ``f + 1``
-consecutive views; at every epoch boundary replicas run a Wish / timeout
-certificate (TC) exchange to re-synchronise, and inside an epoch views advance
-locally (at network speed in the happy path, or on the view timer when the
-leader stalls).  As in Figure 3, the exchange runs at every boundary, also
-after views that certified at network speed.
+consecutive views.  Inside an epoch views advance locally: at network speed
+when the leader's proposal arrives, or on the view timer when the leader
+stalls.  At an epoch boundary, a replica that left the previous view through
+its **view timer** runs the Wish / timeout certificate (TC) exchange to
+re-synchronise.  A replica that left it by handling its leader's valid
+proposal enters the boundary view directly, as it would inside an epoch:
+progress drives views, and the exchange runs only when progress stalls (the
+pacemaker rule of *HotStuff: BFT Consensus in the Lens of Blockchain*, and
+of *Lumiere*).
+
+Why this stays live
+-------------------
+The pacemaker affects liveness only: every vote and certificate is checked by
+the protocol's own rules, whichever way a replica reached its view, so safety
+does not depend on when views are entered.  For liveness, the Wish/TC exchange
+exists to bring ``n - f`` correct replicas back into one view after a view
+failed.  In a fault-free run no view times out, so nobody wishes and no
+beacon (below) is sent.
+
+Nothing makes a leader's proposal reach ``n - f`` replicas, though: a
+Byzantine leader may send it to one replica, or a leader may crash
+mid-broadcast.  So a boundary view ``v`` can be **mixed**: the replicas the
+proposal reached voted and entered ``v`` without wishing, the others timed
+out and wait for a TC for ``v``, and there may be too few of either kind for
+a TC (fewer than ``n - f`` Wishes) or a jump (fewer than ``f + 1`` replicas
+ahead).  The replicas that entered ``v`` directly therefore still count
+towards its TC:
+
+* a replica whose timer ends view ``v - 1`` (``v`` a boundary) parks there,
+  sends its Wish for ``v`` to the epoch leaders and broadcasts a
+  ``ViewSync`` beacon reporting view ``v - 1`` (Figure 3 plus the beacon);
+* a replica already at or past ``v`` that receives that beacon sends its own
+  Wish share for ``v`` to the epoch leaders (once per view it is in);
+* an epoch leader aggregates Wishes for ``v`` whatever its own view, and
+  broadcasts the TC once ``n - f`` shares arrived.
+
+Every correct replica that has not crashed ends up either parked before
+``v`` or at or past it, so ``n - f`` shares reach every correct epoch leader
+(there is at least one among the ``f + 1``) and the TC forms; the beacons
+retransmitted while a replica is parked draw the shares again if an epoch
+leader pruned them on entering a later view.  The rules
+that bring any other straggler back still hold: a ``Propose`` for a higher
+view makes a replica ``force_enter`` it, ``f + 1`` distinct senders reporting
+higher views make it jump there (every replica ahead answers the beacon with
+its own, so a replica that timed out while ``n - f`` others voted rejoins one
+round trip after its timeout), and Wishes and beacons are retransmitted
+every ``view_timeout`` while a replica stays parked.
 
 The pacemaker exposes exactly the calls the paper's pseudocode uses:
 
@@ -137,15 +179,19 @@ class Pacemaker:
         """Drop per-view synchronisation state that *view*'s entry obsoletes.
 
         Wish aggregation buckets, our own cached Wish shares, the TC
-        formed/entered sets and the per-sender view table all key on views;
-        entries at or below the current view can never matter again (views
-        are monotonic, jumps only target higher views), so without pruning
-        they grow for the lifetime of the replica.  Stale reports that
-        re-arrive later re-insert harmless ``<= current_view`` entries.
+        formed/entered sets, the TC-scheduled start times and the per-sender
+        view table all key on views; entries at or below the current view can
+        never matter again (views are monotonic, jumps only target higher
+        views), so without pruning they grow for the lifetime of the replica.
+        Stale reports that re-arrive later re-insert harmless
+        ``<= current_view`` entries.  ``start_time`` keeps the entered view
+        itself: the share timer and the view deadline read it.
         """
-        for table in (self._wish_shares, self._sent_wish_shares):
+        for table in (self._wish_shares, self._sent_wish_shares, self._scheduled_start):
             for stale in [v for v in table if v <= view]:
                 del table[stale]
+        for stale in [v for v in self.start_time if v < view]:
+            del self.start_time[stale]
         self._tc_formed = {v for v in self._tc_formed if v > view}
         self._tc_entered = {v for v in self._tc_entered if v > view}
         for sender in [s for s, reported in self.view_table.items() if reported <= view]:
@@ -155,13 +201,18 @@ class Pacemaker:
         """``True`` once the replica has exited *view* (voting in it is disabled)."""
         return view <= self._highest_completed
 
-    def completed_view(self, view: int) -> None:
-        """Called by the replica when it exits *view* (Figure 3, CompletedView)."""
+    def completed_view(self, view: int, timed_out: bool) -> None:
+        """Called by the replica when it exits *view* (Figure 3, CompletedView).
+
+        *timed_out* says the replica left *view* through its view timer
+        (``on_view_timeout``) rather than on its leader's message; only then
+        does an epoch boundary run the Wish/TC exchange.
+        """
         self._highest_completed = max(self._highest_completed, view)
         next_view = view + 1
         if next_view <= self.current_view:
             return
-        if next_view % self.config.epoch_length == 0:
+        if timed_out and next_view % self.config.epoch_length == 0:
             self.synchronize_epoch(next_view)
         else:
             self.enter_view(next_view)
@@ -242,31 +293,34 @@ class Pacemaker:
         """Advertise our current view and highest certificate to every replica."""
         if self.stopped or self.current_view < 1:
             return
-        beacon = ViewSync(
+        self.replica.broadcast_replicas(self._beacon())
+
+    def _beacon(self) -> ViewSync:
+        return ViewSync(
             view=self.current_view,
             voter=self.replica.replica_id,
             high_cert=self.replica.high_cert,
         )
-        self.replica.broadcast_replicas(beacon)
 
     def handle_view_sync(self, msg: ViewSync, sender: int) -> None:
         """React to a peer's beacon (its evidence was already tabled by the replica).
 
         A sender behind our own view gets our beacon back directly, so a
         single recovered replica starts accumulating jump evidence without
-        waiting for the whole cluster's timers.
+        waiting for the whole cluster's timers.  A sender reporting the view
+        just before an epoch boundary we reached is parked there waiting for
+        a TC, so we also add our own Wish share for the boundary.
         """
         if self.stopped or sender == self.replica.replica_id:
             return
         if msg.view < self.current_view:
-            self.replica.send(
-                sender,
-                ViewSync(
-                    view=self.current_view,
-                    voter=self.replica.replica_id,
-                    high_cert=self.replica.high_cert,
-                ),
-            )
+            self.replica.send(sender, self._beacon())
+            boundary = msg.view + 1
+            # The cached share doubles as the once-per-view guard: entering
+            # the next view prunes it, so a retransmitted beacon is answered
+            # again from there.
+            if boundary % self.config.epoch_length == 0 and boundary not in self._sent_wish_shares:
+                self._send_wish(boundary)
 
     def _on_sync_timer(self) -> None:
         """Retry tick while parked at an epoch boundary awaiting a TC."""
@@ -317,8 +371,13 @@ class Pacemaker:
             self.replica.send(leader, wish)
 
     def handle_wish(self, msg: Wish) -> None:
-        """Epoch-leader role: aggregate Wish shares into a timeout certificate."""
-        if msg.view in self._tc_formed or msg.view <= self.current_view:
+        """Epoch-leader role: aggregate Wish shares into a timeout certificate.
+
+        Aggregation does not depend on our own view: at a mixed boundary the
+        epoch leader may already be in (or past) the wished view while the
+        replicas that timed out still wait for its TC.
+        """
+        if msg.view in self._tc_formed:
             return
         if self.replica.replica_id not in self.epoch_leaders(msg.view):
             return

@@ -209,7 +209,7 @@ class ChainedReplica(BaseReplica):
             )
             vote_delay = cost + self.costs.vote_cost()
             self.sim.schedule(vote_delay, self.send, self.leaders.leader_of(msg.view + 1), new_view)
-        self.pacemaker.completed_view(msg.view)
+        self.pacemaker.completed_view(msg.view, timed_out=False)
 
     # -------------------------------------------------------------- timeouts
     def on_view_timeout(self, view: int) -> None:
@@ -225,7 +225,7 @@ class ChainedReplica(BaseReplica):
                 voted_block_hash="",
             )
             self.send(self.leaders.leader_of(view + 1), new_view)
-        self.pacemaker.completed_view(view)
+        self.pacemaker.completed_view(view, timed_out=True)
 
     # ------------------------------------------------------------ commit rule
     def _apply_commit_rule(self, msg: Propose, accumulated_cost: float) -> float:

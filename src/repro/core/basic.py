@@ -271,7 +271,7 @@ class BasicHotStuff1Replica(BaseReplica):
             self.sim.schedule(
                 cost + self.costs.vote_cost(), self.send, self.leaders.leader_of(msg.view + 1), new_view
             )
-        self.pacemaker.completed_view(msg.view)
+        self.pacemaker.completed_view(msg.view, timed_out=False)
 
     def _uncommitted_chain_txns(self, target: Block) -> int:
         count = 0
@@ -296,4 +296,4 @@ class BasicHotStuff1Replica(BaseReplica):
                 voted_block_hash="",
             )
             self.send(self.leaders.leader_of(view + 1), new_view)
-        self.pacemaker.completed_view(view)
+        self.pacemaker.completed_view(view, timed_out=True)

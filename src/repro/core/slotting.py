@@ -666,4 +666,6 @@ class SlottedHotStuff1Replica(BaseReplica):
                 highest_voted_hash=voted_block.block_hash,
             )
             self.send(self.leaders.leader_of(view + 1), new_view)
-        self.pacemaker.completed_view(view)
+        # Every slotted view ends on its timer, so every epoch boundary keeps
+        # the Wish/TC exchange.
+        self.pacemaker.completed_view(view, timed_out=True)

@@ -30,20 +30,34 @@ class TestPacemaker:
         assert pacemaker.current_view == 5
 
     def test_completed_view_marks_exit(self):
-        harness = ReplicaHarness(HotStuff2Replica)
-        pacemaker = harness.replica.pacemaker
-        pacemaker.start(1)
-        assert not pacemaker.has_completed(1)
-        # View 2 is an epoch boundary for n=4 (epoch length f+1 = 2), so completing
-        # view 1 triggers Wish/TC synchronisation instead of entering directly.
-        pacemaker.completed_view(1)
-        assert pacemaker.has_completed(1)
-        assert pacemaker.current_view == 1
-        # A non-boundary completion advances immediately.
-        pacemaker.force_enter(2)
-        pacemaker.completed_view(2)
-        assert pacemaker.has_completed(2)
-        assert pacemaker.current_view == 3
+        """Only a timer exit runs the epoch exchange.  View 2 is an epoch
+        boundary for n=4 (epoch length f+1 = 2): a replica whose view timer
+        ended view 1 wishes and stays parked, one that left view 1 through
+        its leader's proposal enters view 2 directly."""
+        from repro.consensus.messages import Wish
+
+        for timed_out in (True, False):
+            harness = ReplicaHarness(HotStuff2Replica)
+            pacemaker = harness.replica.pacemaker
+            wishes = []
+            harness.replica.send = lambda target, payload, **kw: (
+                wishes.append((target, payload)) if isinstance(payload, Wish) else None
+            )
+            pacemaker.start(1)
+            assert not pacemaker.has_completed(1)
+            pacemaker.completed_view(1, timed_out=timed_out)
+            assert pacemaker.has_completed(1)
+            if timed_out:
+                assert pacemaker.current_view == 1
+                assert sorted(target for target, _ in wishes) == sorted(pacemaker.epoch_leaders(2))
+                pacemaker.force_enter(2)
+            else:
+                assert pacemaker.current_view == 2
+                assert wishes == []
+            # Inside an epoch both exits advance immediately.
+            pacemaker.completed_view(2, timed_out=timed_out)
+            assert pacemaker.has_completed(2)
+            assert pacemaker.current_view == 3
 
     def test_starting_at_an_epoch_boundary_wishes_instead_of_entering(self):
         """Figure 3 has no switch for the epoch exchange: a pacemaker started
@@ -147,11 +161,58 @@ class TestViewSynchronizer:
         sent = []
         harness.replica.send = lambda target, payload, **kw: sent.append((target, payload))
         pacemaker.handle_view_sync(ViewSync(view=3, voter=1), sender=1)
-        assert len(sent) == 1
-        target, reply = sent[0]
+        # View 4 is an epoch boundary, so the reply comes with our Wish share
+        # for it (see the next test); the beacon goes to the sender only.
+        replies = [(target, msg) for target, msg in sent if isinstance(msg, ViewSync)]
+        assert len(replies) == 1
+        target, reply = replies[0]
         assert target == 1
-        assert isinstance(reply, ViewSync)
         assert reply.view == 30
+
+    def test_a_beacon_parked_before_a_boundary_we_passed_draws_our_wish_share(self):
+        """A peer reporting the view before epoch boundary 28 is parked there
+        waiting for a TC; a replica already past 28 adds its own Wish share
+        for 28 to the epoch leaders, once per view it is in."""
+        from repro.consensus.messages import ViewSync, Wish
+
+        harness, pacemaker = self._started(replica_id=2)
+        pacemaker.enter_view(30)
+        sent = []
+        harness.replica.send = lambda target, payload, **kw: sent.append((target, payload))
+
+        def wishes():
+            found = [(target, msg) for target, msg in sent if isinstance(msg, Wish)]
+            sent.clear()
+            return found
+
+        pacemaker.handle_view_sync(ViewSync(view=27, voter=1), sender=1)
+        lent = wishes()
+        assert sorted(target for target, _ in lent) == sorted(pacemaker.epoch_leaders(28))
+        assert all(msg.view == 28 and msg.voter == 2 and msg.current_view == 30 for _, msg in lent)
+        # A retransmitted beacon in the same view, or a peer in the middle of
+        # an epoch (view 29 is no boundary), draws no further share.
+        pacemaker.handle_view_sync(ViewSync(view=27, voter=3), sender=3)
+        pacemaker.handle_view_sync(ViewSync(view=28, voter=1), sender=1)
+        assert wishes() == []
+        pacemaker.enter_view(31)
+        pacemaker.handle_view_sync(ViewSync(view=27, voter=1), sender=1)
+        assert len(wishes()) == len(pacemaker.epoch_leaders(28))
+
+    def test_an_epoch_leader_past_the_wished_view_still_forms_its_tc(self):
+        """At a mixed boundary an epoch leader may have entered the wished view
+        by voting (and timed out beyond it) while the others wait for the TC."""
+        from repro.consensus.messages import TimeoutCertificateMsg, Wish
+
+        harness, pacemaker = self._started(replica_id=0)
+        boundary = next(v for v in range(28, 2, -2) if 0 in pacemaker.epoch_leaders(v))
+        pacemaker.enter_view(boundary + 1)
+        broadcast = []
+        harness.replica.broadcast_replicas = lambda payload, *a, **kw: broadcast.append(payload)
+        for voter in (1, 2, 3):
+            share = harness.authority.create_timeout_vote(voter, boundary)
+            pacemaker.handle_wish(Wish(view=boundary, voter=voter, share=share, current_view=boundary - 1))
+        assert [type(msg) for msg in broadcast] == [TimeoutCertificateMsg]
+        assert broadcast[0].view == boundary
 
     def test_wish_is_retransmitted_while_parked_at_a_boundary(self):
         from repro.consensus.messages import Wish
@@ -218,6 +279,10 @@ class TestViewSynchronizer:
         pacemaker._tc_entered.update({2, 40})
         pacemaker._sent_wish_shares[2] = object()
         pacemaker._sent_wish_shares[40] = object()
+        # Leftover TC schedules (views 2, 9) and the epoch a TC for view 10
+        # scheduled (views 10, 11).
+        pacemaker._scheduled_start.update({2: 0.0, 9: 0.0, 10: 0.5, 11: 1.0})
+        pacemaker.enter_view(5)
         pacemaker.enter_view(10)
         # Everything keyed at or below the entered view is gone; higher
         # entries (still-useful evidence and state) survive.
@@ -225,6 +290,11 @@ class TestViewSynchronizer:
         assert pacemaker._tc_formed == {40}
         assert pacemaker._tc_entered == {40}
         assert set(pacemaker._sent_wish_shares) == {40}
+        # The view timer read view 11's scheduled start after pruning, and
+        # only the current view's start time is kept (share timer, deadline).
+        assert set(pacemaker._scheduled_start) == {11}
+        assert pacemaker.view_deadline(10) == 1.0
+        assert set(pacemaker.start_time) == {10}
 
     def test_wish_carries_current_view_and_high_cert_evidence(self):
         harness, pacemaker = self._started(replica_id=0)
@@ -233,6 +303,133 @@ class TestViewSynchronizer:
         pacemaker.synchronize_epoch(2)
         assert sent and all(msg.current_view == pacemaker.current_view for msg in sent)
         assert all(msg.high_cert is not None for msg in sent)
+
+
+class TestEpochBoundaries:
+    """Views that certify cross epoch boundaries without the Wish/TC exchange."""
+
+    @pytest.mark.parametrize("protocol", ["hotstuff-1", "hotstuff-2", "hotstuff-1-basic"])
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_fault_free_runs_send_no_wish_or_timeout_certificate(self, protocol, n):
+        from repro.experiments.runner import ExperimentSpec, run_experiment
+
+        result = run_experiment(
+            ExperimentSpec(protocol=protocol, n=n, batch_size=20, duration=0.06, warmup=0.01)
+        )
+        epoch_length = ProtocolConfig(n=n).epoch_length
+        assert min(r.current_view for r in result.replicas) > 3 * epoch_length
+        sent = result.network_stats["sent_by_type"]
+        assert sent.get("Wish", 0) == 0
+        assert sent.get("TimeoutCertificateMsg", 0) == 0
+
+    @staticmethod
+    def _deployment(spec, boundary, targets_of):
+        """A sim deployment whose leader of ``boundary - 1`` proposes to
+        ``targets_of(leaders)`` only, for that one view."""
+        from repro.consensus.byzantine import ReplicaBehavior
+        from repro.consensus.client import CLIENT_POOL_NODE_ID
+        from repro.experiments.runner import latency_model_for, prepare
+
+        sim = Simulator(seed=spec.seed)
+        network = SimNetwork(sim, latency=latency_model_for(spec))
+        deployment = prepare(
+            spec, sim, lambda node_id: network, [*range(spec.n), CLIENT_POOL_NODE_ID],
+            client_class=ClientPool,
+        )
+        leaders = deployment.replicas[0].leaders
+        targets = targets_of(leaders)
+
+        class ProposeToSomeOnce(ReplicaBehavior):
+            def proposal_targets(self, replica, view, all_targets):
+                return list(targets) if view == boundary - 1 else list(all_targets)
+
+        leader = deployment.replicas[leaders.leader_of(boundary - 1)]
+        leader.behavior = ProposeToSomeOnce()
+        return sim, network, deployment, leader
+
+    def test_a_replica_that_timed_out_at_a_mixed_boundary_rejoins_in_one_round_trip(self):
+        """The leader of view 9 proposes to n - f replicas only.  The three
+        that voted enter boundary view 10 without wishing; the excluded one
+        (the leader of 10, so no proposal for 10 rescues it) times out in 9
+        and wishes.  The replicas already in view 10 answer its timeout
+        beacon, and it jumps there one round trip after its Wish instead of
+        a view_timeout later."""
+        from repro.consensus.messages import Wish
+        from repro.experiments.runner import ExperimentSpec, start
+
+        boundary = 10
+        spec = ExperimentSpec(protocol="hotstuff-1", n=4, batch_size=10, duration=0.06, warmup=0.01)
+        sim, network, deployment, _ = self._deployment(
+            spec, boundary,
+            lambda leaders: [r for r in range(spec.n) if r != leaders.leader_of(boundary)],
+        )
+        straggler = deployment.replicas[deployment.replicas[0].leaders.leader_of(boundary)]
+
+        wished_at, entered_at = [], []
+        send, on_enter_view = straggler.send, straggler.on_enter_view
+
+        def observed_send(target, payload, *args, **kwargs):
+            if isinstance(payload, Wish) and payload.view == boundary:
+                wished_at.append(sim.now)
+            send(target, payload, *args, **kwargs)
+
+        def observed_enter(view):
+            if view >= boundary:
+                entered_at.append(sim.now)
+            on_enter_view(view)
+
+        straggler.send = observed_send
+        straggler.on_enter_view = observed_enter
+        start(deployment)
+        sim.run(until=spec.duration)
+
+        assert wished_at, "the excluded replica never timed out at the boundary"
+        assert entered_at
+        waited = entered_at[0] - wished_at[0]
+        assert 0 < waited <= 2 * spec.base_latency + 1e-9  # one round trip
+        assert waited < spec.view_timeout / 4
+        assert straggler.pacemaker.jumps == 1
+
+    @pytest.mark.parametrize("reached_offset", [1, 2])
+    def test_a_boundary_proposal_that_reaches_one_replica_does_not_stall_the_cluster(
+        self, reached_offset
+    ):
+        """The leader of view 9 sends its proposal to one replica only and falls
+        silent.  That replica (the leader of view 10 + offset: an epoch leader
+        of boundary 10, or not) votes and enters view 10 without wishing; the
+        other two time out and wish.  Two Wishes are short of the quorum of
+        three and one replica ahead is short of the f + 1 reports a jump
+        needs, so the replica ahead must lend its own Wish share to the TC."""
+        from repro.consensus.messages import Propose
+        from repro.experiments.runner import ExperimentSpec, start
+
+        boundary = 10
+        spec = ExperimentSpec(
+            protocol="hotstuff-1", n=4, batch_size=10, duration=0.3, warmup=0.01,
+            view_timeout=0.01,
+        )
+        sim, network, deployment, silent = self._deployment(
+            spec, boundary, lambda leaders: [leaders.leader_of(boundary + reached_offset)]
+        )
+
+        honest = [r for r in deployment.replicas if r is not silent]
+        committed_at_halt = []
+        broadcast = silent.broadcast_replicas
+
+        def propose_then_fall_silent(payload, *args, **kwargs):
+            broadcast(payload, *args, **kwargs)
+            if isinstance(payload, Propose) and payload.view == boundary - 1:
+                silent.halt()
+                committed_at_halt.extend(len(r.ledger.committed.blocks()) for r in honest)
+
+        silent.broadcast_replicas = propose_then_fall_silent
+        start(deployment)
+        sim.run(until=spec.duration)
+
+        assert committed_at_halt, "the leader of view 9 never proposed"
+        assert min(r.current_view for r in honest) > boundary + 2
+        assert min(len(r.ledger.committed.blocks()) for r in honest) > max(committed_at_halt) + 5
+        assert network.stats.sent_by_type.get("TimeoutCertificateMsg", 0) > 0
 
 
 def build_client_pool(required_quorum, num_clients=2, n=4):
