@@ -100,9 +100,9 @@ class AnalyticalModel:
         """Predict view duration, saturation throughput and client latency."""
         batch = self.config.batch_size if batch_size is None else batch_size
         replica_class = replica_class_for(protocol)
-        half_phases = getattr(replica_class, "consensus_half_phases", 5)
+        half_phases = replica_class.consensus_half_phases
+        phases_per_decision = replica_class.phases_per_decision
         view = self.view_duration(batch)
-        phases_per_decision = 2 if protocol == "hotstuff-1-basic" else 1
         throughput = batch / (view * phases_per_decision)
         # Client latency: request hop + average mempool wait (half a view) +
         # the consensus half-phases (each roughly half a view) + response hop.

@@ -7,9 +7,10 @@
   with the two-chain commit rule; 5 consensus half-phases.
 
 Both are built on :class:`~repro.consensus.protocols.chained_base.ChainedReplica`,
-which implements the streamlined one-phase-per-view skeleton (propose, vote to
-the next leader, certificate formation, commit rule application) shared with
-streamlined HotStuff-1.
+which holds the streamlined one-phase-per-view rules (when to propose, the
+vote to the next leader, which block the commit rule picks) shared with
+streamlined HotStuff-1, on the skeleton every protocol shares in
+:class:`~repro.consensus.replica.BaseReplica`.
 """
 
 from repro.consensus.protocols.chained_base import ChainedReplica

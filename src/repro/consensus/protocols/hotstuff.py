@@ -22,8 +22,3 @@ class HotStuffReplica(ChainedReplica):
     consensus_half_phases = 7
     #: Closed-loop client population, in batches, that keeps the pipeline at its knee.
     client_knee_blocks = 5.0
-
-    @staticmethod
-    def client_quorum(config) -> int:
-        """Clients wait for ``f + 1`` matching post-commit responses."""
-        return config.f + 1

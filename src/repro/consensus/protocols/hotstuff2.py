@@ -24,8 +24,3 @@ class HotStuff2Replica(ChainedReplica):
     consensus_half_phases = 5
     #: Closed-loop client population, in batches, that keeps the pipeline at its knee.
     client_knee_blocks = 4.0
-
-    @staticmethod
-    def client_quorum(config) -> int:
-        """Clients wait for ``f + 1`` matching post-commit responses."""
-        return config.f + 1

@@ -7,18 +7,23 @@ on:
 
 * message dispatch with simulated processing costs,
 * certificate tracking (highest known certificate, certificate per block),
+* the protocol skeleton every variant shares, each piece written once:
+  bootstrapping the first leader, arming the leader on view entry,
+  collecting NewView messages, aggregating votes into a quorum
+  certificate, building and broadcasting a proposal, the charged commit of a
+  chain and the charged speculation of a block, and the vote-less timeout,
 * committing a chain through the speculative ledger and responding to
   clients,
 * the recovery path for missing blocks (fetch from the proposal sender).
 
-Protocol logic itself — when to propose, how to vote, which commit and
-speculation rules apply — lives in the subclasses
+Protocol logic itself — when to propose, which block the commit and
+speculation rules pick, how to vote — lives in the subclasses
 (:mod:`repro.consensus.protocols` and :mod:`repro.core`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.consensus.byzantine import HonestBehavior, ReplicaBehavior
 from repro.consensus.certificates import Certificate, CertificateAuthority, CertKind
@@ -49,6 +54,8 @@ from repro.consensus.messages import (
 from repro.consensus.metrics import MetricsCollector
 from repro.consensus.pacemaker import Pacemaker
 from repro.crypto.hashing import combine_digests
+from repro.crypto.threshold import SignatureShare
+from repro.errors import InvalidCertificateError
 from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
 from repro.ledger.speculative import CommitOutcome, SpeculativeLedger
@@ -56,7 +63,7 @@ from repro.ledger.state_machine import StateMachine
 from repro.net.message import Envelope
 from repro.net.network import SimNetwork
 from repro.sim.scheduler import Simulator
-from repro.types import is_null_digest
+from repro.types import NULL_DIGEST, is_null_digest
 
 #: Crash-point hooks instrumented in the consensus layer.  The fuzzing
 #: injector (:mod:`repro.faults.crashpoints`) installs a probe that may halt
@@ -78,10 +85,12 @@ class BaseReplica:
     consensus_half_phases = 5
     #: Closed-loop client population, in batches, that keeps the pipeline at its knee.
     client_knee_blocks = 4.0
+    #: Phases a view spends per decided block (1 streamlined, 2 basic HotStuff-1).
+    phases_per_decision = 1
 
     @staticmethod
     def client_quorum(config) -> int:
-        """Matching responses a client needs; overridden per protocol."""
+        """Matching responses a client needs: ``f + 1`` post-commit ones unless overridden."""
         return config.f + 1
 
     def __init__(
@@ -129,6 +138,8 @@ class BaseReplica:
         #: Whether this replica reports global counters (set for one replica per run).
         self.report_metrics = False
         self._pending_fetch: Dict[str, List[Propose]] = {}
+        #: NewView messages received per view, keyed by voter.
+        self._new_view_msgs: Dict[int, Dict[int, NewView]] = {}
         #: Durable store (:class:`~repro.storage.store.ReplicaStore`) for WAL'd
         #: votes / certificates / commits; ``None`` disables persistence.
         self.store = store
@@ -160,10 +171,21 @@ class BaseReplica:
 
     # ------------------------------------------------------------- lifecycle
     def start(self, first_view: int = 1) -> None:
-        """Start participating in consensus."""
+        """Start participating in consensus and bootstrap the first leader."""
         if self.behavior.is_crashed():
             return
         self.pacemaker.start(first_view)
+        self.send(self.leaders.leader_of(first_view), self.bootstrap_new_view(first_view))
+
+    def bootstrap_new_view(self, first_view: int) -> NewView:
+        """The genesis NewView sent to the leader of *first_view* (it carries no vote)."""
+        return NewView(
+            view=first_view,
+            voter=self.replica_id,
+            high_cert=self.high_cert,
+            share=None,
+            voted_block_hash=self.block_store.genesis.block_hash,
+        )
 
     def halt(self) -> None:
         """Crash this replica object: drop all traffic and stop its timers.
@@ -340,9 +362,52 @@ class BaseReplica:
                 self.store.record_high_cert(cert)
         return True
 
-    def certificate_for_block(self, block_hash: str) -> Optional[Certificate]:
-        """Return the certificate known for *block_hash*, if any."""
-        return self.certs_by_block.get(block_hash)
+    def aggregate_votes(
+        self,
+        kind: CertKind,
+        votes: Iterable[Tuple[str, SignatureShare]],
+        position: Optional[Tuple[int, int]] = None,
+        formed_in_view: Optional[int] = None,
+    ) -> Optional[Certificate]:
+        """Form a *kind* certificate from ``(voted block hash, share)`` pairs.
+
+        Pairs without a share or a hash (a NewView that carries no vote) are
+        skipped; the rest are grouped by block, and the first known block
+        with ``n - f`` shares that aggregate into a valid certificate is
+        certified.  The certificate is over the block's own ``(view, slot)``
+        unless *position* names the voted one (New-Slot votes);
+        *formed_in_view* stamps New-View certificates.  Returns ``None`` if
+        no block qualifies.
+        """
+        shares_by_block: Dict[str, List[SignatureShare]] = {}
+        for block_hash, share in votes:
+            if share is not None and block_hash:
+                shares_by_block.setdefault(block_hash, []).append(share)
+        for block_hash, shares in shares_by_block.items():
+            if len(shares) < self.config.quorum:
+                continue
+            block = self.block_store.maybe_get(block_hash)
+            if block is None:
+                continue
+            view, slot = position or (block.view, block.slot)
+            try:
+                return self.authority.form_certificate(
+                    kind, view, slot, block_hash, shares, formed_in_view=formed_in_view
+                )
+            except InvalidCertificateError:
+                continue
+        return None
+
+    def adopt_formed_certificate(self, cert: Optional[Certificate]) -> Optional[Certificate]:
+        """Adopt a certificate this leader just formed (the mid-formation crash point fires)."""
+        if cert is not None:
+            self.record_certificate(cert)
+            self.fault_point(HOOK_MID_CERT)
+        return cert
+
+    def certified_block(self, cert: Certificate) -> Optional[Block]:
+        """The known block *cert* certifies (``None`` for genesis or an unknown block)."""
+        return None if cert.is_genesis else self.block_store.maybe_get(cert.block_hash)
 
     def certificate_for_parent_of(self, cert: Certificate) -> Optional[Certificate]:
         """Return the certificate of the parent of *cert*'s block (used by tail-forking)."""
@@ -413,6 +478,41 @@ class BaseReplica:
             return False
         return True
 
+    def charged_commit(self, target: Optional[Block], accumulated_cost: float) -> float:
+        """Commit the chain ending at *target* after charging its execution.
+
+        The charge is execution plus responses for the chain's transactions
+        not yet executed (speculated blocks were charged when they were
+        speculated); it delays the responses past *accumulated_cost* and is
+        returned so the caller adds it to its own.  No-op (0.0) for a missing,
+        genesis or already committed target.
+        """
+        if target is None or target.is_genesis or self.ledger.is_committed(target.block_hash):
+            return 0.0
+        txn_count = 0
+        block: Optional[Block] = target
+        while block is not None and not block.is_genesis and not self.ledger.is_committed(block.block_hash):
+            if not self.ledger.is_speculated(block.block_hash):
+                txn_count += block.txn_count
+            block = self.block_store.parent_of(block)
+        exec_cost = self.execution_cost_for(txn_count) + self.costs.response_cost(txn_count)
+        self.commit_up_to(target, response_delay=accumulated_cost + exec_cost)
+        return exec_cost
+
+    def charged_speculation(self, block: Block, accumulated_cost: float) -> float:
+        """Roll back a conflicting speculative suffix, then speculate *block* and charge it.
+
+        The protocol's speculation rule has already picked *block*.  Returns
+        the execution plus response cost, which delays the early responses
+        past *accumulated_cost*.
+        """
+        rolled_back = self.ledger.rollback_if_conflicting(block)
+        if rolled_back and self.report_metrics:
+            self.metrics.record_rollback(sum(b.txn_count for b in rolled_back))
+        exec_cost = self.execution_cost_for(block.txn_count) + self.costs.response_cost(block.txn_count)
+        self.speculate_block(block, response_delay=accumulated_cost + exec_cost)
+        return exec_cost
+
     def speculate_block(self, block: Block, response_delay: float = 0.0) -> None:
         """Speculatively execute *block* and send early finality confirmations."""
         if self.ledger.is_committed(block.block_hash) or self.ledger.is_speculated(block.block_hash):
@@ -428,6 +528,70 @@ class BaseReplica:
         """Simulated CPU cost of executing *txn_count* transactions on this replica."""
         per_txn_state_cost = getattr(self.ledger.state_machine, "execution_cost", 1e-6)
         return self.costs.execution_cost(txn_count, per_txn_state_cost)
+
+    # -------------------------------------------------------------- proposals
+    def broadcast_proposal(
+        self,
+        view: int,
+        slot: int,
+        justify: Certificate,
+        parent_hash: str,
+        carry_hash: str = NULL_DIGEST,
+        commit_cert: Optional[Certificate] = None,
+    ) -> Tuple[Block, float]:
+        """Build the next batch into a block for ``(view, slot)`` and broadcast its proposal.
+
+        The send waits for certificate formation plus proposal assembly and,
+        for a view's first slot, the behaviour's ``propose_delay``; the
+        behaviour also picks the targets.  Returns the block and that delay.
+        """
+        batch = self.mempool.next_batch(self.config.batch_size)
+        block = Block.build(
+            view=view,
+            slot=slot,
+            parent_hash=parent_hash,
+            proposer=self.replica_id,
+            transactions=batch,
+            carry_hash=carry_hash,
+        )
+        self.admit_block(block)
+        if self.tracer is not None:
+            self.tracer.block_proposed(block, self.mempool.peek_count(), replica=self.replica_id)
+        self.justify_of[block.block_hash] = justify
+        proposal = Propose(
+            view=view, slot=slot, block=block, justify=justify, commit_cert=commit_cert, carry_hash=carry_hash
+        )
+        cost = self.costs.certificate_formation_cost(self.config.quorum)
+        cost += self.costs.proposal_cost(len(batch), self.config.n)
+        delay = self.behavior.propose_delay(self, view) if slot == 1 else 0.0
+        targets = self.behavior.proposal_targets(self, view, list(self.config.replica_ids()))
+        self.sim.schedule(cost + delay, self.broadcast_replicas, proposal, targets)
+        return block, cost + delay
+
+    def accept_proposal(self, msg: Propose, sender: int) -> bool:
+        """Validate a proposal whose block extends its justify and store the block.
+
+        The sender must lead the proposal's view and the justify must verify.
+        A proposal whose justified block is missing is parked until the block
+        is fetched; one for a later view moves the pacemaker there.  Returns
+        ``True`` if the proposal's view is still open for voting.
+        """
+        if sender != self.leaders.leader_of(msg.view):
+            return False
+        if not self.authority.verify_certificate(msg.justify):
+            return False
+        block = msg.block
+        if block.parent_hash != msg.justify.block_hash or block.view != msg.view:
+            return False
+        if not msg.justify.is_genesis and msg.justify.block_hash not in self.block_store:
+            self.request_block(msg.justify.block_hash, sender, waiting_proposal=msg)
+            return False
+        self.admit_block(block)
+        self.justify_of.setdefault(block.block_hash, msg.justify)
+        self.record_certificate(msg.justify)
+        if msg.view > self.current_view:
+            self.pacemaker.force_enter(msg.view)
+        return msg.view >= self.current_view and not self.pacemaker.has_completed(msg.view)
 
     def admit_block(self, block: Block) -> None:
         """Add *block* to the local tree and retire its transactions from the pool.
@@ -670,10 +834,38 @@ class BaseReplica:
             self.tracer.view_entered(view, replica=self.replica_id)
         if self.report_metrics:
             self.metrics.record_view_change()
+        if self.is_leader_of(view):
+            self._try_propose(view)
+            self.sim.schedule_at(self.pacemaker.share_timer(view), self._try_propose, view, True)
+
+    def _try_propose(self, view: int, force: bool = False) -> None:
+        """Propose for *view* once the protocol's leader conditions hold (*force*: stop waiting)."""
+
+    def collect_new_view(self, msg: NewView) -> Dict[int, NewView]:
+        """Record a NewView's certificate and file the message; returns its view's bucket."""
+        self.record_certificate(msg.high_cert)
+        bucket = self._new_view_msgs.setdefault(msg.view, {})
+        bucket[msg.voter] = msg
+        return bucket
 
     def on_view_timeout(self, view: int) -> None:
-        """Pacemaker callback: the timer for *view* expired."""
-        raise NotImplementedError
+        """Pacemaker callback: the timer for *view* expired.
+
+        Blame the leader: send the next leader a NewView without a vote and
+        move on.
+        """
+        if self.report_metrics:
+            self.metrics.record_timeout()
+        if not self.behavior.withholds_new_view(self, view):
+            new_view = NewView(
+                view=view + 1,
+                voter=self.replica_id,
+                high_cert=self.high_cert,
+                share=None,
+                voted_block_hash="",
+            )
+            self.send(self.leaders.leader_of(view + 1), new_view)
+        self.pacemaker.completed_view(view, timed_out=True)
 
     def handle_propose(self, msg: Propose, sender: int) -> None:
         """Handle a leader proposal."""

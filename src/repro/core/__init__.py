@@ -14,11 +14,15 @@ pseudocode:
   New-View / New-Slot dual certificates, carry blocks, SafeSlot
   well-formedness, Reject messages and trusted/distrusted previous leaders.
 
-The speculation safety rules (Prefix Speculation rule, No-Gap rule) are
-factored into :mod:`repro.core.speculation` so they can be tested in
-isolation and reused by all variants, and :mod:`repro.core.registry` maps
-protocol names to replica classes and client quorum rules for the experiment
-harness.
+The variants hold only their rules.  The speculation safety rules (Prefix
+Speculation rule, No-Gap rule) are factored into
+:mod:`repro.core.speculation` so they can be tested in isolation and reused
+by all variants; the machinery around them — certificate aggregation, the
+charged commit and speculation, proposal broadcast, the leader trigger,
+bootstrap and timeout — is written once in
+:class:`~repro.consensus.replica.BaseReplica`, shared with the HotStuff and
+HotStuff-2 baselines.  :mod:`repro.core.registry` maps protocol names to
+replica classes and client quorum rules for the experiment harness.
 """
 
 from repro.core.basic import BasicHotStuff1Replica

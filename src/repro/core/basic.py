@@ -24,9 +24,8 @@ from typing import Dict, Optional
 
 from repro.consensus.certificates import Certificate, CertKind
 from repro.consensus.messages import NewView, Prepare, Propose, ProposeVote
-from repro.consensus.replica import HOOK_MID_CERT, BaseReplica
+from repro.consensus.replica import BaseReplica
 from repro.core.speculation import SpeculationGuard
-from repro.errors import InvalidCertificateError
 from repro.ledger.block import Block
 
 
@@ -38,13 +37,14 @@ class BasicHotStuff1Replica(BaseReplica):
     consensus_half_phases = 3
     #: Closed-loop client population, in batches, that keeps the pipeline at its knee.
     client_knee_blocks = 1.5
+    #: Each view runs Propose/ProposeVote, then Prepare/NewView, for one block.
+    phases_per_decision = 2
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.speculation_guard = SpeculationGuard(self.ledger)
         #: Highest known commit certificate (``C(v_lc)``).
         self.high_commit_cert: Optional[Certificate] = None
-        self._new_view_msgs: Dict[int, Dict[int, NewView]] = {}
         self._propose_votes: Dict[int, Dict[int, ProposeVote]] = {}
         self._proposed_views: set = set()
         self._prepared_views: set = set()
@@ -62,58 +62,21 @@ class BasicHotStuff1Replica(BaseReplica):
         super().restore_vote_state(state)
         self._voted_views.update(state.voted_views)
 
-    def start(self, first_view: int = 1) -> None:
-        if self.behavior.is_crashed():
-            return
-        super().start(first_view)
-        bootstrap = NewView(
-            view=first_view,
-            voter=self.replica_id,
-            high_cert=self.high_cert,
-            share=None,
-            voted_block_hash=self.block_store.genesis.block_hash,
-        )
-        self.send(self.leaders.leader_of(first_view), bootstrap)
-
     # ------------------------------------------------------------ leader role
-    def on_enter_view(self, view: int) -> None:
-        super().on_enter_view(view)
-        if self.is_leader_of(view):
-            self._try_propose(view)
-            self.sim.schedule_at(self.pacemaker.share_timer(view), self._try_propose, view, True)
-
     def handle_new_view(self, msg: NewView, sender: int) -> None:
         """Collect NewView messages: highest certificates plus commit votes."""
-        self.record_certificate(msg.high_cert)
-        bucket = self._new_view_msgs.setdefault(msg.view, {})
-        bucket[msg.voter] = msg
-        self._try_form_commit_certificate(msg.view, bucket)
+        bucket = self.collect_new_view(msg)
+        # Form C(v-1) from the commit shares the NewView messages carry (Line 12).
+        votes = [(vote.voted_block_hash, vote.commit_share) for vote in bucket.values()]
+        cert = self.aggregate_votes(CertKind.COMMIT, votes)
+        if cert is not None and (
+            self.high_commit_cert is None or cert.position > self.high_commit_cert.position
+        ):
+            self.high_commit_cert = cert
+            if self.store is not None:
+                self.store.record_commit_cert(cert)
         if self.is_leader_of(msg.view) and self.current_view == msg.view:
             self._try_propose(msg.view)
-
-    def _try_form_commit_certificate(self, view: int, bucket: Dict[int, NewView]) -> None:
-        """Form ``C(v-1)`` from the commit shares carried by NewView messages (Line 12)."""
-        shares_by_block: Dict[str, list] = {}
-        for msg in bucket.values():
-            if msg.commit_share is not None and msg.voted_block_hash:
-                shares_by_block.setdefault(msg.voted_block_hash, []).append(msg.commit_share)
-        for block_hash, shares in shares_by_block.items():
-            if len(shares) < self.config.quorum:
-                continue
-            block = self.block_store.maybe_get(block_hash)
-            if block is None:
-                continue
-            try:
-                cert = self.authority.form_certificate(
-                    CertKind.COMMIT, block.view, block.slot, block_hash, shares
-                )
-            except InvalidCertificateError:
-                continue
-            if self.high_commit_cert is None or cert.position > self.high_commit_cert.position:
-                self.high_commit_cert = cert
-                if self.store is not None:
-                    self.store.record_commit_cert(cert)
-            return
 
     def _try_propose(self, view: int, force: bool = False) -> None:
         """Propose once n−f NewViews arrived and P(v−1) is known (or the wait expired)."""
@@ -129,27 +92,9 @@ class BasicHotStuff1Replica(BaseReplica):
             return
         self._proposed_views.add(view)
         justify = self.behavior.choose_justify(self, view, self.high_cert)
-        batch = self.mempool.next_batch(self.config.batch_size)
-        block = Block.build(
-            view=view,
-            slot=1,
-            parent_hash=justify.block_hash,
-            proposer=self.replica_id,
-            transactions=batch,
+        self._own_proposals[view], _ = self.broadcast_proposal(
+            view, 1, justify, justify.block_hash, commit_cert=self.high_commit_cert
         )
-        self.admit_block(block)
-        if self.tracer is not None:
-            self.tracer.block_proposed(block, self.mempool.peek_count(), replica=self.replica_id)
-        self.justify_of[block.block_hash] = justify
-        self._own_proposals[view] = block
-        proposal = Propose(
-            view=view, slot=1, block=block, justify=justify, commit_cert=self.high_commit_cert
-        )
-        cost = self.costs.certificate_formation_cost(self.config.quorum)
-        cost += self.costs.proposal_cost(len(batch), self.config.n)
-        delay = self.behavior.propose_delay(self, view)
-        targets = self.behavior.proposal_targets(self, view, list(self.config.replica_ids()))
-        self.sim.schedule(cost + delay, self.broadcast_replicas, proposal, targets)
 
     def handle_propose_vote(self, msg: ProposeVote, sender: int) -> None:
         """Aggregate first-phase votes into ``P(v)`` and broadcast the Prepare message."""
@@ -160,54 +105,28 @@ class BasicHotStuff1Replica(BaseReplica):
         block = self._own_proposals.get(msg.view)
         if block is None:
             return
-        shares = [vote.share for vote in bucket.values() if vote.block_hash == block.block_hash]
-        if len(shares) < self.config.quorum:
-            return
-        try:
-            cert = self.authority.form_certificate(
-                CertKind.PREPARE, block.view, block.slot, block.block_hash, shares
-            )
-        except InvalidCertificateError:
+        votes = [
+            (vote.block_hash, vote.share) for vote in bucket.values() if vote.block_hash == block.block_hash
+        ]
+        cert = self.aggregate_votes(CertKind.PREPARE, votes)
+        if cert is None:
             return
         self._prepared_views.add(msg.view)
-        self.record_certificate(cert)
-        self.fault_point(HOOK_MID_CERT)
+        self.adopt_formed_certificate(cert)
         cost = self.costs.certificate_formation_cost(self.config.quorum)
         self.sim.schedule(cost, self.broadcast_replicas, Prepare(view=msg.view, cert=cert))
 
     # ------------------------------------------------------------ backup role
     def handle_propose(self, msg: Propose, sender: int) -> None:
         """First phase: apply the traditional commit rule and vote to the leader."""
-        if sender != self.leaders.leader_of(msg.view):
-            return
-        if not self.authority.verify_certificate(msg.justify):
+        if not self.accept_proposal(msg, sender) or msg.view in self._voted_views:
             return
         block = msg.block
-        if block.parent_hash != msg.justify.block_hash or block.view != msg.view:
-            return
-        if not msg.justify.is_genesis and msg.justify.block_hash not in self.block_store:
-            self.request_block(msg.justify.block_hash, sender, waiting_proposal=msg)
-            return
-        self.admit_block(block)
-        self.justify_of.setdefault(block.block_hash, msg.justify)
-        self.record_certificate(msg.justify)
-        if msg.view > self.current_view:
-            self.pacemaker.force_enter(msg.view)
-        if msg.view < self.current_view or msg.view in self._voted_views:
-            return
-        if self.pacemaker.has_completed(msg.view):
-            return
-
         cost = self.costs.proposal_validation_cost(self.config.quorum)
         # Traditional commit rule (Line 17): commit everything up to the block
         # certified by the carried commit certificate.
         if msg.commit_cert is not None and self.authority.verify_certificate(msg.commit_cert):
-            committed_block = self.block_store.maybe_get(msg.commit_cert.block_hash)
-            if committed_block is not None and not self.ledger.is_committed(committed_block.block_hash):
-                txn_count = committed_block.txn_count
-                exec_cost = self.execution_cost_for(txn_count) + self.costs.response_cost(txn_count)
-                self.commit_up_to(committed_block, response_delay=cost + exec_cost)
-                cost += exec_cost
+            cost += self.charged_commit(self.block_store.maybe_get(msg.commit_cert.block_hash), cost)
 
         if msg.justify.position >= self.high_cert.position and self.behavior.should_vote(self, msg):
             self._voted_views.add(msg.view)
@@ -235,25 +154,14 @@ class BasicHotStuff1Replica(BaseReplica):
 
         # Prefix commit rule (Line 22): if P(v) extends P(v-1), commit B_{v-1}.
         parent = self.block_store.parent_of(block)
-        if parent is not None and not parent.is_genesis and parent.view == block.view - 1:
-            if not self.ledger.is_committed(parent.block_hash):
-                txn_count = self._uncommitted_chain_txns(parent)
-                exec_cost = self.execution_cost_for(txn_count) + self.costs.response_cost(txn_count)
-                self.commit_up_to(parent, response_delay=cost + exec_cost)
-                cost += exec_cost
+        if parent is not None and parent.view == block.view - 1:
+            cost += self.charged_commit(parent, cost)
 
         # Speculation (Lines 24-27): Prefix Speculation + No-Gap rules.
-        commit_share = None
-        if self.config.speculation_enabled:
-            decision = self.speculation_guard.check_basic(block, msg.cert.view, self.current_view)
-            if decision:
-                rolled_back = self.ledger.rollback_if_conflicting(block)
-                if rolled_back and self.report_metrics:
-                    self.metrics.record_rollback(sum(b.txn_count for b in rolled_back))
-                exec_cost = self.execution_cost_for(block.txn_count)
-                exec_cost += self.costs.response_cost(block.txn_count)
-                self.speculate_block(block, response_delay=cost + exec_cost)
-                cost += exec_cost
+        if self.config.speculation_enabled and self.speculation_guard.check_basic(
+            block, msg.cert.view, self.current_view
+        ):
+            cost += self.charged_speculation(block, cost)
 
         # Commit vote (Lines 28-29) travels with the NewView to the next leader.
         commit_share = self.authority.create_vote(
@@ -272,28 +180,3 @@ class BasicHotStuff1Replica(BaseReplica):
                 cost + self.costs.vote_cost(), self.send, self.leaders.leader_of(msg.view + 1), new_view
             )
         self.pacemaker.completed_view(msg.view, timed_out=False)
-
-    def _uncommitted_chain_txns(self, target: Block) -> int:
-        count = 0
-        block: Optional[Block] = target
-        while block is not None and not block.is_genesis and not self.ledger.is_committed(block.block_hash):
-            if not self.ledger.is_speculated(block.block_hash):
-                count += block.txn_count
-            block = self.block_store.parent_of(block)
-        return count
-
-    # -------------------------------------------------------------- timeouts
-    def on_view_timeout(self, view: int) -> None:
-        """Blame the leader and move to the next view (Lines 31-33)."""
-        if self.report_metrics:
-            self.metrics.record_timeout()
-        if not self.behavior.withholds_new_view(self, view):
-            new_view = NewView(
-                view=view + 1,
-                voter=self.replica_id,
-                high_cert=self.high_cert,
-                share=None,
-                voted_block_hash="",
-            )
-            self.send(self.leaders.leader_of(view + 1), new_view)
-        self.pacemaker.completed_view(view, timed_out=True)

@@ -30,9 +30,8 @@ from typing import Dict, Optional, Tuple
 from repro.consensus.certificates import Certificate, CertKind
 from repro.consensus.config import MAX_SLOTS_PER_VIEW
 from repro.consensus.messages import NewSlot, NewView, Propose, Reject
-from repro.consensus.replica import HOOK_MID_CERT, BaseReplica
+from repro.consensus.replica import BaseReplica
 from repro.core.speculation import SpeculationGuard
-from repro.errors import InvalidCertificateError
 from repro.ledger.block import Block
 from repro.types import NULL_DIGEST, is_null_digest
 
@@ -56,7 +55,6 @@ class SlottedHotStuff1Replica(BaseReplica):
         self.highest_voted_hash = self.block_store.genesis.block_hash
         #: Previous leaders this replica has stopped trusting (§6.3).
         self.distrusted_leaders: set = set()
-        self._new_view_msgs: Dict[int, Dict[int, NewView]] = {}
         self._new_slot_msgs: Dict[Tuple[int, int], Dict[int, NewSlot]] = {}
         self._reject_msgs: Dict[int, Dict[int, Reject]] = {}
         self._proposed_slots: set = set()
@@ -86,15 +84,13 @@ class SlottedHotStuff1Replica(BaseReplica):
         if state.highest_voted_hash and state.highest_voted_hash in self.block_store:
             self.highest_voted_hash = state.highest_voted_hash
 
-    def start(self, first_view: int = 1) -> None:
-        if self.behavior.is_crashed():
-            return
-        super().start(first_view)
+    def bootstrap_new_view(self, first_view: int) -> NewView:
+        """The genesis NewView, with a New-View share over genesis as the highest voted block."""
         genesis = self.block_store.genesis
         share = self.authority.create_vote(
             self.replica_id, CertKind.NEW_VIEW, genesis.view, genesis.slot, genesis.block_hash
         )
-        bootstrap = NewView(
+        return NewView(
             view=first_view,
             voter=self.replica_id,
             high_cert=self.high_cert,
@@ -102,27 +98,21 @@ class SlottedHotStuff1Replica(BaseReplica):
             voted_block_hash=genesis.block_hash,
             highest_voted_hash=genesis.block_hash,
         )
-        self.send(self.leaders.leader_of(first_view), bootstrap)
 
     # ------------------------------------------------------------ leader role
     def on_enter_view(self, view: int) -> None:
-        super().on_enter_view(view)
         self.current_slot = 1
-        if self.is_leader_of(view):
-            self._try_first_slot(view)
-            self.sim.schedule_at(self.pacemaker.share_timer(view), self._try_first_slot, view, True)
+        super().on_enter_view(view)
 
     def handle_new_view(self, msg: NewView, sender: int) -> None:
         """Collect NewView messages; use the trusted-previous-leader fast path when possible."""
-        self.record_certificate(msg.high_cert)
-        bucket = self._new_view_msgs.setdefault(msg.view, {})
-        bucket[msg.voter] = msg
+        self.collect_new_view(msg)
         if not self.is_leader_of(msg.view) or self.current_view != msg.view:
             return
         if self._trusted_fast_path(msg, sender):
             self._propose_first_slot(msg.view, new_view_cert=None)
             return
-        self._try_first_slot(msg.view)
+        self._try_propose(msg.view)
 
     def _trusted_fast_path(self, msg: NewView, sender: int) -> bool:
         """Figure 6, Line 20: a trusted previous leader reports a certificate formed in its view."""
@@ -137,7 +127,7 @@ class SlottedHotStuff1Replica(BaseReplica):
         ) or (cert.kind is CertKind.NEW_VIEW and cert.formed_in_view == msg.view - 1)
         return formed_in_previous
 
-    def _try_first_slot(self, view: int, force: bool = False) -> None:
+    def _try_propose(self, view: int, force: bool = False) -> None:
         """Figure 6, Lines 4-13: wait for one of the four conditions, then propose slot 1."""
         if self.halted or (view, 1) in self._proposed_slots:
             return
@@ -151,7 +141,11 @@ class SlottedHotStuff1Replica(BaseReplica):
                 return
         if len(bucket) < self.config.quorum:
             return
-        new_view_cert = self._try_form_new_view_certificate(view, bucket)
+        # Condition (1): n−f New-View shares for the same highest voted block.
+        votes = [(msg.voted_block_hash, msg.share) for msg in bucket.values()]
+        new_view_cert = self.adopt_formed_certificate(
+            self.aggregate_votes(CertKind.NEW_VIEW, votes, formed_in_view=view)
+        )
         if new_view_cert is not None:
             self._propose_first_slot(view, new_view_cert)
             return
@@ -170,31 +164,6 @@ class SlottedHotStuff1Replica(BaseReplica):
             return None
         if self._trusted_fast_path(message, previous_leader):
             return message
-        return None
-
-    def _try_form_new_view_certificate(
-        self, view: int, bucket: Dict[int, NewView]
-    ) -> Optional[Certificate]:
-        """Condition (1): aggregate n−f New-View shares for the same highest voted block."""
-        shares_by_block: Dict[str, list] = {}
-        for msg in bucket.values():
-            if msg.share is not None and msg.voted_block_hash:
-                shares_by_block.setdefault(msg.voted_block_hash, []).append(msg.share)
-        for block_hash, shares in shares_by_block.items():
-            if len(shares) < self.config.quorum:
-                continue
-            block = self.block_store.maybe_get(block_hash)
-            if block is None:
-                continue
-            try:
-                cert = self.authority.form_certificate(
-                    CertKind.NEW_VIEW, block.view, block.slot, block_hash, shares, formed_in_view=view
-                )
-            except InvalidCertificateError:
-                continue
-            self.record_certificate(cert)
-            self.fault_point(HOOK_MID_CERT)
-            return cert
         return None
 
     def _no_higher_votes_condition(self, bucket: Dict[int, NewView]) -> bool:
@@ -269,34 +238,19 @@ class SlottedHotStuff1Replica(BaseReplica):
             return
         if self.pacemaker.has_completed(msg.view):
             return
-        shares_by_block: Dict[str, list] = {}
-        for vote in bucket.values():
-            shares_by_block.setdefault(vote.voted_block_hash, []).append(vote.share)
-        for block_hash, shares in shares_by_block.items():
-            if len(shares) < self.config.quorum:
-                continue
-            block = self.block_store.maybe_get(block_hash)
-            if block is None:
-                continue
-            try:
-                cert = self.authority.form_certificate(
-                    CertKind.NEW_SLOT, msg.view, msg.slot, block_hash, shares
-                )
-            except InvalidCertificateError:
-                continue
-            self._formed_slot_certs.add(key)
-            self.record_certificate(cert)
-            self.fault_point(HOOK_MID_CERT)
-            if msg.slot > self._last_certified_slot.get(msg.view, 0):
-                self._last_certified_slot[msg.view] = msg.slot
-                self._pipeline_justify[msg.view] = cert
-            if self.config.pipeline_depth > 1:
-                self._pump_pipeline(msg.view)
-            elif msg.slot + 1 <= MAX_SLOTS_PER_VIEW:
-                self._broadcast_slot_proposal(
-                    msg.view, msg.slot + 1, cert, cert.block_hash, NULL_DIGEST
-                )
+        votes = [(vote.voted_block_hash, vote.share) for vote in bucket.values()]
+        cert = self.aggregate_votes(CertKind.NEW_SLOT, votes, position=key)
+        if cert is None:
             return
+        self._formed_slot_certs.add(key)
+        self.adopt_formed_certificate(cert)
+        if msg.slot > self._last_certified_slot.get(msg.view, 0):
+            self._last_certified_slot[msg.view] = msg.slot
+            self._pipeline_justify[msg.view] = cert
+        if self.config.pipeline_depth > 1:
+            self._pump_pipeline(msg.view)
+        elif msg.slot + 1 <= MAX_SLOTS_PER_VIEW:
+            self._broadcast_slot_proposal(msg.view, msg.slot + 1, cert, cert.block_hash, NULL_DIGEST)
 
     def _broadcast_slot_proposal(
         self, view: int, slot: int, justify: Certificate, parent_hash: str, carry_hash: str
@@ -310,35 +264,17 @@ class SlottedHotStuff1Replica(BaseReplica):
             return
         self._proposed_slots.add((view, slot))
         self.slots_proposed_total += 1
-        batch = self.mempool.next_batch(self.config.batch_size)
-        block = Block.build(
-            view=view,
-            slot=slot,
-            parent_hash=parent_hash,
-            proposer=self.replica_id,
-            transactions=batch,
-            carry_hash=carry_hash,
-        )
-        self.admit_block(block)
-        if self.tracer is not None:
-            self.tracer.block_proposed(block, self.mempool.peek_count(), replica=self.replica_id)
-        self.justify_of[block.block_hash] = justify
+        block, _ = self.broadcast_proposal(view, slot, justify, parent_hash, carry_hash=carry_hash)
         # The proposer vouches for its own block: its self-addressed copy of
         # a deeper pipelined proposal may arrive before it has processed (and
         # voted on) this one, and the SafeSlot ancestry walk must not treat
         # the leader's own chain as unvouched-for.
         self._voted_hashes.add(block.block_hash)
-        proposal = Propose(view=view, slot=slot, block=block, justify=justify, carry_hash=carry_hash)
         if slot >= self._last_proposed_slot.get(view, 0):
             self._last_proposed_slot[view] = slot
             self._last_proposed_hash[view] = block.block_hash
         if slot == 1:
             self._pipeline_justify.setdefault(view, justify)
-        cost = self.costs.certificate_formation_cost(self.config.quorum)
-        cost += self.costs.proposal_cost(len(batch), self.config.n)
-        delay = self.behavior.propose_delay(self, view) if slot == 1 else 0.0
-        targets = self.behavior.proposal_targets(self, view, list(self.config.replica_ids()))
-        self.sim.schedule(cost + delay, self.broadcast_replicas, proposal, targets)
         if self.config.pipeline_depth > 1:
             self._pump_pipeline(view)
 
@@ -408,7 +344,7 @@ class SlottedHotStuff1Replica(BaseReplica):
                 self._last_proposed_slot.pop(msg.view, None)
                 self._last_proposed_hash.pop(msg.view, None)
                 self._pipeline_justify.pop(msg.view, None)
-            self._try_first_slot(msg.view, force=True)
+            self._try_propose(msg.view, force=True)
 
     # ------------------------------------------------------------ backup role
     def handle_propose(self, msg: Propose, sender: int) -> None:
@@ -447,7 +383,7 @@ class SlottedHotStuff1Replica(BaseReplica):
             # A late block from the previous view may be exactly the carry
             # block our own pending first-slot proposal is waiting for.
             if self.is_leader_of(self.current_view) and (self.current_view, 1) not in self._proposed_slots:
-                self._try_first_slot(self.current_view)
+                self._try_propose(self.current_view)
             return
         if self.pacemaker.has_completed(msg.view):
             return
@@ -464,7 +400,7 @@ class SlottedHotStuff1Replica(BaseReplica):
         block = msg.block
         justify = msg.justify
         cost = self.costs.proposal_validation_cost(self.config.quorum)
-        cost += self._apply_commit_rule(justify, cost)
+        cost += self.charged_commit(self._prefix_commit_target(justify), cost)
         cost += self._apply_speculation(justify, msg.view, msg.slot, cost)
 
         safe = self._safe_slot(msg)
@@ -593,16 +529,14 @@ class SlottedHotStuff1Replica(BaseReplica):
         return False
 
     # ---------------------------------------------------- commit & speculation
-    def _apply_commit_rule(self, justify: Certificate, accumulated_cost: float) -> float:
+    def _prefix_commit_target(self, justify: Certificate) -> Optional[Block]:
         """Prefix commit rule over the two-dimensional (view, slot) chain."""
-        if justify.is_genesis:
-            return 0.0
-        certified_block = self.block_store.maybe_get(justify.block_hash)
+        certified_block = self.certified_block(justify)
         if certified_block is None:
-            return 0.0
+            return None
         previous_justify = self.justify_of.get(certified_block.block_hash)
         if previous_justify is None:
-            return 0.0
+            return None
         same_view_adjacent = (
             previous_justify.view == justify.view and not previous_justify.is_genesis
         )
@@ -610,42 +544,19 @@ class SlottedHotStuff1Replica(BaseReplica):
             previous_justify.view == justify.view - 1 or previous_justify.is_genesis
         )
         if not (same_view_adjacent or first_slot_adjacent):
-            return 0.0
-        target = self.block_store.maybe_get(previous_justify.block_hash)
-        if target is None or target.is_genesis or self.ledger.is_committed(target.block_hash):
-            return 0.0
-        txn_count = self._uncommitted_chain_txns(target)
-        exec_cost = self.execution_cost_for(txn_count) + self.costs.response_cost(txn_count)
-        self.commit_up_to(target, response_delay=accumulated_cost + exec_cost)
-        return exec_cost
+            return None
+        return self.block_store.maybe_get(previous_justify.block_hash)
 
     def _apply_speculation(
         self, justify: Certificate, proposal_view: int, proposal_slot: int, accumulated_cost: float
     ) -> float:
         """Speculate on the block certified by *justify* when the §6 rules allow it."""
-        if not self.config.speculation_enabled or justify.is_genesis:
+        block = self.certified_block(justify)
+        if not self.config.speculation_enabled or block is None or self.ledger.is_speculated(block.block_hash):
             return 0.0
-        block = self.block_store.maybe_get(justify.block_hash)
-        if block is None or self.ledger.is_speculated(block.block_hash):
+        if not self.speculation_guard.check_slotted(block, proposal_view, proposal_slot):
             return 0.0
-        decision = self.speculation_guard.check_slotted(block, proposal_view, proposal_slot)
-        if not decision:
-            return 0.0
-        rolled_back = self.ledger.rollback_if_conflicting(block)
-        if rolled_back and self.report_metrics:
-            self.metrics.record_rollback(sum(b.txn_count for b in rolled_back))
-        exec_cost = self.execution_cost_for(block.txn_count) + self.costs.response_cost(block.txn_count)
-        self.speculate_block(block, response_delay=accumulated_cost + exec_cost)
-        return exec_cost
-
-    def _uncommitted_chain_txns(self, target: Block) -> int:
-        count = 0
-        block: Optional[Block] = target
-        while block is not None and not block.is_genesis and not self.ledger.is_committed(block.block_hash):
-            if not self.ledger.is_speculated(block.block_hash):
-                count += block.txn_count
-            block = self.block_store.parent_of(block)
-        return count
+        return self.charged_speculation(block, accumulated_cost)
 
     # -------------------------------------------------------------- timeouts
     def on_view_timeout(self, view: int) -> None:

@@ -44,22 +44,9 @@ class HotStuff1Replica(ChainedReplica):
         global ledger) and returns the execution cost charged for the
         speculated block.
         """
-        if not self.config.speculation_enabled:
+        block = self.certified_block(msg.justify)
+        if not self.config.speculation_enabled or block is None or self.ledger.is_speculated(block.block_hash):
             return 0.0
-        justify = msg.justify
-        if justify.is_genesis:
+        if not self.speculation_guard.check_streamlined(block, msg.view):
             return 0.0
-        block = self.block_store.maybe_get(justify.block_hash)
-        if block is None:
-            return 0.0
-        if self.ledger.is_speculated(block.block_hash):
-            return 0.0
-        decision = self.speculation_guard.check_streamlined(block, msg.view)
-        if not decision:
-            return 0.0
-        rolled_back = self.ledger.rollback_if_conflicting(block)
-        if rolled_back and self.report_metrics:
-            self.metrics.record_rollback(sum(b.txn_count for b in rolled_back))
-        exec_cost = self.execution_cost_for(block.txn_count) + self.costs.response_cost(block.txn_count)
-        self.speculate_block(block, response_delay=accumulated_cost + exec_cost)
-        return exec_cost
+        return self.charged_speculation(block, accumulated_cost)

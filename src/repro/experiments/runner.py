@@ -512,8 +512,7 @@ def default_num_clients(spec: ExperimentSpec, replica_class) -> int:
     roughly ``client_knee_blocks`` full batches in flight (more for protocols
     with more half-phases), at 90 % of it.
     """
-    knee_blocks = getattr(replica_class, "client_knee_blocks", 4.0)
-    return max(16, int(round(0.9 * knee_blocks * spec.batch_size)))
+    return max(16, int(round(0.9 * replica_class.client_knee_blocks * spec.batch_size)))
 
 
 @dataclass

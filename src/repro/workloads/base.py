@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Type
 
 from repro.errors import WorkloadError
@@ -19,6 +20,12 @@ class Workload:
 
     #: Registry name, e.g. ``"ycsb"``.
     name: str = "abstract"
+
+    def __init__(self) -> None:
+        #: Transaction ids of this instance (one per run): a run numbers its
+        #: transactions from 0, whatever ran before it in the process, so its
+        #: block hashes are a function of (spec, seed) alone.
+        self._txn_ids = itertools.count()
 
     def make_state_machine(self) -> StateMachine:
         """Return a fresh state machine able to execute this workload's transactions."""

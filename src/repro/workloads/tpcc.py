@@ -45,6 +45,7 @@ class TPCCWorkload(Workload):
     ) -> None:
         if warehouses <= 0:
             raise WorkloadError("warehouses must be positive")
+        super().__init__()
         self.warehouses = int(warehouses)
         self.items = int(items)
         self.max_order_lines = int(max_order_lines)
@@ -101,5 +102,9 @@ class TPCCWorkload(Workload):
         else:  # tpcc_stock_level
             payload = {"w_id": rng.randint(1, self.warehouses), "threshold": rng.randint(10, 20)}
         return Transaction.create(
-            client_id=client_id, operation=operation, payload=payload, submitted_at=now
+            client_id=client_id,
+            operation=operation,
+            payload=payload,
+            submitted_at=now,
+            txn_id=next(self._txn_ids),
         )

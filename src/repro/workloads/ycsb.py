@@ -36,6 +36,7 @@ class YCSBWorkload(Workload):
             raise WorkloadError("write_ratio must be in [0, 1]")
         if record_count <= 0:
             raise WorkloadError("record_count must be positive")
+        super().__init__()
         self.record_count = int(record_count)
         self.write_ratio = float(write_ratio)
         self.value_size = int(value_size)
@@ -59,5 +60,9 @@ class YCSBWorkload(Workload):
             payload = {"key": key}
             operation = "ycsb_read"
         return Transaction.create(
-            client_id=client_id, operation=operation, payload=payload, submitted_at=now
+            client_id=client_id,
+            operation=operation,
+            payload=payload,
+            submitted_at=now,
+            txn_id=next(self._txn_ids),
         )

@@ -48,6 +48,19 @@ class TestAnalyticalModel:
         streamlined = model.predict("hotstuff-1").saturation_throughput
         assert basic == pytest.approx(streamlined / 2)
 
+    @pytest.mark.parametrize("alias", ["hotstuff1-basic", "hotstuff1", "hotstuff-1-streamlined"])
+    def test_alias_predicts_like_its_canonical_name(self, alias):
+        """Protocol facts come from the replica class, so a registered alias
+        (e.g. ``hotstuff1-basic``) is the same protocol to the model."""
+        from repro.core.registry import canonical_protocol
+
+        model = self.make_model()
+        by_alias = model.predict(alias).as_dict()
+        by_name = model.predict(canonical_protocol(alias)).as_dict()
+        by_alias.pop("protocol")
+        by_name.pop("protocol")
+        assert by_alias == by_name
+
     def test_throughput_decreases_with_n(self):
         small = self.make_model(n=4).predict("hotstuff-1").saturation_throughput
         large = self.make_model(n=64).predict("hotstuff-1").saturation_throughput

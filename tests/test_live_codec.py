@@ -412,12 +412,12 @@ class TestScalarCodes:
 
 
 def _workload_txns(name, count, seed=1):
-    """The first *count* transactions of workload *name*'s seeded stream, with
-    ids from 0 (`Transaction.create` numbers them from a process-global
-    counter, and an id past i32 widens the header)."""
+    """The first *count* transactions of workload *name*'s seeded stream (a
+    fresh workload numbers its transactions from 0)."""
     workload, rng = make_workload(name), SeededRng(seed).fork("clients")
-    txns = (workload.next_transaction(client_id=-1_000_000 - i % 7, rng=rng, now=0.5) for i in range(count))
-    return tuple(Transaction(i, t.client_id, t.operation, t.payload, t.submitted_at) for i, t in enumerate(txns))
+    return tuple(
+        workload.next_transaction(client_id=-1_000_000 - i % 7, rng=rng, now=0.5) for i in range(count)
+    )
 
 
 def _canonical_propose(name, count=100):

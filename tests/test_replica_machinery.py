@@ -12,9 +12,11 @@ from repro.consensus.messages import (
     FetchResponse,
     NewView,
     Propose,
+    ProposeVote,
 )
 from repro.consensus.protocols.hotstuff import HotStuffReplica
 from repro.consensus.protocols.hotstuff2 import HotStuff2Replica
+from repro.core.basic import BasicHotStuff1Replica
 from repro.core.streamlined import HotStuff1Replica
 from repro.ledger.block import Block
 from repro.net.message import Envelope
@@ -128,6 +130,38 @@ class TestCommitRules:
         )
         # Committing again is a no-op.
         assert harness.replica.commit_up_to(block1) == []
+
+
+class TestChargedExecution:
+    def test_basic_traditional_commit_of_a_speculated_block_charges_no_execution(self):
+        """Basic HotStuff-1 executed the block certified by the carried commit
+        certificate when it speculated it; committing it must not charge that
+        execution again before the replica's first-phase vote leaves.  What
+        is left is the commit's fixed response overhead, the charge of a
+        commit with zero transactions to execute in every protocol."""
+        harness = ReplicaHarness(BasicHotStuff1Replica, replica_id=0)
+        replica = harness.replica
+        replica.pacemaker.start(1)
+        block1 = add_block(harness, 1, replica.block_store.genesis, txns=20)
+        replica.speculate_block(block1)
+        block2 = add_block(harness, 2, block1)
+        proposal = Propose(
+            view=2,
+            slot=1,
+            block=block2,
+            justify=harness.certificate(CertKind.PREPARE, block1),
+            commit_cert=harness.certificate(CertKind.COMMIT, block1),
+        )
+        sent = []
+        replica.send = lambda target, payload, size_bytes=None: sent.append((harness.sim.now, payload))
+        replica.handle_propose(proposal, sender=harness.leaders.leader_of(2))
+        harness.run(0.005)
+        assert replica.ledger.is_committed(block1.block_hash)
+        [vote_at] = [at for at, payload in sent if isinstance(payload, ProposeVote)]
+        costs = replica.costs
+        nothing_to_execute = replica.execution_cost_for(0) + costs.response_cost(0)
+        validated = costs.proposal_validation_cost(harness.config.quorum) + nothing_to_execute
+        assert vote_at == validated + costs.vote_cost()
 
 
 class TestRecoveryAndFetch:

@@ -54,6 +54,15 @@ class TestRegistry:
         with pytest.raises(WorkloadError):
             make_workload("graph500")
 
+    @pytest.mark.parametrize("name", ["ycsb", "tpcc"])
+    def test_each_instance_numbers_its_transactions_from_zero(self, name):
+        """A run's transaction ids (and so its block hashes) do not depend on
+        what else ran in the process."""
+        first, second = make_workload(name), make_workload(name)
+        rng = SeededRng(1)
+        assert [first.next_transaction(1, rng).txn_id for _ in range(3)] == [0, 1, 2]
+        assert second.next_transaction(1, rng).txn_id == 0
+
 
 class TestYCSB:
     def test_default_record_count_matches_paper(self):
