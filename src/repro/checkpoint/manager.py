@@ -8,7 +8,7 @@ restart cost becomes O(state + suffix) instead of O(history), and fork blocks
 pruned over the run finally leave the append-only block log.
 
 Two crash-point hooks bracket the dangerous window for the fuzzer
-(:mod:`repro.faults.crashpoints`):
+(crash points of a :class:`~repro.faults.plan.FaultPlan`):
 
 ``mid-snapshot``
     The snapshot is durable but the logs are still full length.  Recovery

@@ -34,11 +34,12 @@ Sub-commands
     agreement.  ``run`` and ``live`` also accept ``--faults plan.json``
     directly.
 ``fuzz``
-    Crash-point fuzzing: sweep seed-generated
-    :class:`~repro.faults.crashpoints.CrashPointPlan` plans that crash
+    Crash-point fuzzing: sweep seed-generated fault plans
+    (:meth:`~repro.faults.plan.FaultPlan.randomized`) whose crash points hit
     replicas at protocol-relative hooks (before/after the vote WAL append,
     torn tail, mid-certificate-formation) and fail unless every seed keeps
-    committed-prefix agreement and the never-vote-twice WAL invariant.
+    committed-prefix agreement and the never-vote-twice WAL invariant.  A
+    failing seed's plan replays from a file with ``chaos --plan``.
 ``compare``
     Run every evaluation protocol under the same configuration and print the
     comparison table (plus an ASCII latency chart).
@@ -61,7 +62,7 @@ Sub-commands
     Inspect a JSONL trace dump (written by ``--trace-out`` or streamed by
     ``--trace-stream`` on ``run`` / ``live`` / ``chaos``) and re-export it as
     a Chrome/Perfetto trace or a Prometheus text snapshot; ``--since`` /
-    ``--until`` window the report, ``--follow`` tails a streaming trace live.
+    ``--until`` window the report (``watch`` tails a streaming trace live).
 ``watch``
     Refreshing terminal dashboard over a live run: tail a ``--trace-stream``
     JSONL or poll per-replica ``--scrape-port`` HTTP endpoints (tps, p50/p99,
@@ -85,7 +86,7 @@ from repro.core.registry import EVALUATION_PROTOCOLS
 from repro.errors import ConfigurationError
 from repro.experiments.executor import execute_scenario, execute_suite
 from repro.experiments.report import (
-    chaos_problem,
+    chaos_problems,
     format_chaos_report,
     format_multiproc_report,
     format_network_breakdown,
@@ -93,9 +94,8 @@ from repro.experiments.report import (
     format_series,
     format_suite,
     format_timeline,
-    fuzz_problems,
 )
-from repro.faults.crashpoints import CRASH_HOOKS
+from repro.faults.plan import CRASH_HOOKS
 from repro.faults.plan import PRESETS as CHAOS_PRESETS
 from repro.faults.plan import chaos_preset, load_plan
 from repro.experiments.runner import (
@@ -328,18 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--until", type=float, default=None, metavar="SECONDS",
         help="only include spans/events/buckets before this run time",
-    )
-    trace_parser.add_argument(
-        "--follow", "-f", action="store_true",
-        help="tail a streaming trace file live (like tail -f), refreshing the dashboard",
-    )
-    trace_parser.add_argument(
-        "--interval", type=float, default=1.0,
-        help="refresh interval in seconds for --follow (default: 1.0)",
-    )
-    trace_parser.add_argument(
-        "--frames", type=int, default=0,
-        help="with --follow: stop after N refreshes (0: until interrupted)",
     )
 
     watch_parser = command(
@@ -618,9 +606,10 @@ def command_chaos(args: argparse.Namespace) -> int:
         plan = chaos_preset(
             args.preset,
             n=args.n,
-            at=args.at if args.at is not None else round(args.duration * 0.3, 6),
-            down_for=args.down_for if args.down_for is not None else round(args.duration * 0.15, 6),
+            at=args.at,
+            down_for=args.down_for,
             replica=args.replica,
+            duration=args.duration,
         )
     # Validate up front so sim-only actions (pause/partition) in a live-mode
     # plan fail here — not minutes into the run, and not silently when the
@@ -640,9 +629,9 @@ def command_chaos(args: argparse.Namespace) -> int:
                         title=f"{spec.protocol} — chaos ({spec.mode}), n={spec.n}"))
     print(format_chaos_report(chaos))
     _emit_trace(result, args)
-    problem = chaos_problem(chaos, len(plan))
-    if problem is not None:
-        print(problem, file=sys.stderr)
+    problems = chaos_problems(result.to_row())
+    if problems:
+        print(f"error: {'; '.join(problems)}", file=sys.stderr)
         return 1
     return 0
 
@@ -676,7 +665,7 @@ def command_fuzz(args: argparse.Namespace) -> int:
         f"n={args.n} {args.protocol}, hooks: {', '.join(hooks)}"
     )
     print(format_series(rows, title=f"{args.protocol} — crash-point fuzz, n={args.n}"))
-    failures = {row["fuzz_seed"]: fuzz_problems(row) for row in rows if fuzz_problems(row)}
+    failures = {row["fuzz_seed"]: chaos_problems(row) for row in rows if chaos_problems(row)}
     if failures:
         for seed, reasons in sorted(failures.items()):
             print(f"error: fuzz seed {seed}: {'; '.join(reasons)}", file=sys.stderr)
@@ -770,11 +759,6 @@ def command_trace(args: argparse.Namespace) -> int:
             "'repro trace merge' / 'repro trace critical-path'"
         )
     _require_trace_files([args.trace_file], "")
-    if args.follow:
-        from repro.obs.watch import watch_file
-
-        watch_file(args.trace_file, interval=args.interval, frames=args.frames)
-        return 0
     trace = read_jsonl(args.trace_file)
     if not trace.counts and not trace.spans:
         raise ConfigurationError(f"no trace records in {args.trace_file!r}")

@@ -187,11 +187,6 @@ class CertificateAuthority:
             return False
         return self.scheme.verify_aggregate(cert.signature)
 
-    def require_valid(self, cert: Certificate, extra: str = "") -> None:
-        """Verify *cert*, raising :class:`InvalidCertificateError` on failure."""
-        if not self.verify_certificate(cert, extra):
-            raise InvalidCertificateError(f"invalid certificate {cert!r}")
-
     # ----------------------------------------------------------------- misc
     @staticmethod
     def genesis_certificate(genesis_block: Block) -> Certificate:

@@ -34,7 +34,9 @@ towards its TC:
   sends its Wish for ``v`` to the epoch leaders and broadcasts a
   ``ViewSync`` beacon reporting view ``v - 1`` (Figure 3 plus the beacon);
 * a replica already at or past ``v`` that receives that beacon sends its own
-  Wish share for ``v`` to the epoch leaders (once per view it is in);
+  Wish share for ``v`` to the epoch leaders (once per view it is in), and
+  again to the sender on each beacon if the sender is an epoch leader of
+  ``v`` (a restarted epoch leader has lost the shares it had aggregated);
 * an epoch leader aggregates Wishes for ``v`` whatever its own view, and
   broadcasts the TC once ``n - f`` shares arrived.
 
@@ -85,7 +87,7 @@ pacemaker with it before :meth:`start` applies the evidence again.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional, Sequence, Set
 
 from repro.consensus.certificates import CertificateAuthority, CertKind
 from repro.consensus.config import ProtocolConfig
@@ -309,18 +311,26 @@ class Pacemaker:
         single recovered replica starts accumulating jump evidence without
         waiting for the whole cluster's timers.  A sender reporting the view
         just before an epoch boundary we reached is parked there waiting for
-        a TC, so we also add our own Wish share for the boundary.
+        a TC, so we also add our own Wish share for the boundary: to every
+        epoch leader once per view we are in, and to the sender on each of
+        its beacons if it is itself an epoch leader of the boundary — it may
+        have restarted since our first share reached it, losing the shares it
+        was aggregating.
         """
         if self.stopped or sender == self.replica.replica_id:
             return
         if msg.view < self.current_view:
             self.replica.send(sender, self._beacon())
             boundary = msg.view + 1
+            if boundary % self.config.epoch_length != 0:
+                return
             # The cached share doubles as the once-per-view guard: entering
             # the next view prunes it, so a retransmitted beacon is answered
             # again from there.
-            if boundary % self.config.epoch_length == 0 and boundary not in self._sent_wish_shares:
+            if boundary not in self._sent_wish_shares:
                 self._send_wish(boundary)
+            elif sender in self.epoch_leaders(boundary):
+                self._send_wish(boundary, to=(sender,))
 
     def _on_sync_timer(self) -> None:
         """Retry tick while parked at an epoch boundary awaiting a TC."""
@@ -352,7 +362,7 @@ class Pacemaker:
         self._send_wish(view)
         self._sync_timer.start(self.config.view_timeout)
 
-    def _send_wish(self, view: int) -> None:
+    def _send_wish(self, view: int, to: Optional[Sequence[int]] = None) -> None:
         # The share for a wished view is immutable; cache it so retransmission
         # ticks (every view_timeout while parked) skip the threshold-signing
         # work, which matters at large n.
@@ -367,7 +377,7 @@ class Pacemaker:
             current_view=self.current_view,
             high_cert=self.replica.high_cert,
         )
-        for leader in self.epoch_leaders(view):
+        for leader in self.epoch_leaders(view) if to is None else to:
             self.replica.send(leader, wish)
 
     def handle_wish(self, msg: Wish) -> None:

@@ -65,8 +65,8 @@ from repro.net.network import SimNetwork
 from repro.sim.scheduler import Simulator
 from repro.types import NULL_DIGEST, is_null_digest
 
-#: Crash-point hooks instrumented in the consensus layer.  The fuzzing
-#: injector (:mod:`repro.faults.crashpoints`) installs a probe that may halt
+#: Crash-point hooks instrumented in the consensus layer.  The chaos
+#: controller (:mod:`repro.faults.injector`) installs a probe that may halt
 #: the replica when one of these fires; they are defined here so the
 #: consensus layer stays import-free of the faults package.
 HOOK_BEFORE_VOTE_WAL = "before-vote-wal"

@@ -1,14 +1,14 @@
 """Cryptography substrate.
 
-The paper assumes authenticated channels, collision-resistant hashing, per
-replica digital signatures and an (n, t) BLS threshold-signature scheme.  This
-package provides all of these interfaces.  The threshold scheme is *simulated*
-(HMAC-keyed shares plus an explicit threshold check at aggregation time)
-because no third-party pairing library is available offline; the substitution
-is documented in ``DESIGN.md`` and preserves the properties the protocol
-relies on: a certificate proves that at least ``n - f`` distinct replicas
-signed the same payload, and correct replicas' shares cannot be forged by the
-simulated adversary.
+The paper assumes authenticated channels, collision-resistant hashing and an
+(n, t) BLS threshold-signature scheme.  This package provides the hashing
+helpers and the threshold scheme every certificate is built from.  The
+threshold scheme is *simulated* (HMAC-keyed shares plus an explicit threshold
+check at aggregation time) because no third-party pairing library is
+available offline; :mod:`repro.crypto.threshold` documents the substitution,
+which preserves the properties the protocol relies on: a certificate proves
+that at least ``n - f`` distinct replicas signed the same payload, and
+correct replicas' shares cannot be forged by the simulated adversary.
 
 The :class:`~repro.crypto.threshold.ThresholdScheme` also exposes cost
 constants consumed by the consensus cost model so that signing/verification
@@ -17,8 +17,6 @@ implementation pays for it.
 """
 
 from repro.crypto.hashing import hash_bytes, hash_fields, hash_json
-from repro.crypto.keys import KeyPair, Keychain
-from repro.crypto.signatures import Signature, sign_message, verify_signature
 from repro.crypto.threshold import (
     SignatureShare,
     ThresholdScheme,
@@ -26,15 +24,10 @@ from repro.crypto.threshold import (
 )
 
 __all__ = [
-    "KeyPair",
-    "Keychain",
-    "Signature",
     "SignatureShare",
     "ThresholdScheme",
     "ThresholdSignature",
     "hash_bytes",
     "hash_fields",
     "hash_json",
-    "sign_message",
-    "verify_signature",
 ]

@@ -16,11 +16,7 @@ class SimulationError(ReproError):
 
 
 class CryptoError(ReproError):
-    """Raised when a signature or threshold-signature operation fails."""
-
-
-class InvalidSignatureError(CryptoError):
-    """Raised when a signature or signature share does not verify."""
+    """Raised when a threshold-signature operation fails."""
 
 
 class ThresholdError(CryptoError):
@@ -47,20 +43,12 @@ class SpeculationError(LedgerError):
     """Raised when the speculative ledger is asked to violate its rules."""
 
 
-class RollbackError(SpeculationError):
-    """Raised when a rollback target is not on the speculative suffix."""
-
-
 class ExecutionError(LedgerError):
     """Raised when a transaction cannot be applied to the state machine."""
 
 
 class ConsensusError(ReproError):
     """Raised for protocol-level violations detected by a correct replica."""
-
-
-class InvalidMessageError(ConsensusError):
-    """Raised when a message fails well-formedness validation."""
 
 
 class InvalidCertificateError(ConsensusError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, get_args, get_type_hints
 
@@ -40,8 +39,7 @@ from repro.core.registry import (
 )
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError, ConsensusError, SafetyViolationError
-from repro.faults.crashpoints import CrashPointInjector, CrashPointPlan
-from repro.faults.injector import ChaosController
+from repro.faults.injector import ChaosController, DeploymentAdapter
 from repro.faults.plan import FaultPlan, load_plan
 from repro.net.faults import FaultInjector
 from repro.net.latency import ConstantLatency, GeoLatencyModel, LatencyModel
@@ -225,12 +223,8 @@ class ExperimentSpec:
     faults: Optional[Dict] = knob(
         None, group="faults", flags=("--faults",), parse=_plan_file, metavar="PLAN.json",
         help="chaos: a FaultPlan (a JSON file on the CLI, a plain dict in code) whose crash/"
-             "restart/pause/partition events fire during the run; implies durable stores",
-    )
-    crash_points: Optional[Dict] = knob(
-        None, group="faults", flags=None,
-        help="crash-point fuzzing: a CrashPointPlan as a plain dict, crashing replicas at "
-             "protocol-relative hooks instead of fixed times; composable with faults",
+             "restart/pause/partition events fire at a time, or whose crash points fire at the "
+             "n-th firing of a protocol hook; implies durable stores",
     )
     storage_dir: Optional[str] = knob(
         None, group="durability", flags=("--storage-dir",),
@@ -318,10 +312,6 @@ class ExperimentSpec:
             plan = FaultPlan.from_dict(self.faults)
             plan.validate(self.n, mode=self.mode)
             self.faults = plan.to_dict()  # normalize (accepts FaultPlan instances)
-        if self.crash_points is not None:
-            crash_plan = CrashPointPlan.from_dict(self.crash_points)
-            crash_plan.validate(self.n, mode=self.mode)
-            self.crash_points = crash_plan.to_dict()
         if self.trace_stream:
             self.trace = True
         if self.scrape_port is not None and self.mode != "live":
@@ -548,8 +538,8 @@ class Deployment:
     mempools: Optional[Dict[int, Mempool]] = None
     #: Admission cap distributed pools are built with (restarts reuse it).
     mempool_limit: Optional[int] = None
-    #: Set by :func:`prepare`: the chaos controller of a run with a fault or
-    #: crash-point plan, and the client pool when this process hosts it.
+    #: Set by :func:`prepare`: the chaos controller of a run with a fault
+    #: plan, and the client pool when this process hosts it.
     controller: Optional[ChaosController] = None
     client_pool: Optional[ClientPool] = None
 
@@ -706,9 +696,9 @@ def assign_chaos_reporter(deployment: Deployment, avoid: Set[int]) -> None:
 
     ``build_deployment`` marks the first honest replica; under a fault plan
     that replica may crash and freeze the global counters, so prefer an
-    honest replica no plan (time-scheduled or crash-point) statically
+    honest replica no plan event (time-keyed or crash point) statically
     touches.  Dynamic ``"leader"`` targets cannot be predicted — the chaos
-    adapters hand the role over at crash time as a fallback.
+    adapter hands the role over at crash time as a fallback.
     """
     honest = [r for r in deployment.replicas if not r.behavior.is_byzantine]
     preferred = [r for r in honest if r.replica_id not in avoid]
@@ -722,16 +712,16 @@ def prepare(
     scheduler,
     network_for,
     hosted: Sequence[int],
-    chaos_adapter=None,
     client_class=None,
     latency: Optional[LatencyModel] = None,
     **client_args,
 ) -> Deployment:
     """Phase 1: build everything the *hosted* node ids need; schedule nothing.
 
-    Fault / crash-point plan → durable stores → :func:`build_deployment` for
-    the hosted replica ids → chaos controller (``chaos_adapter(deployment,
-    stores)`` supplies the substrate's adapter) → a ``client_class`` pool when
+    Fault plan → durable stores → :func:`build_deployment` for the hosted
+    replica ids → chaos controller, acting through a
+    :class:`~repro.faults.injector.DeploymentAdapter` over the same
+    *scheduler* and *network_for* → a ``client_class`` pool when
     :data:`CLIENT_POOL_NODE_ID` is hosted, built against
     ``network_for(CLIENT_POOL_NODE_ID)`` with the substrate's *client_args*
     and submitting to the replicas :func:`_client_targets` picks under
@@ -740,7 +730,7 @@ def prepare(
     :func:`start` arms what this returns.
     """
     replica_ids = [node_id for node_id in hosted if node_id != CLIENT_POOL_NODE_ID]
-    chaotic = bool(spec.faults or spec.crash_points)
+    chaotic = bool(spec.faults)
     stores = None
     if chaotic or spec.storage_dir or spec.checkpoint_interval is not None:
         stores = build_replica_stores(spec, replica_ids)
@@ -752,15 +742,11 @@ def prepare(
         hosted=replica_ids,
     )
     if chaotic:
-        plan = FaultPlan.from_dict(spec.faults or {})
-        crash_plan = CrashPointPlan.from_dict(spec.crash_points or {})
-        assign_chaos_reporter(deployment, plan.touched_replicas() | crash_plan.touched_replicas())
+        plan = FaultPlan.from_dict(spec.faults)
+        assign_chaos_reporter(deployment, plan.touched_replicas())
         deployment.controller = ChaosController(
-            plan, scheduler, chaos_adapter(deployment, stores)
+            plan, scheduler, DeploymentAdapter(deployment, stores, scheduler, network_for)
         )
-        if crash_plan.points:
-            injector = CrashPointInjector(crash_plan, scheduler, deployment.controller)
-            injector.attach(deployment.replicas)
     if CLIENT_POOL_NODE_ID in hosted:
         deployment.client_pool = client_class(
             sim=scheduler,
@@ -788,7 +774,7 @@ def start(deployment: Deployment) -> None:
     counts from the moment the protocol starts.
     """
     if deployment.controller is not None:
-        deployment.controller.install()
+        deployment.controller.install(deployment.replicas)
     for replica in deployment.replicas:
         replica.start()
     if deployment.client_pool is not None:
@@ -893,8 +879,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
 
 def _run_sim(spec: ExperimentSpec) -> RunResult:
     """Full placement on the simulated substrate: nothing to serve, poll or close."""
-    from repro.faults.sim import SimChaosAdapter  # local imports: avoid cycles
-    from repro.net.network import SimNetwork
+    from repro.net.network import SimNetwork  # local import: avoids a cycle
 
     sim = Simulator(seed=spec.seed)
     faults = FaultInjector()
@@ -910,7 +895,6 @@ def _run_sim(spec: ExperimentSpec) -> RunResult:
         sim,
         lambda node_id: network,
         [*range(spec.n), CLIENT_POOL_NODE_ID],
-        chaos_adapter=functools.partial(SimChaosAdapter, sim, network),
         client_class=ClientPool,
     )
     start(deployment)

@@ -31,8 +31,7 @@ from repro.consensus.byzantine import (
 )
 from repro.core.registry import EVALUATION_PROTOCOLS
 from repro.errors import ConfigurationError
-from repro.faults.crashpoints import CRASH_HOOKS, SNAPSHOT_HOOKS, CrashPointPlan
-from repro.faults.plan import chaos_preset
+from repro.faults.plan import CRASH_HOOKS, SNAPSHOT_HOOKS, FaultPlan, chaos_preset
 from repro.experiments.runner import ExperimentSpec
 from repro.experiments.spec import (
     RunRecord,
@@ -193,9 +192,10 @@ def _build_chaos(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec, Dict
         plan = chaos_preset(
             fault,
             n=p["n"],
-            at=p.get("crash_at", round(duration * 0.3, 6)),
-            down_for=p.get("down_for", round(duration * 0.15, 6)),
+            at=p.get("crash_at"),
+            down_for=p.get("down_for"),
             replica=p.get("replica", 1),
+            duration=duration,
         )
         faults, label = plan.to_dict(), fault
     return _spec(protocol, p, faults=faults), {"fault": label}
@@ -206,13 +206,13 @@ def _build_chaos_fuzz(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec,
     """Crash-point fuzz grid point: one seed-generated plan per run.
 
     The ``fuzz_seed`` axis value seeds
-    :meth:`~repro.faults.crashpoints.CrashPointPlan.randomized`, so a suite
+    :meth:`~repro.faults.plan.FaultPlan.randomized`, so a suite
     sweeps many random crash placements while any single failing seed can be
     replayed bit-for-bit.
     """
     fuzz_seed = int(p.get("fuzz_seed", p["seed"]))
     hooks = tuple(p["hooks"])
-    plan = CrashPointPlan.randomized(
+    plan = FaultPlan.randomized(
         n=p["n"],
         seed=fuzz_seed,
         crashes=p["crashes"],
@@ -225,8 +225,11 @@ def _build_chaos_fuzz(protocol: str, p: Dict[str, Any]) -> Tuple[ExperimentSpec,
     checkpoint_interval = p.get("checkpoint_interval")
     if checkpoint_interval is None and any(hook in SNAPSHOT_HOOKS for hook in hooks):
         checkpoint_interval = 4
+    # A ``faults`` param (time-keyed events, say) joins the drawn crash points.
+    events = FaultPlan.from_dict(p.get("faults") or {}).events + plan.events
     spec = _spec(
-        protocol, p, crash_points=plan.to_dict(), checkpoint_interval=checkpoint_interval
+        protocol, p, faults=FaultPlan(events=events).to_dict(),
+        checkpoint_interval=checkpoint_interval,
     )
     return spec, {"fuzz_seed": fuzz_seed, "planned_crashes": len(plan)}
 

@@ -1,37 +1,29 @@
-"""Chaos engine: declarative replica-level fault plans and their injectors.
+"""Chaos engine: one declarative fault plan and the controller that runs it.
 
-A :class:`~repro.faults.plan.FaultPlan` is a pure-data schedule of fault
-events — crash, restart, pause, resume, partition, heal — keyed by time, with
-the same JSON round-trip discipline as
-:class:`~repro.experiments.spec.ScenarioSpec`.  The
-:class:`~repro.faults.injector.ChaosController` drives a plan against either
-substrate through an adapter: :class:`~repro.faults.sim.SimChaosAdapter`
-drops and re-spawns replica objects on the discrete-event scheduler,
-:class:`~repro.faults.live.LiveChaosAdapter` kills and relaunches replica
-tasks on the asyncio runtime.  Both rebuild restarted replicas from their
+A :class:`~repro.faults.plan.FaultPlan` is a pure-data list of fault events
+— crash, restart, pause, resume, partition, heal — with the same JSON
+round-trip discipline as :class:`~repro.experiments.spec.ScenarioSpec`.  An
+event is keyed either by time or, for a crash point, by the *n*-th firing of
+a protocol hook (before / after the vote WAL append, mid-certificate, around
+a snapshot), which is what ``repro fuzz`` draws from a seed.  The
+:class:`~repro.faults.injector.ChaosController` runs a plan on either
+substrate through one :class:`~repro.faults.injector.DeploymentAdapter`:
+crashed replicas are halted and detached from their network endpoint, and
+restarted ones are rebuilt from their
 :class:`~repro.storage.store.ReplicaStore` via
-:class:`~repro.storage.recovery.RecoveryManager`, and the controller reports
-recovery time, operations lost to rollback and committed-prefix agreement.
+:class:`~repro.storage.recovery.RecoveryManager`.  The controller reports
+recovery time, operations lost to rollback, committed-prefix agreement and
+the never-vote-twice WAL invariant.
 """
 
-from repro.faults.crashpoints import (
-    CrashPoint,
-    CrashPointInjector,
-    CrashPointPlan,
-    load_crash_plan,
-    wal_vote_violations,
-)
-from repro.faults.injector import ChaosController
+from repro.faults.injector import ChaosController, DeploymentAdapter, wal_vote_violations
 from repro.faults.plan import FaultEvent, FaultPlan, load_plan
 
 __all__ = [
     "ChaosController",
-    "CrashPoint",
-    "CrashPointInjector",
-    "CrashPointPlan",
+    "DeploymentAdapter",
     "FaultEvent",
     "FaultPlan",
-    "load_crash_plan",
     "load_plan",
     "wal_vote_violations",
 ]

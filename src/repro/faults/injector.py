@@ -1,16 +1,28 @@
-"""Chaos controller: schedules a fault plan and measures recovery.
+"""Chaos controller: runs a fault plan against one deployment and measures recovery.
 
-The controller is substrate-agnostic.  It schedules one callback per
-:class:`~repro.faults.plan.FaultEvent` on whatever scheduler the deployment
-runs on (the discrete-event :class:`~repro.sim.scheduler.Simulator` or the
-live :class:`~repro.live.runtime.WallClock` — both expose ``now`` /
-``schedule_at``) and acts through a :class:`ChaosAdapter`:
+The controller is substrate-agnostic.  It drives every
+:class:`~repro.faults.plan.FaultEvent` of a plan on whatever scheduler the
+deployment runs on (the discrete-event :class:`~repro.sim.scheduler.Simulator`
+or the live :class:`~repro.live.runtime.WallClock` — both expose ``now`` /
+``schedule`` / ``schedule_at``):
 
-* :class:`~repro.faults.sim.SimChaosAdapter` — unregisters the replica from
-  the :class:`~repro.net.network.SimNetwork` and re-spawns a fresh replica
-  object from its durable store;
-* :class:`~repro.faults.live.LiveChaosAdapter` — detaches the replica task
-  from its TCP transport and relaunches it on the same endpoint.
+* a time-keyed event is scheduled at its ``at``;
+* a crash point arms a probe on its replica.  The consensus layer calls the
+  probe at every instrumented hook, and the *occurrence*-th firing of the
+  planned hook crashes the replica and schedules its restart ``down_for``
+  seconds later.  Firings are counted per replica lineage, and every
+  restarted incarnation is re-armed, whichever event restarted it.
+
+It acts through one :class:`DeploymentAdapter`, built over the same
+scheduler and ``network_for(replica_id)`` endpoints the deployment's replicas
+were built against — the one shared :class:`~repro.net.network.SimNetwork`,
+or each replica's :class:`~repro.live.transport.AsyncTcpTransport`.  A crash
+halts the replica object and unregisters it from its endpoint, so inbound
+traffic is dropped as if the process were gone; a restart builds a fresh
+replica over the surviving :class:`~repro.storage.store.ReplicaStore`.
+Pauses and partitions use the endpoint's network fault rules
+(``network_for(r).faults``); live transports have none, so there a plan may
+only crash and restart, which :meth:`ChaosController.install` checks.
 
 Besides driving the plan, the controller is the measurement instrument the
 report asks for: per incident it records when the replica crashed, how many
@@ -23,81 +35,44 @@ including committed-prefix agreement across the healed cluster.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.replica import chains_prefix_consistent, honest_committed_chains
 from repro.errors import ConfigurationError
-from repro.faults.crashpoints import wal_vote_violations
-from repro.faults.plan import ACTIONS, LEADER, FaultEvent, FaultPlan
+from repro.faults.plan import (
+    ACTIONS,
+    HOOK_TORN_VOTE_WAL,
+    LEADER,
+    LIVE_ACTIONS,
+    FaultEvent,
+    FaultPlan,
+)
 from repro.storage.recovery import RecoveryManager
 from repro.storage.store import ReplicaStore
+from repro.storage.wal import KIND_VOTE
 
 
-class ChaosAdapter:
-    """Substrate hooks the controller acts through."""
+class DeploymentAdapter:
+    """Crash, restart, pause and partition the replicas of one deployment.
 
-    #: Fault actions this adapter can actually execute.  The controller
-    #: checks plans against this at install time: an unsupported action must
-    #: raise :class:`ConfigurationError` up front, not vanish inside a timer
-    #: callback as a swallowed ``NotImplementedError`` (the live adapter has
-    #: no pause/partition hooks yet — see ROADMAP item 6).
-    supported_actions: Sequence[str] = ACTIONS
-
-    def crash(self, replica_id: int) -> int:
-        """Kill *replica_id*; return the speculated operations lost with it."""
-        raise NotImplementedError
-
-    def restart(self, replica_id: int):
-        """Re-spawn *replica_id* from its durable store; return the new replica."""
-        raise NotImplementedError
-
-    def pause(self, replica_id: int) -> None:
-        raise NotImplementedError
-
-    def resume(self, replica_id: int) -> None:
-        raise NotImplementedError
-
-    def partition(self, groups) -> None:
-        raise NotImplementedError
-
-    def heal(self) -> None:
-        raise NotImplementedError
-
-    def current_leader(self) -> int:
-        """Leader of the highest view any running replica is in (for ``"leader"``)."""
-        raise NotImplementedError
-
-    def is_down(self, replica_id: int) -> bool:
-        """``True`` while *replica_id* is crashed (halted / detached)."""
-        raise NotImplementedError
-
-
-class DeploymentChaosAdapter(ChaosAdapter):
-    """Crash/restart machinery shared by the simulator and live adapters.
-
-    Everything substrate-independent lives here: finding and swapping replica
-    objects, choosing a live peer for catch-up, the reporter handover, and
-    the restore → catch-up → re-enter-view restart sequence.  Subclasses
-    supply three hooks: the scheduler replicas are rebuilt against
-    (:meth:`_scheduler`), the network endpoint serving a replica id
-    (:meth:`_network_for`), and how a dead replica is detached from that
-    endpoint (:meth:`_detach`).
+    ``scheduler`` and ``network_for(replica_id)`` are what the deployment's
+    replicas were built against; a restarted replica is rebuilt against the
+    same, and a crashed one is unregistered from its endpoint.
     """
 
-    def __init__(self, deployment, stores: Dict[int, ReplicaStore]) -> None:
+    def __init__(
+        self, deployment, stores: Dict[int, ReplicaStore], scheduler, network_for
+    ) -> None:
         self.deployment = deployment
         self.stores = stores
+        self.scheduler = scheduler
+        self.network_for = network_for
         self._pruned_carry: Dict[int, int] = {}
 
-    # ----------------------------------------------------------------- hooks
-    def _scheduler(self):
-        raise NotImplementedError
-
-    def _network_for(self, replica_id: int):
-        raise NotImplementedError
-
-    def _detach(self, replica_id: int) -> None:
-        raise NotImplementedError
+    @property
+    def supported_actions(self) -> Sequence[str]:
+        """Every action over a network with fault rules; crash / restart otherwise."""
+        return ACTIONS if hasattr(self.network_for(0), "faults") else LIVE_ACTIONS
 
     # -------------------------------------------------------------- plumbing
     def _replica(self, replica_id: int):
@@ -135,12 +110,13 @@ class DeploymentChaosAdapter(ChaosAdapter):
 
     # --------------------------------------------------------------- actions
     def crash(self, replica_id: int) -> int:
+        """Halt *replica_id* and detach it; return the speculated operations lost with it."""
         replica = self._replica(replica_id)
         ops_lost = sum(block.txn_count for block in replica.ledger.speculated_blocks())
         was_reporter = replica.report_metrics
         self._pruned_carry[replica_id] = replica.block_store.pruned_count
         replica.halt()
-        self._detach(replica_id)
+        self.network_for(replica_id).unregister(replica_id)
         if was_reporter:
             # Global counters must not freeze with the dead reporter; hand the
             # role to a surviving honest replica (counts stay approximate
@@ -152,12 +128,13 @@ class DeploymentChaosAdapter(ChaosAdapter):
         return ops_lost
 
     def restart(self, replica_id: int):
+        """Rebuild *replica_id* over its durable store, catch it up, start it; return it."""
         store = self.stores[replica_id]
         deployment = self.deployment
         replica = deployment.replica_class(
             replica_id,
-            self._scheduler(),
-            self._network_for(replica_id),
+            self.scheduler,
+            self.network_for(replica_id),
             deployment.config,
             deployment.authority,
             deployment.leaders,
@@ -192,6 +169,19 @@ class DeploymentChaosAdapter(ChaosAdapter):
         replica.start(first_view=RecoveryManager.resume_view(state))
         return replica
 
+    def pause(self, replica_id: int) -> None:
+        self.network_for(replica_id).faults.drop_node(replica_id)
+
+    def resume(self, replica_id: int) -> None:
+        self.network_for(replica_id).faults.restore_node(replica_id)
+
+    def partition(self, groups: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
+        group_a, group_b = groups
+        self.network_for(group_a[0]).faults.partition(group_a, group_b)
+
+    def heal(self) -> None:
+        self.network_for(0).faults.heal_partitions()
+
     def is_down(self, replica_id: int) -> bool:
         try:
             return self._replica(replica_id).halted
@@ -214,9 +204,9 @@ class DeploymentChaosAdapter(ChaosAdapter):
 
 
 class ChaosController:
-    """Schedules a :class:`FaultPlan` and records what recovery actually cost."""
+    """Runs a :class:`FaultPlan` and records what recovery actually cost."""
 
-    def __init__(self, plan: FaultPlan, scheduler, adapter: ChaosAdapter) -> None:
+    def __init__(self, plan: FaultPlan, scheduler, adapter: DeploymentAdapter) -> None:
         self.plan = plan
         self.scheduler = scheduler
         self.adapter = adapter
@@ -224,22 +214,23 @@ class ChaosController:
         self.timeline: List[Dict[str, Any]] = []
         #: One entry per crash, updated through restart and first commit.
         self.incidents: List[Dict[str, Any]] = []
-        #: Called with every restarted replica object, whichever path
-        #: (time-scheduled event or crash-point injector) restarted it — the
-        #: injector uses this to re-arm its probes on new incarnations.
-        self.restart_listeners: List[Any] = []
         self._open_incidents: Dict[int, Dict[str, Any]] = {}
         self._last_leader_crash: Optional[int] = None
+        #: Planned events that have not fired (a run can end before them).
+        self._unfired: List[FaultEvent] = list(plan.events)
+        #: Crash points waiting for their hook, per ``(replica, site)``.
+        self._armed: Dict[Tuple[int, str], List[FaultEvent]] = {}
+        #: Hook firings per ``(replica, site)``, across incarnations.
+        self._hook_counts: Dict[Tuple[int, str], int] = {}
 
     # -------------------------------------------------------------- schedule
-    def install(self) -> None:
-        """Schedule every event of the plan on the deployment's scheduler.
+    def install(self, replicas: Sequence) -> None:
+        """Schedule every time-keyed event and arm the probes of every crash point.
 
-        The plan is checked against the adapter's capabilities first: plans
-        built programmatically (bypassing ``ExperimentSpec.validate``) used to
-        schedule sim-only actions whose ``NotImplementedError`` disappeared
-        into the event loop's exception handler — the event silently did
-        nothing and the run read as healthy.
+        The plan is checked against the adapter's capabilities first, so a
+        plan built around ``ExperimentSpec.validate`` fails here, before any
+        timer is armed: inside a timer callback the event loop's exception
+        handler would swallow the failure and the run would read as healthy.
         """
         supported = set(self.adapter.supported_actions)
         for event in self.plan.events:
@@ -250,10 +241,21 @@ class ChaosController:
                     f"(supports {sorted(supported)})"
                 )
         for event in self.plan.events:
-            self.scheduler.schedule_at(event.at, self._fire, event)
+            if event.hook is None:
+                self.scheduler.schedule_at(event.at, self._fire, event)
+            else:
+                self._armed.setdefault((event.replica, event.site), []).append(event)
+        for replica in replicas:
+            self._arm(replica)
+
+    def _arm(self, replica) -> None:
+        """Install the probe on *replica* if a crash point still waits for it."""
+        if any(key[0] == replica.replica_id and bucket for key, bucket in self._armed.items()):
+            replica.crash_probe = self._probe
 
     # ---------------------------------------------------------------- firing
     def _fire(self, event: FaultEvent) -> None:
+        self._unfired.remove(event)
         target = self._resolve_target(event)
         # Dynamic "leader" targets can collide with static ones at runtime
         # (validate() cannot see who will lead); a crash of an already-down
@@ -275,6 +277,28 @@ class ChaosController:
         elif event.action == "heal":
             self._record(event.action, target)
             self.adapter.heal()
+
+    def _probe(self, replica, site: str) -> None:
+        key = (replica.replica_id, site)
+        count = self._hook_counts.get(key, 0) + 1
+        self._hook_counts[key] = count
+        bucket = self._armed.get(key)
+        if not bucket:
+            return
+        for event in bucket:
+            if event.occurrence == count:
+                bucket.remove(event)
+                self._fire_crash_point(replica, event)
+                return
+
+    def _fire_crash_point(self, replica, event: FaultEvent) -> None:
+        self._unfired.remove(event)
+        if event.hook == HOOK_TORN_VOTE_WAL and replica.store is not None:
+            # Crash mid-append: the record that was just written loses its
+            # tail, so replay must behave as if the append never happened.
+            replica.store.tear_wal_tail()
+        self.trigger_crash(replica.replica_id, hook=event.hook)
+        self.scheduler.schedule(event.down_for, self.trigger_restart, event.replica)
 
     def _record(self, action: str, target, hook: Optional[str] = None) -> Dict[str, Any]:
         entry: Dict[str, Any] = {
@@ -361,8 +385,7 @@ class ChaosController:
 
     def _restart(self, replica_id: int, now: float):
         replica = self.adapter.restart(replica_id)
-        for listener in self.restart_listeners:
-            listener(replica)
+        self._arm(replica)
         incident = self._open_incidents.pop(replica_id, None)
         if incident is None:
             return replica
@@ -380,10 +403,11 @@ class ChaosController:
     def report(self, replicas: Sequence) -> Dict[str, Any]:
         """Summarize the run's chaos: incidents, recovery times, prefix agreement.
 
-        Skipped events (runtime target collisions) and WAL vote-dedup
-        violations are part of the report — a plan that silently did less
-        than it said, or a replica that re-voted a WAL'd view, must fail the
-        run instead of reading as healthy.
+        Skipped events (runtime target collisions, and planned events the run
+        ended before) and WAL vote-dedup violations are part of the report —
+        a plan that silently did less than it said, or a replica that
+        re-voted a WAL'd view, must fail the run instead of reading as
+        healthy.
         """
         recoveries = [
             incident["recovery_s"]
@@ -393,10 +417,10 @@ class ChaosController:
         chains = honest_committed_chains(replicas)
         agreement = chains_prefix_consistent(chains)
         skipped = [dict(entry) for entry in self.timeline if "skipped" in entry]
+        skipped += [{**event.to_dict(), "skipped": "never fired"} for event in self._unfired]
         stores = getattr(self.adapter, "stores", None)
         wal_violations = wal_vote_violations(stores) if stores else []
         return {
-            "events_fired": len(self.timeline),
             "timeline": list(self.timeline),
             "incidents": [dict(incident) for incident in self.incidents],
             "crashes": len(self.incidents),
@@ -417,3 +441,34 @@ class ChaosController:
             "skipped": skipped,
             "wal_vote_violations": wal_violations,
         }
+
+
+def wal_vote_violations(stores: Dict[int, Any]) -> List[Dict[str, Any]]:
+    """Scan every replica's WAL for never-vote-twice violations.
+
+    The invariant: after any sequence of crashes, restarts and torn appends,
+    each ``(view, slot)`` appears in a replica's replayed WAL at most once.
+    A second record for the same pair means a restarted incarnation re-voted
+    where its predecessor already had — the equivocation the WAL-before-send
+    discipline exists to prevent.  Returns one dict per violation (empty when
+    the invariant holds).
+    """
+    violations: List[Dict[str, Any]] = []
+    for replica_id, store in sorted(stores.items()):
+        seen: Dict[Tuple[int, int], str] = {}
+        for record in store.wal.records():
+            if record.kind != KIND_VOTE:
+                continue
+            key = (record.view, record.slot)
+            if key in seen:
+                violations.append(
+                    {
+                        "replica": replica_id,
+                        "view": record.view,
+                        "slot": record.slot,
+                        "hashes": sorted({seen[key], record.block_hash}),
+                    }
+                )
+            else:
+                seen[key] = record.block_hash
+    return violations

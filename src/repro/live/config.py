@@ -117,12 +117,6 @@ class DeploymentConfig:
     def n(self) -> int:
         return len(self.replicas)
 
-    def endpoint_for(self, replica_id: int) -> ReplicaEndpoint:
-        for endpoint in self.replicas:
-            if endpoint.replica_id == replica_id:
-                return endpoint
-        raise ConfigurationError(f"no endpoint for replica {replica_id}")
-
     def address_book(self) -> Dict[int, Tuple[str, int]]:
         """``node id -> (host, port)`` for every replica plus the client."""
         book = {

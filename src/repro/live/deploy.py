@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -406,8 +405,6 @@ def run_live_experiment(
 
 async def _run_live(spec, target_ops, rate, on_started, max_outstanding) -> RunResult:
     """Full placement in one process: every replica plus the client pool."""
-    from repro.faults.live import LiveChaosAdapter  # local import: avoids cycle
-
     clock = WallClock(seed=spec.seed)
     hosted = [*range(spec.n), CLIENT_POOL_NODE_ID]
     transports = open_transports(clock, hosted)
@@ -416,7 +413,6 @@ async def _run_live(spec, target_ops, rate, on_started, max_outstanding) -> RunR
         clock,
         transports.__getitem__,
         hosted,
-        chaos_adapter=functools.partial(LiveChaosAdapter, clock, transports),
         client_class=LiveLoadGenerator,
         rate=rate,
         max_outstanding=max_outstanding,

@@ -21,9 +21,10 @@ consistent without any shared memory:
   therefore *requires* ``distributed_mempool``: there is no address space for
   a shared pool to live in.
 
-Fault plans and crash points are rejected: the in-process chaos adapters
-reach into replica objects the coordinator does not host.  (Killing the OS
-processes themselves is the multi-process fault story — a follow-on.)
+Fault plans — time-keyed events and crash points alike — are rejected: the
+chaos controller reaches into replica objects the coordinator does not host.
+(Killing the OS processes themselves is the multi-process fault story — a
+follow-on.)
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ def validate_multiprocess_spec(spec: ExperimentSpec) -> ExperimentSpec:
             "multi-process deployments require distributed_mempool=True: "
             "separate address spaces cannot share one in-process pool"
         )
-    if spec.faults is not None or spec.crash_points is not None:
+    if spec.faults is not None:
         raise ConfigurationError(
-            "fault plans and crash points are single-process (the chaos "
-            "adapters reach into replica objects the coordinator does not "
-            "host); run chaos in-process or kill the OS processes directly"
+            "fault plans are single-process (the chaos controller reaches "
+            "into replica objects the coordinator does not host); run chaos "
+            "in-process or kill the OS processes directly"
         )
     if spec.scrape_port == 0:
         raise ConfigurationError(

@@ -10,8 +10,8 @@ substrate on top of the discrete-event simulator:
   jittered) and the geo case (region assignment plus an inter-region RTT
   matrix derived from public measurements),
 * :class:`~repro.net.faults.FaultInjector` reproduces the evaluation's fault
-  knobs: added delay for a chosen set of replicas (Fig. 9), message drops,
-  network partitions and per-link overrides.
+  knobs: added delay for a chosen set of replicas (Fig. 9), node drops and
+  network partitions.
 
 Partial synchrony is modelled by making every latency sample finite and
 bounded; a Global Stabilisation Time can be expressed by clearing fault rules

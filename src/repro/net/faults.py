@@ -4,20 +4,20 @@ Reproduces the evaluation's network knobs:
 
 * **Delay injection** (Fig. 9 a–d, f–i): every message to or from an
   *impacted* replica suffers an extra delay ``delta``.
-* **Drops**: messages on selected links (or from/to selected nodes) are
-  silently discarded — used to model crash faults and certificate
-  withholding at the network level when needed.
+* **Drops**: messages from/to selected nodes are silently discarded — the
+  chaos engine's ``pause`` / ``resume``.
 * **Partitions**: two groups of nodes that cannot exchange messages until the
-  partition is lifted (used in liveness tests around GST).
+  partition is lifted (the chaos engine's ``partition`` / ``heal``, and
+  liveness tests around GST).
 
-All rules can be installed and removed at any simulated time, which is how
-tests express "before GST / after GST" behaviour.
+Drops and partitions can be installed and removed at any simulated time,
+which is how tests express "before GST / after GST" behaviour.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Set, Tuple
 
 
 @dataclass
@@ -26,16 +26,10 @@ class DelayRule:
 
     impacted: Set[int]
     extra_delay: float
-    apply_to_sender: bool = True
-    apply_to_receiver: bool = True
 
     def applies(self, sender: int, receiver: int) -> bool:
         """Return ``True`` if the rule adds delay to a ``sender -> receiver`` message."""
-        if self.apply_to_sender and sender in self.impacted:
-            return True
-        if self.apply_to_receiver and receiver in self.impacted:
-            return True
-        return False
+        return sender in self.impacted or receiver in self.impacted
 
 
 class FaultInjector:
@@ -44,27 +38,15 @@ class FaultInjector:
     def __init__(self) -> None:
         self._delay_rules: list[DelayRule] = []
         self._dropped_nodes: Set[int] = set()
-        self._dropped_links: Set[Tuple[int, int]] = set()
         self._partitions: list[Tuple[Set[int], Set[int]]] = []
-        self._link_overrides: Dict[Tuple[int, int], float] = {}
         self.dropped_messages = 0
 
     # ----------------------------------------------------------------- delay
-    def inject_delay(
-        self,
-        impacted: Iterable[int],
-        extra_delay: float,
-        apply_to_sender: bool = True,
-        apply_to_receiver: bool = True,
-    ) -> DelayRule:
+    def inject_delay(self, impacted: Iterable[int], extra_delay: float) -> DelayRule:
         """Add *extra_delay* seconds to messages to/from the *impacted* nodes."""
-        rule = DelayRule(set(impacted), float(extra_delay), apply_to_sender, apply_to_receiver)
+        rule = DelayRule(set(impacted), float(extra_delay))
         self._delay_rules.append(rule)
         return rule
-
-    def clear_delays(self) -> None:
-        """Remove all delay-injection rules."""
-        self._delay_rules.clear()
 
     def extra_delay(self, sender: int, receiver: int) -> float:
         """Total injected delay for a ``sender -> receiver`` message."""
@@ -79,14 +61,6 @@ class FaultInjector:
         """Undo :meth:`drop_node`."""
         self._dropped_nodes.discard(node)
 
-    def drop_link(self, sender: int, receiver: int) -> None:
-        """Silently drop messages on the directed link ``sender -> receiver``."""
-        self._dropped_links.add((sender, receiver))
-
-    def restore_link(self, sender: int, receiver: int) -> None:
-        """Undo :meth:`drop_link`."""
-        self._dropped_links.discard((sender, receiver))
-
     # ------------------------------------------------------------- partition
     def partition(self, group_a: Iterable[int], group_b: Iterable[int]) -> None:
         """Prevent communication between *group_a* and *group_b*."""
@@ -97,19 +71,9 @@ class FaultInjector:
         self._partitions.clear()
 
     # --------------------------------------------------------------- queries
-    def override_link_latency(self, sender: int, receiver: int, delay: float) -> None:
-        """Force a specific one-way delay on a directed link."""
-        self._link_overrides[(sender, receiver)] = float(delay)
-
-    def link_override(self, sender: int, receiver: int) -> Optional[float]:
-        """Return the latency override for a link, if any."""
-        return self._link_overrides.get((sender, receiver))
-
     def should_drop(self, sender: int, receiver: int) -> bool:
         """Return ``True`` if the message must be dropped."""
         if sender in self._dropped_nodes or receiver in self._dropped_nodes:
-            return True
-        if (sender, receiver) in self._dropped_links:
             return True
         for group_a, group_b in self._partitions:
             crosses = (sender in group_a and receiver in group_b) or (

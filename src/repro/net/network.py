@@ -200,11 +200,7 @@ class SimNetwork:
 
     # -------------------------------------------------------------- internal
     def _one_way_delay(self, sender: int, receiver: int) -> float:
-        if sender == receiver:
-            base = 0.0
-        else:
-            override = self.faults.link_override(sender, receiver)
-            base = override if override is not None else self.latency.sample(sender, receiver, self._rng)
+        base = 0.0 if sender == receiver else self.latency.sample(sender, receiver, self._rng)
         return base + self.faults.extra_delay(sender, receiver)
 
     def _deliver(self, envelope: Envelope) -> None:

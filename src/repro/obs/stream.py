@@ -18,13 +18,13 @@ no longer live:
   replay, later records overwrite earlier ones, so a reader always sees the
   freshest totals that made it to disk.
 
-The file is flushed after every batch, so ``repro trace`` (and ``repro
-watch --follow``) can read it **mid-run**; a crash mid-write leaves at most
-one torn trailing line, which :func:`repro.obs.export.read_jsonl` skips.
+The file is flushed after every batch, so ``repro trace`` and ``repro
+watch`` can read it **mid-run**; a crash mid-write leaves at most one torn
+trailing line, which :func:`repro.obs.export.read_jsonl` skips.
 
 :class:`TraceTail` is the incremental reader half: it remembers its file
-offset, consumes only complete lines, and tolerates the torn tail — shared
-by ``repro trace --follow`` and ``repro watch``.
+offset, consumes only complete lines, and tolerates the torn tail — what
+``repro watch`` tails a stream with.
 """
 
 from __future__ import annotations

@@ -751,9 +751,9 @@ class TraceRecorder:
     def apply_record(self, record: Dict) -> None:
         """Fold one dumped record back into this (read-only) recorder.
 
-        Shared by :meth:`from_records` and the incremental ``--follow`` /
-        ``repro watch`` readers, which tail a streaming JSONL and apply new
-        records as they land.  Repeated ``counters``/``meta`` records simply
+        Shared by :meth:`from_records` and the incremental ``repro watch``
+        reader, which tails a streaming JSONL and applies new records as
+        they land.  Repeated ``counters``/``meta`` records simply
         overwrite (the stream rewrites them each flush — last wins); repeated
         ``bucket`` records for the same index overwrite too.
         """

@@ -3,6 +3,7 @@ scenario-engine integration and the ``repro chaos`` CLI."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 
@@ -112,6 +113,16 @@ class TestFaultPlan:
             assert len(plan) >= 1
         with pytest.raises(ConfigurationError, match="unknown chaos preset"):
             chaos_preset("meteor-strike", n=4, at=0.1, down_for=0.1)
+
+    def test_preset_timing_defaults_to_fractions_of_the_duration(self):
+        # Left out, the first fault fires at 30 % of the run and lasts 15 %.
+        plan = chaos_preset("kill-replica", n=4, duration=0.8)
+        assert plan.to_dict() == {"events": [
+            {"at": 0.24, "action": "crash", "replica": 1},
+            {"at": 0.36, "action": "restart", "replica": 1},
+        ]}
+        explicit = chaos_preset("kill-replica", n=4, at=0.1, down_for=0.2, duration=0.8)
+        assert [event.at for event in explicit.events] == [0.1, pytest.approx(0.3)]
 
     def test_spec_validation_normalizes_and_checks_faults(self):
         spec = ExperimentSpec(
@@ -300,6 +311,44 @@ class TestSkippedEventSurfacing:
         assert report["skipped_events"] == 1
         assert report["skipped"][0]["skipped"] == "not down"
 
+    def test_planned_events_the_run_ends_before_are_reported_as_skipped(self):
+        from repro.faults.injector import ChaosController
+        from repro.sim.scheduler import Simulator
+
+        plan = FaultPlan.single_crash(1, 5.0, 0.1)
+        report = ChaosController(plan, Simulator(), self._Adapter()).report([])
+        assert report["crashes"] == 0
+        assert report["skipped_events"] == 2
+        assert [entry["action"] for entry in report["skipped"]] == ["crash", "restart"]
+        assert {entry["skipped"] for entry in report["skipped"]} == {"never fired"}
+
+
+class TestChaosVerdict:
+    """``chaos_problems``: the one health verdict of ``repro chaos`` and ``repro fuzz``."""
+
+    HEALTHY = {
+        "prefix_ok": True, "wal_ok": True, "events_skipped": 0,
+        "crashes": 3, "recovered": 2, "superseded": 1,
+    }
+
+    def test_a_healthy_row_has_no_problems(self):
+        from repro.experiments.report import chaos_problems
+
+        # A superseded incident (re-crashed before its first commit) is not a failure.
+        assert chaos_problems(self.HEALTHY) == []
+
+    def test_every_failure_is_named(self):
+        from repro.experiments.report import chaos_problems
+
+        row = {**self.HEALTHY, "prefix_ok": False, "wal_ok": False,
+               "events_skipped": 2, "recovered": 0}
+        problems = chaos_problems(row)
+        assert len(problems) == 4
+        assert problems[0] == "prefix disagreement"
+        assert problems[1] == "WAL vote-dedup violation"
+        assert problems[2].startswith("2 planned event(s) skipped or never fired")
+        assert problems[3] == "2 crashed replica(s) never committed again"
+
 
 class TestChaosScenarioEngine:
     def test_chaos_kind_expands_and_runs(self):
@@ -406,33 +455,38 @@ class TestLiveActionCapabilityGuard:
     """Sim-only fault actions must fail loudly on the live runtime, not
     vanish into the event loop (the swallowed-NotImplementedError bug)."""
 
-    def test_live_adapter_rejects_network_shape_actions_pointedly(self):
-        from repro.faults.live import LiveChaosAdapter
-        from repro.faults.plan import LIVE_ACTIONS
+    def test_adapter_supports_network_shape_actions_only_over_fault_rules(self):
+        from repro.faults.injector import DeploymentAdapter
+        from repro.faults.plan import ACTIONS, LIVE_ACTIONS
+        from repro.live.deploy import open_transports
+        from repro.live.runtime import WallClock
+        from repro.net.network import SimNetwork
+        from repro.sim.scheduler import Simulator
 
-        assert tuple(LiveChaosAdapter.supported_actions) == LIVE_ACTIONS == (
-            "crash", "restart",
-        )
-        adapter = LiveChaosAdapter.__new__(LiveChaosAdapter)  # hooks untouched
-        for call in (lambda: adapter.pause(1), lambda: adapter.resume(1),
-                     lambda: adapter.partition([(0, 1), (2, 3)]),
-                     lambda: adapter.heal()):
-            with pytest.raises(ConfigurationError, match="simulation-only"):
-                call()
+        async def live_actions():
+            clock = WallClock(seed=1)
+            transports = open_transports(clock, [0, 1])  # unbound: no sockets
+            return DeploymentAdapter(None, {}, clock, transports.__getitem__).supported_actions
+
+        assert tuple(asyncio.run(live_actions())) == LIVE_ACTIONS == ("crash", "restart")
+        sim = Simulator()
+        network = SimNetwork(sim)
+        adapter = DeploymentAdapter(None, {}, sim, lambda replica_id: network)
+        assert tuple(adapter.supported_actions) == ACTIONS
 
     def test_install_rejects_actions_the_adapter_cannot_fire(self):
         """A programmatic plan that skips spec validation must still be
         stopped at install time, before any timer is armed."""
-        from repro.faults.injector import ChaosAdapter, ChaosController
+        from repro.faults.injector import ChaosController, DeploymentAdapter
         from repro.sim.scheduler import Simulator
 
-        class _CrashOnly(ChaosAdapter):
-            supported_actions = ("crash", "restart")
-
+        sim = Simulator()
+        # An endpoint without network fault rules, as a live transport is.
+        adapter = DeploymentAdapter(None, {}, sim, lambda replica_id: object())
         plan = FaultPlan(events=[FaultEvent(at=0.1, action="pause", replica=1)])
-        controller = ChaosController(plan, Simulator(), _CrashOnly())
+        controller = ChaosController(plan, sim, adapter)
         with pytest.raises(ConfigurationError, match="pause.*not.*supported"):
-            controller.install()
+            controller.install([])
 
     def test_live_run_with_sim_only_plan_fails_at_validation(self):
         plan = FaultPlan.partition_heal([0, 1, 2], [3], at=0.2, heal_at=0.5)

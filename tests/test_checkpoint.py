@@ -31,8 +31,7 @@ from repro.errors import ForkError
 from repro.experiments.executor import execute_scenario
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.scenarios import snapshot_recovery_spec
-from repro.faults.crashpoints import SNAPSHOT_HOOKS, CrashPoint, CrashPointPlan
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import SNAPSHOT_HOOKS, FaultEvent, FaultPlan
 from repro.ledger.blockstore import BlockStore
 from repro.ledger.kvstore import KVStateMachine
 from repro.ledger.ledger import CommittedLedger
@@ -484,12 +483,12 @@ class TestCheckpointedRecovery:
 class TestSnapshotCrashPoints:
     @pytest.mark.parametrize("hook", SNAPSHOT_HOOKS)
     def test_single_crash_at_each_snapshot_hook_recovers(self, hook):
-        plan = CrashPointPlan(
-            points=[CrashPoint(replica=1, hook=hook, occurrence=2, down_for=0.1)]
+        plan = FaultPlan(
+            events=[FaultEvent.crash_point(replica=1, hook=hook, occurrence=2, down_for=0.1)]
         )
         spec = ExperimentSpec(
             protocol="hotstuff-1", n=4, batch_size=10, duration=0.8, warmup=0.1,
-            checkpoint_interval=4, crash_points=plan.to_dict(),
+            checkpoint_interval=4, faults=plan.to_dict(),
         )
         result = run_experiment(spec)
         chaos = result.chaos
@@ -504,12 +503,12 @@ class TestSnapshotCrashPoints:
         """Crash-during-snapshot / crash-after-compaction across random seeds:
         never-vote-twice and committed-prefix must hold from the snapshot plus
         suffix alone."""
-        plan = CrashPointPlan.randomized(
+        plan = FaultPlan.randomized(
             n=4, seed=seed, crashes=2, down_for=0.12, hooks=SNAPSHOT_HOOKS
         )
         spec = ExperimentSpec(
             protocol="hotstuff-1", n=4, batch_size=10, duration=0.8, warmup=0.1,
-            seed=seed, checkpoint_interval=4, crash_points=plan.to_dict(),
+            seed=seed, checkpoint_interval=4, faults=plan.to_dict(),
         )
         result = run_experiment(spec)
         chaos = result.chaos

@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.hashing import combine_digests, hash_bytes, hash_fields, hash_json, hash_text
-from repro.crypto.keys import KeyPair, Keychain
-from repro.crypto.signatures import require_valid_signature, sign_message, verify_signature
 from repro.crypto.threshold import ThresholdScheme
-from repro.errors import CryptoError, InvalidSignatureError, ThresholdError
+from repro.errors import ThresholdError
 
 
 class TestHashing:
@@ -32,59 +30,6 @@ class TestHashing:
     def test_combine_digests_depends_on_order(self):
         digests = [hash_text("x"), hash_text("y")]
         assert combine_digests(digests) != combine_digests(reversed(digests))
-
-
-class TestKeys:
-    def test_generation_is_deterministic(self):
-        assert KeyPair.generate("replica:1", seed=3) == KeyPair.generate("replica:1", seed=3)
-
-    def test_different_owners_different_keys(self):
-        a = KeyPair.generate("replica:1", seed=3)
-        b = KeyPair.generate("replica:2", seed=3)
-        assert a.secret != b.secret
-        assert a.public != b.public
-
-    def test_keychain_creates_and_returns_same_pair(self):
-        chain = Keychain(seed=1)
-        first = chain.create("client:9")
-        second = chain.create("client:9")
-        assert first is second
-
-    def test_keychain_create_replicas(self):
-        chain = Keychain(seed=1)
-        pairs = chain.create_replicas(4)
-        assert sorted(pairs) == [0, 1, 2, 3]
-        assert len(chain) == 4
-
-    def test_keychain_get_unknown_raises(self):
-        with pytest.raises(CryptoError):
-            Keychain().get("nobody")
-
-
-class TestSignatures:
-    def test_sign_and_verify_roundtrip(self):
-        key = KeyPair.generate("replica:0")
-        signature = sign_message(key, "deadbeef")
-        assert verify_signature(key, signature)
-
-    def test_wrong_key_fails_verification(self):
-        key = KeyPair.generate("replica:0")
-        other = KeyPair.generate("replica:1")
-        signature = sign_message(key, "deadbeef")
-        assert not verify_signature(other, signature)
-
-    def test_tampered_digest_fails(self):
-        key = KeyPair.generate("replica:0")
-        signature = sign_message(key, "deadbeef")
-        forged = type(signature)(signer=signature.signer, digest="cafebabe", value=signature.value)
-        assert not verify_signature(key, forged)
-
-    def test_require_valid_signature_raises(self):
-        key = KeyPair.generate("replica:0")
-        other = KeyPair.generate("replica:1")
-        signature = sign_message(other, "deadbeef")
-        with pytest.raises(InvalidSignatureError):
-            require_valid_signature(key, signature)
 
 
 class TestThresholdScheme:

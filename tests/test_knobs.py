@@ -41,8 +41,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import SCENARIOS, chaos_fuzz_spec, scenario_spec
 from repro.experiments.spec import POINT_BUILDERS, RunRequest, expand_scenario, resolve_point_builder
-from repro.faults.crashpoints import CRASH_HOOKS
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CRASH_HOOKS, FaultPlan
 from repro.live.procs import validate_multiprocess_spec
 from repro.net.latency import ConstantLatency
 
@@ -52,7 +51,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ------------------------------------------------------------ (a) metadata
 class TestEveryFieldIsDeclaredOnce:
     def test_field_count_is_unchanged(self):
-        assert len(dataclasses.fields(ExperimentSpec)) == 35
+        assert len(dataclasses.fields(ExperimentSpec)) == 34
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentSpec), ids=lambda f: f.name)
     def test_field_has_help_group_and_flag_or_explicit_no_cli_mark(self, field):
@@ -128,8 +127,8 @@ PARENT_FLAGS = {
     "replica": {"-h", "--help", "--deployment", "--replica-id", "--result", "--spec"},
     "snapshot": {"-h", "--help", "--replica"},
     "trace": {
-        "-h", "--help", "--chrome", "--deployment", "--follow", "-f", "--frames", "--interval",
-        "--out", "--prom", "--reference", "--since", "--until", "--wan-threshold",
+        "-h", "--help", "--chrome", "--deployment", "--out", "--prom", "--reference",
+        "--since", "--until", "--wan-threshold",
     },
     "watch": {
         "-h", "--help", "--deployment", "--frames", "--interval", "--no-clear", "--scrape",
@@ -417,7 +416,7 @@ class TestValidationIsNotWeakened:
         [
             (dict(mode="sim"), "mode='live'"),
             (dict(distributed_mempool=False), "distributed_mempool"),
-            (dict(crash_points={"points": []}), "single-process"),
+            (dict(faults=FaultPlan.randomized(n=4, seed=1).to_dict()), "single-process"),
             (dict(scrape_port=0), "concrete scrape_port"),
         ],
     )

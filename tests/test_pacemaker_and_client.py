@@ -198,6 +198,35 @@ class TestViewSynchronizer:
         pacemaker.handle_view_sync(ViewSync(view=27, voter=1), sender=1)
         assert len(wishes()) == len(pacemaker.epoch_leaders(28))
 
+    def test_a_parked_epoch_leader_draws_our_share_on_every_beacon(self):
+        """An epoch leader of boundary 28 that crashed after our first share
+        reached it restarts parked at 27 with none of the shares it was
+        aggregating; each of its beacons draws our share again, sent to it
+        alone, or the boundary's TC could never form."""
+        from repro.consensus.messages import ViewSync, Wish
+
+        harness, pacemaker = self._started(replica_id=2)
+        pacemaker.enter_view(29)
+        leader = pacemaker.epoch_leaders(28)[0]
+        bystander = next(
+            r for r in range(4) if r not in pacemaker.epoch_leaders(28) and r != 2
+        )
+        sent = []
+        harness.replica.send = lambda target, payload, **kw: sent.append((target, payload))
+
+        def wishes():
+            found = [(target, msg.view) for target, msg in sent if isinstance(msg, Wish)]
+            sent.clear()
+            return found
+
+        pacemaker.handle_view_sync(ViewSync(view=27, voter=bystander), sender=bystander)
+        assert sorted(wishes()) == sorted((target, 28) for target in pacemaker.epoch_leaders(28))
+        for _ in range(2):
+            pacemaker.handle_view_sync(ViewSync(view=27, voter=leader), sender=leader)
+            assert wishes() == [(leader, 28)]
+        pacemaker.handle_view_sync(ViewSync(view=27, voter=bystander), sender=bystander)
+        assert wishes() == []
+
     def test_an_epoch_leader_past_the_wished_view_still_forms_its_tc(self):
         """At a mixed boundary an epoch leader may have entered the wished view
         by voting (and timed out beyond it) while the others wait for the TC."""
