@@ -36,11 +36,16 @@ class Mempool:
     * ``_inflight`` — observed inside a proposed-but-uncommitted block; kept
       out of ``_pending`` so a rotated leader does not re-propose them, and
       rescued back into ``_pending`` if their block is abandoned;
-    * ``_committed_ids`` — committed, never re-admitted;
-    * ``_floor`` — committed-txn-id horizon from an installed snapshot:
-      transaction ids are globally monotonic (one counter per client
-      process), so every id at or below the horizon is known-committed even
-      when the individual id was never seen by this pool.
+    * ``_contiguous`` — the committed watermark: every id at or below it is
+      known-committed, either seen committing here or covered by the
+      committed-txn-id horizon of an installed snapshot (transaction ids are
+      globally monotonic, one counter per client process, so the horizon
+      covers ids this pool never saw).  Ids at or below it are answered by
+      comparison;
+    * ``_committed_ids`` — the committed ids *above* the watermark (commits
+      land out of id order), never re-admitted.  An id leaves the set when
+      the watermark passes it, so the set holds the out-of-order window, not
+      the run's history.
     """
 
     def __init__(self, limit: Optional[int] = None, shared: bool = True) -> None:
@@ -48,7 +53,6 @@ class Mempool:
         self._committed_ids: set = set()
         self._inflight: Dict[int, Transaction] = {}
         self._inflight_blocks: Dict[str, Tuple[int, ...]] = {}
-        self._floor = -1
         self._ever_added = 0
         #: Admission-control cap on pending transactions (``None`` = unbounded).
         self.limit = limit
@@ -75,7 +79,7 @@ class Mempool:
         """
         txn_id = txn.txn_id
         if (
-            txn_id <= self._floor
+            txn_id <= self._contiguous
             or txn_id in self._pending
             or txn_id in self._committed_ids
             or txn_id in self._inflight
@@ -95,7 +99,7 @@ class Mempool:
         for txn in reversed(txns):
             self._inflight.pop(txn.txn_id, None)
             if (
-                txn.txn_id > self._floor
+                txn.txn_id > self._contiguous
                 and txn.txn_id not in self._pending
                 and txn.txn_id not in self._committed_ids
             ):
@@ -116,7 +120,7 @@ class Mempool:
         for txn in txns:
             txn_id = txn.txn_id
             self._pending.pop(txn_id, None)
-            if txn_id in self._committed_ids or txn_id <= self._floor:
+            if txn_id <= self._contiguous or txn_id in self._committed_ids:
                 continue
             self._inflight[txn_id] = txn
             ids.append(txn_id)
@@ -131,20 +135,27 @@ class Mempool:
         """
         for txn_id in self._inflight_blocks.pop(block_hash, ()):
             txn = self._inflight.pop(txn_id, None)
-            if txn is not None and txn_id not in self._committed_ids and txn_id > self._floor:
+            if txn is not None and txn_id > self._contiguous and txn_id not in self._committed_ids:
                 self._pending[txn_id] = txn
                 self._pending.move_to_end(txn_id, last=False)
 
     def mark_committed(self, txn_ids) -> None:
         """Record that transactions committed so they are never re-admitted."""
         for txn_id in txn_ids:
-            self._committed_ids.add(txn_id)
+            if txn_id > self._contiguous:
+                self._committed_ids.add(txn_id)
             self._pending.pop(txn_id, None)
             self._inflight.pop(txn_id, None)
             if txn_id > self.highest_committed_id:
                 self.highest_committed_id = txn_id
-        while self._contiguous + 1 in self._committed_ids:
+        self._advance_watermark()
+
+    def _advance_watermark(self) -> None:
+        """Move the watermark over the committed ids that now follow it."""
+        committed = self._committed_ids
+        while self._contiguous + 1 in committed:
             self._contiguous += 1
+            committed.discard(self._contiguous)
 
     @property
     def committed_contiguous(self) -> int:
@@ -159,7 +170,7 @@ class Mempool:
 
     def is_committed(self, txn_id: int) -> bool:
         """Return ``True`` if the transaction is known to have committed."""
-        return txn_id in self._committed_ids or txn_id <= self._floor
+        return txn_id <= self._contiguous or txn_id in self._committed_ids
 
     def remove(self, txn_id: int) -> None:
         """Drop a transaction (e.g. once the client saw it commit elsewhere)."""
@@ -179,9 +190,8 @@ class Mempool:
         set is cluster-wide already, and pruning would throw away other
         replicas' pending transactions.  Returns the number of dropped txns.
         """
-        if self.shared or horizon is None or horizon < 0 or horizon <= self._floor:
+        if self.shared or horizon is None or horizon <= self._contiguous:
             return 0
-        self._floor = horizon
         dropped = [txn_id for txn_id in self._pending if txn_id <= horizon]
         for txn_id in dropped:
             del self._pending[txn_id]
@@ -190,10 +200,9 @@ class Mempool:
             del self._inflight[txn_id]
         if horizon > self.highest_committed_id:
             self.highest_committed_id = horizon
-        if horizon > self._contiguous:
-            self._contiguous = horizon
-            while self._contiguous + 1 in self._committed_ids:
-                self._contiguous += 1
+        self._contiguous = horizon
+        self._committed_ids = {txn_id for txn_id in self._committed_ids if txn_id > horizon}
+        self._advance_watermark()
         return len(dropped) + len(stale_inflight)
 
     # ------------------------------------------------------------------ read

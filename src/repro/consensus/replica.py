@@ -830,6 +830,7 @@ class BaseReplica:
         """
         if self.store is not None:
             self.store.record_entered_view(view)
+        self.forget_views_below(view - 1)
         if self.tracer is not None:
             self.tracer.view_entered(view, replica=self.replica_id)
         if self.report_metrics:
@@ -837,6 +838,19 @@ class BaseReplica:
         if self.is_leader_of(view):
             self._try_propose(view)
             self.sim.schedule_at(self.pacemaker.share_timer(view), self._try_propose, view, True)
+
+    def forget_views_below(self, view: int) -> None:
+        """Drop the per-view message buckets of every view below *view*.
+
+        Called on entering ``view + 1``, so the view just left keeps its
+        bucket: a late vote for it can still complete that view's certificate
+        (basic HotStuff-1's ``P(v)`` and ``C(v)``).  Older buckets can never
+        be read again, and without this they hold every message and
+        certificate of the run.  A stale message that re-arrives re-files a
+        bucket the next view entry drops.  Subclasses extend it with their
+        own buckets.
+        """
+        drop_views_below(self._new_view_msgs, view)
 
     def _try_propose(self, view: int, force: bool = False) -> None:
         """Propose for *view* once the protocol's leader conditions hold (*force*: stop waiting)."""
@@ -893,6 +907,12 @@ class BaseReplica:
             f"{type(self).__name__}(id={self.replica_id}, view={self.current_view}, "
             f"high={self.high_cert.position})"
         )
+
+
+def drop_views_below(table: Dict[int, object], view: int) -> None:
+    """Delete the entries of a view-keyed *table* whose view is below *view*."""
+    for stale in [key for key in table if key < view]:
+        del table[stale]
 
 
 def honest_committed_chains(replicas: Sequence["BaseReplica"]) -> List[List[str]]:

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 from repro.consensus.certificates import Certificate, CertKind
 from repro.consensus.messages import NewView, Prepare, Propose, ProposeVote
-from repro.consensus.replica import BaseReplica
+from repro.consensus.replica import BaseReplica, drop_views_below
 from repro.core.speculation import SpeculationGuard
 from repro.ledger.block import Block
 
@@ -61,6 +61,12 @@ class BasicHotStuff1Replica(BaseReplica):
         """Re-arm the per-view vote guard from the recovered WAL summary."""
         super().restore_vote_state(state)
         self._voted_views.update(state.voted_views)
+
+    def forget_views_below(self, view: int) -> None:
+        """Also drop the first-phase vote buckets and own proposals of older views."""
+        super().forget_views_below(view)
+        drop_views_below(self._propose_votes, view)
+        drop_views_below(self._own_proposals, view)
 
     # ------------------------------------------------------------ leader role
     def handle_new_view(self, msg: NewView, sender: int) -> None:

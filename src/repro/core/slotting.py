@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 from repro.consensus.certificates import Certificate, CertKind
 from repro.consensus.config import MAX_SLOTS_PER_VIEW
 from repro.consensus.messages import NewSlot, NewView, Propose, Reject
-from repro.consensus.replica import BaseReplica
+from repro.consensus.replica import BaseReplica, drop_views_below
 from repro.core.speculation import SpeculationGuard
 from repro.ledger.block import Block
 from repro.types import NULL_DIGEST, is_null_digest
@@ -103,6 +103,20 @@ class SlottedHotStuff1Replica(BaseReplica):
     def on_enter_view(self, view: int) -> None:
         self.current_slot = 1
         super().on_enter_view(view)
+
+    def forget_views_below(self, view: int) -> None:
+        """Also drop older views' New-Slot and Reject buckets and pipeline bookkeeping."""
+        super().forget_views_below(view)
+        for key in [key for key in self._new_slot_msgs if key[0] < view]:
+            del self._new_slot_msgs[key]
+        for table in (
+            self._reject_msgs,
+            self._last_proposed_slot,
+            self._last_proposed_hash,
+            self._last_certified_slot,
+            self._pipeline_justify,
+        ):
+            drop_views_below(table, view)
 
     def handle_new_view(self, msg: NewView, sender: int) -> None:
         """Collect NewView messages; use the trusted-previous-leader fast path when possible."""

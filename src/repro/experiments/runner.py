@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, get_args, get_type_hints
+from typing import Dict, Iterator, List, Optional, Sequence, Set, get_args, get_type_hints
 
 from repro.consensus.byzantine import ReplicaBehavior
 from repro.consensus.certificates import CertificateAuthority
@@ -41,6 +43,7 @@ from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError, ConsensusError, SafetyViolationError
 from repro.faults.injector import ChaosController, DeploymentAdapter
 from repro.faults.plan import FaultPlan, load_plan
+from repro.live.codec import wire_codec_scope
 from repro.net.faults import FaultInjector
 from repro.net.latency import ConstantLatency, GeoLatencyModel, LatencyModel
 from repro.sim.scheduler import Simulator
@@ -870,11 +873,39 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         from repro.live.deploy import run_live_experiment  # local import: avoids cycle
 
         return run_live_experiment(spec)
-    from repro.live.codec import wire_codec_scope
-
     spec.validate()
-    with wire_codec_scope(spec.codec):  # fresh per-shape size memo for the run
+    with run_scope(spec):
         return _run_sim(spec)
+
+
+#: Young-generation threshold of CPython's cyclic collector inside a run (the
+#: interpreter's default is 700).  A run keeps most of what it allocates
+#: (blocks, transactions, certificates, latency samples), so at 700 the
+#: collector takes 17-19 % of a `live-sat` window, two thirds of it in
+#: ~120 ms full collections that re-walk everything the run kept so far.
+#: 5000 is the smallest value on the measured throughput plateau, and the
+#: one with the shortest tail: `live-rate` client p99 read 13-14 ms at 5000,
+#: 20-37 ms at 10000 and 19-67 ms at 20000 (longer young pauses).
+RUN_GC_THRESHOLD = 5000
+
+
+@contextmanager
+def run_scope(spec: ExperimentSpec) -> Iterator[None]:
+    """The process-wide state one run owns, entered once by every placement.
+
+    Inside the scope the codec's size and decode memos start empty
+    (:func:`~repro.live.codec.wire_codec_scope`) and the cyclic collector's
+    young generation collects every :data:`RUN_GC_THRESHOLD` net
+    allocations.  On every exit, exceptions included, the memos are dropped
+    and the collector's thresholds are restored to what they were on entry.
+    """
+    previous = gc.get_threshold()
+    gc.set_threshold(RUN_GC_THRESHOLD, *previous[1:])
+    try:
+        with wire_codec_scope(spec.codec):
+            yield
+    finally:
+        gc.set_threshold(*previous)
 
 
 def _run_sim(spec: ExperimentSpec) -> RunResult:

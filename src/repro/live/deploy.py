@@ -48,10 +48,10 @@ from repro.experiments.runner import (
     latency_model_for,
     prepare,
     report,
+    run_scope,
     start,
     verify,
 )
-from repro.live.codec import wire_codec_scope
 from repro.live.runtime import LiveCluster, LiveNode, WallClock
 from repro.live.transport import AsyncTcpTransport
 from repro.net.latency import GeoLatencyModel
@@ -397,9 +397,9 @@ def run_live_experiment(
         unbounded (rate-limited only).
     """
     spec.validate()
-    # The codec's size and decode memos are process-global; scope them to the
-    # run so back-to-back experiments in one process never share them.
-    with wire_codec_scope(spec.codec):
+    # Codec memos and collector thresholds are process-global; scope them to
+    # the run so back-to-back experiments in one process never share them.
+    with run_scope(spec):
         return asyncio.run(_run_live(spec, target_ops, rate, on_started, max_outstanding))
 
 

@@ -42,8 +42,14 @@ from typing import Any, Dict, List, Optional
 
 from repro.consensus.client import CLIENT_POOL_NODE_ID
 from repro.errors import ConfigurationError, ConsensusError
-from repro.experiments.runner import ExperimentSpec, RunResult, prepare, report, verify
-from repro.live.codec import wire_codec_scope
+from repro.experiments.runner import (
+    ExperimentSpec,
+    RunResult,
+    prepare,
+    report,
+    run_scope,
+    verify,
+)
 from repro.live.config import DeploymentConfig
 from repro.live.deploy import (
     LiveLoadGenerator,
@@ -113,7 +119,7 @@ def run_replica_process(
         spec.trace_stream = os.path.join(
             os.path.dirname(os.path.abspath(result_path)), f"trace-r{replica_id}.jsonl"
         )
-    with wire_codec_scope(spec.codec):
+    with run_scope(spec):
         asyncio.run(_run_replica(spec, config, replica_id, result_path))
     return 0
 
@@ -199,7 +205,7 @@ def run_multiprocess_experiment(
     config.validate(n=spec.n)
     workdir = tempfile.mkdtemp(prefix="repro-multiproc-")
     try:
-        with wire_codec_scope(spec.codec):
+        with run_scope(spec):
             return asyncio.run(
                 _run_coordinator(spec, config, workdir, target_ops, rate, max_outstanding)
             )

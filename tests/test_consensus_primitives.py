@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.consensus.certificates import CertificateAuthority, CertKind, Certificate
@@ -12,6 +14,7 @@ from repro.consensus.mempool import Mempool
 from repro.consensus.metrics import MetricsCollector
 from repro.errors import ConfigurationError, InvalidCertificateError
 from repro.ledger.block import make_genesis_block
+from repro.ledger.transaction import Transaction
 
 from tests.conftest import build_chain, certificate_for, make_txn
 
@@ -113,6 +116,54 @@ class TestMempool:
         pool.add(txn)
         pool.mark_committed([txn.txn_id])
         assert txn.txn_id not in pool
+
+
+    def test_committed_set_holds_only_ids_above_the_watermark(self):
+        # Commits land out of id order: ids shuffled within windows of 64,
+        # committed in blocks of 1-8.  The pool must give the answer a set of
+        # every committed id gives, while keeping only the out-of-order window.
+        rng = random.Random(7)
+        order = []
+        for start in range(0, 64 * 64, 64):
+            window = list(range(start, start + 64))
+            rng.shuffle(window)
+            order.extend(window)
+        pool = Mempool(shared=False)
+        committed = set()
+        largest = 0
+        position = 0
+        while position < len(order):
+            block = order[position:position + rng.randint(1, 8)]
+            position += len(block)
+            pool.mark_committed(block)
+            committed.update(block)
+            largest = max(largest, len(pool._committed_ids))
+            if rng.random() < 0.02:
+                assert all(pool.is_committed(i) == (i in committed) for i in range(4200))
+        assert largest <= 64 + 8  # one shuffled window plus one block
+        assert pool._committed_ids == set()
+        assert pool.committed_contiguous == 64 * 64 - 1
+        assert all(pool.is_committed(i) for i in range(4096)) and not pool.is_committed(4096)
+        # A covered id is never re-admitted, requeued or parked in flight.
+        covered = Transaction.create(client_id=1, operation="ycsb_write", payload={}, txn_id=17)
+        assert not pool.add(covered)
+        pool.requeue([covered])
+        pool.note_proposed("block", [covered])
+        pool.release_block("block")
+        assert len(pool) == 0 and pool.inflight_count() == 0
+
+    def test_snapshot_horizon_moves_the_watermark_over_later_commits(self):
+        pool = Mempool(shared=False)
+        pool.mark_committed([0, 1, 5, 7, 9])
+        assert pool.committed_contiguous == 1
+        assert pool.prune_below(4) == 0
+        # Horizon 4 plus the commit of 5 carry the watermark to 5; 7 and 9
+        # stay above it.
+        assert pool.committed_contiguous == 5
+        assert pool._committed_ids == {7, 9}
+        assert [i for i in range(11) if pool.is_committed(i)] == [0, 1, 2, 3, 4, 5, 7, 9]
+        assert pool.prune_below(3) == 0  # at or below the watermark: nothing to adopt
+        assert pool.committed_contiguous == 5
 
 
 class TestMetrics:

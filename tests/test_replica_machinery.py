@@ -16,8 +16,10 @@ from repro.consensus.messages import (
 )
 from repro.consensus.protocols.hotstuff import HotStuffReplica
 from repro.consensus.protocols.hotstuff2 import HotStuff2Replica
+from repro.consensus.replica import BaseReplica
 from repro.core.basic import BasicHotStuff1Replica
 from repro.core.streamlined import HotStuff1Replica
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.ledger.block import Block
 from repro.net.message import Envelope
 
@@ -312,3 +314,57 @@ class TestNewViewCollection:
         assert harness.replica.high_cert.block_hash == block1.block_hash
         # Being the leader of view 2, it proposes once the certificate is formed.
         assert 2 in harness.replica._proposed_views
+
+
+class TestViewBucketsArePruned:
+    """Per-view message buckets keep the current and the previous view only.
+
+    A long run enters thousands of views; a bucket kept per view would hold
+    every NewView (and its certificate) of the run.  After every view entry,
+    each view-keyed map may only hold views >= current - 1.
+    """
+
+    BUCKETS = (
+        "_new_view_msgs",
+        "_propose_votes",
+        "_own_proposals",
+        "_new_slot_msgs",
+        "_reject_msgs",
+        "_last_proposed_slot",
+        "_last_proposed_hash",
+        "_last_certified_slot",
+        "_pipeline_justify",
+    )
+
+    @pytest.mark.parametrize(
+        "protocol, views, overrides",
+        [
+            ("hotstuff-1", 2000, dict(duration=2.6)),
+            ("hotstuff-1-basic", 2000, dict(duration=4.8)),
+            # Slotting leaves every view on its timer: a short one.
+            ("hotstuff-1-slotting", 400, dict(duration=1.0, view_timeout=0.002)),
+        ],
+    )
+    def test_buckets_hold_only_recent_views(self, monkeypatch, protocol, views, overrides):
+        stale = []
+        checked = set()
+        enter = BaseReplica.on_enter_view
+
+        def checking(replica, view):
+            enter(replica, view)
+            for name in self.BUCKETS:
+                table = getattr(replica, name, None)
+                if table is None:
+                    continue
+                checked.add(name)
+                views_held = {key[0] if isinstance(key, tuple) else key for key in table}
+                if min(views_held, default=view) < view - 1 and len(stale) < 5:
+                    stale.append((replica.replica_id, view, name, sorted(views_held)[:5]))
+
+        monkeypatch.setattr(BaseReplica, "on_enter_view", checking)
+        result = run_experiment(
+            ExperimentSpec(protocol=protocol, n=4, batch_size=1, warmup=0.1, **overrides)
+        )
+        assert min(replica.current_view for replica in result.replicas) >= views
+        assert "_new_view_msgs" in checked
+        assert stale == []
