@@ -15,10 +15,11 @@ prefix at a checkpoint height:
   prefix-agreement checks exact even after the block objects below the
   snapshot leave the compacted log.
 
-Snapshots round-trip through durable record documents — plain, tagged JSON
-built from the same type declarations as the wire layouts — for the
-snapshot log; the ``SnapshotResponse`` wire message carries the binary
-layout of the same fields.
+A snapshot has one serialisation, the binary layout of
+:mod:`repro.live.codec`: the ``SnapshotResponse`` wire message carries it,
+and the snapshot log stores it as hex (:func:`repro.live.codec.record_of`).
+A run clears its file-backed logs before it starts, so a stored snapshot is
+only ever read by the code that wrote it.
 """
 
 from __future__ import annotations
@@ -76,26 +77,6 @@ class Snapshot:
     def covered(self) -> FrozenSet[str]:
         """The committed hashes this snapshot subsumes (cached set)."""
         return self._covered
-
-    # ------------------------------------------------------------ round trips
-    def to_dict(self) -> Dict[str, Any]:
-        """The durable record document (tagged JSON) the snapshot log stores.
-
-        A snapshot record written before a field existed decodes with that
-        field's default (see :func:`repro.live.codec.message_from_wire`).
-        """
-        from repro.live.codec import message_to_wire
-
-        return message_to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Snapshot":
-        from repro.live.codec import message_from_wire
-
-        snapshot = message_from_wire(data)
-        if not isinstance(snapshot, cls):
-            raise ValueError(f"not a snapshot document: {data.get('__t')!r}")
-        return snapshot
 
 
 def verify_snapshot(snapshot: Optional[Snapshot], authority) -> Optional[str]:

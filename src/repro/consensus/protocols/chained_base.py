@@ -39,14 +39,10 @@ class ChainedReplica(BaseReplica):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._proposed_views: set = set()
-        self._voted_views: set = set()
-
-    # ------------------------------------------------------------- lifecycle
-    def restore_vote_state(self, state) -> None:
-        """Re-arm the per-view vote guard from the recovered WAL summary."""
-        super().restore_vote_state(state)
-        self._voted_views.update(state.voted_views)
+        #: Highest view this replica proposed in.  Proposals and votes happen
+        #: only in ``current_view``, which never decreases, so this watermark
+        #: and ``last_voted_view`` are the per-view guards.
+        self.last_proposed_view = 0
 
     # ------------------------------------------------------------ leader role
     def handle_new_view(self, msg: NewView, sender: int) -> None:
@@ -57,7 +53,7 @@ class ChainedReplica(BaseReplica):
 
     def _try_propose(self, view: int, force: bool = False) -> None:
         """Propose for *view* once the Figure 4 leader conditions are met."""
-        if self.halted or view in self._proposed_views:
+        if self.halted or view <= self.last_proposed_view:
             return
         if self.current_view != view or not self.is_leader_of(view):
             return
@@ -70,7 +66,7 @@ class ChainedReplica(BaseReplica):
             return  # a crash-point probe fired mid-certificate-formation
         if formed is None and not force and len(bucket) < self.config.n:
             return
-        self._proposed_views.add(view)
+        self.last_proposed_view = view
         justify = self.behavior.choose_justify(self, view, self.high_cert)
         _, delay = self.broadcast_proposal(view, 1, justify, justify.block_hash)
         self._maybe_equivocate(view, delay)
@@ -98,7 +94,7 @@ class ChainedReplica(BaseReplica):
     # ------------------------------------------------------------ backup role
     def handle_propose(self, msg: Propose, sender: int) -> None:
         """Validate a proposal, apply commit/speculation rules, vote, exit the view."""
-        if self.accept_proposal(msg, sender) and msg.view not in self._voted_views:
+        if self.accept_proposal(msg, sender) and msg.view > self.last_voted_view:
             self._process_proposal(msg, sender)
 
     def _process_proposal(self, msg: Propose, sender: int) -> None:
@@ -117,7 +113,6 @@ class ChainedReplica(BaseReplica):
                 self.replica_id, CertKind.PREPARE, block.view, block.slot, block.block_hash
             )
             voted_hash = block.block_hash
-            self._voted_views.add(msg.view)
             self.note_vote(msg.view, block.slot, block.block_hash)
         if not self.behavior.withholds_new_view(self, msg.view):
             new_view = NewView(

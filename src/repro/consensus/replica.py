@@ -639,10 +639,10 @@ class BaseReplica:
 
         ``state`` is a :class:`~repro.storage.wal.WalState` (duck-typed here
         to keep the consensus layer import-free of storage): it carries
-        ``last_voted_view``, ``voted_views``, ``voted`` (view, slot) pairs and
-        ``highest_voted_hash``.  Subclasses that keep their own per-view or
-        per-slot vote guards MUST extend this — it is what stops a restarted
-        replica from voting twice in a view it voted in before the crash.
+        ``last_voted_view`` (the per-view vote guard), ``voted`` (view, slot)
+        pairs and ``highest_voted_hash``.  Subclasses that keep per-slot vote
+        guards MUST extend this — it is what stops a restarted replica from
+        voting twice in a view it voted in before the crash.
         """
         self.last_voted_view = max(self.last_voted_view, int(state.last_voted_view))
 

@@ -46,9 +46,9 @@ class BasicHotStuff1Replica(BaseReplica):
         #: Highest known commit certificate (``C(v_lc)``).
         self.high_commit_cert: Optional[Certificate] = None
         self._propose_votes: Dict[int, Dict[int, ProposeVote]] = {}
-        self._proposed_views: set = set()
+        #: Highest view this replica proposed in (see ``ChainedReplica``).
+        self.last_proposed_view = 0
         self._prepared_views: set = set()
-        self._voted_views: set = set()
         self._own_proposals: Dict[int, Block] = {}
 
     @staticmethod
@@ -57,11 +57,6 @@ class BasicHotStuff1Replica(BaseReplica):
         return config.quorum
 
     # ------------------------------------------------------------- lifecycle
-    def restore_vote_state(self, state) -> None:
-        """Re-arm the per-view vote guard from the recovered WAL summary."""
-        super().restore_vote_state(state)
-        self._voted_views.update(state.voted_views)
-
     def forget_views_below(self, view: int) -> None:
         """Also drop the first-phase vote buckets and own proposals of older views."""
         super().forget_views_below(view)
@@ -86,7 +81,7 @@ class BasicHotStuff1Replica(BaseReplica):
 
     def _try_propose(self, view: int, force: bool = False) -> None:
         """Propose once n−f NewViews arrived and P(v−1) is known (or the wait expired)."""
-        if self.halted or view in self._proposed_views:
+        if self.halted or view <= self.last_proposed_view:
             return
         if self.current_view != view or not self.is_leader_of(view):
             return
@@ -96,7 +91,7 @@ class BasicHotStuff1Replica(BaseReplica):
         has_previous_cert = self.high_cert.view >= view - 1
         if not has_previous_cert and not force and len(bucket) < self.config.n:
             return
-        self._proposed_views.add(view)
+        self.last_proposed_view = view
         justify = self.behavior.choose_justify(self, view, self.high_cert)
         self._own_proposals[view], _ = self.broadcast_proposal(
             view, 1, justify, justify.block_hash, commit_cert=self.high_commit_cert
@@ -125,7 +120,7 @@ class BasicHotStuff1Replica(BaseReplica):
     # ------------------------------------------------------------ backup role
     def handle_propose(self, msg: Propose, sender: int) -> None:
         """First phase: apply the traditional commit rule and vote to the leader."""
-        if not self.accept_proposal(msg, sender) or msg.view in self._voted_views:
+        if not self.accept_proposal(msg, sender) or msg.view <= self.last_voted_view:
             return
         block = msg.block
         cost = self.costs.proposal_validation_cost(self.config.quorum)
@@ -135,7 +130,6 @@ class BasicHotStuff1Replica(BaseReplica):
             cost += self.charged_commit(self.block_store.maybe_get(msg.commit_cert.block_hash), cost)
 
         if msg.justify.position >= self.high_cert.position and self.behavior.should_vote(self, msg):
-            self._voted_views.add(msg.view)
             self.note_vote(msg.view, block.slot, block.block_hash)
             share = self.authority.create_vote(
                 self.replica_id, CertKind.PREPARE, block.view, block.slot, block.block_hash

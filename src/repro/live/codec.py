@@ -1,4 +1,4 @@
-"""Wire format for the live deployment runtime, and the durable record form.
+"""Wire format for the live deployment runtime and the durable logs.
 
 Every protocol message in :mod:`repro.consensus.messages` (and the support
 objects nested inside them — blocks, transactions, certificates, signature
@@ -97,19 +97,16 @@ The codec is the single source of truth for message sizes, so the simulated
 network charges :func:`encoded_size` bytes for exactly the frame the live
 transport would put on a socket.
 
-**Durable record documents.**  The same declarations give every type a
-tagged-JSON document, ``{"__t": tag, field: value, ...}``
-(:func:`message_to_wire` / :func:`message_from_wire`).  A document is never
-framed and never sized: it is the record form of the write-ahead log
-(:mod:`repro.storage.wal`), the durable block log
-(:mod:`repro.storage.blockstore`) and the snapshot log
-(:mod:`repro.checkpoint.snapshot`).  Those records outlive binary layout
-versions, and their JSONL files are repaired line by line (a torn tail is
-skipped on replay), so they keep a self-describing form in which a field an
-older record lacks falls back to its dataclass default.
+**Durable records.**  The write-ahead log (:mod:`repro.storage.wal`), the
+durable block log (:mod:`repro.storage.blockstore`) and the snapshot log
+(:mod:`repro.checkpoint.snapshot`) store the same layout, unframed, as a hex
+string (:func:`record_of` / :func:`from_record`): a JSON-compatible line the
+log backends repair line by line.  A record is only ever read back by the
+code that wrote it (a run clears its file-backed stores before it starts), so
+it needs no tolerance across layout versions.
 
-Each type is declared once (document tag, fields, kinds), and its binary type
-index is the registration order.  Unknown payload types raise
+Each type is declared once (tag, fields, kinds), and its binary type index is
+the registration order.  Unknown payload types raise
 :class:`UnknownWireTypeError`; callers that only need a size estimate (the
 simulated network, whose tests send plain strings) fall back to a default.
 """
@@ -122,7 +119,7 @@ import itertools
 import operator
 import struct
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro.checkpoint.snapshot import Snapshot
 from repro.consensus.certificates import CertKind, Certificate
@@ -163,7 +160,6 @@ from repro.live.layout import (
     _read_uvarint,
     compile_layout,
     compile_record,
-    is_enum,
     opt,
     seq,
 )
@@ -210,9 +206,6 @@ class FrameTooLargeError(CodecError, ConfigurationError):
 
 
 # ------------------------------------------------------------------- registry
-_TYPE_TAGS: Dict[Type, str] = {}
-_FIELDS: Dict[str, Tuple[str, ...]] = {}
-_REBUILDERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
 #: Binary codecs by kind: the scalar kinds, every registered type (nested
 #: without a tag) and the sequences with a record-array codec of their own.
 _CODECS: Dict[Any, Codec] = dict(SCALAR_CODECS)
@@ -223,67 +216,16 @@ _DECODERS: List[Callable[[bytes, int], Tuple[Any, int]]] = []
 
 
 def _register(cls: Type, tag: str, /, layout: Optional[Codec] = None, **kinds: Any) -> None:
-    """Declare *cls*'s wire form: its document *tag* and every field's kind
-    (:mod:`repro.live.layout` lists the kinds).
-
-    Both forms derive from the one declaration.  The binary layout is
-    compiled from the kinds unless a hand-written record *layout* ``(encode,
-    decode)`` is given.  Record documents carry the fields by name and are
-    rebuilt with ``cls(**fields)`` after the coercions the kinds imply
-    (sequences to tuples, enum values to members).
+    """Declare *cls*'s wire form: every field's kind (:mod:`repro.live.layout`
+    lists the kinds), compiled into the binary layout unless a hand-written
+    record *layout* ``(encode, decode)`` is given.  *tag* names the compiled
+    ``_enc_<tag>`` / ``_dec_<tag>`` functions, so profiles read by type.
     """
     if tuple(kinds) != tuple(field.name for field in dataclasses.fields(cls)):
         raise TypeError(f"{cls.__name__}: declare the dataclass fields, in order")  # rebuilt positionally
-    coercions = [(name, kind[2]) for name, kind in kinds.items() if isinstance(kind, tuple) and kind[0] == "seq"]
-    coercions += [(name, kind) for name, kind in kinds.items() if is_enum(kind)]
-
-    def _dec_rebuild(data: Dict[str, Any]) -> Any:
-        for name, coerce in coercions:
-            if name in data:
-                data[name] = coerce(data[name])
-        return cls(**data)
-
-    _TYPE_TAGS[cls] = tag
-    _FIELDS[tag] = tuple(kinds)
-    _REBUILDERS[tag] = _dec_rebuild
     _CODECS[cls] = encode, decode = layout or compile_layout(cls, tag, kinds, _CODECS)
     _ENCODERS[cls] = (BINARY_TAG_BASE + len(_DECODERS), encode)
     _DECODERS.append(decode)
-
-
-def _enc(value: Any) -> Any:
-    """Encode *value* into a JSON-compatible structure."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_enc(item) for item in value]
-    if isinstance(value, dict):
-        # Item-pair form preserves non-string keys across the JSON round-trip.
-        return {"__t": "map", "i": [[_enc(key), _enc(item)] for key, item in value.items()]}
-    tag = _TYPE_TAGS.get(type(value))
-    if tag is None:
-        raise UnknownWireTypeError(f"no wire format registered for {type(value).__name__}")
-    document = {"__t": tag}
-    for name in _FIELDS[tag]:
-        document[name] = _enc(getattr(value, name))
-    return document
-
-
-def _dec(value: Any) -> Any:
-    """Decode the structure produced by :func:`_enc`."""
-    if isinstance(value, list):
-        return [_dec(item) for item in value]
-    if isinstance(value, dict):
-        tag = value.get("__t")
-        if tag == "map":
-            return {_dec(key): _dec(item) for key, item in value["i"]}
-        rebuild = _REBUILDERS.get(tag)
-        if rebuild is None:
-            raise CodecError(f"unknown document tag {tag!r}")
-        # Fields absent from a record written before they existed fall back
-        # to the dataclass defaults of the registered type.
-        return rebuild({name: _dec(value[name]) for name in _FIELDS[tag] if name in value})
-    return value
 
 
 # ----------------------------------------------------------- binary: records
@@ -501,8 +443,8 @@ _ENTRIES_CACHE_MAX = 64
 
 
 # ------------------------------------------------------------ the wire types
-# Support objects nested inside protocol messages.  The transaction record's
-# kinds name its document fields; its binary form is the hand-written layout.
+# Support objects nested inside protocol messages.  The transaction's kinds
+# declare its fields; its binary form is the hand-written layout.
 _register(
     Transaction, "txn", layout=(_enc_txn, _dec_txn),
     txn_id="int", client_id="int", operation="str", payload="value", submitted_at="float",
@@ -516,8 +458,7 @@ _register(
     ThresholdSignature, "tsig",
     payload="digest", context="str", signers=seq("int"), threshold="int", fingerprint="digest",
 )
-# Certificate.kind is a str-enum: a document carries its value string, the
-# binary layout its member index, and both rebuild the member.
+# Certificate.kind is a str-enum: the layout carries its member index.
 _register(
     Certificate, "cert", kind=CertKind, view="int", slot="int", block_hash="digest",
     signature=opt(ThresholdSignature), formed_in_view="int",
@@ -558,9 +499,7 @@ _register(FetchRequest, "fetch_request", block_hash="digest", requester="int")
 _register(FetchResponse, "fetch_response", block=Block)
 # Checkpoint state transfer.  The snapshot's ``state`` payload is already
 # JSON-safe (string table names, tagged keys), so it rides as a schemaless
-# value; blocks and certificates reuse their registrations.  Snapshot records
-# persisted before ``txn_horizon`` existed decode it as the dataclass default,
-# "unknown" (-1), which install paths treat as "nothing to prune".
+# value; blocks and certificates reuse their registrations.
 _register(
     Snapshot, "snapshot", height="int", block=Block, cert=Certificate, state_digest="digest", state="value",
     committed_hashes=seq("digest", list), txn_horizon="int",
@@ -590,20 +529,6 @@ MESSAGE_TYPES = (
     SnapshotRequest,
     SnapshotResponse,
 )
-
-
-# ------------------------------------------------------------------ documents
-def message_to_wire(payload: Any) -> Dict[str, Any]:
-    """Encode a registered object into its tagged-JSON record document."""
-    document = _enc(payload)
-    if not isinstance(document, dict) or "__t" not in document:
-        raise UnknownWireTypeError(f"{type(payload).__name__} is not a wire message")
-    return document
-
-
-def message_from_wire(document: Dict[str, Any]) -> Any:
-    """Decode the document produced by :func:`message_to_wire`."""
-    return _dec(document)
 
 
 # ------------------------------------------------------------------- messages
@@ -640,6 +565,31 @@ def decode_message(data: bytes) -> Any:
             if end > len(data)
             else f"{len(data) - end} trailing bytes after binary message"
         )
+    return value
+
+
+# -------------------------------------------------------------------- records
+_T = TypeVar("_T")
+
+
+def record_of(value: Any) -> str:
+    """The durable log record of a registered object: its tagged layout, as hex."""
+    return encode_message(value).hex()
+
+
+def from_record(record: Any, cls: Type[_T]) -> _T:
+    """Decode a :func:`record_of` record that must hold a *cls*.
+
+    A record that is not hex, does not decode or holds another type raises
+    :class:`CodecError`.
+    """
+    try:
+        data = bytes.fromhex(record)
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"not a durable record: {exc}") from exc
+    value = decode_message(data)
+    if not isinstance(value, cls):
+        raise CodecError(f"record holds a {type(value).__name__}, not a {cls.__name__}")
     return value
 
 

@@ -67,7 +67,7 @@ Codec = Tuple[Callable[[Any, bytearray], None], Callable[[bytes, int], Tuple[Any
 
 
 class CodecError(NetworkError):
-    """A frame or document could not be encoded/decoded."""
+    """A frame or durable record could not be encoded/decoded."""
 
 
 class UnknownWireTypeError(CodecError):

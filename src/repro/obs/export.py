@@ -17,12 +17,14 @@ Three encodings of one :class:`~repro.obs.trace.TraceRecorder`:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import TraceRecorder
+from repro.storage.backend import read_jsonl_log
 
 
 # ----------------------------------------------------------------- JSONL
@@ -35,18 +37,13 @@ def write_jsonl(trace: TraceRecorder, path: str) -> str:
 
 
 def read_jsonl(path: str) -> TraceRecorder:
-    """Rebuild a read-only recorder from a JSONL dump (torn tails skipped)."""
-    records: List[Dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail from an interrupted run
-    return TraceRecorder.from_records(records)
+    """Rebuild a read-only recorder from a JSONL dump (torn tails skipped).
+
+    Raises :class:`FileNotFoundError` if there is no file at *path*.
+    """
+    if not os.path.exists(path):  # read_jsonl_log reads a missing file as empty
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return TraceRecorder.from_records(read_jsonl_log(path))
 
 
 # ---------------------------------------------------------------- Chrome

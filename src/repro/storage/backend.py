@@ -3,7 +3,9 @@
 A backend is a sequence of JSON-compatible records with exactly two
 operations: *append* one record, and *replay* every record appended so far.
 Durability is the backend's whole job; interpretation of the records belongs
-to :mod:`repro.storage.wal` and :mod:`repro.storage.blockstore`.
+to their writers, which store blocks, certificates and snapshots as their wire
+layout in hex (:func:`repro.live.codec.record_of`).  A run clears its
+file-backed logs first, so no record is read by another version of the code.
 
 Two implementations:
 
@@ -11,7 +13,7 @@ Two implementations:
   simulator, where "durable" means "survives the replica *object*": the
   chaos engine keeps the backend alive across a crash/restart and everything
   the dead replica did not append is lost, exactly as with a real disk.
-* :class:`FileLogBackend` — one JSON document per line, appended to a real
+* :class:`FileLogBackend` — one JSON value per line, appended to a real
   file (optionally fsync'd per record).  Replay tolerates a truncated final
   line, the torn-write artefact of a crash mid-append.
 """
@@ -20,17 +22,17 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
 
 class LogBackend:
     """Interface for an append-only record log."""
 
-    def append(self, record: Dict[str, Any]) -> None:
+    def append(self, record: Any) -> None:
         """Durably append one JSON-compatible record."""
         raise NotImplementedError
 
-    def replay(self) -> List[Dict[str, Any]]:
+    def replay(self) -> List[Any]:
         """Return every record appended so far, in order."""
         raise NotImplementedError
 
@@ -41,7 +43,7 @@ class LogBackend:
         """Discard every record (used by tests and compaction)."""
         raise NotImplementedError
 
-    def compact(self, records: List[Dict[str, Any]]) -> None:
+    def compact(self, records: List[Any]) -> None:
         """Atomically replace the whole log with *records*.
 
         Checkpointing rewrites a log to just the suffix a snapshot does not
@@ -55,7 +57,7 @@ class LogBackend:
 
         After a tear, :meth:`replay` must not yield the final record (for the
         file backend the torn line is still physically present, truncated
-        mid-document).  Used by the crash-point fuzzer.
+        mid-record).  Used by the crash-point fuzzer.
         """
         raise NotImplementedError
 
@@ -64,18 +66,18 @@ class MemoryLogBackend(LogBackend):
     """Records kept in memory; the backend object is the durable medium."""
 
     def __init__(self) -> None:
-        self._records: List[Dict[str, Any]] = []
+        self._records: List[Any] = []
 
-    def append(self, record: Dict[str, Any]) -> None:
+    def append(self, record: Any) -> None:
         self._records.append(record)
 
-    def replay(self) -> List[Dict[str, Any]]:
+    def replay(self) -> List[Any]:
         return list(self._records)
 
     def clear(self) -> None:
         self._records.clear()
 
-    def compact(self, records: List[Dict[str, Any]]) -> None:
+    def compact(self, records: List[Any]) -> None:
         # A single list swap is atomic with respect to "crash between
         # statements", matching the file backend's rename.
         self._records = list(records)
@@ -90,13 +92,13 @@ class MemoryLogBackend(LogBackend):
         return len(self._records)
 
 
-def read_jsonl_log(path: str) -> List[Dict[str, Any]]:
+def read_jsonl_log(path: str) -> List[Any]:
     """Every intact record of the JSONL log at *path*, in order (read-only).
 
     Never opens the file for append, so inspection tools can use it on a
     directory they must not modify; a missing file is an empty log.
     """
-    records: List[Dict[str, Any]] = []
+    records: List[Any] = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
@@ -117,7 +119,7 @@ def read_jsonl_log(path: str) -> List[Dict[str, Any]]:
 
 
 class FileLogBackend(LogBackend):
-    """One JSON document per line, appended to *path*.
+    """One JSON value per line, appended to *path*.
 
     ``fsync=True`` flushes and fsyncs after every append (write-ahead
     semantics at real-disk cost); the default flushes to the OS only, which
@@ -147,7 +149,7 @@ class FileLogBackend(LogBackend):
             handle.seek(size - 1)
             return handle.read(1) != b"\n"
 
-    def append(self, record: Dict[str, Any]) -> None:
+    def append(self, record: Any) -> None:
         prefix = "\n" if self._dirty_tail else ""
         self._dirty_tail = False
         self._handle.write(prefix + json.dumps(record, separators=(",", ":")) + "\n")
@@ -155,7 +157,7 @@ class FileLogBackend(LogBackend):
         if self.fsync:
             os.fsync(self._handle.fileno())
 
-    def replay(self) -> List[Dict[str, Any]]:
+    def replay(self) -> List[Any]:
         return read_jsonl_log(self.path)
 
     def close(self) -> None:
@@ -167,7 +169,7 @@ class FileLogBackend(LogBackend):
         self._handle = open(self.path, "w", encoding="utf-8")
         self._dirty_tail = False
 
-    def compact(self, records: List[Dict[str, Any]]) -> None:
+    def compact(self, records: List[Any]) -> None:
         # Write the replacement beside the log and rename over it: the rename
         # is atomic, so a crash mid-compaction leaves either the old log or
         # the new one, never a torn mix.
@@ -191,7 +193,7 @@ class FileLogBackend(LogBackend):
         with open(self.path, "rb+") as handle:
             handle.seek(max(0, size - 2))
             tail = handle.read()
-            # Drop the final newline plus a byte of the document, leaving a
+            # Drop the final newline plus a byte of the record, leaving a
             # truncated JSON line exactly as a crash mid-write would.
             cut = 2 if tail.endswith(b"\n") else 1
             handle.truncate(max(0, size - cut))

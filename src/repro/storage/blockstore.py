@@ -7,8 +7,8 @@ how a restarted replica gets its blocks back.  Pruning (see
 :meth:`BlockStore.prune_siblings_of`) only trims the in-memory tree — the
 append-only log keeps the raw history and pruned orphans are simply re-pruned
 as the committed chain replays after a restart.  Each block is logged as its
-durable record document (:func:`repro.live.codec.message_to_wire`), not as
-its wire layout.
+wire layout in hex (:func:`repro.live.codec.record_of`), the record form all
+three durable logs share.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
-from repro.live.codec import message_from_wire, message_to_wire
+from repro.live.codec import from_record, record_of
 from repro.storage.backend import LogBackend
 
 
@@ -27,8 +27,8 @@ class DurableBlockStore(BlockStore):
     def __init__(self, backend: LogBackend, genesis: Optional[Block] = None) -> None:
         super().__init__(genesis)
         self._backend = backend
-        for document in backend.replay():
-            super().add(message_from_wire(document))
+        for record in backend.replay():
+            super().add(from_record(record, Block))
 
     def add(self, block: Block) -> Block:
         """Insert *block*, persisting it on first sight (duplicates are no-ops)."""
@@ -36,7 +36,7 @@ class DurableBlockStore(BlockStore):
             return self._blocks[block.block_hash]
         stored = super().add(block)
         if not block.is_genesis:
-            self._backend.append(message_to_wire(block))
+            self._backend.append(record_of(block))
         return stored
 
     def compact_log(self) -> int:
@@ -48,8 +48,6 @@ class DurableBlockStore(BlockStore):
         append-only log.  Returns the number of log records dropped.
         """
         persisted = len(self._backend.replay())
-        records = [
-            message_to_wire(block) for block in self.blocks() if not block.is_genesis
-        ]
+        records = [record_of(block) for block in self.blocks() if not block.is_genesis]
         self._backend.compact(records)
         return persisted - len(records)

@@ -18,8 +18,10 @@ import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
+from repro.checkpoint.snapshot import Snapshot
 from repro.consensus.certificates import Certificate
 from repro.errors import ConfigurationError
+from repro.live.codec import CodecError, from_record, record_of
 from repro.storage.backend import FileLogBackend, LogBackend, MemoryLogBackend, read_jsonl_log
 from repro.storage.blockstore import DurableBlockStore
 from repro.storage.wal import WalState, WriteAheadLog
@@ -29,15 +31,13 @@ from repro.storage.wal import WalState, WriteAheadLog
 LOG_FILES = ("wal.jsonl", "blocks.jsonl", "snapshots.jsonl")
 
 
-def _last_intact_snapshot(records):
-    """Decode the newest snapshot record; torn or foreign records are skipped."""
-    from repro.checkpoint.snapshot import Snapshot
-
+def _last_intact_snapshot(records: List) -> Optional[Snapshot]:
+    """Decode the newest snapshot record; records that do not decode are skipped."""
     latest = None
     for record in records:
         try:
-            latest = Snapshot.from_dict(record)
-        except (KeyError, TypeError, ValueError):
+            latest = from_record(record, Snapshot)
+        except CodecError:
             continue  # keep the last intact one
     return latest
 
@@ -148,7 +148,7 @@ class ReplicaStore:
         """
         if self._suspended:
             return
-        self._snapshot_backend.compact([snapshot.to_dict()])
+        self._snapshot_backend.compact([record_of(snapshot)])
         self._snapshot_cache = snapshot
         self._snapshot_cache_valid = True
 

@@ -14,10 +14,10 @@ across a crash:
   HotStuff-1's ``C(v_lc)`` / a classic ``locked_qc``).
 * ``commit`` — a block hash was appended to the committed ledger.
 
-Certificates are stored as durable record documents
-(:func:`repro.live.codec.message_to_wire`): the tagged-JSON form of the
-type declarations the wire layouts are compiled from, never framed, and
-tolerant of fields a record written before them lacks.
+Each record is a small JSON object; a certificate rides in it as its wire
+layout in hex (:func:`repro.live.codec.record_of`).  A run clears its
+file-backed logs before it starts, so a record is only ever read by the code
+that wrote it and needs no tolerance across layout versions.
 :meth:`WriteAheadLog.reduce` folds the record stream into the latest-state
 summary recovery needs.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.consensus.certificates import Certificate
-from repro.live.codec import message_from_wire, message_to_wire
+from repro.live.codec import from_record, record_of
 from repro.storage.backend import LogBackend
 
 #: Record kinds understood by :meth:`WriteAheadLog.reduce`.
@@ -56,7 +56,7 @@ class WalRecord:
         if self.kind == KIND_VOTE:
             record.update(view=self.view, slot=self.slot, block_hash=self.block_hash)
         elif self.kind in (KIND_HIGH_CERT, KIND_COMMIT_CERT):
-            record["cert"] = message_to_wire(self.cert)
+            record["cert"] = record_of(self.cert)
         elif self.kind == KIND_COMMIT:
             record["block_hash"] = self.block_hash
         elif self.kind == KIND_ENTERED_VIEW:
@@ -77,7 +77,7 @@ class WalRecord:
                 block_hash=str(record["block_hash"]),
             )
         if kind in (KIND_HIGH_CERT, KIND_COMMIT_CERT):
-            return cls(kind=kind, cert=message_from_wire(record["cert"]))
+            return cls(kind=kind, cert=from_record(record["cert"], Certificate))
         if kind == KIND_COMMIT:
             return cls(kind=kind, block_hash=str(record["block_hash"]))
         if kind == KIND_ENTERED_VIEW:
@@ -107,11 +107,6 @@ class WalState:
     entered_view: int = 0
     #: Last persisted per-sender view table snapshot (folded max per sender).
     peer_views: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def voted_views(self) -> Set[int]:
-        """The views a vote was ever cast in (any slot)."""
-        return {view for view, _slot in self.voted}
 
 
 class WriteAheadLog:

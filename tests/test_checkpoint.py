@@ -32,12 +32,16 @@ from repro.experiments.executor import execute_scenario
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.scenarios import snapshot_recovery_spec
 from repro.faults.plan import SNAPSHOT_HOOKS, FaultEvent, FaultPlan
+from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
 from repro.ledger.kvstore import KVStateMachine
 from repro.ledger.ledger import CommittedLedger
 from repro.ledger.speculative import SpeculativeLedger
 from repro.ledger.tpcc_state import TPCCStateMachine
+from repro.live.codec import decode_message, encode_message, from_record, record_of
 from repro.storage import MemoryLogBackend, RecoveryManager, ReplicaStore, WriteAheadLog
+from repro.storage.backend import read_jsonl_log
+from repro.storage.store import inspect_storage_dir
 from tests.conftest import build_chain, make_txn
 from tests.helpers import ReplicaHarness
 
@@ -192,7 +196,7 @@ class TestSnapshotVerification:
     def test_wire_round_trip_preserves_verifiability(self):
         harness = ReplicaHarness(HotStuff1Replica)
         snapshot, _, _ = _sealed_snapshot(harness)
-        rebuilt = Snapshot.from_dict(json.loads(json.dumps(snapshot.to_dict())))
+        rebuilt = from_record(json.loads(json.dumps(record_of(snapshot))), Snapshot)
         assert rebuilt == snapshot
         assert verify_snapshot(rebuilt, harness.authority) is None
 
@@ -304,14 +308,13 @@ class TestStateTransferHandlers:
         assert replica.snapshots_installed == 1
         assert replica.mempool.peek_count() == 3
 
-    def test_txn_horizon_survives_the_wire_and_tolerates_old_senders(self):
+    def test_txn_horizon_survives_the_wire_and_the_snapshot_log(self):
         harness = ReplicaHarness(HotStuff1Replica)
         snapshot, _, _ = _sealed_snapshot(harness)
         snapshot = replace(snapshot, txn_horizon=42)
-        doc = json.loads(json.dumps(snapshot.to_dict()))
-        assert Snapshot.from_dict(doc).txn_horizon == 42
-        doc.pop("txn_horizon")  # a sender predating the field
-        assert Snapshot.from_dict(doc).txn_horizon == -1
+        response = decode_message(encode_message(SnapshotResponse(responder=1, snapshot=snapshot)))
+        assert response.snapshot.txn_horizon == 42
+        assert from_record(json.loads(json.dumps(record_of(snapshot))), Snapshot).txn_horizon == 42
 
     def test_oversize_snapshot_is_declined_not_dropped(self, monkeypatch):
         """Regression: a snapshot too large for one wire frame used to be
@@ -415,7 +418,7 @@ class TestWalCompaction:
         store.close()
         path = os.path.join(tmp_path, "replica-0", "snapshots.jsonl")
         with open(path, "a") as handle:
-            handle.write('{"__t": "snapshot", "height": 99, "torn": tru')
+            handle.write(json.dumps(record_of(snapshot))[:-9])  # torn mid-record
         reopened = ReplicaStore.at_path(tmp_path, 0)
         assert reopened.latest_snapshot() == snapshot
         reopened.close()
@@ -467,10 +470,10 @@ class TestCheckpointedRecovery:
         )
         store.add(fork)
         store.prune_siblings_of(chain[0])
-        assert any(rec["block_hash"] == fork.block_hash for rec in backend.replay())
+        assert fork.block_hash in _logged_hashes(backend)
         dropped = store.compact_log()
         assert dropped == 1  # the pruned fork finally leaves the log
-        assert not any(rec["block_hash"] == fork.block_hash for rec in backend.replay())
+        assert fork.block_hash not in _logged_hashes(backend)
         rebuilt = DurableBlockStore(backend)
         assert len(rebuilt) == len(store)
 
@@ -547,6 +550,27 @@ class TestSnapshotScenarioAndCli:
         assert "replica-0" not in out  # rendered as bare ids
         assert main(["snapshot", os.path.join(str(tmp_path), "missing")]) == 2
 
+    def test_snapshot_cli_skips_a_record_that_does_not_decode(self, tmp_path):
+        spec = ExperimentSpec(
+            protocol="hotstuff-1", n=4, batch_size=10, duration=0.4, warmup=0.1,
+            checkpoint_interval=5, storage_dir=str(tmp_path),
+        )
+        run_experiment(spec)
+        before = inspect_storage_dir(str(tmp_path), replica_id=0)[0]
+        assert isinstance(before["snapshot_height"], int) and before["cert_ok"] is True
+        path = os.path.join(str(tmp_path), "replica-0", "snapshots.jsonl")
+        intact = read_jsonl_log(path)[-1]
+        with open(path, "a", encoding="utf-8") as handle:
+            for garbled in (
+                intact[:40] + "zz" + intact[42:],  # not hex
+                "ff" + intact[2:],  # hex, but no type has that tag byte
+                intact[:-10],  # a record cut short
+                record_of(from_record(intact, Snapshot).block),  # a record of another type
+            ):
+                handle.write(json.dumps(garbled) + "\n")
+        assert len(read_jsonl_log(path)) == 5
+        assert inspect_storage_dir(str(tmp_path), replica_id=0)[0] == before
+
     def test_fuzz_cli_covers_snapshot_hooks(self, capsys):
         from repro.cli import main
 
@@ -563,15 +587,8 @@ class TestSnapshotScenarioAndCli:
 
 
 def _jsonl_lines(base, replica_dir, name):
-    path = os.path.join(str(base), replica_dir, name)
-    lines = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                lines.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return lines
+    return read_jsonl_log(os.path.join(str(base), replica_dir, name))
+
+
+def _logged_hashes(backend):
+    return {from_record(record, Block).block_hash for record in backend.replay()}

@@ -294,7 +294,7 @@ def test_simulator_fires_in_nondecreasing_time_order(delays):
 
 
 # --------------------------------------------------------------------------
-# Wire codec: every message type, generated fields; record documents
+# Wire codec: every message type, generated fields, framed and as records
 # --------------------------------------------------------------------------
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _WIRE_INTS = st.one_of(
@@ -359,7 +359,9 @@ def _wire_strategy(hint):
     return _PAYLOADS  # Transaction.payload, Snapshot.state
 
 
-@pytest.mark.parametrize("cls", codec.MESSAGE_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "cls", codec.MESSAGE_TYPES + (Block, Certificate, Snapshot), ids=lambda cls: cls.__name__
+)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_every_message_type_round_trips_with_generated_fields(cls, data):
@@ -375,12 +377,16 @@ def test_every_message_type_round_trips_with_generated_fields(cls, data):
 )
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_every_registered_type_round_trips_as_a_record_document(cls, data):
-    """The WAL, block log and snapshot log store record documents as JSON
-    lines: whatever a field holds comes back equal, through the JSON text."""
+def test_every_registered_type_round_trips_as_a_log_record(cls, data):
+    """The WAL, block log and snapshot log store records as JSON lines:
+    whatever a field holds comes back equal through the JSON text, and a
+    record read as another type is refused."""
     value = data.draw(_wire_strategy(cls))
-    document = json.loads(json.dumps(codec.message_to_wire(value)))
-    assert codec.message_from_wire(document) == value
+    record = json.loads(json.dumps(codec.record_of(value)))
+    assert codec.from_record(record, cls) == value
+    other = Certificate if cls is Block else Block
+    with pytest.raises(codec.CodecError, match=f"holds a {cls.__name__}, not a {other.__name__}"):
+        codec.from_record(record, other)
 
 
 def _schema_strategy(kind, uint_max=2**70 - 1):

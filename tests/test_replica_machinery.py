@@ -234,7 +234,7 @@ class TestVotingRule:
         harness.replica.pacemaker.force_enter(2)
         harness.replica.handle_propose(proposal, sender=harness.leaders.leader_of(2))
         harness.run(0.01)
-        assert 2 in harness.replica._voted_views
+        assert harness.replica.last_voted_view == 2
 
     def test_replica_refuses_stale_justify(self):
         harness = ReplicaHarness(HotStuff2Replica, replica_id=0)
@@ -250,7 +250,7 @@ class TestVotingRule:
         harness.replica.pacemaker.force_enter(3)
         harness.replica.handle_propose(stale_proposal, sender=harness.leaders.leader_of(3))
         harness.run(0.01)
-        assert 3 not in harness.replica._voted_views
+        assert harness.replica.last_voted_view < 3
 
     def test_proposal_from_non_leader_is_ignored(self):
         harness = ReplicaHarness(HotStuff2Replica, replica_id=0)
@@ -261,7 +261,7 @@ class TestVotingRule:
         wrong_sender = (harness.leaders.leader_of(2) + 1) % harness.config.n
         harness.replica.handle_propose(proposal, sender=wrong_sender)
         harness.run(0.01)
-        assert 2 not in harness.replica._voted_views
+        assert harness.replica.last_voted_view < 2
 
     def test_malformed_block_parent_is_rejected(self):
         harness = ReplicaHarness(HotStuff2Replica, replica_id=0)
@@ -277,7 +277,7 @@ class TestVotingRule:
         harness.replica.pacemaker.force_enter(2)
         harness.replica.handle_propose(proposal, sender=harness.leaders.leader_of(2))
         harness.run(0.01)
-        assert 2 not in harness.replica._voted_views
+        assert harness.replica.last_voted_view < 2
 
 
 class TestEnvelope:
@@ -313,7 +313,7 @@ class TestNewViewCollection:
             harness.replica.handle_new_view(message, sender=voter)
         assert harness.replica.high_cert.block_hash == block1.block_hash
         # Being the leader of view 2, it proposes once the certificate is formed.
-        assert 2 in harness.replica._proposed_views
+        assert harness.replica.last_proposed_view == 2
 
 
 class TestViewBucketsArePruned:

