@@ -17,7 +17,7 @@ prefix at a checkpoint height:
 
 A snapshot has one serialisation, the binary layout of
 :mod:`repro.live.codec`: the ``SnapshotResponse`` wire message carries it,
-and the snapshot log stores it as hex (:func:`repro.live.codec.record_of`).
+and the snapshot log stores it in base64 (:func:`repro.live.codec.record_of`).
 A run clears its file-backed logs before it starts, so a stored snapshot is
 only ever read by the code that wrote it.
 """

@@ -18,13 +18,16 @@ Matching responses
 A replica answers a block with one :class:`ClientResponseBatch`: the block
 hash, one ``results_root`` and, per transaction, its id and success bit.
 
-* **What the root covers.**  ``results_root = combine_digests([block_hash,
-  *result digests in block order])``, each result digest a hash of ``(txn_id,
-  success, output)``: the block and the outcome of every transaction in it.
+* **What the root covers.**  ``results_root = hash_fields("results",
+  block_hash, successes, outputs)``: one SHA-256 over the block hash and every
+  transaction's success bit and output, in block order — the block and the
+  outcome of every transaction in it (the transaction ids are bound by the
+  block hash).  The ledger computes it once, when it executes the block
+  (:mod:`repro.ledger.speculative`).
 * **Honest replicas agree on the root iff they agree on every entry.**  The
   block hash fixes the whole ancestry and execution is deterministic, so
-  replicas that executed the same block computed the same results and root;
-  equal roots mean (collision resistance) the same block and result list.
+  replicas that executed the same block computed the same outcomes and root;
+  equal roots mean (collision resistance) the same block and outcome list.
   One root says strictly more than a digest per transaction.
 * **Counting stays per transaction.**  The matching key of a response for
   transaction *t* is everything the batch states about it — ``(block_hash,
@@ -40,7 +43,7 @@ hash, one ``results_root`` and, per transaction, its id and success bit.
   :class:`~repro.consensus.byzantine.RollbackAttackBehavior` or
   :class:`~repro.consensus.byzantine.TailForkingBehavior` speculated a block
   the rest never execute; its speculative root counts only towards that
-  block's key, as its per-transaction digests did.
+  block's key.
 """
 
 from __future__ import annotations

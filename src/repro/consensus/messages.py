@@ -63,9 +63,9 @@ class ClientResponseBatch:
 
     ``speculative`` distinguishes early finality confirmations (HotStuff-1's
     commit-votes with speculative results) from post-commit responses.
-    ``results_root`` is ``combine_digests([block_hash, *result digests in
-    block order])``: one digest over the whole block's execution, which is
-    what clients match across replicas (:mod:`repro.consensus.client`,
+    ``results_root`` is ``hash_fields("results", block_hash, successes,
+    outputs)``: one digest over the whole block's execution, which is what
+    clients match across replicas (:mod:`repro.consensus.client`,
     "Matching responses").
     """
 

@@ -53,7 +53,6 @@ from repro.consensus.messages import (
 )
 from repro.consensus.metrics import MetricsCollector
 from repro.consensus.pacemaker import Pacemaker
-from repro.crypto.hashing import combine_digests
 from repro.crypto.threshold import SignatureShare
 from repro.errors import InvalidCertificateError
 from repro.ledger.block import Block
@@ -308,13 +307,17 @@ class BaseReplica:
         for txn in msg.txns:
             self.mempool.add(txn)
 
-    def respond_to_clients(self, block: Block, results, speculative: bool, delay: float = 0.0) -> None:
+    def respond_to_clients(
+        self, block: Block, successes, results_root: str, speculative: bool, delay: float = 0.0
+    ) -> None:
         """Send one response batch per client pool for *block*'s transactions.
 
-        ``delay`` models the simulated CPU time spent executing the block and
-        assembling the responses before they leave the replica.
+        *successes* and *results_root* are the block's outcome as the ledger
+        computed it at execution.  ``delay`` models the simulated CPU time
+        spent executing the block and assembling the responses before they
+        leave the replica.
         """
-        if not block.transactions or not results:
+        if not block.transactions or not successes:
             return
         batch = ClientResponseBatch(
             replica_id=self.replica_id,
@@ -323,14 +326,10 @@ class BaseReplica:
             block_hash=block.block_hash,
             speculative=speculative,
             entries=tuple(
-                ResponseEntry(txn_id=result.txn_id, client_id=txn.client_id, success=result.success)
-                for txn, result in zip(block.transactions, results)
+                ResponseEntry(txn_id=txn.txn_id, client_id=txn.client_id, success=success)
+                for txn, success in zip(block.transactions, successes)
             ),
-            # One digest for the block's whole execution (each result digest
-            # binds its txn id, success and output) instead of one per entry.
-            results_root=combine_digests(
-                [block.block_hash, *[result.result_digest for result in results]]
-            ),
+            results_root=results_root,
         )
         batch = self.behavior.outgoing_response(self, batch)
         for client_node in self.client_node_ids:
@@ -441,7 +440,8 @@ class BaseReplica:
                 self.store.record_commit(outcome.block.block_hash)
             if not outcome.was_speculated:
                 self.respond_to_clients(
-                    outcome.block, outcome.results, speculative=False, delay=response_delay
+                    outcome.block, outcome.successes, outcome.results_root,
+                    speculative=False, delay=response_delay,
                 )
             if self.report_metrics:
                 self.metrics.record_consensus_commit(outcome.block.txn_count)
@@ -517,10 +517,12 @@ class BaseReplica:
         """Speculatively execute *block* and send early finality confirmations."""
         if self.ledger.is_committed(block.block_hash) or self.ledger.is_speculated(block.block_hash):
             return
-        results = self.ledger.speculate(block)
+        entry = self.ledger.speculate(block)
         if self.tracer is not None:
             self.tracer.block_speculated(block, replica=self.replica_id)
-        self.respond_to_clients(block, results, speculative=True, delay=response_delay)
+        self.respond_to_clients(
+            block, entry.successes, entry.results_root, speculative=True, delay=response_delay
+        )
         if self.report_metrics:
             self.metrics.record_speculative_execution(block.txn_count)
 

@@ -11,7 +11,7 @@ This package provides the data model the consensus protocols agree on:
 * :class:`~repro.ledger.blockstore.BlockStore` — the block tree with ancestry
   queries (``extends``, common ancestor, path-to-genesis),
 * state machines (:mod:`repro.ledger.kvstore`, :mod:`repro.ledger.tpcc_state`)
-  that execute transactions and support undo,
+  that execute a block of transactions and undo it as a whole,
 * :class:`~repro.ledger.speculative.SpeculativeLedger` — the paper's
   *global-ledger* (committed prefix) plus *local-ledger* (speculated suffix)
   with rollback to a common ancestor (§3, §4.2).
@@ -22,7 +22,7 @@ from repro.ledger.blockstore import BlockStore
 from repro.ledger.ledger import CommittedLedger
 from repro.ledger.kvstore import KVStateMachine
 from repro.ledger.speculative import SpeculativeLedger
-from repro.ledger.state_machine import ExecutionResult, StateMachine
+from repro.ledger.state_machine import StateMachine
 from repro.ledger.tpcc_state import TPCCStateMachine
 from repro.ledger.transaction import Transaction
 
@@ -30,7 +30,6 @@ __all__ = [
     "Block",
     "BlockStore",
     "CommittedLedger",
-    "ExecutionResult",
     "GENESIS_VIEW",
     "KVStateMachine",
     "SpeculativeLedger",

@@ -19,27 +19,39 @@ pseudocode uses:
   result to local-ledger" (guarded by the Prefix Speculation rule);
 * rollback to the common ancestor when a conflicting block must be speculated
   or committed (Definition 4.7).
+
+The block is the unit of execution and of rollback.  Executing a block yields
+its success bits, one undo log for the whole block, and one ``results_root``
+— ``hash_fields("results", block_hash, successes, outputs)``, a single
+SHA-256 over the block hash and every outcome in block order (the txn ids are
+bound by the block hash).  The root is what clients match across replicas
+(:mod:`repro.consensus.client`, "Matching responses"); the outputs are hashed
+into it and not kept.  Rollback and :meth:`SpeculativeLedger.snapshot_committed_state`
+undo (and re-execute) whole blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
+from repro.crypto.hashing import hash_fields
 from repro.errors import SpeculationError
 from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
 from repro.ledger.ledger import CommittedLedger
-from repro.ledger.state_machine import ExecutionResult, StateMachine, UndoRecord
+from repro.ledger.state_machine import StateMachine
+from repro.types import NULL_DIGEST
 
 
 @dataclass
 class SpeculativeEntry:
-    """A block executed speculatively, together with everything needed to undo it."""
+    """A block executed speculatively, with its outcome and the log that undoes it."""
 
     block: Block
-    results: List[ExecutionResult]
-    undo_records: List[UndoRecord] = field(default_factory=list)
+    successes: List[bool]
+    results_root: str
+    changes: List[tuple]
 
 
 @dataclass
@@ -50,8 +62,11 @@ class CommitOutcome:
     ----------
     block:
         The committed block.
-    results:
-        Execution results for the block's transactions.
+    successes:
+        Per-transaction success bits, in block order (empty when the block
+        was already committed).
+    results_root:
+        The block's results root (see the module docstring).
     was_speculated:
         ``True`` if the block had already been executed speculatively (so the
         replica has already answered the clients and must not answer again).
@@ -60,7 +75,8 @@ class CommitOutcome:
     """
 
     block: Block
-    results: List[ExecutionResult]
+    successes: List[bool]
+    results_root: str
     was_speculated: bool
     position: int
 
@@ -128,14 +144,11 @@ class SpeculativeLedger:
         """
         machine = self.state_machine
         for entry in reversed(self._speculated):
-            for record in reversed(entry.undo_records):
-                machine.undo(record)
+            machine.undo(entry.changes)
         payload = machine.snapshot_state()
         digest = machine.state_digest()
         for entry in self._speculated:
-            entry.undo_records = [
-                machine.apply_with_undo(txn)[1] for txn in entry.block.transactions
-            ]
+            entry.changes = machine.execute_block(entry.block.transactions).changes
         return payload, digest
 
     def install_snapshot(self, prefix_hashes: Sequence[str], state_payload: dict) -> None:
@@ -152,7 +165,7 @@ class SpeculativeLedger:
         self.committed = fresh
 
     # -------------------------------------------------------------- speculate
-    def speculate(self, block: Block) -> List[ExecutionResult]:
+    def speculate(self, block: Block) -> SpeculativeEntry:
         """Speculatively execute *block* and record it on the local ledger.
 
         Enforces the Prefix Speculation rule: the block's predecessor must be
@@ -161,12 +174,12 @@ class SpeculativeLedger:
         so the suffix is rolled back first, as Lines 25–26 / 13–14 of the
         pseudocode require.
 
-        Speculating the same block twice is idempotent and returns the cached
-        results.
+        Returns the block's :class:`SpeculativeEntry`.  Speculating the same
+        block twice is idempotent and returns the cached entry.
         """
         for entry in self._speculated:
             if entry.block.block_hash == block.block_hash:
-                return entry.results
+                return entry
         if not self.prefix_committed(block):
             raise SpeculationError(
                 f"cannot speculate block (view={block.view}, slot={block.slot}): "
@@ -175,10 +188,10 @@ class SpeculativeLedger:
         if self._speculated:
             self.rollback_to_committed_head()
         self.block_store.add(block)
-        results, undo_records = self._execute_block(block)
-        self._speculated.append(SpeculativeEntry(block=block, results=results, undo_records=undo_records))
+        entry = self._execute_block(block)
+        self._speculated.append(entry)
         self.speculated_block_count += 1
-        return results
+        return entry
 
     # ---------------------------------------------------------------- commit
     def commit(self, block: Block) -> CommitOutcome:
@@ -191,12 +204,12 @@ class SpeculativeLedger:
         self.block_store.add(block)
         if self.is_committed(block.block_hash):
             position = self.committed.position_of(block.block_hash)
-            return CommitOutcome(block=block, results=[], was_speculated=False, position=position or 0)
+            return CommitOutcome(block, [], NULL_DIGEST, was_speculated=False, position=position or 0)
 
         if self._speculated and self._speculated[0].block.block_hash == block.block_hash:
             entry = self._speculated.pop(0)
             position = self.committed.append(block)
-            return CommitOutcome(block=block, results=entry.results, was_speculated=True, position=position)
+            return CommitOutcome(block, entry.successes, entry.results_root, was_speculated=True, position=position)
 
         if self._speculated:
             # Whatever is speculated conflicts with the block being committed.
@@ -207,9 +220,9 @@ class SpeculativeLedger:
                 f"cannot commit block (view={block.view}, slot={block.slot}): "
                 "its parent is not the committed head; commit the prefix first"
             )
-        results, _ = self._execute_block(block)
+        entry = self._execute_block(block)
         position = self.committed.append(block)
-        return CommitOutcome(block=block, results=results, was_speculated=False, position=position)
+        return CommitOutcome(block, entry.successes, entry.results_root, was_speculated=False, position=position)
 
     def commit_chain(self, target: Block) -> List[CommitOutcome]:
         """Commit every uncommitted ancestor of *target*, then *target* itself.
@@ -252,8 +265,7 @@ class SpeculativeLedger:
         rolled_back: List[Block] = []
         while self._speculated:
             entry = self._speculated.pop()
-            for record in reversed(entry.undo_records):
-                self.state_machine.undo(record)
+            self.state_machine.undo(entry.changes)
             rolled_back.append(entry.block)
             self.rolled_back_txns += entry.block.txn_count
         if rolled_back:
@@ -277,11 +289,7 @@ class SpeculativeLedger:
         return self.rollback_to_committed_head()
 
     # -------------------------------------------------------------- internal
-    def _execute_block(self, block: Block) -> Tuple[List[ExecutionResult], List[UndoRecord]]:
-        results: List[ExecutionResult] = []
-        undo_records: List[UndoRecord] = []
-        for txn in block.transactions:
-            result, record = self.state_machine.apply_with_undo(txn)
-            results.append(result)
-            undo_records.append(record)
-        return results, undo_records
+    def _execute_block(self, block: Block) -> SpeculativeEntry:
+        successes, outputs, changes = self.state_machine.execute_block(block.transactions)
+        root = hash_fields("results", block.block_hash, successes, outputs)
+        return SpeculativeEntry(block, successes, root, changes)

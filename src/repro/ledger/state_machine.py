@@ -1,71 +1,44 @@
 """Abstract replicated state machine interface.
 
-The consensus layer orders transactions; the state machine executes them.  To
-support the paper's speculative execution with rollback, every state machine
-must be able to *undo* the effect of a previously applied transaction.  The
-concrete machines implement this with per-transaction undo records.
+The consensus layer orders blocks; the state machine executes them.  The
+block is the unit of execution, as in the paper: a replica executes a whole
+block speculatively, answers its clients for that block, and rolls back only
+whole blocks.  :meth:`StateMachine.execute_block` therefore runs a block's
+transactions in order and returns their success bits and outputs together
+with **one** undo log for the whole block; :meth:`StateMachine.undo` reverses
+such a log.
+
+A transaction that cannot execute (an unknown operation, a payload missing a
+field) does not stop the block: it becomes the failed outcome ``(False,
+{"error": <exception type name>})``, its partial writes are undone, and the
+rest of the block executes.  Any client, or a Byzantine leader, can put such
+a transaction in a block, so it must not halt the replicas that execute it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.crypto.hashing import hash_fields
-from repro.errors import ExecutionError
 from repro.ledger.transaction import Transaction
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    """Outcome of executing one transaction.
-
-    Attributes
-    ----------
-    txn_id:
-        The executed transaction.
-    success:
-        Whether the operation succeeded (e.g. TPC-C new-order may abort).
-    output:
-        Operation-specific result value (small and hashable-friendly).
-    result_digest:
-        Digest the client uses to match responses across replicas.
-    """
-
-    txn_id: int
-    success: bool
-    output: Any
-    result_digest: str
-
-    @staticmethod
-    def of(txn: Transaction, success: bool, output: Any) -> "ExecutionResult":
-        """Build a result for *txn*, computing the matching digest.
-
-        The digest is ``hash_fields("result", txn_id, success, output)``; this
-        runs once per transaction on every replica, so the same bytes are
-        rendered by one f-string instead of a generator and a ``join``.
-        """
-        txn_id = txn.txn_id
-        rendered = f"'result'\x1f{txn_id!r}\x1f{success!r}\x1f{output!r}"
-        digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-        return ExecutionResult(txn_id, success, output, digest)
-
-
-#: Old value recorded for a key the transaction created (undo removes it).
+#: Old value recorded for a key a write created (undo removes it).
 _MISSING = object()
 
 
-@dataclass
-class UndoRecord:
-    """Inverse of an applied transaction, sufficient to restore prior state.
+class BlockExecution(NamedTuple):
+    """What executing one block produced.
 
-    ``changes`` holds one ``(table_name, key, old_value)`` per write, in write
-    order; ``old_value`` is :data:`_MISSING` when the write created the key.
+    ``successes`` and ``outputs`` hold one entry per transaction, in block
+    order.  ``changes`` is the block's undo log: one ``(table_name, key,
+    old_value)`` per write, in write order, ``old_value`` being
+    :data:`_MISSING` when the write created the key.
     """
 
-    txn_id: int
+    successes: List[bool]
+    outputs: List[Any]
     changes: List[tuple]
 
 
@@ -75,16 +48,12 @@ class StateMachine:
     #: Per-transaction execution cost charged to the simulated CPU (seconds).
     execution_cost: float = 1.0e-6
 
-    def apply(self, txn: Transaction) -> ExecutionResult:
-        """Execute *txn*, record an undo entry internally, and return its result."""
+    def execute_block(self, txns: Sequence[Transaction]) -> BlockExecution:
+        """Execute *txns* in order; return their outcomes and the block's undo log."""
         raise NotImplementedError
 
-    def undo(self, record: "UndoRecord") -> None:
-        """Reverse a previously applied transaction given its undo record."""
-        raise NotImplementedError
-
-    def apply_with_undo(self, txn: Transaction) -> tuple:
-        """Execute *txn* and return ``(result, undo_record)``."""
+    def undo(self, changes: List[tuple]) -> None:
+        """Reverse a block given the undo log :meth:`execute_block` returned."""
         raise NotImplementedError
 
     def state_digest(self) -> str:
@@ -104,24 +73,20 @@ class StateMachine:
         """Replace the full state with a payload from :meth:`snapshot_state`."""
         raise NotImplementedError
 
-    def apply_batch(self, txns: Sequence[Transaction]) -> List[ExecutionResult]:
-        """Execute a batch in order and return the per-transaction results."""
-        return [self.apply(txn) for txn in txns]
-
 
 class RecordingStateMachine(StateMachine):
     """Helper base class implementing undo bookkeeping over a key/value core.
 
     Subclasses represent their state as named tables of ``key -> value`` and
     implement :meth:`_execute`, calling :meth:`_write` for every mutation so
-    the base class can capture old values for undo.
+    the base class can capture old values in the block's undo log.
     """
 
     def __init__(self) -> None:
         # A table exists from its first access; an empty one is
         # indistinguishable from an absent one (digests and snapshots skip it).
         self._tables: Dict[str, Dict[Any, Any]] = defaultdict(dict)
-        self._current_changes: Optional[List[tuple]] = None
+        self._changes: Optional[List[tuple]] = None
 
     # -------------------------------------------------------------- plumbing
     def table(self, name: str) -> Dict[Any, Any]:
@@ -131,7 +96,7 @@ class RecordingStateMachine(StateMachine):
     def _write(self, table_name: str, key: Any, value: Any) -> None:
         """Write ``table[key] = value`` recording the previous value for undo."""
         table = self._tables[table_name]
-        changes = self._current_changes
+        changes = self._changes
         if changes is not None:
             changes.append((table_name, key, table.get(key, _MISSING)))
         table[key] = value
@@ -141,25 +106,36 @@ class RecordingStateMachine(StateMachine):
         return self._tables[table_name].get(key, default)
 
     # ------------------------------------------------------------------- api
-    def apply(self, txn: Transaction) -> ExecutionResult:
-        result, _ = self.apply_with_undo(txn)
-        return result
-
-    def apply_with_undo(self, txn: Transaction) -> tuple:
-        changes = self._current_changes = []
+    def execute_block(self, txns: Sequence[Transaction]) -> BlockExecution:
+        changes: List[tuple] = []
+        successes: List[bool] = []
+        outputs: List[Any] = []
+        execute = self._execute
+        self._changes = changes
         try:
-            success, output = self._execute(txn)
-        except ExecutionError:
-            raise
-        except Exception as exc:  # pragma: no cover - defensive
-            raise ExecutionError(f"transaction {txn.txn_id} failed: {exc}") from exc
+            for txn in txns:
+                mark = len(changes)
+                try:
+                    success, output = execute(txn)
+                except Exception as exc:  # client input: any failure is the txn's outcome
+                    # Undo the failed transaction's partial writes, keep the rest.
+                    self.undo(changes[mark:])
+                    del changes[mark:]
+                    success, output = False, {"error": type(exc).__name__}
+                successes.append(success)
+                outputs.append(output)
         finally:
-            self._current_changes = None
-        return ExecutionResult.of(txn, success, output), UndoRecord(txn.txn_id, changes)
+            self._changes = None
+        return BlockExecution(successes, outputs, changes)
 
-    def undo(self, record: UndoRecord) -> None:
+    def apply(self, txn: Transaction) -> tuple:
+        """Execute *txn* as a one-transaction block; return ``(success, output)``."""
+        execution = self.execute_block((txn,))
+        return execution.successes[0], execution.outputs[0]
+
+    def undo(self, changes: List[tuple]) -> None:
         tables = self._tables
-        for table_name, key, old_value in reversed(record.changes):
+        for table_name, key, old_value in reversed(changes):
             if old_value is _MISSING:
                 tables[table_name].pop(key, None)
             else:
@@ -210,7 +186,7 @@ class RecordingStateMachine(StateMachine):
                 for name, items in payload.get("tables", {}).items()
             },
         )
-        self._current_changes = None
+        self._changes = None
 
     @classmethod
     def payload_digest(cls, payload: Dict[str, Any]) -> str:

@@ -99,9 +99,9 @@ transport would put on a socket.
 
 **Durable records.**  The write-ahead log (:mod:`repro.storage.wal`), the
 durable block log (:mod:`repro.storage.blockstore`) and the snapshot log
-(:mod:`repro.checkpoint.snapshot`) store the same layout, unframed, as a hex
-string (:func:`record_of` / :func:`from_record`): a JSON-compatible line the
-log backends repair line by line.  A record is only ever read back by the
+(:mod:`repro.checkpoint.snapshot`) store the same layout, unframed, as a
+base64 string (:func:`record_of` / :func:`from_record`): a JSON-compatible
+line the log backends repair line by line.  A record is only ever read back by the
 code that wrote it (a run clears its file-backed stores before it starts), so
 it needs no tolerance across layout versions.
 
@@ -114,6 +114,7 @@ simulated network, whose tests send plain strings) fall back to a default.
 from __future__ import annotations
 
 import asyncio
+import base64
 import dataclasses
 import itertools
 import operator
@@ -573,19 +574,19 @@ _T = TypeVar("_T")
 
 
 def record_of(value: Any) -> str:
-    """The durable log record of a registered object: its tagged layout, as hex."""
-    return encode_message(value).hex()
+    """The durable log record of a registered object: its tagged layout, in base64."""
+    return base64.b64encode(encode_message(value)).decode("ascii")
 
 
 def from_record(record: Any, cls: Type[_T]) -> _T:
     """Decode a :func:`record_of` record that must hold a *cls*.
 
-    A record that is not hex, does not decode or holds another type raises
+    A record that is not base64, does not decode or holds another type raises
     :class:`CodecError`.
     """
     try:
-        data = bytes.fromhex(record)
-    except (TypeError, ValueError) as exc:
+        data = base64.b64decode(record, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise CodecError(f"not a durable record: {exc}") from exc
     value = decode_message(data)
     if not isinstance(value, cls):

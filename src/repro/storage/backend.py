@@ -4,7 +4,7 @@ A backend is a sequence of JSON-compatible records with exactly two
 operations: *append* one record, and *replay* every record appended so far.
 Durability is the backend's whole job; interpretation of the records belongs
 to their writers, which store blocks, certificates and snapshots as their wire
-layout in hex (:func:`repro.live.codec.record_of`).  A run clears its
+layout in base64 (:func:`repro.live.codec.record_of`).  A run clears its
 file-backed logs first, so no record is read by another version of the code.
 
 Two implementations:

@@ -7,7 +7,7 @@ how a restarted replica gets its blocks back.  Pruning (see
 :meth:`BlockStore.prune_siblings_of`) only trims the in-memory tree — the
 append-only log keeps the raw history and pruned orphans are simply re-pruned
 as the committed chain replays after a restart.  Each block is logged as its
-wire layout in hex (:func:`repro.live.codec.record_of`), the record form all
+wire layout in base64 (:func:`repro.live.codec.record_of`), the record form all
 three durable logs share.
 """
 

@@ -15,7 +15,7 @@ across a crash:
 * ``commit`` — a block hash was appended to the committed ledger.
 
 Each record is a small JSON object; a certificate rides in it as its wire
-layout in hex (:func:`repro.live.codec.record_of`).  A run clears its
+layout in base64 (:func:`repro.live.codec.record_of`).  A run clears its
 file-backed logs before it starts, so a record is only ever read by the code
 that wrote it and needs no tolerance across layout versions.
 :meth:`WriteAheadLog.reduce` folds the record stream into the latest-state

@@ -134,7 +134,7 @@ class TestRollbackAttack:
         )
         attacked = run_experiment(spec)
         assert attacked.summary.rollbacks > 0
-        # Clients finalise on n - f matching result digests, which the victim
+        # Clients finalise on n - f matching results roots, which the victim
         # could not supply if a rolled-back block had left anything behind
         # (TPC-C answers are read from index tables the undo log must cover).
         assert attacked.summary.committed_txns > 0
@@ -147,7 +147,7 @@ class TestRollbackAttack:
         reference = attacked.client_pool.workload.make_state_machine()
         digest_at = {}
         for height, block in enumerate(longest, start=1):
-            reference.apply_batch(block.transactions)
+            reference.execute_block(block.transactions)
             if height in heights:
                 digest_at[height] = reference.state_digest()
         for replica in honest:

@@ -39,9 +39,11 @@ from repro.ledger.ledger import CommittedLedger
 from repro.ledger.speculative import SpeculativeLedger
 from repro.ledger.tpcc_state import TPCCStateMachine
 from repro.live.codec import decode_message, encode_message, from_record, record_of
+from repro.sim.rng import SeededRng
 from repro.storage import MemoryLogBackend, RecoveryManager, ReplicaStore, WriteAheadLog
 from repro.storage.backend import read_jsonl_log
 from repro.storage.store import inspect_storage_dir
+from repro.workloads.tpcc import TPCCWorkload
 from tests.conftest import build_chain, make_txn
 from tests.helpers import ReplicaHarness
 
@@ -87,9 +89,9 @@ class TestStateMachineSnapshots:
         machine.apply(make_txn(1))
         restored = KVStateMachine()
         restored.restore_state(json.loads(json.dumps(machine.snapshot_state())))
-        result, undo = restored.apply_with_undo(make_txn(2))
-        assert result.success
-        restored.undo(undo)
+        execution = restored.execute_block([make_txn(2)])
+        assert execution.successes == [True]
+        restored.undo(execution.changes)
         assert restored.state_digest() == machine.state_digest()
 
 
@@ -110,6 +112,42 @@ class TestCommittedSnapshotExcludesSpeculation:
         assert ledger.state_digest() == speculated_digest
         ledger.rollback_to_committed_head()
         assert ledger.state_digest() == committed_digest
+
+
+    def test_tpcc_two_block_chain_suffix_is_excluded_and_reinstated(self, block_store):
+        """The same over two TPC-C blocks, whose transactions also write the
+        index tables: the speculated block's one undo log is undone for the
+        capture and re-created by re-executing the block."""
+        workload = TPCCWorkload(warehouses=1, items=50)
+        rng = SeededRng(3)
+        genesis = block_store.genesis
+        first = Block.build(1, 1, genesis.block_hash, 0, [workload.next_transaction(1, rng) for _ in range(12)])
+        second = Block.build(2, 1, first.block_hash, 0, [workload.next_transaction(1, rng) for _ in range(12)])
+        block_store.add(first)
+        block_store.add(second)
+        ledger = SpeculativeLedger(workload.make_state_machine(), block_store)
+        ledger.commit(first)
+        committed_digest = ledger.state_digest()
+        ledger.speculate(second)
+        speculated_digest = ledger.state_digest()
+        assert speculated_digest != committed_digest
+
+        payload, digest = ledger.snapshot_committed_state()
+        assert digest == committed_digest  # no speculative leak
+        assert TPCCStateMachine.payload_digest(payload) == committed_digest
+        assert ledger.state_digest() == speculated_digest
+        ledger.rollback_to_committed_head()
+        assert ledger.state_digest() == committed_digest
+
+        # Speculated again, captured again, then promoted: the committed state
+        # is what executing both blocks on a fresh machine gives.
+        ledger.speculate(second)
+        assert ledger.snapshot_committed_state()[1] == committed_digest
+        assert ledger.commit(second).was_speculated
+        reference = workload.make_state_machine()
+        for block in (first, second):
+            reference.execute_block(block.transactions)
+        assert ledger.state_digest() == reference.state_digest() == speculated_digest
 
 
 class TestCommittedLedgerBase:
@@ -162,8 +200,7 @@ def _sealed_snapshot(harness, length=3, txns_per_block=2):
     chain = build_chain(donor_store, length, txns_per_block=txns_per_block)
     machine = KVStateMachine()
     for block in chain:
-        for txn in block.transactions:
-            machine.apply(txn)
+        machine.execute_block(block.transactions)
     return Snapshot(
         height=length,
         block=chain[-1],
@@ -562,8 +599,8 @@ class TestSnapshotScenarioAndCli:
         intact = read_jsonl_log(path)[-1]
         with open(path, "a", encoding="utf-8") as handle:
             for garbled in (
-                intact[:40] + "zz" + intact[42:],  # not hex
-                "ff" + intact[2:],  # hex, but no type has that tag byte
+                intact[:40] + "!!" + intact[42:],  # not base64
+                "//" + intact[2:],  # base64, but no type has that tag byte (0xff)
                 intact[:-10],  # a record cut short
                 record_of(from_record(intact, Snapshot).block),  # a record of another type
             ):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
@@ -152,6 +153,18 @@ class TestMessageRoundTrip:
     def test_garbage_bytes_raise_codec_error(self):
         with pytest.raises(codec.CodecError):
             codec.decode_message(b"not json at all{")
+
+    def test_a_durable_record_is_the_layout_in_base64(self):
+        _, block, _, _ = _fixture_objects()
+        record = codec.record_of(block)
+        assert base64.b64decode(record) == codec.encode_message(block)
+        assert len(record) == 4 * -(-len(codec.encode_message(block)) // 3)  # 4/3 of the bytes
+        assert codec.from_record(record, Block) == block
+
+    @pytest.mark.parametrize("record", [None, 7, "A!==", "AAA", "é" * 4], ids=repr)
+    def test_a_record_that_is_not_base64_raises_codec_error(self, record):
+        with pytest.raises(codec.CodecError, match="not a durable record"):
+            codec.from_record(record, Block)
 
     def test_the_bytes_did_not_move(self, monkeypatch):
         """One digest over every message's encoding and its untraced and

@@ -24,6 +24,7 @@ from repro.consensus.messages import (
     ResponseEntry,
     SnapshotRequest,
 )
+from repro.crypto.hashing import hash_fields
 from repro.crypto.threshold import ThresholdScheme, ThresholdSignature
 from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
@@ -167,6 +168,43 @@ def test_commit_after_speculation_equals_direct_commit(prefix_len, value):
     ledger_b.commit_chain(blocks_b[-1])
     assert machine_a.state_digest() == machine_b.state_digest()
     assert ledger_a.committed.ledger_digest() == ledger_b.committed.ledger_digest()
+
+
+_KEYS = st.sampled_from(["k1", "k2", "k3"])
+_BLOCK_OPS = st.one_of(
+    st.tuples(st.just("ycsb_write"), st.fixed_dictionaries({"key": _KEYS, "value": st.text(max_size=6)})),
+    st.tuples(st.just("ycsb_rmw"), st.fixed_dictionaries({"key": _KEYS, "value": st.text(max_size=6)})),
+    st.tuples(st.just("ycsb_read"), st.fixed_dictionaries({"key": _KEYS})),
+    st.tuples(st.just("ycsb_write"), st.fixed_dictionaries({"key": _KEYS})),  # raises: no value
+    st.tuples(st.just("bogus_op"), st.just({})),  # raises: unknown operation
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(_BLOCK_OPS, min_size=1, max_size=10), flip=st.integers(min_value=0))
+def test_block_undo_restores_state_and_the_root_binds_every_outcome(ops, flip):
+    """One undo log reverses a whole block, failed transactions included, and
+    flipping any one outcome changes the block's results root."""
+
+    def machine():
+        machine = KVStateMachine()
+        machine.apply(Transaction.create(1, "ycsb_write", {"key": "k1", "value": "base"}, txn_id=-1))
+        return machine
+
+    store = BlockStore()
+    txns = [Transaction.create(1, op, payload, txn_id=i) for i, (op, payload) in enumerate(ops)]
+    block = Block.build(1, 1, store.genesis.block_hash, 0, txns)
+    executed = machine()
+    digest_before = executed.state_digest()
+    successes, outputs, changes = executed.execute_block(block.transactions)
+    executed.undo(changes)
+    assert executed.state_digest() == digest_before
+
+    root = SpeculativeLedger(machine(), store).speculate(block).results_root
+    assert root == hash_fields("results", block.block_hash, successes, outputs)
+    flipped = list(successes)
+    flipped[flip % len(flipped)] ^= True
+    assert hash_fields("results", block.block_hash, flipped, outputs) != root
 
 
 # --------------------------------------------------------------------------

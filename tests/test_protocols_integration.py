@@ -206,3 +206,35 @@ class TestWorkloadIntegration:
             workload_kwargs={"warehouses": 1, "items": 50},
         )
         assert tpcc.throughput < ycsb.throughput
+
+
+class TestMalformedTransaction:
+    def test_run_commits_past_a_request_that_cannot_execute(self, monkeypatch):
+        """A ``ycsb_write`` without a ``value`` used to raise out of every
+        replica's ledger; it is now one failed outcome and the run goes on."""
+        from repro.ledger.transaction import Transaction
+        from repro.workloads.ycsb import YCSBWorkload
+
+        bad_id = 499
+        generate = YCSBWorkload.next_transaction
+
+        def next_transaction(self, client_id, rng, now=0.0):
+            txn = generate(self, client_id, rng, now)
+            if txn.txn_id != bad_id:
+                return txn
+            return Transaction.create(
+                client_id, "ycsb_write", {"key": txn.payload["key"]}, submitted_at=now, txn_id=bad_id
+            )
+
+        monkeypatch.setattr(YCSBWorkload, "next_transaction", next_transaction)
+        result = small_run("hotstuff-1", n=4, batch_size=20, duration=0.2)
+        chain = max((replica.ledger.committed.blocks() for replica in result.replicas), key=len)
+        bad_height = next(
+            height for height, block in enumerate(chain)
+            if any(txn.txn_id == bad_id for txn in block.transactions)
+        )
+        assert bad_height < len(chain) - 1, "nothing committed after the bad request"
+        # Replicas at the same height hold the same committed state.
+        digests = {replica.ledger.snapshot_committed_state()[1] for replica in result.replicas
+                   if len(replica.ledger.committed) == len(chain)}
+        assert len(digests) == 1

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.crypto.hashing import hash_fields
 from repro.errors import SpeculationError
 from repro.ledger.block import Block
+from repro.ledger.blockstore import BlockStore
 from repro.ledger.kvstore import KVStateMachine
 from repro.ledger.speculative import SpeculativeLedger
+from repro.ledger.tpcc_state import TPCCStateMachine
+from repro.ledger.transaction import Transaction
 
 from tests.conftest import build_chain, make_txn
 
@@ -60,8 +68,8 @@ class TestSpeculation:
     def test_speculation_after_prefix_committed(self, spec_ledger, block_store):
         blocks = build_chain(block_store, 2)
         spec_ledger.commit_chain(blocks[0])
-        results = spec_ledger.speculate(blocks[1])
-        assert len(results) == 1
+        entry = spec_ledger.speculate(blocks[1])
+        assert entry.successes == [True]
         assert spec_ledger.is_speculated(blocks[1].block_hash)
         assert not spec_ledger.is_committed(blocks[1].block_hash)
 
@@ -150,3 +158,83 @@ class TestAppendixA2Scenario:
         outcome = ledger.commit(block_b2)
         assert outcome.was_speculated
         assert ledger.is_committed(block_b2.block_hash)
+
+
+# ------------------------------------------------------------- results root
+def pinned_blocks():
+    """A YCSB and a TPC-C block with fixed ids, each with a failing transaction,
+    and the machines they execute on: ``[(name, machine, block), ...]``."""
+    genesis_hash = BlockStore().genesis.block_hash
+
+    def block(specs):
+        txns = [Transaction.create(7, op, payload, txn_id=100 + i) for i, (op, payload) in enumerate(specs)]
+        return Block.build(1, 1, genesis_hash, 0, txns)
+
+    ycsb = block([
+        ("ycsb_write", {"key": "user1", "value": "a"}),
+        ("ycsb_read", {"key": "user1"}),
+        ("ycsb_rmw", {"key": "user1", "value": "b"}),
+        ("ycsb_write", {"key": "user2"}),  # no value: a failed outcome
+        ("noop", {}),
+    ])
+    lines = [{"i_id": 3, "quantity": 2, "supply_w_id": 1}, {"i_id": 4, "quantity": 1, "supply_w_id": 1}]
+    tpcc = block([
+        ("tpcc_new_order", {"w_id": 1, "d_id": 1, "c_id": 1, "lines": lines}),
+        ("tpcc_payment", {"w_id": 1, "d_id": 1, "c_id": 1, "amount": 12.5}),
+        ("tpcc_order_status", {"w_id": 1, "d_id": 1, "c_id": 1}),
+        ("tpcc_new_order", {"w_id": 1, "d_id": 2, "c_id": 1, "lines": [{"i_id": 9999, "quantity": 1}]}),
+        ("tpcc_delivery", {"w_id": 1}),
+        ("tpcc_stock_level", {"w_id": 1, "threshold": 99}),
+        ("tpcc_unknown", {}),
+    ])
+    return [
+        ("ycsb", KVStateMachine(), ycsb),
+        ("tpcc", TPCCStateMachine(warehouses=1, items=50), tpcc),
+    ]
+
+
+def pinned_roots():
+    """``{name: results_root}`` of :func:`pinned_blocks`, as a ledger computes it."""
+    return {
+        name: SpeculativeLedger(machine, BlockStore()).speculate(block).results_root
+        for name, machine, block in pinned_blocks()
+    }
+
+
+class TestResultsRoot:
+    PINNED = {
+        "ycsb": "1b130259f184eea883df9c61f08111b4e9406d85a6d7150fa5f26c62ba9a180e",
+        "tpcc": "fc6cb9011539d92e508c28a88888c9630f4b608c336428efa443959f3113ebb0",
+    }
+
+    def test_root_rendering_is_pinned(self):
+        # Clients match responses across replicas (and across versions of this
+        # code) by this root: hash_fields("results", block_hash, successes, outputs).
+        roots = pinned_roots()
+        for name, machine, block in pinned_blocks():
+            successes, outputs, _ = machine.execute_block(block.transactions)
+            assert False in successes, name
+            assert roots[name] == hash_fields("results", block.block_hash, successes, outputs), name
+        assert roots == self.PINNED
+
+    def test_root_does_not_depend_on_the_hash_seed(self):
+        """Replica processes each salt ``str`` hashes differently."""
+        script = "from tests.test_speculative_ledger import pinned_roots\nprint(pinned_roots())\n"
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {f"{self.PINNED}\n"}
+
+    def test_speculation_and_commit_report_the_same_root(self, block_store):
+        blocks = build_chain(block_store, 2, txns_per_block=3)
+        speculated = SpeculativeLedger(KVStateMachine(), block_store)
+        speculated.commit_chain(blocks[0])
+        entry = speculated.speculate(blocks[1])
+        promoted = speculated.commit(blocks[1])
+        executed = SpeculativeLedger(KVStateMachine(), block_store).commit_chain(blocks[1])[-1]
+        assert promoted.was_speculated and not executed.was_speculated
+        assert promoted.results_root == entry.results_root == executed.results_root
+        assert promoted.successes == executed.successes == [True] * 3

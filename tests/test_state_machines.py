@@ -1,4 +1,4 @@
-"""Unit tests for the KV and TPC-C state machines (execution and undo)."""
+"""Unit tests for the KV and TPC-C state machines (block execution and undo)."""
 
 from __future__ import annotations
 
@@ -8,10 +8,7 @@ import sys
 
 import pytest
 
-from repro.crypto.hashing import hash_fields
-from repro.errors import ExecutionError
 from repro.ledger.kvstore import KVStateMachine
-from repro.ledger.state_machine import ExecutionResult
 from repro.ledger.tpcc_state import TPCCStateMachine
 from repro.ledger.transaction import Transaction
 
@@ -24,15 +21,15 @@ class TestKVStateMachine:
     def test_write_then_read(self):
         machine = KVStateMachine()
         machine.apply(write("user1", "hello"))
-        result = machine.apply(Transaction.create(1, "ycsb_read", {"key": "user1"}))
-        assert result.success
-        assert result.output["value"] == "hello"
+        success, output = machine.apply(Transaction.create(1, "ycsb_read", {"key": "user1"}))
+        assert success
+        assert output["value"] == "hello"
 
     def test_rmw_updates_value(self):
         machine = KVStateMachine()
         machine.apply(write("user2", "base"))
-        result = machine.apply(Transaction.create(1, "ycsb_rmw", {"key": "user2", "value": "new"}))
-        assert result.success
+        success, _ = machine.apply(Transaction.create(1, "ycsb_rmw", {"key": "user2", "value": "new"}))
+        assert success
         assert machine.read("user2").startswith("new")
 
     def test_rmw_is_deterministic_across_processes(self):
@@ -54,24 +51,62 @@ class TestKVStateMachine:
             outputs.add(done.stdout)
         assert len(outputs) == 1, outputs
 
-    def test_unknown_operation_raises(self):
+    def test_unknown_operation_is_a_failed_outcome(self):
         machine = KVStateMachine()
-        with pytest.raises(ExecutionError):
-            machine.apply(Transaction.create(1, "bogus_op"))
+        machine.apply(write("user1", "kept"))
+        digest = machine.state_digest()
+        assert machine.apply(Transaction.create(1, "bogus_op")) == (False, {"error": "ExecutionError"})
+        assert machine.state_digest() == digest
+
+    def test_failed_transaction_does_not_stop_the_block(self):
+        """A payload missing a field fails alone; its neighbours still execute."""
+        machine = KVStateMachine()
+        bad = Transaction.create(1, "ycsb_write", {"key": "user9"})
+        successes, outputs, changes = machine.execute_block([write("a", "1"), bad, write("b", "2")])
+        assert successes == [True, False, True]
+        assert outputs[1] == {"error": "KeyError"}
+        assert [key for _, key, _ in changes] == ["a", "b"]
+        assert (machine.read("a"), machine.read("user9"), machine.read("b")) == ("1", None, "2")
+
+    def test_failed_transaction_undoes_its_partial_writes(self):
+        """Writes made before the exception are rolled back to the txn's mark."""
+
+        class HalfWriting(KVStateMachine):
+            def _execute(self, txn):
+                if txn.operation == "noop":
+                    self._write("usertable", "torn", "half")
+                    raise RuntimeError("fails after a write")
+                return super()._execute(txn)
+
+        machine = HalfWriting()
+        before = machine.state_digest()
+        execution = machine.execute_block([Transaction.create(1, "noop")])
+        assert execution.successes == [False] and execution.outputs == [{"error": "RuntimeError"}]
+        assert execution.changes == []
+        assert machine.state_digest() == before
 
     def test_undo_restores_previous_value(self):
         machine = KVStateMachine()
         machine.apply(write("user3", "first"))
-        _, record = machine.apply_with_undo(write("user3", "second"))
+        changes = machine.execute_block([write("user3", "second")]).changes
         assert machine.read("user3") == "second"
-        machine.undo(record)
+        machine.undo(changes)
         assert machine.read("user3") == "first"
 
     def test_undo_removes_newly_created_key(self):
         machine = KVStateMachine()
-        _, record = machine.apply_with_undo(write("brand-new", "x"))
-        machine.undo(record)
+        machine.undo(machine.execute_block([write("brand-new", "x")]).changes)
         assert machine.read("brand-new") is None
+
+    def test_one_undo_log_reverses_a_whole_block(self):
+        machine = KVStateMachine()
+        machine.apply(write("k", "base"))
+        before = machine.state_digest()
+        block = [write("k", "1"), write("fresh", "2"), write("k", "3")]
+        changes = machine.execute_block(block).changes
+        assert len(changes) == 3 and machine.read("k") == "3"
+        machine.undo(changes)
+        assert machine.state_digest() == before and machine.read("k") == "base"
 
     def test_state_digest_reflects_writes(self):
         a = KVStateMachine()
@@ -82,40 +117,22 @@ class TestKVStateMachine:
         b.apply(write("user4", "x"))
         assert a.state_digest() == b.state_digest()
 
-    def test_result_digest_matches_across_replicas(self):
+    def test_outcome_matches_across_replicas(self):
         a = KVStateMachine()
         b = KVStateMachine()
         txn = write("user5", "same", txn_id=42)
-        assert a.apply(txn).result_digest == b.apply(txn).result_digest
-
-    @pytest.mark.parametrize(
-        "txn_id, success, output, digest",
-        [
-            (42, True, {"written": "user5"},
-             "6190563c3b3c8e98f426f405c515bda76f320340c196596fb2867bddfaeaa350"),
-            (7, False, {"error": "invalid item", "order_id": 3},
-             "82ec9fc4fc91d2d6f5f30347af59b3e6ce88b35c372f2c8a1d9fda0489114002"),
-            (123456, True, {"order_id": 17, "total": 104.35},
-             "f4e32d3ac808d203b33a4f7ef5d73ea0448ca2f02c60f4d179c32aa5f0d86fac"),
-        ],
-    )
-    def test_result_digest_rendering_is_pinned(self, txn_id, success, output, digest):
-        # Clients match responses across replicas (and across versions of
-        # this code) by this digest: hash_fields("result", id, success, output).
-        txn = Transaction.create(1, "noop", {}, txn_id=txn_id)
-        result = ExecutionResult.of(txn, success, output)
-        assert result.result_digest == digest == hash_fields("result", txn_id, success, output)
+        assert a.apply(txn) == b.apply(txn)
 
     def test_eager_preload_materialises_records(self):
         machine = KVStateMachine(preload_records=10, eager_preload=True)
         assert machine.record_count == 10
         assert machine.read(KVStateMachine.key_name(3)) == KVStateMachine.default_value(3)
 
-    def test_apply_batch_returns_per_txn_results(self):
+    def test_execute_block_returns_per_txn_outcomes(self):
         machine = KVStateMachine()
-        results = machine.apply_batch([write("a", "1"), write("b", "2")])
-        assert len(results) == 2
-        assert all(result.success for result in results)
+        execution = machine.execute_block([write("a", "1"), write("b", "2")])
+        assert execution.successes == [True, True]
+        assert execution.outputs == [{"written": "a"}, {"written": "b"}]
 
 
 class TestTPCCStateMachine:
@@ -143,8 +160,8 @@ class TestTPCCStateMachine:
     def test_new_order_creates_order_and_decrements_stock(self):
         machine = self.make_machine()
         before = machine.table("stock")[(1, 1)]["quantity"]
-        result = machine.apply(self.new_order_txn())
-        assert result.success
+        success, _ = machine.apply(self.new_order_txn())
+        assert success
         assert machine.table("stock")[(1, 1)]["quantity"] < before
         assert len(machine.table("orders")) == 1
 
@@ -154,48 +171,48 @@ class TestTPCCStateMachine:
             1, "tpcc_new_order",
             {"w_id": 1, "d_id": 1, "c_id": 1, "lines": [{"i_id": 9999, "quantity": 1}]},
         )
-        result = machine.apply(txn)
-        assert not result.success
+        success, _ = machine.apply(txn)
+        assert not success
 
     def test_payment_updates_balances(self):
         machine = self.make_machine()
-        result = machine.apply(
+        success, _ = machine.apply(
             Transaction.create(1, "tpcc_payment", {"w_id": 1, "d_id": 2, "c_id": 3, "amount": 50.0})
         )
-        assert result.success
+        assert success
         assert machine.table("customer")[(1, 2, 3)]["balance"] == pytest.approx(-60.0)
         assert machine.table("warehouse")[1]["ytd"] == pytest.approx(50.0)
 
     def test_order_status_reports_latest_order(self):
         machine = self.make_machine()
         machine.apply(self.new_order_txn())
-        result = machine.apply(
+        success, output = machine.apply(
             Transaction.create(1, "tpcc_order_status", {"w_id": 1, "d_id": 1, "c_id": 1})
         )
-        assert result.success
-        assert result.output["last_order"] == 1
+        assert success
+        assert output["last_order"] == 1
 
     def test_delivery_marks_orders_delivered(self):
         machine = self.make_machine()
         machine.apply(self.new_order_txn())
-        result = machine.apply(Transaction.create(1, "tpcc_delivery", {"w_id": 1}))
-        assert result.success
-        assert result.output["delivered"] == 1
+        success, output = machine.apply(Transaction.create(1, "tpcc_delivery", {"w_id": 1}))
+        assert success
+        assert output["delivered"] == 1
 
     def test_stock_level_counts_low_stock(self):
         machine = self.make_machine()
-        result = machine.apply(
+        success, output = machine.apply(
             Transaction.create(1, "tpcc_stock_level", {"w_id": 1, "threshold": 200})
         )
-        assert result.success
-        assert result.output["low_stock"] == 50
+        assert success
+        assert output["low_stock"] == 50
 
     def test_undo_restores_new_order_effects(self):
         machine = self.make_machine()
         digest_before = machine.state_digest()
-        _, record = machine.apply_with_undo(self.new_order_txn())
+        changes = machine.execute_block([self.new_order_txn()]).changes
         assert machine.state_digest() != digest_before
-        machine.undo(record)
+        machine.undo(changes)
         assert machine.state_digest() == digest_before
 
     @pytest.mark.parametrize(
@@ -211,16 +228,18 @@ class TestTPCCStateMachine:
         machine = self.make_machine()
         machine.apply(self.new_order_txn())  # something to deliver and report
         digest_before = machine.state_digest()
-        result, record = machine.apply_with_undo(Transaction.create(1, operation, payload))
-        assert result.success
-        assert bool(record.changes) == (machine.state_digest() != digest_before)
-        machine.undo(record)
+        successes, _, changes = machine.execute_block([Transaction.create(1, operation, payload)])
+        assert successes == [True]
+        assert bool(changes) == (machine.state_digest() != digest_before)
+        machine.undo(changes)
         assert machine.state_digest() == digest_before
 
-    def test_unknown_operation_raises(self):
+    def test_unknown_operation_is_a_failed_outcome(self):
         machine = self.make_machine()
-        with pytest.raises(ExecutionError):
-            machine.apply(Transaction.create(1, "tpcc_unknown", {}))
+        digest = machine.state_digest()
+        outcome = machine.apply(Transaction.create(1, "tpcc_unknown", {}))
+        assert outcome == (False, {"error": "ExecutionError"})
+        assert machine.state_digest() == digest
 
     def test_execution_cost_is_higher_than_kv(self):
         assert TPCCStateMachine.execution_cost > KVStateMachine.execution_cost

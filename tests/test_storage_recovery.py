@@ -335,8 +335,7 @@ class TestRecoveryManager:
 
         reference = KVStateMachine()
         for block in blocks[:2]:
-            for txn in block.transactions:
-                reference.apply(txn)
+            reference.execute_block(block.transactions)
         assert replica.ledger.state_digest() == reference.state_digest()
 
     def test_restore_re_prunes_resurrected_fork_blocks(self):

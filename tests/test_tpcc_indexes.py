@@ -85,14 +85,14 @@ def apply_checked(machine, txns):
         operation, payload = txn.operation, txn.payload
         if operation == "tpcc_order_status":
             expected = scan_order_status(machine, payload)
-            assert machine.apply(txn).output == expected
+            assert machine.apply(txn)[1] == expected
         elif operation == "tpcc_stock_level":
             expected = scan_stock_level(machine, payload)
-            assert machine.apply(txn).output == expected
+            assert machine.apply(txn)[1] == expected
         elif operation == "tpcc_delivery":
             expected, rows = scan_delivery(machine, payload)
             delivered_before = sum(1 for o in machine.table("orders").values() if o["delivered"])
-            assert machine.apply(txn).output == expected
+            assert machine.apply(txn)[1] == expected
             for (table_name, key), row in rows.items():
                 assert machine.table(table_name)[key] == row
             delivered_after = sum(1 for o in machine.table("orders").values() if o["delivered"])
@@ -203,8 +203,7 @@ class TestIndexedProfilesMatchScanOracle:
         machine = make_machine()
         for txn in stream(200):
             before = machine.state_digest()
-            _, record = machine.apply_with_undo(txn)
-            machine.undo(record)
+            machine.undo(machine.execute_block([txn]).changes)
             assert machine.state_digest() == before, txn.operation
             machine.apply(txn)
 
@@ -240,14 +239,13 @@ class TestDeliveryRule:
         balances = {key: row["balance"] for key, row in machine.table("customer").items()}
 
         for call in range(1, per_district + 1):
-            result = machine.apply(Transaction.create(1, *DELIVERY))
-            assert result.output == {"delivered": 2}
+            assert machine.apply(Transaction.create(1, *DELIVERY)) == (True, {"delivered": 2})
             # Oldest first, one per district, never the same order twice.
             delivered = sorted(key for key, order in orders.items() if order["delivered"])
             assert delivered == sorted(
                 (1, d_id, order_id) for d_id in (1, 2) for order_id in range(1, call + 1)
             )
-        assert machine.apply(Transaction.create(1, *DELIVERY)).output == {"delivered": 0}
+        assert machine.apply(Transaction.create(1, *DELIVERY))[1] == {"delivered": 0}
         assert not any(machine.table("new_orders").values())
 
         # Every customer was credited exactly once per order it placed.
@@ -264,11 +262,11 @@ class TestDeliveryRule:
     def test_aborted_new_order_consumes_no_order_id(self):
         machine = make_machine()
         machine.apply(new_order(d_id=1, c_id=1))
-        aborted = machine.apply(new_order(d_id=1, c_id=2, lines=((1, 1), (9999, 1))))
-        assert not aborted.success
-        assert machine.apply(new_order(d_id=1, c_id=3)).output["order_id"] == 2
+        success, _ = machine.apply(new_order(d_id=1, c_id=2, lines=((1, 1), (9999, 1))))
+        assert not success
+        assert machine.apply(new_order(d_id=1, c_id=3))[1]["order_id"] == 2
         # Dense ids: the cursor walks 1, 2 and then finds nothing.
-        outputs = [machine.apply(Transaction.create(1, *DELIVERY)).output for _ in range(3)]
+        outputs = [machine.apply(Transaction.create(1, *DELIVERY))[1] for _ in range(3)]
         assert outputs == [{"delivered": 1}, {"delivered": 1}, {"delivered": 0}]
 
     @pytest.mark.parametrize("quantity", [0, -5, 11])
@@ -276,11 +274,11 @@ class TestDeliveryRule:
         # Quantities of 1..10 keep stock within 10..100, which is what bounds
         # the buckets StockLevel probes; anything else is refused.
         machine = make_machine()
-        result = machine.apply(new_order(d_id=1, c_id=1, lines=((1, quantity),)))
-        assert not result.success
+        success, _ = machine.apply(new_order(d_id=1, c_id=1, lines=((1, quantity),)))
+        assert not success
         assert scan_stock_level(machine, {"w_id": 1, "threshold": 10**9}) == {"low_stock": 40}
         huge = Transaction.create(1, "tpcc_stock_level", {"w_id": 1, "threshold": 10**9})
-        assert machine.apply(huge).output == {"low_stock": 40}
+        assert machine.apply(huge)[1] == {"low_stock": 40}
 
 
 # ------------------------------------------------------------ no-scan guard
@@ -334,9 +332,9 @@ def probes_per_profile(order_count):
     counts = {}
     for txn in probe_txns:
         NoScanTable.probes = 0
-        result, record = machine.apply_with_undo(txn)
-        assert result.success
-        counts[txn.operation] = (NoScanTable.probes, len(record.changes))
+        successes, _, changes = machine.execute_block([txn])
+        assert successes == [True]
+        counts[txn.operation] = (NoScanTable.probes, len(changes))
     assert counts["tpcc_delivery"][1] == 4 * DISTRICTS_PER_WAREHOUSE  # every district had one
     return counts
 
