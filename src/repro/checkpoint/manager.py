@@ -102,9 +102,7 @@ class CheckpointManager:
         replica.ledger.committed.collapse_below(snapshot.height - 1)
         removed = replica.block_store.drop_history_below(snapshot.block)
         for block_hash in removed:
-            replica.certs_by_block.pop(block_hash, None)
-            replica.justify_of.pop(block_hash, None)
-            replica._pending_fetch.pop(block_hash, None)
+            replica.forget_block(block_hash)
         compact_log = getattr(replica.block_store, "compact_log", None)
         if compact_log is not None:
             compact_log()

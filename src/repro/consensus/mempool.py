@@ -139,6 +139,11 @@ class Mempool:
                 self._pending[txn_id] = txn
                 self._pending.move_to_end(txn_id, last=False)
 
+    def note_committed(self, block_hash: str, txns: Iterable[Transaction]) -> None:
+        """Record that block *block_hash* committed *txns*; its in-flight entry goes with it."""
+        self._inflight_blocks.pop(block_hash, None)
+        self.mark_committed(txn.txn_id for txn in txns)
+
     def mark_committed(self, txn_ids) -> None:
         """Record that transactions committed so they are never re-admitted."""
         for txn_id in txn_ids:

@@ -124,7 +124,6 @@ class Pacemaker:
         #: reuse it instead of redoing the threshold-signing work.
         self._sent_wish_shares: Dict[int, SignatureShare] = {}
         self._tc_formed: Set[int] = set()
-        self._tc_entered: Set[int] = set()
         self._started = False
         self.stopped = False
         #: Highest view each peer has reported through pacemaker messages.
@@ -180,9 +179,9 @@ class Pacemaker:
     def _prune_below(self, view: int) -> None:
         """Drop per-view synchronisation state that *view*'s entry obsoletes.
 
-        Wish aggregation buckets, our own cached Wish shares, the TC
-        formed/entered sets, the TC-scheduled start times and the per-sender
-        view table all key on views; entries at or below the current view can
+        Wish aggregation buckets, our own cached Wish shares, the views we
+        formed a TC for, the TC-scheduled start times and the per-sender view
+        table all key on views; entries at or below the current view can
         never matter again (views are monotonic, jumps only target higher
         views), so without pruning they grow for the lifetime of the replica.
         Stale reports that re-arrive later re-insert harmless
@@ -195,7 +194,6 @@ class Pacemaker:
         for stale in [v for v in self.start_time if v < view]:
             del self.start_time[stale]
         self._tc_formed = {v for v in self._tc_formed if v > view}
-        self._tc_entered = {v for v in self._tc_entered if v > view}
         for sender in [s for s, reported in self.view_table.items() if reported <= view]:
             del self.view_table[sender]
 
@@ -409,11 +407,10 @@ class Pacemaker:
 
     def handle_timeout_certificate(self, msg: TimeoutCertificateMsg) -> None:
         """Backup role: relay the TC, schedule the epoch's view start times, enter."""
-        if msg.view in self._tc_entered or msg.view <= self.current_view:
-            return
+        if msg.view <= self.current_view:
+            return  # entered already: the first TC for it entered it in the same step
         if not self.authority.verify_certificate(msg.cert):
             return
-        self._tc_entered.add(msg.view)
         now = self.sim.now
         relay = TimeoutCertificateMsg(
             view=msg.view,

@@ -87,7 +87,6 @@ class ChainedReplica(BaseReplica):
             transactions=(),
         )
         self.block_store.add(alt_block)
-        self.justify_of[alt_block.block_hash] = alt_justify
         alt_proposal = Propose(view=view, slot=1, block=alt_block, justify=alt_justify)
         self.sim.schedule(delay, self.broadcast_replicas, alt_proposal, list(alt_targets))
 

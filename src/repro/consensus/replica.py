@@ -130,8 +130,6 @@ class BaseReplica:
         self.high_cert: Certificate = self.genesis_cert
         #: Certificate known for each certified block hash.
         self.certs_by_block: Dict[str, Certificate] = {genesis.block_hash: self.genesis_cert}
-        #: The justify certificate each known block was proposed with.
-        self.justify_of: Dict[str, Certificate] = {genesis.block_hash: self.genesis_cert}
 
         self.pacemaker = Pacemaker(sim, self, config, authority, leader_election)
         #: Whether this replica reports global counters (set for one replica per run).
@@ -435,7 +433,7 @@ class BaseReplica:
         for outcome in outcomes:
             if self.tracer is not None:
                 self.tracer.block_committed(outcome.block, replica=self.replica_id)
-            self.mempool.mark_committed(txn.txn_id for txn in outcome.block.transactions)
+            self.mempool.note_committed(outcome.block.block_hash, outcome.block.transactions)
             if self.store is not None:
                 self.store.record_commit(outcome.block.block_hash)
             if not outcome.was_speculated:
@@ -559,7 +557,6 @@ class BaseReplica:
         self.admit_block(block)
         if self.tracer is not None:
             self.tracer.block_proposed(block, self.mempool.peek_count(), replica=self.replica_id)
-        self.justify_of[block.block_hash] = justify
         proposal = Propose(
             view=view, slot=slot, block=block, justify=justify, commit_cert=commit_cert, carry_hash=carry_hash
         )
@@ -589,7 +586,6 @@ class BaseReplica:
             self.request_block(msg.justify.block_hash, sender, waiting_proposal=msg)
             return False
         self.admit_block(block)
-        self.justify_of.setdefault(block.block_hash, msg.justify)
         self.record_certificate(msg.justify)
         if msg.view > self.current_view:
             self.pacemaker.force_enter(msg.view)
@@ -631,9 +627,12 @@ class BaseReplica:
             # Rescue in-flight transactions of deeper fork descendants the
             # direct-sibling requeue above never saw.
             self.mempool.release_block(pruned_hash)
-            self.certs_by_block.pop(pruned_hash, None)
-            self.justify_of.pop(pruned_hash, None)
-            self._pending_fetch.pop(pruned_hash, None)
+            self.forget_block(pruned_hash)
+
+    def forget_block(self, block_hash: str) -> None:
+        """Drop the metadata of a block pruned as a fork or compacted below a checkpoint."""
+        self.certs_by_block.pop(block_hash, None)
+        self._pending_fetch.pop(block_hash, None)
 
     # -------------------------------------------------------------- vote WAL
     def restore_vote_state(self, state) -> None:
@@ -641,10 +640,10 @@ class BaseReplica:
 
         ``state`` is a :class:`~repro.storage.wal.WalState` (duck-typed here
         to keep the consensus layer import-free of storage): it carries
-        ``last_voted_view`` (the per-view vote guard), ``voted`` (view, slot)
-        pairs and ``highest_voted_hash``.  Subclasses that keep per-slot vote
-        guards MUST extend this — it is what stops a restarted replica from
-        voting twice in a view it voted in before the crash.
+        ``last_voted_view``, ``voted`` (view, slot) pairs and
+        ``highest_voted_hash``.  ``last_voted_view`` is the whole guard of a
+        one-vote-per-view protocol; slotting extends it with the slots voted
+        in that view.  It stops a restarted replica from voting twice.
         """
         self.last_voted_view = max(self.last_voted_view, int(state.last_voted_view))
 
@@ -832,7 +831,10 @@ class BaseReplica:
         """
         if self.store is not None:
             self.store.record_entered_view(view)
-        self.forget_views_below(view - 1)
+        # The view just left keeps its NewView bucket: a late vote can still
+        # complete that view's certificate.  Older buckets are never read again.
+        for stale in [key for key in self._new_view_msgs if key < view - 1]:
+            del self._new_view_msgs[stale]
         if self.tracer is not None:
             self.tracer.view_entered(view, replica=self.replica_id)
         if self.report_metrics:
@@ -840,19 +842,6 @@ class BaseReplica:
         if self.is_leader_of(view):
             self._try_propose(view)
             self.sim.schedule_at(self.pacemaker.share_timer(view), self._try_propose, view, True)
-
-    def forget_views_below(self, view: int) -> None:
-        """Drop the per-view message buckets of every view below *view*.
-
-        Called on entering ``view + 1``, so the view just left keeps its
-        bucket: a late vote for it can still complete that view's certificate
-        (basic HotStuff-1's ``P(v)`` and ``C(v)``).  Older buckets can never
-        be read again, and without this they hold every message and
-        certificate of the run.  A stale message that re-arrives re-files a
-        bucket the next view entry drops.  Subclasses extend it with their
-        own buckets.
-        """
-        drop_views_below(self._new_view_msgs, view)
 
     def _try_propose(self, view: int, force: bool = False) -> None:
         """Propose for *view* once the protocol's leader conditions hold (*force*: stop waiting)."""
@@ -909,12 +898,6 @@ class BaseReplica:
             f"{type(self).__name__}(id={self.replica_id}, view={self.current_view}, "
             f"high={self.high_cert.position})"
         )
-
-
-def drop_views_below(table: Dict[int, object], view: int) -> None:
-    """Delete the entries of a view-keyed *table* whose view is below *view*."""
-    for stale in [key for key in table if key < view]:
-        del table[stale]
 
 
 def honest_committed_chains(replicas: Sequence["BaseReplica"]) -> List[List[str]]:

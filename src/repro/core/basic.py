@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 from repro.consensus.certificates import Certificate, CertKind
 from repro.consensus.messages import NewView, Prepare, Propose, ProposeVote
-from repro.consensus.replica import BaseReplica, drop_views_below
+from repro.consensus.replica import BaseReplica
 from repro.core.speculation import SpeculationGuard
 from repro.ledger.block import Block
 
@@ -45,23 +45,18 @@ class BasicHotStuff1Replica(BaseReplica):
         self.speculation_guard = SpeculationGuard(self.ledger)
         #: Highest known commit certificate (``C(v_lc)``).
         self.high_commit_cert: Optional[Certificate] = None
-        self._propose_votes: Dict[int, Dict[int, ProposeVote]] = {}
-        #: Highest view this replica proposed in (see ``ChainedReplica``).
+        #: Highest view this replica proposed in (see ``ChainedReplica``), its
+        #: block there, and the first-phase votes for that block.
         self.last_proposed_view = 0
-        self._prepared_views: set = set()
-        self._own_proposals: Dict[int, Block] = {}
+        self._own_proposal: Optional[Block] = None
+        self._propose_votes: Dict[int, ProposeVote] = {}
+        #: Highest view whose prepare certificate ``P(v)`` this leader formed.
+        self.last_prepared_view = 0
 
     @staticmethod
     def client_quorum(config) -> int:
         """Clients wait for ``n - f`` matching (speculative) responses."""
         return config.quorum
-
-    # ------------------------------------------------------------- lifecycle
-    def forget_views_below(self, view: int) -> None:
-        """Also drop the first-phase vote buckets and own proposals of older views."""
-        super().forget_views_below(view)
-        drop_views_below(self._propose_votes, view)
-        drop_views_below(self._own_proposals, view)
 
     # ------------------------------------------------------------ leader role
     def handle_new_view(self, msg: NewView, sender: int) -> None:
@@ -92,27 +87,24 @@ class BasicHotStuff1Replica(BaseReplica):
         if not has_previous_cert and not force and len(bucket) < self.config.n:
             return
         self.last_proposed_view = view
+        self._propose_votes = {}
         justify = self.behavior.choose_justify(self, view, self.high_cert)
-        self._own_proposals[view], _ = self.broadcast_proposal(
+        self._own_proposal, _ = self.broadcast_proposal(
             view, 1, justify, justify.block_hash, commit_cert=self.high_commit_cert
         )
 
     def handle_propose_vote(self, msg: ProposeVote, sender: int) -> None:
-        """Aggregate first-phase votes into ``P(v)`` and broadcast the Prepare message."""
-        if not self.is_leader_of(msg.view) or msg.view in self._prepared_views:
+        """Aggregate first-phase votes into ``P(v)`` (in view v or v + 1) and broadcast Prepare."""
+        view = msg.view
+        if view != self.last_proposed_view or view <= self.last_prepared_view or self.current_view > view + 1:
             return
-        bucket = self._propose_votes.setdefault(msg.view, {})
-        bucket[msg.voter] = msg
-        block = self._own_proposals.get(msg.view)
-        if block is None:
-            return
-        votes = [
-            (vote.block_hash, vote.share) for vote in bucket.values() if vote.block_hash == block.block_hash
-        ]
+        self._propose_votes[msg.voter] = msg
+        own_hash = self._own_proposal.block_hash
+        votes = [(vote.block_hash, vote.share) for vote in self._propose_votes.values() if vote.block_hash == own_hash]
         cert = self.aggregate_votes(CertKind.PREPARE, votes)
         if cert is None:
             return
-        self._prepared_views.add(msg.view)
+        self.last_prepared_view = msg.view
         self.adopt_formed_certificate(cert)
         cost = self.costs.certificate_formation_cost(self.config.quorum)
         self.sim.schedule(cost, self.broadcast_replicas, Prepare(view=msg.view, cert=cert))

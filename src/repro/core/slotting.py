@@ -21,16 +21,21 @@ first-slot block's parent *is* the carry block), which preserves the paper's
 commit semantics — the carry block commits exactly when the first-slot block
 commits — while letting the ordinary chain machinery (ancestry, commit paths,
 rollback targets) apply unchanged.
+
+Leaders propose and replicas vote only in their current view, so the leader
+state belongs to ``last_proposed_view`` (reset on proposing in a newer view)
+and the vote guard is ``last_voted_view`` plus the slots voted in it, like
+HotStuff's ``vheight``.  Only ``justify_of`` is kept per block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set
 
 from repro.consensus.certificates import Certificate, CertKind
 from repro.consensus.config import MAX_SLOTS_PER_VIEW
 from repro.consensus.messages import NewSlot, NewView, Propose, Reject
-from repro.consensus.replica import BaseReplica, drop_views_below
+from repro.consensus.replica import BaseReplica
 from repro.core.speculation import SpeculationGuard
 from repro.ledger.block import Block
 from repro.types import NULL_DIGEST, is_null_digest
@@ -49,27 +54,18 @@ class SlottedHotStuff1Replica(BaseReplica):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.speculation_guard = SpeculationGuard(self.ledger)
-        #: Current slot within the current view.
-        self.current_slot = 1
         #: Hash of the highest block this replica has voted for (``B_h``).
         self.highest_voted_hash = self.block_store.genesis.block_hash
         #: Previous leaders this replica has stopped trusting (§6.3).
         self.distrusted_leaders: set = set()
-        self._new_slot_msgs: Dict[Tuple[int, int], Dict[int, NewSlot]] = {}
-        self._reject_msgs: Dict[int, Dict[int, Reject]] = {}
-        self._proposed_slots: set = set()
-        self._voted_slots: set = set()
-        self._voted_hashes: set = set()
-        self._formed_slot_certs: set = set()
+        #: The justify certificate each known block was proposed with.
+        self.justify_of: Dict[str, Certificate] = {self.block_store.genesis.block_hash: self.genesis_cert}
         self.slots_proposed_total = 0
-        # Leader pipelining bookkeeping (config.pipeline_depth > 1): per view,
-        # the highest slot proposed, the hash of that block (the parent of the
-        # next pipelined proposal), the highest slot certified, and the
-        # freshest certificate to justify in-flight proposals with.
-        self._last_proposed_slot: Dict[int, int] = {}
-        self._last_proposed_hash: Dict[int, str] = {}
-        self._last_certified_slot: Dict[int, int] = {}
-        self._pipeline_justify: Dict[int, Certificate] = {}
+        self._start_leader_view(0)
+        #: Slots voted in ``last_voted_view``; every earlier view counts as voted.
+        self._voted_slots: Set[int] = set()
+        #: Blocks of view ``_vouched_view`` this replica voted for or proposed.
+        self._vouched_view, self._voted_hashes = 0, set()
 
     @staticmethod
     def client_quorum(config) -> int:
@@ -78,9 +74,9 @@ class SlottedHotStuff1Replica(BaseReplica):
 
     # ------------------------------------------------------------- lifecycle
     def restore_vote_state(self, state) -> None:
-        """Re-arm the per-slot vote guard and ``B_h`` from the recovered WAL."""
+        """Re-arm the vote guard (the slots voted in ``last_voted_view``) and ``B_h`` from the WAL."""
         super().restore_vote_state(state)
-        self._voted_slots.update(state.voted)
+        self._voted_slots = {slot for view, slot in state.voted if view == self.last_voted_view}
         if state.highest_voted_hash and state.highest_voted_hash in self.block_store:
             self.highest_voted_hash = state.highest_voted_hash
 
@@ -99,24 +95,34 @@ class SlottedHotStuff1Replica(BaseReplica):
             highest_voted_hash=genesis.block_hash,
         )
 
-    # ------------------------------------------------------------ leader role
-    def on_enter_view(self, view: int) -> None:
-        self.current_slot = 1
-        super().on_enter_view(view)
+    def forget_block(self, block_hash: str) -> None:
+        """Also drop the block's justify."""
+        super().forget_block(block_hash)
+        self.justify_of.pop(block_hash, None)
 
-    def forget_views_below(self, view: int) -> None:
-        """Also drop older views' New-Slot and Reject buckets and pipeline bookkeeping."""
-        super().forget_views_below(view)
-        for key in [key for key in self._new_slot_msgs if key[0] < view]:
-            del self._new_slot_msgs[key]
-        for table in (
-            self._reject_msgs,
-            self._last_proposed_slot,
-            self._last_proposed_hash,
-            self._last_certified_slot,
-            self._pipeline_justify,
-        ):
-            drop_views_below(table, view)
+    # ------------------------------------------------------------ leader role
+    def _start_leader_view(self, view: int) -> None:
+        """Proposing in *view*: empty leader state, all of it *view*'s."""
+        #: Highest view this replica proposed in.
+        self.last_proposed_view = view
+        self._withdraw_proposals()
+        #: That view's certified slots, New-Slot votes per slot, and Rejects.
+        self._certified_slots: Set[int] = set()
+        self._new_slot_msgs: Dict[int, Dict[int, NewSlot]] = {}
+        self._reject_msgs: Dict[int, Reject] = {}
+
+    def _withdraw_proposals(self) -> None:
+        """Forget the view's highest proposed slot, its block (the parent of
+        the next pipelined proposal) and the justify in-flight slots carry."""
+        self._proposed_slot, self._proposed_hash = 0, None
+        self._pipeline_justify: Optional[Certificate] = None
+
+    def _has_proposed(self, view: int, slot: int) -> bool:
+        """``True`` if this leader has a standing proposal for ``(view, slot)``.
+
+        A view's slots are proposed in order, so its highest one stands for all.
+        """
+        return view == self.last_proposed_view and slot <= self._proposed_slot
 
     def handle_new_view(self, msg: NewView, sender: int) -> None:
         """Collect NewView messages; use the trusted-previous-leader fast path when possible."""
@@ -133,7 +139,7 @@ class SlottedHotStuff1Replica(BaseReplica):
         previous_leader = self.leaders.leader_of(msg.view - 1)
         if sender != previous_leader or sender in self.distrusted_leaders:
             return False
-        if (msg.view, 1) in self._proposed_slots:
+        if self._has_proposed(msg.view, 1):
             return False
         cert = msg.high_cert
         formed_in_previous = (
@@ -143,7 +149,7 @@ class SlottedHotStuff1Replica(BaseReplica):
 
     def _try_propose(self, view: int, force: bool = False) -> None:
         """Figure 6, Lines 4-13: wait for one of the four conditions, then propose slot 1."""
-        if self.halted or (view, 1) in self._proposed_slots:
+        if self.halted or self._has_proposed(view, 1):
             return
         if self.current_view != view or not self.is_leader_of(view):
             return
@@ -174,9 +180,7 @@ class SlottedHotStuff1Replica(BaseReplica):
         """Return the previous (trusted) leader's buffered NewView if it enables the fast path."""
         previous_leader = self.leaders.leader_of(view - 1)
         message = bucket.get(previous_leader)
-        if message is None:
-            return None
-        if self._trusted_fast_path(message, previous_leader):
+        if message is not None and self._trusted_fast_path(message, previous_leader):
             return message
         return None
 
@@ -204,7 +208,7 @@ class SlottedHotStuff1Replica(BaseReplica):
         while the carry block is still in flight — the caller retries when the
         next NewView (or the missing block itself) arrives.
         """
-        if (view, 1) in self._proposed_slots or self.current_view != view:
+        if self._has_proposed(view, 1) or self.current_view != view:
             return True
         if new_view_cert is not None:
             justify = new_view_cert
@@ -245,24 +249,25 @@ class SlottedHotStuff1Replica(BaseReplica):
         if not self.is_leader_of(msg.view):
             return
         self.record_certificate(msg.high_cert)
-        key = (msg.view, msg.slot)
-        bucket = self._new_slot_msgs.setdefault(key, {})
+        if msg.view != self.last_proposed_view:
+            return  # a vote for a view this leader has left
+        bucket = self._new_slot_msgs.setdefault(msg.slot, {})
         bucket[msg.voter] = msg
-        if key in self._formed_slot_certs or self.current_view != msg.view:
+        if msg.slot in self._certified_slots or self.current_view != msg.view:
             return
         if self.pacemaker.has_completed(msg.view):
             return
         votes = [(vote.voted_block_hash, vote.share) for vote in bucket.values()]
-        cert = self.aggregate_votes(CertKind.NEW_SLOT, votes, position=key)
+        cert = self.aggregate_votes(CertKind.NEW_SLOT, votes, position=(msg.view, msg.slot))
         if cert is None:
             return
-        self._formed_slot_certs.add(key)
+        highest_certified = max(self._certified_slots, default=0)
+        self._certified_slots.add(msg.slot)
         self.adopt_formed_certificate(cert)
-        if msg.slot > self._last_certified_slot.get(msg.view, 0):
-            self._last_certified_slot[msg.view] = msg.slot
-            self._pipeline_justify[msg.view] = cert
+        if msg.slot > highest_certified:
+            self._pipeline_justify = cert
         if self.config.pipeline_depth > 1:
-            self._pump_pipeline(msg.view)
+            self._pump_pipeline()
         elif msg.slot + 1 <= MAX_SLOTS_PER_VIEW:
             self._broadcast_slot_proposal(msg.view, msg.slot + 1, cert, cert.block_hash, NULL_DIGEST)
 
@@ -272,27 +277,28 @@ class SlottedHotStuff1Replica(BaseReplica):
         """Assemble and broadcast the block for slot ``(slot, view)``."""
         if self.halted:
             return  # a crash-point probe fired mid-certificate-formation
-        if (view, slot) in self._proposed_slots or self.current_view != view:
+        if self._has_proposed(view, slot) or self.current_view != view:
             return
         if self.pacemaker.has_completed(view):
             return
-        self._proposed_slots.add((view, slot))
+        if view != self.last_proposed_view:
+            self._start_leader_view(view)
         self.slots_proposed_total += 1
         block, _ = self.broadcast_proposal(view, slot, justify, parent_hash, carry_hash=carry_hash)
+        self.justify_of[block.block_hash] = justify
         # The proposer vouches for its own block: its self-addressed copy of
         # a deeper pipelined proposal may arrive before it has processed (and
         # voted on) this one, and the SafeSlot ancestry walk must not treat
         # the leader's own chain as unvouched-for.
-        self._voted_hashes.add(block.block_hash)
-        if slot >= self._last_proposed_slot.get(view, 0):
-            self._last_proposed_slot[view] = slot
-            self._last_proposed_hash[view] = block.block_hash
-        if slot == 1:
-            self._pipeline_justify.setdefault(view, justify)
+        self._vouch_for(block)
+        self._proposed_slot = slot
+        self._proposed_hash = block.block_hash
+        if slot == 1 and self._pipeline_justify is None:
+            self._pipeline_justify = justify
         if self.config.pipeline_depth > 1:
-            self._pump_pipeline(view)
+            self._pump_pipeline()
 
-    def _pump_pipeline(self, view: int) -> None:
+    def _pump_pipeline(self) -> None:
         """Keep up to ``pipeline_depth`` uncertified slot proposals in flight.
 
         Called after each proposal and each New-Slot certificate: while the
@@ -302,10 +308,11 @@ class SlottedHotStuff1Replica(BaseReplica):
         of waiting one vote round-trip per slot.  Replicas accept the
         uncertified gap through the pipelined arm of ``SafeSlot``.
         """
-        proposed = self._last_proposed_slot.get(view, 0)
+        view = self.last_proposed_view
+        proposed = self._proposed_slot
         if proposed == 0 or self.current_view != view or self.halted:
             return  # slot 1 must go through its own well-formedness proof
-        in_flight = proposed - self._last_certified_slot.get(view, 0)
+        in_flight = proposed - max(self._certified_slots, default=0)
         if in_flight >= self.config.pipeline_depth:
             return
         if in_flight > 0 and self.mempool.peek_count() == 0:
@@ -318,8 +325,8 @@ class SlottedHotStuff1Replica(BaseReplica):
         next_slot = proposed + 1
         if next_slot > MAX_SLOTS_PER_VIEW or self.pacemaker.has_completed(view):
             return
-        justify = self._pipeline_justify.get(view)
-        parent_hash = self._last_proposed_hash.get(view)
+        justify = self._pipeline_justify
+        parent_hash = self._proposed_hash
         if justify is None or parent_hash is None:
             return
         self._broadcast_slot_proposal(view, next_slot, justify, parent_hash, NULL_DIGEST)
@@ -332,35 +339,39 @@ class SlottedHotStuff1Replica(BaseReplica):
             return
         previously_highest = self.high_cert
         self.record_certificate(msg.high_cert)
-        bucket = self._reject_msgs.setdefault(msg.view, {})
-        bucket[msg.voter] = msg
         if msg.high_cert.position > previously_highest.position:
             previous_leader = self.leaders.leader_of(msg.view - 1)
             if msg.high_cert.view == msg.view - 1 or msg.high_cert.formed_in_view == msg.view - 1:
                 # The previous leader concealed a certificate formed in its own
                 # view from us: stop trusting its NewView reports (§6.3).
                 self.distrusted_leaders.add(previous_leader)
+        if msg.view != self.last_proposed_view:
+            return  # a Reject for a view this leader has left
+        self._reject_msgs[msg.voter] = msg
         # Once f+1 correct replicas reject our first slot it can never gather a
         # quorum; withdraw it and re-propose from the freshest certificate.
+        # Any pipelined successors extend the withdrawn block and can never
+        # certify, so the re-proposed slot 1 restarts the pipeline.
         if (
             self.current_view == msg.view
             and msg.slot == 1
-            and len(bucket) >= self.config.f + 1
-            and (msg.view, 1) not in self._formed_slot_certs
+            and len(self._reject_msgs) >= self.config.f + 1
+            and 1 not in self._certified_slots
         ):
-            self._proposed_slots.discard((msg.view, 1))
-            # Any pipelined successors extend the withdrawn block and can
-            # never certify; withdraw them too so the re-proposed slot 1
-            # restarts the pipeline from a clean slate.
-            if self.config.pipeline_depth > 1:
-                for slot in range(2, self._last_proposed_slot.get(msg.view, 1) + 1):
-                    self._proposed_slots.discard((msg.view, slot))
-                self._last_proposed_slot.pop(msg.view, None)
-                self._last_proposed_hash.pop(msg.view, None)
-                self._pipeline_justify.pop(msg.view, None)
+            self._withdraw_proposals()
             self._try_propose(msg.view, force=True)
 
     # ------------------------------------------------------------ backup role
+    def _has_voted(self, view: int, slot: int) -> bool:
+        """``True`` if this replica voted in ``(view, slot)`` or in a later view."""
+        return view < self.last_voted_view or (view == self.last_voted_view and slot in self._voted_slots)
+
+    def _vouch_for(self, block: Block) -> None:
+        """Record that this replica voted for (or proposed) *block*, of its current view."""
+        if block.view != self._vouched_view:
+            self._vouched_view, self._voted_hashes = block.view, set()
+        self._voted_hashes.add(block.block_hash)
+
     def handle_propose(self, msg: Propose, sender: int) -> None:
         """Figure 7, Lines 12-26: commit, speculate, SafeSlot check, vote or reject."""
         if sender != self.leaders.leader_of(msg.view):
@@ -393,10 +404,10 @@ class SlottedHotStuff1Replica(BaseReplica):
         self.record_certificate(msg.justify)
         if msg.view > self.current_view:
             self.pacemaker.force_enter(msg.view)
-        if msg.view < self.current_view or (msg.view, msg.slot) in self._voted_slots:
+        if msg.view < self.current_view or self._has_voted(msg.view, msg.slot):
             # A late block from the previous view may be exactly the carry
             # block our own pending first-slot proposal is waiting for.
-            if self.is_leader_of(self.current_view) and (self.current_view, 1) not in self._proposed_slots:
+            if self.is_leader_of(self.current_view) and not self._has_proposed(self.current_view, 1):
                 self._try_propose(self.current_view)
             return
         if self.pacemaker.has_completed(msg.view):
@@ -420,8 +431,10 @@ class SlottedHotStuff1Replica(BaseReplica):
         safe = self._safe_slot(msg)
         not_superseded = self.high_cert.position <= justify.position
         if safe and not_superseded and self.behavior.should_vote(self, msg):
-            self._voted_slots.add((msg.view, msg.slot))
-            self._voted_hashes.add(block.block_hash)
+            if msg.view != self.last_voted_view:
+                self._voted_slots = set()
+            self._voted_slots.add(msg.slot)
+            self._vouch_for(block)
             self.note_vote(msg.view, msg.slot, block.block_hash)
             voted_block = self.block_store.maybe_get(self.highest_voted_hash)
             if voted_block is None or block.position > voted_block.position:
@@ -443,7 +456,6 @@ class SlottedHotStuff1Replica(BaseReplica):
                 view=msg.view, slot=msg.slot, voter=self.replica_id, high_cert=self.high_cert
             )
             self.sim.schedule(cost, self.send, sender, reject)
-        self.current_slot = msg.slot + 1
 
     def _safe_slot(self, msg: Propose) -> bool:
         """The SafeSlot predicate (Figure 7, Lines 1-11) plus structural chain checks."""

@@ -118,10 +118,11 @@ class RecordingStateMachine(StateMachine):
                 try:
                     success, output = execute(txn)
                 except Exception as exc:  # client input: any failure is the txn's outcome
-                    # Undo the failed transaction's partial writes, keep the rest.
+                    success, output = False, {"error": type(exc).__name__}
+                if not success:
+                    # A failed transaction leaves no writes; the rest of the block's stay.
                     self.undo(changes[mark:])
                     del changes[mark:]
-                    success, output = False, {"error": type(exc).__name__}
                 successes.append(success)
                 outputs.append(output)
         finally:

@@ -109,7 +109,7 @@ class RecoveryManager:
                 # Everything from here on re-enters through consensus catch-up.
                 break
             replica.ledger.commit(block)
-            replica.mempool.mark_committed(txn.txn_id for txn in block.transactions)
+            replica.mempool.note_committed(block.block_hash, block.transactions)
             replica.block_store.prune_siblings_of(block)
 
     # --------------------------------------------------------------- catch up

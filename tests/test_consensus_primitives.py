@@ -152,6 +152,23 @@ class TestMempool:
         pool.release_block("block")
         assert len(pool) == 0 and pool.inflight_count() == 0
 
+    def test_a_committed_block_leaves_no_inflight_entry(self):
+        pool = Mempool()
+        first, second = make_txn(1), make_txn(2)
+        pool.add(first)
+        pool.add(second)
+        pool.note_proposed("committed", pool.next_batch(1))
+        pool.note_proposed("forked", pool.next_batch(1))
+        pool.note_committed("committed", [first])
+        assert pool._inflight_blocks == {"forked": (second.txn_id,)}
+        assert pool.inflight_count() == 1 and pool.is_committed(first.txn_id)
+        # Releasing the committed block (or re-committing it) requeues nothing.
+        pool.release_block("committed")
+        pool.note_committed("committed", [first])
+        assert len(pool) == 0
+        pool.release_block("forked")
+        assert [txn.txn_id for txn in pool.next_batch(2)] == [second.txn_id]
+
     def test_snapshot_horizon_moves_the_watermark_over_later_commits(self):
         pool = Mempool(shared=False)
         pool.mark_committed([0, 1, 5, 7, 9])

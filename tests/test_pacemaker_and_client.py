@@ -243,6 +243,28 @@ class TestViewSynchronizer:
         assert [type(msg) for msg in broadcast] == [TimeoutCertificateMsg]
         assert broadcast[0].view == boundary
 
+    def test_a_second_tc_for_an_entered_view_is_neither_relayed_nor_rescheduled(self):
+        from repro.consensus.messages import TimeoutCertificateMsg
+
+        harness, pacemaker = self._started(replica_id=3)
+        sent = []
+        harness.replica.send = lambda target, payload, **kw: sent.append((target, payload))
+        shares = [harness.authority.create_timeout_vote(voter, 4) for voter in (0, 1, 2)]
+        tc = harness.authority.form_timeout_certificate(4, shares)
+        message = TimeoutCertificateMsg(view=4, cert=tc, sender_view=3, high_cert=None)
+        pacemaker.handle_timeout_certificate(message)
+        assert pacemaker.current_view == 4
+        relays = [target for target, payload in sent if isinstance(payload, TimeoutCertificateMsg)]
+        assert sorted(relays) == sorted(pacemaker.epoch_leaders(4))
+        scheduled = dict(pacemaker._scheduled_start)
+        assert scheduled  # the epoch's later view starts
+        sent.clear()
+        harness.sim.run(until=harness.sim.now + harness.config.view_timeout * 0.1)
+        pacemaker.handle_timeout_certificate(message)
+        assert sent == []
+        assert pacemaker._scheduled_start == scheduled
+        assert pacemaker.current_view == 4
+
     def test_wish_is_retransmitted_while_parked_at_a_boundary(self):
         from repro.consensus.messages import Wish
 
@@ -305,7 +327,6 @@ class TestViewSynchronizer:
         pacemaker.note_peer_view(1, 3)
         pacemaker.note_peer_view(2, 50)
         pacemaker._tc_formed.update({2, 40})
-        pacemaker._tc_entered.update({2, 40})
         pacemaker._sent_wish_shares[2] = object()
         pacemaker._sent_wish_shares[40] = object()
         # Leftover TC schedules (views 2, 9) and the epoch a TC for view 10
@@ -317,7 +338,6 @@ class TestViewSynchronizer:
         # entries (still-useful evidence and state) survive.
         assert pacemaker.view_table == {2: 50}
         assert pacemaker._tc_formed == {40}
-        assert pacemaker._tc_entered == {40}
         assert set(pacemaker._sent_wish_shares) == {40}
         # The view timer read view 11's scheduled start after pruning, and
         # only the current view's start time is kept (share timer, deadline).

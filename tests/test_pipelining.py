@@ -75,7 +75,7 @@ class TestSafePipelinedSlot:
         for slot in range(1, length + 1):
             parent = _chain_block(harness, 2, slot, parent)
             if vote:
-                harness.replica._voted_hashes.add(parent.block_hash)
+                harness.replica._vouch_for(parent)
             blocks.append(parent)
         return blocks
 
@@ -110,7 +110,7 @@ class TestSafePipelinedSlot:
     def test_rejects_foreign_proposer_in_the_chain(self, harness):
         s1, s2 = self._chain(harness, 2)
         rogue = _chain_block(harness, 2, 3, s2, proposer=1)
-        harness.replica._voted_hashes.add(rogue.block_hash)
+        harness.replica._vouch_for(rogue)
         s4 = _chain_block(harness, 2, 4, rogue)
         justify = harness.certificate(CertKind.NEW_SLOT, s1)
         proposal = Propose(view=2, slot=4, block=s4, justify=justify)

@@ -92,9 +92,6 @@ class TestCommitRules:
         for view in range(1, length + 1):
             block = add_block(harness, view, parent)
             cert = harness.certificate(CertKind.PREPARE, block)
-            harness.replica.justify_of[block.block_hash] = (
-                certs[-1] if certs else harness.replica.genesis_cert
-            )
             harness.replica.record_certificate(cert)
             blocks.append(block)
             certs.append(cert)
@@ -316,25 +313,18 @@ class TestNewViewCollection:
         assert harness.replica.last_proposed_view == 2
 
 
-class TestViewBucketsArePruned:
-    """Per-view message buckets keep the current and the previous view only.
+class TestStateIsBounded:
+    """A replica's bookkeeping lives as long as the view it serves.
 
-    A long run enters thousands of views; a bucket kept per view would hold
-    every NewView (and its certificate) of the run.  After every view entry,
-    each view-keyed map may only hold views >= current - 1.
+    A long run enters thousands of views and commits thousands of blocks;
+    state kept per view or per block for the whole run would grow with it.
+    At every view entry, each set, dict and list held by a replica, its
+    pacemaker and its mempool must stay within ``BOUND`` entries.  Only the
+    block-indexed certificate maps are exempt: ``certs_by_block``, and the
+    slotting replica's ``justify_of`` (its prefix commit rule reads it).
     """
 
-    BUCKETS = (
-        "_new_view_msgs",
-        "_propose_votes",
-        "_own_proposals",
-        "_new_slot_msgs",
-        "_reject_msgs",
-        "_last_proposed_slot",
-        "_last_proposed_hash",
-        "_last_certified_slot",
-        "_pipeline_justify",
-    )
+    BOUND = 64
 
     @pytest.mark.parametrize(
         "protocol, views, overrides",
@@ -343,28 +333,32 @@ class TestViewBucketsArePruned:
             ("hotstuff-1-basic", 2000, dict(duration=4.8)),
             # Slotting leaves every view on its timer: a short one.
             ("hotstuff-1-slotting", 400, dict(duration=1.0, view_timeout=0.002)),
+            ("hotstuff-1-slotting", 400, dict(duration=1.0, view_timeout=0.002, pipeline_depth=2)),
         ],
     )
-    def test_buckets_hold_only_recent_views(self, monkeypatch, protocol, views, overrides):
-        stale = []
-        checked = set()
+    def test_no_container_grows_with_the_run(self, monkeypatch, protocol, views, overrides):
+        largest = {}
         enter = BaseReplica.on_enter_view
 
-        def checking(replica, view):
+        def measuring(replica, view):
             enter(replica, view)
-            for name in self.BUCKETS:
-                table = getattr(replica, name, None)
-                if table is None:
-                    continue
-                checked.add(name)
-                views_held = {key[0] if isinstance(key, tuple) else key for key in table}
-                if min(views_held, default=view) < view - 1 and len(stale) < 5:
-                    stale.append((replica.replica_id, view, name, sorted(views_held)[:5]))
+            for owner in (replica, replica.pacemaker, replica.mempool):
+                for name, value in vars(owner).items():
+                    if isinstance(value, (set, dict, list)):
+                        key = (type(owner).__name__, name)
+                        largest[key] = max(largest.get(key, 0), len(value))
 
-        monkeypatch.setattr(BaseReplica, "on_enter_view", checking)
+        monkeypatch.setattr(BaseReplica, "on_enter_view", measuring)
         result = run_experiment(
             ExperimentSpec(protocol=protocol, n=4, batch_size=1, warmup=0.1, **overrides)
         )
         assert min(replica.current_view for replica in result.replicas) >= views
-        assert "_new_view_msgs" in checked
-        assert stale == []
+        exempt = {("SlottedHotStuff1Replica", "justify_of")}
+        grown = {
+            key: size
+            for key, size in largest.items()
+            if size > self.BOUND and key[1] != "certs_by_block" and key not in exempt
+        }
+        assert grown == {}
+        measured = {owner for owner, _ in largest}
+        assert measured == {type(result.replicas[0]).__name__, "Pacemaker", "Mempool"}

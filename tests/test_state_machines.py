@@ -174,6 +174,27 @@ class TestTPCCStateMachine:
         success, _ = machine.apply(txn)
         assert not success
 
+    def test_aborted_new_order_leaves_no_stock_writes(self):
+        # The first line is valid and moves stock before the second aborts
+        # the order; an aborted order must leave no effect at all.
+        machine = self.make_machine()
+        before_stock = dict(machine.table("stock")[(1, 1)])
+        before_digest = machine.state_digest()
+        txn = Transaction.create(
+            1, "tpcc_new_order",
+            {"w_id": 1, "d_id": 1, "c_id": 1,
+             "lines": [{"i_id": 1, "quantity": 3}, {"i_id": 9999999, "quantity": 1}]},
+        )
+        execution = machine.execute_block([self.new_order_txn(), txn])
+        assert execution.successes == [True, False]
+        assert execution.outputs[1]["error"] == "invalid item"
+        machine.undo(execution.changes)
+        assert machine.state_digest() == before_digest
+        success, output = machine.apply(txn)
+        assert (success, output["error"]) == (False, "invalid item")
+        assert machine.table("stock")[(1, 1)] == before_stock
+        assert machine.state_digest() == before_digest
+
     def test_payment_updates_balances(self):
         machine = self.make_machine()
         success, _ = machine.apply(

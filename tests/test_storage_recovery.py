@@ -11,6 +11,7 @@ import pytest
 from repro.consensus.certificates import CertKind
 from repro.consensus.messages import FetchRequest, FetchResponse
 from repro.consensus.metrics import MetricsCollector
+from repro.core.slotting import SlottedHotStuff1Replica
 from repro.core.streamlined import HotStuff1Replica
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -24,6 +25,7 @@ from repro.storage import (
     ReplicaStore,
     WriteAheadLog,
 )
+from repro.storage.wal import WalState
 from tests.conftest import build_chain, certificate_for
 from tests.helpers import ReplicaHarness
 
@@ -372,14 +374,15 @@ class TestRecoveryManager:
 
 
 class TestNeverVoteTwice:
+    @pytest.mark.parametrize("protocol", ["hotstuff-1", "hotstuff-1-slotting", "hotstuff-1-basic"])
     @pytest.mark.parametrize("seed", [1, 7, 23])
-    def test_no_replica_equivocates_across_a_crash(self, seed):
+    def test_no_replica_equivocates_across_a_crash(self, seed, protocol):
         """Property: across every incarnation of every replica, the WAL shows
         at most one vote per (view, slot) — a restarted replica never votes
-        twice in a view it voted in before the crash."""
+        twice in a view (or slot) it voted in before the crash."""
         plan = FaultPlan.single_crash(1, at=0.12, down_for=0.08)
         spec = ExperimentSpec(
-            protocol="hotstuff-1", n=4, batch_size=10, duration=0.6, warmup=0.1,
+            protocol=protocol, n=4, batch_size=10, duration=0.6, warmup=0.1,
             seed=seed, faults=plan.to_dict(),
         )
         result = run_experiment(spec)
@@ -412,3 +415,10 @@ class TestNeverVoteTwice:
         )
         RecoveryManager(store).restore(replica)
         assert replica.last_voted_view == 5  # handle_propose's re-vote guard
+
+    def test_restored_slotting_replica_guards_the_slots_of_its_last_voted_view(self):
+        replica = ReplicaHarness(SlottedHotStuff1Replica).replica
+        replica.restore_vote_state(WalState(last_voted_view=5, voted={(4, 1), (5, 1), (5, 2)}))
+        assert (replica.last_voted_view, replica._voted_slots) == (5, {1, 2})
+        assert replica._has_voted(5, 2) and replica._has_voted(4, 3)
+        assert not replica._has_voted(5, 3) and not replica._has_voted(6, 1)
