@@ -242,30 +242,17 @@ class ExperimentSpec:
     trace: bool = knob(
         False, group="telemetry", flags=("--trace",),
         help="record per-transaction lifecycle spans, a phase-level latency breakdown and a "
-             "windowed time series (off by default; an untraced run pays nothing)",
-    )
-    trace_max_txns: int = knob(
-        2000, group="telemetry", flags=("--trace-max-txns",), low=1,
-        help="cap on fully-sampled transaction spans (first post-warmup submissions win; "
-             "event counters stay exact past it)",
+             "windowed time series watched by the online SLO detector (off by default; an "
+             "untraced run pays nothing)",
     )
     trace_bucket: Optional[float] = knob(
         None, group="telemetry", flags=("--trace-bucket",), positive=True, metavar="SECONDS",
         help="time-series bucket width (default: duration/8, clamped to 20ms..1s)",
     )
-    trace_max_events: int = knob(
-        4096, group="telemetry", flags=("--trace-max-events",), low=1,
-        help="ring size for raw protocol events and trace instants",
-    )
     trace_stream: Optional[str] = knob(
         None, group="telemetry", flags=("--trace-stream",), metavar="FILE.jsonl",
         help="stream spans, events and closed buckets to this JSONL file as the run progresses "
              "(bounded memory; implies --trace; readable mid-run by `repro trace` / `watch`)",
-    )
-    trace_detect: bool = knob(
-        True, group="telemetry", flags=("--no-detect",),
-        help="disable the online SLO detector (commit-stall, view-change-storm, "
-             "mempool-saturation, speculation-lead-collapse) over the trace time series",
     )
     scrape_port: Optional[int] = knob(
         None, group="telemetry", flags=("--scrape-port",), low=0, high=65535, metavar="PORT",
@@ -546,6 +533,41 @@ class Deployment:
     controller: Optional[ChaosController] = None
     client_pool: Optional[ClientPool] = None
 
+    def build_replica(self, replica_id: int, scheduler, network, mempool: Mempool,
+                      store: Optional[ReplicaStore] = None) -> BaseReplica:
+        """Construct replica *replica_id* of this deployment (not yet started).
+
+        Both the initial build and a chaos restart come through here, so a
+        restarted replica has the same protocol, crypto, workload, costs,
+        behaviour, checkpoint cadence and tracer as its first incarnation.
+        With a durable *store* the replica is built over its persisted block
+        tree.
+        """
+        replica = self.replica_class(
+            replica_id,
+            scheduler,
+            network,
+            self.config,
+            self.authority,
+            self.leaders,
+            self.workload.make_state_machine(),
+            mempool,
+            self.metrics,
+            costs=self.costs,
+            behavior=self.behaviors.get(replica_id),
+            block_store=store.open_blockstore() if store is not None else None,
+            store=store,
+        )
+        if self.checkpoint_interval is not None and store is not None:
+            from repro.checkpoint.manager import CheckpointManager
+
+            # Attached before any restore: recovery re-bases the manager's
+            # cadence on the snapshot it restores from, and catch-up prefers
+            # a snapshot transfer over block-by-block fetch.
+            replica.checkpointer = CheckpointManager(replica, self.checkpoint_interval)
+        replica.tracer = self.tracer
+        return replica
+
     def mempool_for(self, replica_id: int) -> Mempool:
         """The pool replica *replica_id* proposes from (shared or its own)."""
         if self.mempools is not None:
@@ -620,44 +642,13 @@ def build_deployment(
             clock=scheduler,
             warmup=spec.warmup,
             bucket=spec.trace_bucket or default_bucket_width(spec.duration),
-            max_txns=spec.trace_max_txns,
-            max_events=spec.trace_max_events,
         )
-        if spec.trace_detect:
-            SloDetector(tracer)
+        SloDetector(tracer)
         if spec.trace_stream:
             StreamingTraceSink(tracer, spec.trace_stream)
         for pool in mempools.values() if mempools is not None else (mempool,):
             pool.tracer = tracer
-    replica_class = replica_class_for(spec.protocol)
-    replicas: List[BaseReplica] = []
-    for replica_id in hosted:
-        store = store_for(replica_id) if store_for is not None else None
-        replica = replica_class(
-            replica_id,
-            scheduler,
-            network_for(replica_id),
-            config,
-            authority,
-            leaders,
-            workload.make_state_machine(),
-            mempools[replica_id] if mempools is not None else mempool,
-            metrics,
-            costs=costs,
-            behavior=spec.behaviors.get(replica_id),
-            block_store=store.open_blockstore() if store is not None else None,
-            store=store,
-        )
-        if spec.checkpoint_interval is not None and store is not None:
-            from repro.checkpoint.manager import CheckpointManager
-
-            replica.checkpointer = CheckpointManager(replica, spec.checkpoint_interval)
-        replica.tracer = tracer
-        replicas.append(replica)
-    honest = [replica for replica in replicas if not replica.behavior.is_byzantine]
-    if replicas:
-        (honest or replicas)[0].report_metrics = True
-    return Deployment(
+    deployment = Deployment(
         config=config,
         authority=authority,
         leaders=leaders,
@@ -665,14 +656,23 @@ def build_deployment(
         mempool=mempool,
         metrics=metrics,
         costs=costs,
-        replica_class=replica_class,
-        replicas=replicas,
+        replica_class=replica_class_for(spec.protocol),
+        replicas=[],
         behaviors=dict(spec.behaviors),
         checkpoint_interval=spec.checkpoint_interval,
         tracer=tracer,
         mempools=mempools,
         mempool_limit=spec.mempool_limit,
     )
+    for replica_id in hosted:
+        deployment.replicas.append(deployment.build_replica(
+            replica_id, scheduler, network_for(replica_id), deployment.mempool_for(replica_id),
+            store_for(replica_id) if store_for is not None else None,
+        ))
+    honest = [replica for replica in deployment.replicas if not replica.behavior.is_byzantine]
+    if deployment.replicas:
+        (honest or deployment.replicas)[0].report_metrics = True
+    return deployment
 
 
 def build_replica_stores(spec: ExperimentSpec, hosted: Sequence[int]) -> Dict[int, ReplicaStore]:
@@ -841,7 +841,7 @@ def report(
     chaos = None
     if deployment.controller is not None:
         chaos = deployment.controller.report(replicas)
-        if tracer is not None and tracer.detector is not None:
+        if tracer is not None:
             chaos["alerts"] = tracer.detector.summary()
     return RunResult(
         spec=spec,

@@ -131,33 +131,10 @@ class DeploymentAdapter:
         """Rebuild *replica_id* over its durable store, catch it up, start it; return it."""
         store = self.stores[replica_id]
         deployment = self.deployment
-        replica = deployment.replica_class(
-            replica_id,
-            self.scheduler,
-            self.network_for(replica_id),
-            deployment.config,
-            deployment.authority,
-            deployment.leaders,
-            deployment.workload.make_state_machine(),
-            # Shared pool: the same instance as before (it survives crashes by
-            # construction).  Distributed pool: a fresh, empty one — a real
-            # process crash loses its pool; recovery re-marks the committed
-            # prefix and the snapshot horizon prunes the rest.
-            deployment.fresh_mempool_for(replica_id),
-            deployment.metrics,
-            costs=deployment.costs,
-            behavior=deployment.behaviors.get(replica_id),
-            block_store=store.open_blockstore(),
-            store=store,
+        replica = deployment.build_replica(
+            replica_id, self.scheduler, self.network_for(replica_id),
+            deployment.fresh_mempool_for(replica_id), store,
         )
-        if deployment.checkpoint_interval is not None:
-            from repro.checkpoint.manager import CheckpointManager
-
-            # Attached before restore: recovery re-bases the manager's cadence
-            # on the snapshot it restores from, and catch-up prefers a
-            # snapshot transfer over block-by-block fetch.
-            replica.checkpointer = CheckpointManager(replica, deployment.checkpoint_interval)
-        replica.tracer = deployment.tracer
         manager = RecoveryManager(store)
         state = manager.restore(replica)
         manager.catch_up(replica, ask=self._live_peer(replica_id))

@@ -33,7 +33,7 @@ undo (and re-execute) whole blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_fields
 from repro.errors import SpeculationError
@@ -88,7 +88,9 @@ class SpeculativeLedger:
         self.state_machine = state_machine
         self.block_store = block_store
         self.committed = CommittedLedger()
-        self._speculated: List[SpeculativeEntry] = []
+        # The speculated suffix: at most one block, because the Prefix
+        # Speculation rule only speculates a child of the committed head.
+        self._speculated: Optional[SpeculativeEntry] = None
         self.rollback_count = 0
         self.rolled_back_txns = 0
         self.speculated_block_count = 0
@@ -107,8 +109,8 @@ class SpeculativeLedger:
     @property
     def speculative_head_hash(self) -> str:
         """Hash of the tip of the speculated suffix (falls back to committed head)."""
-        if self._speculated:
-            return self._speculated[-1].block.block_hash
+        if self._speculated is not None:
+            return self._speculated.block.block_hash
         return self.committed_head_hash
 
     def is_committed(self, block_hash: str) -> bool:
@@ -119,11 +121,12 @@ class SpeculativeLedger:
 
     def is_speculated(self, block_hash: str) -> bool:
         """Return ``True`` if *block_hash* sits on the speculated suffix."""
-        return any(entry.block.block_hash == block_hash for entry in self._speculated)
+        entry = self._speculated
+        return entry is not None and entry.block.block_hash == block_hash
 
     def speculated_blocks(self) -> List[Block]:
-        """Blocks currently on the speculated suffix, oldest first."""
-        return [entry.block for entry in self._speculated]
+        """Blocks currently on the speculated suffix (at most one)."""
+        return [] if self._speculated is None else [self._speculated.block]
 
     def prefix_committed(self, block: Block) -> bool:
         """Prefix Speculation rule (Definition 3.1): is *block*'s predecessor committed?"""
@@ -142,12 +145,12 @@ class SpeculativeLedger:
         is temporarily undone, the state captured, and the suffix re-executed —
         deterministic machines reproduce it exactly.
         """
-        machine = self.state_machine
-        for entry in reversed(self._speculated):
+        machine, entry = self.state_machine, self._speculated
+        if entry is not None:
             machine.undo(entry.changes)
         payload = machine.snapshot_state()
         digest = machine.state_digest()
-        for entry in self._speculated:
+        if entry is not None:
             entry.changes = machine.execute_block(entry.block.transactions).changes
         return payload, digest
 
@@ -177,19 +180,17 @@ class SpeculativeLedger:
         Returns the block's :class:`SpeculativeEntry`.  Speculating the same
         block twice is idempotent and returns the cached entry.
         """
-        for entry in self._speculated:
-            if entry.block.block_hash == block.block_hash:
-                return entry
+        if self.is_speculated(block.block_hash):
+            return self._speculated
         if not self.prefix_committed(block):
             raise SpeculationError(
                 f"cannot speculate block (view={block.view}, slot={block.slot}): "
                 "its predecessor is not committed (Prefix Speculation rule)"
             )
-        if self._speculated:
+        if self._speculated is not None:
             self.rollback_to_committed_head()
         self.block_store.add(block)
-        entry = self._execute_block(block)
-        self._speculated.append(entry)
+        entry = self._speculated = self._execute_block(block)
         self.speculated_block_count += 1
         return entry
 
@@ -206,12 +207,13 @@ class SpeculativeLedger:
             position = self.committed.position_of(block.block_hash)
             return CommitOutcome(block, [], NULL_DIGEST, was_speculated=False, position=position or 0)
 
-        if self._speculated and self._speculated[0].block.block_hash == block.block_hash:
-            entry = self._speculated.pop(0)
+        entry = self._speculated
+        if entry is not None and entry.block.block_hash == block.block_hash:
+            self._speculated = None
             position = self.committed.append(block)
             return CommitOutcome(block, entry.successes, entry.results_root, was_speculated=True, position=position)
 
-        if self._speculated:
+        if entry is not None:
             # Whatever is speculated conflicts with the block being committed.
             self.rollback_to_committed_head()
 
@@ -255,22 +257,21 @@ class SpeculativeLedger:
 
     # -------------------------------------------------------------- rollback
     def rollback_to_committed_head(self) -> List[Block]:
-        """Erase the entire speculated suffix, undoing its effects (newest first).
+        """Erase the speculated suffix, undoing its effects.
 
-        Returns the rolled-back blocks, newest first.  This is the
+        Returns the rolled-back blocks (empty or one).  This is the
         "roll local-ledger back to the common ancestor" operation for the
         common case where the conflicting block extends the committed head —
         which is the only case the Prefix Speculation rule permits.
         """
-        rolled_back: List[Block] = []
-        while self._speculated:
-            entry = self._speculated.pop()
-            self.state_machine.undo(entry.changes)
-            rolled_back.append(entry.block)
-            self.rolled_back_txns += entry.block.txn_count
-        if rolled_back:
-            self.rollback_count += 1
-        return rolled_back
+        entry = self._speculated
+        if entry is None:
+            return []
+        self._speculated = None
+        self.state_machine.undo(entry.changes)
+        self.rolled_back_txns += entry.block.txn_count
+        self.rollback_count += 1
+        return [entry.block]
 
     def rollback_if_conflicting(self, block: Block) -> List[Block]:
         """Roll back the speculated suffix if it conflicts with *block*.
@@ -278,13 +279,10 @@ class SpeculativeLedger:
         Used before speculating or committing *block*; returns the rolled
         back blocks (empty when nothing conflicted).
         """
-        if not self._speculated:
+        entry = self._speculated
+        if entry is None or entry.block.block_hash == block.block_hash:
             return []
-        for entry in self._speculated:
-            if entry.block.block_hash == block.block_hash:
-                return []
-        speculative_head = self._speculated[-1].block.block_hash
-        if self.block_store.extends(block.block_hash, speculative_head):
+        if self.block_store.extends(block.block_hash, entry.block.block_hash):
             return []
         return self.rollback_to_committed_head()
 

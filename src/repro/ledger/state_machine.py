@@ -18,7 +18,7 @@ a transaction in a block, so it must not halt the replicas that execute it.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_fields
 from repro.ledger.transaction import Transaction
@@ -72,6 +72,20 @@ class StateMachine:
     def restore_state(self, payload: Dict[str, Any]) -> None:
         """Replace the full state with a payload from :meth:`snapshot_state`."""
         raise NotImplementedError
+
+
+def tables_digest(tables: Mapping[str, Iterable[Tuple[Any, Any]]]) -> str:
+    """Digest of named tables, each given as its ``(key, value)`` items.
+
+    Empty tables are indistinguishable from absent ones, so undoing a
+    transaction that touched a new table restores the exact
+    pre-transaction digest.
+    """
+    return hash_fields("state", *(
+        hash_fields(name, sorted((repr(key), repr(value)) for key, value in tables[name]))
+        for name in sorted(tables)
+        if tables[name]
+    ))
 
 
 class RecordingStateMachine(StateMachine):
@@ -143,16 +157,7 @@ class RecordingStateMachine(StateMachine):
                 tables[table_name][key] = old_value
 
     def state_digest(self) -> str:
-        parts = []
-        for table_name in sorted(self._tables):
-            table = self._tables[table_name]
-            if not table:
-                # Empty tables are indistinguishable from absent ones so that
-                # undoing a transaction that touched a new table restores the
-                # exact pre-transaction digest.
-                continue
-            parts.append(hash_fields(table_name, sorted((repr(k), repr(v)) for k, v in table.items())))
-        return hash_fields("state", *parts)
+        return tables_digest({name: table.items() for name, table in self._tables.items()})
 
     # ------------------------------------------------------------- snapshots
     # Table keys are strings, ints or (for TPC-C) tuples of ints; JSON only
@@ -193,22 +198,14 @@ class RecordingStateMachine(StateMachine):
     def payload_digest(cls, payload: Dict[str, Any]) -> str:
         """Digest a :meth:`snapshot_state` payload without building a machine.
 
-        Mirrors :meth:`state_digest` exactly, so a receiver can verify a
-        transferred snapshot against its sealed digest before adopting it.
+        The same :func:`tables_digest` as :meth:`state_digest`, so a receiver
+        can verify a transferred snapshot against its sealed digest before
+        adopting it.
         """
-        tables = payload.get("tables", {})
-        parts = []
-        for table_name in sorted(tables):
-            items = tables[table_name]
-            if not items:
-                continue
-            parts.append(
-                hash_fields(
-                    table_name,
-                    sorted((repr(cls._decode_key(key)), repr(value)) for key, value in items),
-                )
-            )
-        return hash_fields("state", *parts)
+        return tables_digest({
+            name: [(cls._decode_key(key), value) for key, value in items]
+            for name, items in payload.get("tables", {}).items()
+        })
 
     # ------------------------------------------------------------- subclass
     def _execute(self, txn: Transaction) -> tuple:

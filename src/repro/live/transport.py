@@ -314,11 +314,12 @@ class AsyncTcpTransport:
         """Attach a :class:`~repro.obs.trace.TraceRecorder` for wire events.
 
         With a tracer attached, every outbound frame is stamped with a
-        per-sender send sequence (the v5 wire trace context) and recorded as
+        per-sender send sequence (envelope version 11,
+        :data:`~repro.live.codec.BINARY_TRACED_WIRE_VERSION`) and recorded as
         a ``send`` wire event; every inbound frame that carries a sequence is
         recorded as the matching ``recv`` event.  ``None`` detaches — an
         untraced transport pays one attribute test per frame and emits
-        byte-identical v4 frames.
+        version-10 frames.
         """
         self._tracer = tracer
 

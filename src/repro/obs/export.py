@@ -174,13 +174,16 @@ def write_chrome(trace: TraceRecorder, path: str) -> str:
 
 
 # ------------------------------------------------------------ Prometheus
-def prometheus_text(trace: TraceRecorder) -> str:
-    """Snapshot *trace* in the Prometheus text exposition format."""
-    lines: List[str] = []
+#: One metric family: ``(name, help, type, [(labels, value), ...])``.
+Family = Tuple[str, str, str, List[Tuple[Dict[str, str], float]]]
 
-    def emit(name: str, help_text: str, metric_type: str, samples: List[Tuple[Dict[str, str], float]]) -> None:
+
+def prometheus_exposition(families: List[Family]) -> str:
+    """Families in the text exposition format (a family without samples is left out)."""
+    lines: List[str] = []
+    for name, help_text, metric_type, samples in families:
         if not samples:
-            return
+            continue
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {metric_type}")
         for labels, value in samples:
@@ -190,54 +193,36 @@ def prometheus_text(trace: TraceRecorder) -> str:
                 else ""
             )
             lines.append(f"{name}{label_text} {_format_value(value)}")
+    return "\n".join(lines) + "\n"
 
-    emit(
-        "repro_trace_events_total",
-        "Lifecycle events observed, per kind (exact counters).",
-        "counter",
-        [({"kind": kind}, float(count)) for kind, count in sorted(trace.counts.items())],
-    )
+
+def prometheus_text(trace: TraceRecorder) -> str:
+    """Snapshot *trace* in the Prometheus text exposition format."""
     breakdown = trace.phase_breakdown()
-    phase_samples: List[Tuple[Dict[str, str], float]] = []
-    for stat in breakdown.phases + breakdown.totals:
-        for stat_name, value in (("mean", stat.mean_s), ("p50", stat.p50_s), ("p99", stat.p99_s)):
-            phase_samples.append(({"phase": stat.name, "stat": stat_name}, value))
-    emit(
-        "repro_trace_phase_latency_seconds",
-        "Phase-level latency decomposition over sampled spans (signed).",
-        "gauge",
-        phase_samples,
-    )
-    emit(
-        "repro_trace_spans_sampled",
-        "Transaction spans in the bounded sample.",
-        "gauge",
-        [({}, float(len(trace.spans)))],
-    )
-    emit(
-        "repro_trace_highest_view",
-        "Highest view any replica entered.",
-        "gauge",
-        [({}, float(trace.highest_view))],
-    )
-    if trace.wire_seen:
-        emit(
-            "repro_trace_wire_events_total",
-            "Transport frames observed by the tracer (send + recv sides).",
-            "counter",
-            [({}, float(trace.wire_seen))],
-        )
     alert_counts: Dict[str, int] = {}
     for inst in trace.instants:
         if inst.kind == "alert":
             alert_counts[inst.label] = alert_counts.get(inst.label, 0) + 1
-    emit(
-        "repro_trace_alerts_total",
-        "SLO detector alerts raised, per rule.",
-        "counter",
-        [({"rule": rule}, float(count)) for rule, count in sorted(alert_counts.items())],
-    )
-    return "\n".join(lines) + "\n"
+    return prometheus_exposition([
+        ("repro_trace_events_total",
+         "Lifecycle events observed, per kind (exact counters).", "counter",
+         [({"kind": kind}, count) for kind, count in sorted(trace.counts.items())]),
+        ("repro_trace_phase_latency_seconds",
+         "Phase-level latency decomposition over sampled spans (signed).", "gauge",
+         [({"phase": stat.name, "stat": stat_name}, value)
+          for stat in breakdown.phases + breakdown.totals
+          for stat_name, value in (("mean", stat.mean_s), ("p50", stat.p50_s),
+                                   ("p99", stat.p99_s))]),
+        ("repro_trace_spans_sampled", "Transaction spans in the bounded sample.", "gauge",
+         [({}, len(trace.spans))]),
+        ("repro_trace_highest_view", "Highest view any replica entered.", "gauge",
+         [({}, trace.highest_view)]),
+        ("repro_trace_wire_events_total",
+         "Transport frames observed by the tracer (send + recv sides).", "counter",
+         [({}, trace.wire_seen)] if trace.wire_seen else []),
+        ("repro_trace_alerts_total", "SLO detector alerts raised, per rule.", "counter",
+         [({"rule": rule}, count) for rule, count in sorted(alert_counts.items())]),
+    ])
 
 
 def _format_value(value: float) -> str:

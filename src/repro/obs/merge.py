@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -215,25 +215,17 @@ def merge_shards(
                     target.events[kind] = rebased
                     target.sources[kind] = node
         for event in trace.events:
-            moved = type(event)(**{**event.as_dict(), "t": event.t + shift})
+            moved = replace(event, t=event.t + shift)
             if moved.replica < 0:
                 moved.replica = node if node >= 0 else -1
             merged.events.append(moved)
         for inst in trace.instants:
-            merged.instants.append(
-                type(inst)(**{**inst.as_dict(), "t": inst.t + shift})
-            )
+            merged.instants.append(replace(inst, t=inst.t + shift))
         for wire in trace.wire:
             # ``t`` is on the shard owner's clock; ``sent_at`` always came
             # from the sender's clock, whichever shard recorded the event.
             merged.wire.append(
-                type(wire)(
-                    **{
-                        **wire.as_dict(),
-                        "t": wire.t + shift,
-                        "sent_at": wire.sent_at + offsets.offset(wire.src),
-                    }
-                )
+                replace(wire, t=wire.t + shift, sent_at=wire.sent_at + offsets.offset(wire.src))
             )
         for kind, count in trace.counts.items():
             if count > merged.counts.get(kind, 0):

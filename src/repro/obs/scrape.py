@@ -26,7 +26,7 @@ import asyncio
 import json
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.obs.export import prometheus_text
+from repro.obs.export import prometheus_exposition, prometheus_text
 
 #: (status, content_type, body) returned by a route callable.
 Response = Tuple[int, str, str]
@@ -172,60 +172,41 @@ class ReplicaTelemetry:
     # --------------------------------------------------------------- routes
     def metrics(self) -> Response:
         state = self.probe()
-        labels = f'{{replica="{self.replica_id}"}}'
-        lines = [
-            "# HELP repro_replica_up Replica process is alive and not halted.",
-            "# TYPE repro_replica_up gauge",
-            f"repro_replica_up{labels} {1 if state['up'] else 0}",
-            "# HELP repro_replica_view Current pacemaker view.",
-            "# TYPE repro_replica_view gauge",
-            f"repro_replica_view{labels} {state['view']}",
-            "# HELP repro_replica_committed_height Committed ledger height.",
-            "# TYPE repro_replica_committed_height gauge",
-            f"repro_replica_committed_height{labels} {state['height']}",
+        labels = {"replica": str(self.replica_id)}
+        values = [
+            ("repro_replica_up", "Replica process is alive and not halted.", "gauge",
+             1 if state["up"] else 0),
+            ("repro_replica_view", "Current pacemaker view.", "gauge", state["view"]),
+            ("repro_replica_committed_height", "Committed ledger height.", "gauge",
+             state["height"]),
+            ("repro_replica_last_commit_age_seconds",
+             "Seconds since the committed height last advanced.", "gauge",
+             state["last_commit_age_s"]),
+            ("repro_replica_mempool_depth", "Transactions waiting in the mempool.", "gauge",
+             state.get("mempool_depth")),
+            ("repro_replica_mempool_inflight",
+             "Transactions riding in proposed-but-uncommitted blocks.", "gauge",
+             state.get("mempool_inflight")),
+            ("repro_replica_mempool_admission_rejected_total",
+             "Adds rejected by the pool's admission limit.", "counter",
+             state.get("mempool_admission_rejected")),
         ]
-        if state["last_commit_age_s"] is not None:
-            lines += [
-                "# HELP repro_replica_last_commit_age_seconds Seconds since the committed height last advanced.",
-                "# TYPE repro_replica_last_commit_age_seconds gauge",
-                f"repro_replica_last_commit_age_seconds{labels} {state['last_commit_age_s']}",
-            ]
-        if "mempool_depth" in state:
-            lines += [
-                "# HELP repro_replica_mempool_depth Transactions waiting in the mempool.",
-                "# TYPE repro_replica_mempool_depth gauge",
-                f"repro_replica_mempool_depth{labels} {state['mempool_depth']}",
-            ]
-        if "mempool_inflight" in state:
-            lines += [
-                "# HELP repro_replica_mempool_inflight Transactions riding in proposed-but-uncommitted blocks.",
-                "# TYPE repro_replica_mempool_inflight gauge",
-                f"repro_replica_mempool_inflight{labels} {state['mempool_inflight']}",
-            ]
-        if "mempool_admission_rejected" in state:
-            lines += [
-                "# HELP repro_replica_mempool_admission_rejected_total Adds rejected by the pool's admission limit.",
-                "# TYPE repro_replica_mempool_admission_rejected_total counter",
-                f"repro_replica_mempool_admission_rejected_total{labels} {state['mempool_admission_rejected']}",
-            ]
         if self.transport is not None:
             stats = self.transport.stats.as_dict()
-            lines += [
-                "# HELP repro_transport_messages_sent_total Messages handed to the transport.",
-                "# TYPE repro_transport_messages_sent_total counter",
-                f"repro_transport_messages_sent_total{labels} {stats.get('messages_sent', 0)}",
-                "# HELP repro_transport_bytes_sent_total Wire bytes sent.",
-                "# TYPE repro_transport_bytes_sent_total counter",
-                f"repro_transport_bytes_sent_total{labels} {stats.get('bytes_sent', 0)}",
-            ]
             depth = getattr(self.transport, "outbound_queue_depth", None)
-            if depth is not None:
-                lines += [
-                    "# HELP repro_transport_outbound_queue_depth Frames queued to peers, all connections.",
-                    "# TYPE repro_transport_outbound_queue_depth gauge",
-                    f"repro_transport_outbound_queue_depth{labels} {depth()}",
-                ]
-        body = "\n".join(lines) + "\n"
+            values += [
+                ("repro_transport_messages_sent_total", "Messages handed to the transport.",
+                 "counter", stats.get("messages_sent", 0)),
+                ("repro_transport_bytes_sent_total", "Wire bytes sent.", "counter",
+                 stats.get("bytes_sent", 0)),
+                ("repro_transport_outbound_queue_depth",
+                 "Frames queued to peers, all connections.", "gauge",
+                 depth() if depth is not None else None),
+            ]
+        body = prometheus_exposition([
+            (name, help_text, metric_type, [(labels, value)] if value is not None else [])
+            for name, help_text, metric_type, value in values
+        ])
         if self.tracer is not None:
             body += prometheus_text(self.tracer)
         return 200, _PROM_TYPE, body

@@ -1,7 +1,5 @@
 """Streaming trace sink: incremental JSONL export with bounded memory.
 
-PR 7's recorder held every span, event and bucket until the end of the run
-— fine for short experiments, wrong for the ROADMAP's long-running clusters.
 :class:`StreamingTraceSink` attaches to a :class:`~repro.obs.trace.TraceRecorder`
 (as ``recorder.sink``) and moves data out of process memory the moment it is
 no longer live:
@@ -9,8 +7,9 @@ no longer live:
 * **spans** are written when they complete (both ``responded`` and
   ``committed`` observed) and linger past a short grace window, or at
   close — then dropped from the working set;
-* **protocol events** and **instants** are drained out of their rings on
-  every flush, so the ring never wraps and the stream is lossless;
+* **protocol events**, **instants** and **wire events** are drained out of
+  their rings on every flush, so the ring never wraps and the stream is
+  lossless;
 * **timeline buckets** are written exactly once, when the recorder closes
   them (time moved past the bucket edge), then evicted — the one structure
   that otherwise grows without bound over a long run;
@@ -30,9 +29,11 @@ offset, consumes only complete lines, and tolerates the torn tail — what
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, Iterable, List, Optional
 
-from repro.obs.trace import TraceRecorder, TxnSpan
+from repro.obs.trace import TimelineBucket, TraceRecorder, TxnSpan, record_of
+from repro.storage.backend import parse_jsonl_lines
 
 
 class StreamingTraceSink:
@@ -53,63 +54,46 @@ class StreamingTraceSink:
         self.retire_after = (
             2.0 * recorder.bucket_width if retire_after is None else float(retire_after)
         )
-        self.records_written = 0
-        self.spans_written = 0
-        self.buckets_written = 0
         self.closed = False
         self._handle = open(path, "w", encoding="utf-8")
-        self._write(recorder.meta_record() | {"streaming": True})
-        self._write({"type": "counters", "counts": dict(recorder.counts)})
+        self._write(self._meta())
+        self._write(recorder.counters_record())
         self._handle.flush()
         recorder.sink = self
 
-    # ------------------------------------------------------------ low level
+    def _meta(self) -> Dict:
+        return self.recorder.meta_record() | {"streaming": True}
+
     def _write(self, record: Dict) -> None:
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self.records_written += 1
+
+    def _drain(self, objects: Iterable) -> None:
+        """Write *objects*, then the fresh totals, and flush the file."""
+        for obj in objects:
+            self._write(record_of(obj))
+        self._write(self.recorder.counters_record())
+        self._write(self._meta())
+        self._handle.flush()
 
     # ------------------------------------------------- recorder entry points
-    def write_span(self, span: TxnSpan) -> None:
-        """Persist one span (recorder eviction path or retirement).
-
-        Every caller pops the span from the working set first (or, at close,
-        writes each resident exactly once), so no dedup state is needed —
-        which keeps the sink's own memory O(1) over arbitrarily long runs.
-        """
-        if self.closed:
-            return
-        self._write(TraceRecorder.span_record(span))
-        self.spans_written += 1
-
-    def bucket_closed(self, bucket) -> None:
+    def bucket_closed(self, bucket: TimelineBucket) -> None:
         """Persist a closed timeline bucket and evict it from memory."""
         if self.closed:
             return
-        self._write(TraceRecorder.bucket_record(bucket))
-        self.buckets_written += 1
+        self._write(record_of(bucket))
         self.recorder.buckets.pop(bucket.index, None)
 
     def flush(self) -> None:
         """Drain rings, retire stale completed spans, refresh the totals."""
         if self.closed:
             return
-        recorder = self.recorder
-        while recorder.events:
-            self._write({"type": "event", **recorder.events.popleft().as_dict()})
-        while recorder.instants:
-            self._write({"type": "instant", **recorder.instants.popleft().as_dict()})
-        while recorder.wire:
-            self._write({"type": "wire", **recorder.wire.popleft().as_dict()})
-        self._retire_spans()
-        self._write({"type": "counters", "counts": dict(recorder.counts)})
-        self._write(recorder.meta_record() | {"streaming": True})
-        self._handle.flush()
+        self._drain(chain(self.recorder.rings(drain=True), self._retire_spans()))
 
-    def _retire_spans(self) -> bool:
-        """Flush-and-evict completed spans whose last event went stale."""
+    def _retire_spans(self) -> List[TxnSpan]:
+        """Evict (and return) the completed spans whose last event went stale."""
         recorder = self.recorder
         if recorder.clock is None:
-            return False
+            return []
         now = recorder.clock.now
         horizon = now - self.retire_after
         # Incomplete spans are presumed abandoned well past the grace window;
@@ -124,13 +108,10 @@ class StreamingTraceSink:
                     stale.append(txn_id)
             elif last <= abandon_horizon:
                 stale.append(txn_id)
-        for txn_id in stale:
-            span = recorder.spans.pop(txn_id)
-            self.write_span(span)
-        return bool(stale)
+        return [recorder.spans.pop(txn_id) for txn_id in stale]
 
     def close(self) -> None:
-        """Final flush: resident spans, remaining rings, closing totals.
+        """Final flush: resident spans, remaining rings and buckets, totals.
 
         Resident spans are persisted but *kept* in memory so end-of-run
         reporting (phase breakdown, report columns) still has the tail of
@@ -138,21 +119,7 @@ class StreamingTraceSink:
         """
         if self.closed:
             return
-        recorder = self.recorder
-        for span in recorder.spans.values():
-            self.write_span(span)
-        while recorder.events:
-            self._write({"type": "event", **recorder.events.popleft().as_dict()})
-        while recorder.instants:
-            self._write({"type": "instant", **recorder.instants.popleft().as_dict()})
-        while recorder.wire:
-            self._write({"type": "wire", **recorder.wire.popleft().as_dict()})
-        for index in sorted(recorder.buckets):
-            self._write(TraceRecorder.bucket_record(recorder.buckets[index]))
-            self.buckets_written += 1
-        self._write({"type": "counters", "counts": dict(recorder.counts)})
-        self._write(recorder.meta_record() | {"streaming": True})
-        self._handle.flush()
+        self._drain(self.recorder.resident(drain=True))
         self._handle.close()
         self.closed = True
 
@@ -188,13 +155,4 @@ class TraceTail:
         if cut < 0:
             return []
         self._offset += cut + 1
-        records: List[Dict] = []
-        for line in chunk[: cut + 1].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue  # torn or corrupt line mid-stream
-        return records
+        return parse_jsonl_lines(chunk[: cut + 1].splitlines())

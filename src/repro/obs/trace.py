@@ -49,8 +49,8 @@ from __future__ import annotations
 import math
 import random
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -133,17 +133,6 @@ class ProtocolEvent:
     txn_count: int = 0
     replica: int = -1
 
-    def as_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "t": self.t,
-            "view": self.view,
-            "slot": self.slot,
-            "block_hash": self.block_hash,
-            "txn_count": self.txn_count,
-            "replica": self.replica,
-        }
-
 
 @dataclass
 class WireEvent:
@@ -152,11 +141,11 @@ class WireEvent:
     The multi-process runtime records a ``send`` event in the sender's shard
     and a ``recv`` event in the receiver's shard for every delivered frame;
     the pair is matched by ``(src, seq)`` — the per-sender send sequence the
-    v5 wire envelope carries.  A ``recv`` event is self-contained for clock
-    skew estimation: ``t`` is stamped by the *receiver's* clock while
-    ``sent_at`` came over the wire from the *sender's* clock, so
-    ``t - sent_at = offset(dst) - offset(src) + link delay`` (see
-    :mod:`repro.obs.merge`).
+    traced wire envelope (version 11) carries.  A ``recv`` event is
+    self-contained for clock skew estimation: ``t`` is stamped by the
+    *receiver's* clock while ``sent_at`` came over the wire from the
+    *sender's* clock, so ``t - sent_at = offset(dst) - offset(src) + link
+    delay`` (see :mod:`repro.obs.merge`).
     """
 
     kind: str  # "send" | "recv"
@@ -166,17 +155,6 @@ class WireEvent:
     seq: int  # per-sender send sequence (matches the two sides)
     sent_at: float  # sender-clock send time (== t for "send" events)
     msg: str = ""  # payload type name, labels critical-path hops
-
-    def as_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "t": self.t,
-            "src": self.src,
-            "dst": self.dst,
-            "seq": self.seq,
-            "sent_at": self.sent_at,
-            "msg": self.msg,
-        }
 
 
 @dataclass
@@ -194,15 +172,6 @@ class TraceInstant:
     label: str = ""
     replica: int = -1
     data: Dict = field(default_factory=dict)
-
-    def as_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "t": self.t,
-            "label": self.label,
-            "replica": self.replica,
-            "data": dict(self.data),
-        }
 
 
 @dataclass
@@ -322,6 +291,25 @@ class TimelineBucket:
     committed_txns: int = 0
     responded_speculative: int = 0
     views_entered: int = 0
+
+
+#: The trace record format: a record is ``{"type": tag, **fields}`` of one of
+#: these dataclasses.  Only ``meta`` and ``counters`` are written by hand —
+#: they are recorder state, not dataclasses.
+RECORD_TYPES = {
+    "span": TxnSpan,
+    "event": ProtocolEvent,
+    "instant": TraceInstant,
+    "wire": WireEvent,
+    "bucket": TimelineBucket,
+}
+_TAG_OF = {cls: tag for tag, cls in RECORD_TYPES.items()}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in RECORD_TYPES.values()}
+
+
+def record_of(obj) -> Dict:
+    """The JSONL record of one trace dataclass (its fields, copied)."""
+    return {"type": _TAG_OF[type(obj)], **asdict(obj)}
 
 
 class TraceRecorder:
@@ -707,46 +695,29 @@ class TraceRecorder:
             record["merged"] = True
         return record
 
-    @staticmethod
-    def span_record(span: TxnSpan) -> Dict:
-        record = {"type": "span", "txn_id": span.txn_id, "events": dict(span.events)}
-        if span.sources:
-            record["sources"] = dict(span.sources)
-        return record
+    def counters_record(self) -> Dict:
+        return {"type": "counters", "counts": dict(self.counts)}
 
-    @staticmethod
-    def bucket_record(bucket: TimelineBucket) -> Dict:
-        return {
-            "type": "bucket",
-            "index": bucket.index,
-            "submitted": bucket.submitted,
-            "completed": bucket.completed,
-            "latencies": list(bucket.latencies),
-            "offered": bucket.offered,
-            "max_view": bucket.max_view,
-            "mempool_depth": bucket.mempool_depth,
-            "committed_txns": bucket.committed_txns,
-            "responded_speculative": bucket.responded_speculative,
-            "views_entered": bucket.views_entered,
-        }
+    def rings(self, drain: bool = False) -> Iterator:
+        """Protocol events, then instants, then wire events; popped if *drain*."""
+        for ring in (self.events, self.instants, self.wire):
+            if drain:
+                while ring:
+                    yield ring.popleft()
+            else:
+                yield from ring
+
+    def resident(self, drain: bool = False) -> Iterator:
+        """Every record object in memory, in dump order: spans, rings, buckets."""
+        yield from self.spans.values()
+        yield from self.rings(drain)
+        for index in sorted(self.buckets):
+            yield self.buckets[index]
 
     def to_records(self) -> List[Dict]:
         """Flatten the recorder into plain JSONL-able records."""
-        records: List[Dict] = [
-            self.meta_record(),
-            {"type": "counters", "counts": dict(self.counts)},
-        ]
-        for span in self.spans.values():
-            records.append(self.span_record(span))
-        for event in self.events:
-            records.append({"type": "event", **event.as_dict()})
-        for inst in self.instants:
-            records.append({"type": "instant", **inst.as_dict()})
-        for wire in self.wire:
-            records.append({"type": "wire", **wire.as_dict()})
-        for index in sorted(self.buckets):
-            records.append(self.bucket_record(self.buckets[index]))
-        return records
+        return [self.meta_record(), self.counters_record(),
+                *map(record_of, self.resident())]
 
     def apply_record(self, record: Dict) -> None:
         """Fold one dumped record back into this (read-only) recorder.
@@ -755,7 +726,8 @@ class TraceRecorder:
         reader, which tails a streaming JSONL and applies new records as
         they land.  Repeated ``counters``/``meta`` records simply
         overwrite (the stream rewrites them each flush — last wins); repeated
-        ``bucket`` records for the same index overwrite too.
+        ``bucket`` records for the same index overwrite too.  Fields a
+        record lacks take their dataclass defaults.
         """
         kind = record.get("type")
         if kind == "meta":
@@ -772,61 +744,16 @@ class TraceRecorder:
                 self.per_replica_tracks = True
         elif kind == "counters":
             self.counts.update(record.get("counts", {}))
-        elif kind == "span":
-            txn_id = int(record["txn_id"])
-            self.spans[txn_id] = TxnSpan(
-                txn_id=txn_id,
-                events={str(k): float(v) for k, v in record.get("events", {}).items()},
-                sources={str(k): int(v) for k, v in record.get("sources", {}).items()},
-            )
-        elif kind == "event":
-            self.events.append(
-                ProtocolEvent(
-                    kind=str(record.get("kind", "")),
-                    t=float(record.get("t", 0.0)),
-                    view=int(record.get("view", 0)),
-                    slot=int(record.get("slot", 0)),
-                    block_hash=str(record.get("block_hash", "")),
-                    txn_count=int(record.get("txn_count", 0)),
-                    replica=int(record.get("replica", -1)),
-                )
-            )
-        elif kind == "instant":
-            self.instants.append(
-                TraceInstant(
-                    kind=str(record.get("kind", "")),
-                    t=float(record.get("t", 0.0)),
-                    label=str(record.get("label", "")),
-                    replica=int(record.get("replica", -1)),
-                    data=dict(record.get("data", {})),
-                )
-            )
-        elif kind == "wire":
-            self.wire.append(
-                WireEvent(
-                    kind=str(record.get("kind", "")),
-                    t=float(record.get("t", 0.0)),
-                    src=int(record.get("src", -1)),
-                    dst=int(record.get("dst", -1)),
-                    seq=int(record.get("seq", 0)),
-                    sent_at=float(record.get("sent_at", 0.0)),
-                    msg=str(record.get("msg", "")),
-                )
-            )
-        elif kind == "bucket":
-            index = int(record["index"])
-            self.buckets[index] = TimelineBucket(
-                index=index,
-                submitted=int(record.get("submitted", 0)),
-                completed=int(record.get("completed", 0)),
-                latencies=[float(v) for v in record.get("latencies", [])],
-                offered=int(record.get("offered", 0)),
-                max_view=int(record.get("max_view", 0)),
-                mempool_depth=int(record.get("mempool_depth", -1)),
-                committed_txns=int(record.get("committed_txns", 0)),
-                responded_speculative=int(record.get("responded_speculative", 0)),
-                views_entered=int(record.get("views_entered", 0)),
-            )
+        elif kind in RECORD_TYPES:
+            cls = RECORD_TYPES[kind]
+            obj = cls(**{name: record[name] for name in _FIELDS[cls] if name in record})
+            if cls is TxnSpan:
+                self.spans[obj.txn_id] = obj
+            elif cls is TimelineBucket:
+                self.buckets[obj.index] = obj
+            else:
+                {ProtocolEvent: self.events, TraceInstant: self.instants,
+                 WireEvent: self.wire}[cls].append(obj)
 
     @classmethod
     def offline(cls, **params) -> "TraceRecorder":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, List
+from typing import Any, Iterable, List, Union
 
 
 class LogBackend:
@@ -92,30 +92,36 @@ class MemoryLogBackend(LogBackend):
         return len(self._records)
 
 
+def parse_jsonl_lines(lines: Iterable[Union[str, bytes]]) -> List[Any]:
+    """The JSON value of every intact line, in order.
+
+    A torn line from a crash mid-append never counts, but records appended
+    after it (appends terminate a torn tail with a fresh newline) are intact
+    and must still replay; blank lines are skipped too.
+    """
+    records: List[Any] = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+            continue
+    return records
+
+
 def read_jsonl_log(path: str) -> List[Any]:
     """Every intact record of the JSONL log at *path*, in order (read-only).
 
     Never opens the file for append, so inspection tools can use it on a
     directory they must not modify; a missing file is an empty log.
     """
-    records: List[Any] = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    # A torn line from a crash mid-append: the partial
-                    # record never counts, but records appended after the
-                    # repair (appends terminate a torn tail with a fresh
-                    # newline) are intact and must still replay.
-                    continue
+        with open(path, "rb") as handle:
+            return parse_jsonl_lines(handle)
     except FileNotFoundError:
-        pass
-    return records
+        return []
 
 
 class FileLogBackend(LogBackend):

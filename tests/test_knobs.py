@@ -51,7 +51,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ------------------------------------------------------------ (a) metadata
 class TestEveryFieldIsDeclaredOnce:
     def test_field_count_is_unchanged(self):
-        assert len(dataclasses.fields(ExperimentSpec)) == 34
+        assert len(dataclasses.fields(ExperimentSpec)) == 31
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentSpec), ids=lambda f: f.name)
     def test_field_has_help_group_and_flag_or_explicit_no_cli_mark(self, field):
@@ -80,33 +80,34 @@ class TestEveryFieldIsDeclaredOnce:
 
 # ------------------------------------------- (b) CLI compatibility contract
 #: Every option string each sub-command accepted at the commit before the
-#: flags were derived from the dataclass.  No flag added or renamed; the two
-#: removed are ``--codec`` (binary became the only wire format) and
+#: flags were derived from the dataclass.  No flag added or renamed; the
+#: removed ones are ``--codec`` (binary became the only wire format),
 #: ``--trace-sampler`` (spans are head-capped, the one policy every consumer
-#: reads), and the one sub-command removed is ``profile`` (``python3 -m
-#: bench`` attributes CPU).
+#: reads) and ``--trace-max-txns`` / ``--trace-max-events`` / ``--no-detect``
+#: (one value was ever used: the recorder's default caps, detector on), and
+#: the one sub-command removed is ``profile`` (``python3 -m bench``
+#: attributes CPU).
 PARENT_FLAGS = {
     "run": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--duration", "--faults",
-        "--no-detect", "--pipeline-depth", "--protocol", "--replicas", "--seed", "--trace",
-        "--trace-bucket", "--trace-max-events", "--trace-max-txns", "--trace-out",
-        "--trace-stream", "--view-timeout", "--warmup", "--workload",
+        "--pipeline-depth", "--protocol", "--replicas", "--seed", "--trace",
+        "--trace-bucket", "--trace-out", "--trace-stream", "--view-timeout", "--warmup",
+        "--workload",
     },
     "live": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--client-region", "--clients",
         "--deployment", "--distributed-mempool", "--duration", "--faults",
-        "--max-outstanding", "--mempool-limit", "--multiprocess", "--n", "--no-detect",
+        "--max-outstanding", "--mempool-limit", "--multiprocess", "--n",
         "--pipeline-depth", "--protocol", "--rate", "--regions", "--replicas", "--scrape-port",
-        "--seed", "--storage-dir", "--target-ops", "--trace", "--trace-bucket",
-        "--trace-max-events", "--trace-max-txns", "--trace-out",
+        "--seed", "--storage-dir", "--target-ops", "--trace", "--trace-bucket", "--trace-out",
         "--trace-stream", "--view-timeout", "--warmup", "--workload",
     },
     "chaos": {
         "-h", "--help", "--at", "--batch", "--checkpoint-interval", "--down-for",
-        "--duration", "--emit-plan", "--mode", "--no-detect", "--pipeline-depth", "--plan",
+        "--duration", "--emit-plan", "--mode", "--pipeline-depth", "--plan",
         "--protocol", "--replica", "--replicas", "--scrape-port", "--seed", "--storage-dir",
-        "--trace", "--trace-bucket", "--trace-max-events", "--trace-max-txns", "--trace-out",
-        "--trace-stream", "--view-timeout", "--warmup", "--workload",
+        "--trace", "--trace-bucket", "--trace-out", "--trace-stream", "--view-timeout",
+        "--warmup", "--workload",
     },
     "fuzz": {
         "-h", "--help", "--batch", "--checkpoint-interval", "--crashes", "--down-for",
@@ -145,11 +146,8 @@ LIVE_DEFAULTS = dict(protocol="hotstuff-1", mode="live", n=4, batch_size=100, wo
 
 #: Every spec flag of each sub-command spelled the way the parent spelled it,
 #: with a non-default value, next to the spec it must build.
-TRACE_ARGV = ["--trace", "--trace-bucket", "0.05", "--trace-max-txns", "77",
-              "--trace-stream", "/tmp/knobs-stream.jsonl", "--trace-max-events", "99",
-              "--no-detect"]
-TRACE_SPEC = dict(trace=True, trace_bucket=0.05, trace_max_txns=77,
-                  trace_stream="/tmp/knobs-stream.jsonl", trace_max_events=99, trace_detect=False)
+TRACE_ARGV = ["--trace", "--trace-bucket", "0.05", "--trace-stream", "/tmp/knobs-stream.jsonl"]
+TRACE_SPEC = dict(trace=True, trace_bucket=0.05, trace_stream="/tmp/knobs-stream.jsonl")
 COMMON_ARGV = ["--replicas", "7", "--batch", "20", "--workload", "tpcc", "--duration", "0.9",
                "--warmup", "0.2", "--seed", "5", "--view-timeout", "0.04",
                "--pipeline-depth", "2", "--checkpoint-interval", "6"]
@@ -393,9 +391,7 @@ class TestValidationIsNotWeakened:
             (dict(pipeline_depth=2), "slotted"),
             (dict(protocol="hotstuff-1-slotting", pipeline_depth=65), "pipeline_depth must be <= 64"),
             (dict(checkpoint_interval=0), "checkpoint_interval must be >= 1"),
-            (dict(trace_max_txns=0), "trace_max_txns must be >= 1"),
             (dict(trace_bucket=0.0), "trace_bucket must be positive"),
-            (dict(trace_max_events=0), "trace_max_events must be >= 1"),
             (dict(mempool_limit=0), "mempool_limit must be >= 1"),
             (dict(mode="live", scrape_port=-1), "scrape_port must be >= 0"),
             (dict(mode="live", scrape_port=70000), "scrape_port must be <= 65535"),

@@ -187,9 +187,7 @@ class TestExports:
         assert restored.counts == recorder.counts
         assert restored.highest_view == recorder.highest_view
         assert restored.spans[1].events == recorder.spans[1].events
-        assert [e.as_dict() for e in restored.events] == [
-            e.as_dict() for e in recorder.events
-        ]
+        assert list(restored.events) == list(recorder.events)
         assert restored.to_records() == recorder.to_records()
 
     def test_jsonl_reader_skips_torn_tail(self, tmp_path):

@@ -262,20 +262,6 @@ class TestChaosIntegration:
         assert crash.replica == 1
         assert crash.t == pytest.approx(0.2, abs=0.05)
 
-    def test_detector_can_be_disabled(self):
-        plan = chaos_preset("blackout", n=4, at=0.3, down_for=0.15)
-        result = run_experiment(
-            ExperimentSpec(
-                protocol="hotstuff-1",
-                duration=1.0,
-                faults=plan.to_dict(),
-                trace=True,
-                trace_detect=False,
-            )
-        )
-        assert "alerts" not in result.chaos
-        assert not any(inst.kind == "alert" for inst in result.trace.instants)
-
 
 class TestSpecValidation:
     def test_nonpositive_trace_bucket_rejected(self):
