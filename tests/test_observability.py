@@ -21,6 +21,7 @@ from repro.faults.plan import chaos_preset
 from repro.obs.export import (
     chrome_trace,
     parse_prometheus,
+    prometheus_exposition,
     prometheus_text,
     read_jsonl,
     write_jsonl,
@@ -28,10 +29,16 @@ from repro.obs.export import (
 )
 from repro.obs.trace import (
     EVENT_KINDS,
+    RECORD_TYPES,
     PhaseBreakdown,
+    ProtocolEvent,
+    TimelineBucket,
+    TraceInstant,
     TraceRecorder,
     TxnSpan,
+    WireEvent,
     default_bucket_width,
+    record_of,
 )
 
 
@@ -189,6 +196,57 @@ class TestExports:
         assert restored.spans[1].events == recorder.spans[1].events
         assert list(restored.events) == list(recorder.events)
         assert restored.to_records() == recorder.to_records()
+
+    #: One instance of every record kind, every field off its default.
+    RECORD_SAMPLES = {
+        "span": TxnSpan(7, {"submitted": 0.1, "committed": 0.3}, {"committed": 2}),
+        "event": ProtocolEvent("propose", 0.2, view=3, slot=1, block_hash="ab", txn_count=5,
+                               replica=1),
+        "instant": TraceInstant("alert", 0.4, label="commit-stall", replica=2,
+                                data={"window": 3}),
+        "wire": WireEvent("recv", 0.25, src=0, dst=3, seq=9, sent_at=0.24, msg="Vote"),
+        "bucket": TimelineBucket(4, submitted=10, completed=8, latencies=[0.01, 0.02],
+                                 offered=12, max_view=3, mempool_depth=6, committed_txns=8,
+                                 responded_speculative=7, views_entered=1),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(RECORD_SAMPLES))
+    def test_every_record_kind_round_trips_through_its_tag(self, tag):
+        obj = self.RECORD_SAMPLES[tag]
+        assert RECORD_TYPES[tag] is type(obj)
+        record = json.loads(json.dumps(record_of(obj)))
+        assert record["type"] == tag
+        restored = TraceRecorder.offline()
+        restored.apply_record(record)
+        held = {
+            "span": lambda r: list(r.spans.values()),
+            "event": lambda r: list(r.events),
+            "instant": lambda r: list(r.instants),
+            "wire": lambda r: list(r.wire),
+            "bucket": lambda r: list(r.buckets.values()),
+        }[tag](restored)
+        assert held == [obj]
+        assert record_of(held[0]) == record
+
+    def test_prometheus_exposition_leaves_out_empty_families(self):
+        text = prometheus_exposition([
+            ("repro_a_total", "A things.", "counter", [({"kind": "x"}, 3)]),
+            ("repro_b", "Never sampled.", "gauge", []),
+            ("repro_c", "Unlabelled.", "gauge", [({}, 0.5)]),
+        ])
+        assert "repro_b" not in text
+        assert text.splitlines() == [
+            "# HELP repro_a_total A things.",
+            "# TYPE repro_a_total counter",
+            'repro_a_total{kind="x"} 3',
+            "# HELP repro_c Unlabelled.",
+            "# TYPE repro_c gauge",
+            "repro_c 0.5",
+        ]
+        assert parse_prometheus(text) == {
+            ("repro_a_total", frozenset({("kind", "x")})): 3.0,
+            ("repro_c", frozenset()): 0.5,
+        }
 
     def test_jsonl_reader_skips_torn_tail(self, tmp_path):
         recorder = traced_recorder()

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.ledger.kvstore import KVStateMachine
+from repro.ledger.state_machine import tables_digest
 from repro.ledger.tpcc_state import TPCCStateMachine
 from repro.ledger.transaction import Transaction
 
@@ -31,6 +32,16 @@ class TestKVStateMachine:
         success, _ = machine.apply(Transaction.create(1, "ycsb_rmw", {"key": "user2", "value": "new"}))
         assert success
         assert machine.read("user2").startswith("new")
+
+    def test_one_tables_digest_behind_state_and_payload_digests(self):
+        assert tables_digest({"a": [("k", 1)], "b": []}) == tables_digest({"a": [("k", 1)]})
+        assert tables_digest({"a": [("k", 1)]}) != tables_digest({"b": [("k", 1)]})
+        machine = KVStateMachine()
+        empty = machine.state_digest()
+        assert empty == tables_digest({})
+        machine.apply(write("user3", "v"))
+        assert machine.state_digest() != empty
+        assert KVStateMachine.payload_digest(machine.snapshot_state()) == machine.state_digest()
 
     def test_rmw_is_deterministic_across_processes(self):
         """`repro replica` children each have their own `str` hash salt: what a

@@ -25,6 +25,7 @@ from repro.storage import (
     ReplicaStore,
     WriteAheadLog,
 )
+from repro.storage.backend import parse_jsonl_lines
 from repro.storage.wal import WalState
 from tests.conftest import build_chain, certificate_for
 from tests.helpers import ReplicaHarness
@@ -61,6 +62,11 @@ class TestLogBackends:
         reopened = FileLogBackend(path)
         assert reopened.replay() == [{"ok": True}]
         reopened.close()
+
+    def test_jsonl_lines_skip_torn_corrupt_and_blank_lines(self):
+        lines = [b'{"n": 1}\n', b"\n", b'{"n": 2', b"\xff\xfe\n", b'{"n": 3}\n', "  \n",
+                 '{"n": 4}']
+        assert parse_jsonl_lines(lines) == [{"n": 1}, {"n": 3}, {"n": 4}]
 
 
 class TestWriteAheadLog:

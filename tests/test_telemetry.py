@@ -262,6 +262,16 @@ class TestChaosIntegration:
         assert crash.replica == 1
         assert crash.t == pytest.approx(0.2, abs=0.05)
 
+    def test_traced_run_always_attaches_the_detector(self):
+        plan = chaos_preset("kill-replica", n=4, at=0.2, down_for=0.1, replica=1)
+        result = run_experiment(
+            ExperimentSpec(
+                protocol="hotstuff-1", duration=0.6, faults=plan.to_dict(), trace=True
+            )
+        )
+        assert result.trace.detector is not None
+        assert result.chaos["alerts"] == result.trace.detector.summary()
+
 
 class TestSpecValidation:
     def test_nonpositive_trace_bucket_rejected(self):
