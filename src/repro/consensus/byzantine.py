@@ -221,8 +221,8 @@ class ForgedResponseBehavior(ReplicaBehavior):
             pending = [txn for child in replica.block_store.children_of(batch.block_hash) for txn in child.transactions]
             return forge(batch, entries=batch.entries + tuple(ResponseEntry(t.txn_id, t.client_id) for t in pending[:1]))
         if self.mode == "flip-success":
-            return forge(batch, entries=tuple(forge(entry, success=not entry.success) for entry in batch.entries))
-        return forge(batch, entries=tuple(forge(entry, result_digest=batch.results_root) for entry in batch.entries))
+            return forge(batch, entries=tuple(entry._replace(success=not entry.success) for entry in batch.entries))
+        return forge(batch, entries=tuple(entry._replace(result_digest=batch.results_root) for entry in batch.entries))
 
 
 #: Backwards-compatible alias used by earlier revisions of the scenarios.

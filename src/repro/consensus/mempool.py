@@ -145,12 +145,24 @@ class Mempool:
         self.mark_committed(txn.txn_id for txn in txns)
 
     def mark_committed(self, txn_ids) -> None:
-        """Record that transactions committed so they are never re-admitted."""
+        """Record that transactions committed so they are never re-admitted.
+
+        An id already known committed (at or below the watermark, or in
+        ``_committed_ids``) is skipped: :meth:`add`, :meth:`requeue`,
+        :meth:`release_block` and :meth:`note_proposed` all refuse such an
+        id, so it is in neither ``_pending`` nor ``_inflight``, and
+        ``highest_committed_id`` already covers it.  On a shared pool every
+        replica reports each committed block, so replicas 2..n pay one
+        comparison per id.
+        """
+        contiguous, committed = self._contiguous, self._committed_ids
+        pending, inflight = self._pending, self._inflight
         for txn_id in txn_ids:
-            if txn_id > self._contiguous:
-                self._committed_ids.add(txn_id)
-            self._pending.pop(txn_id, None)
-            self._inflight.pop(txn_id, None)
+            if txn_id <= contiguous or txn_id in committed:
+                continue
+            committed.add(txn_id)
+            pending.pop(txn_id, None)
+            inflight.pop(txn_id, None)
             if txn_id > self.highest_committed_id:
                 self.highest_committed_id = txn_id
         self._advance_watermark()

@@ -23,6 +23,8 @@ speculation rules pick, how to vote — lives in the subclasses
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.consensus.byzantine import HonestBehavior, ReplicaBehavior
@@ -317,16 +319,21 @@ class BaseReplica:
         """
         if not block.transactions or not successes:
             return
+        # ``tuple.__new__(ResponseEntry, row)`` builds each entry in C; calling
+        # the class would run the named tuple's Python-level ``__new__``.
+        rows = zip(
+            map(attrgetter("txn_id"), block.transactions),
+            map(attrgetter("client_id"), block.transactions),
+            repeat(NULL_DIGEST),
+            successes,
+        )
         batch = ClientResponseBatch(
             replica_id=self.replica_id,
             view=block.view,
             slot=block.slot,
             block_hash=block.block_hash,
             speculative=speculative,
-            entries=tuple(
-                ResponseEntry(txn_id=txn.txn_id, client_id=txn.client_id, success=success)
-                for txn, success in zip(block.transactions, successes)
-            ),
+            entries=tuple(map(tuple.__new__, repeat(ResponseEntry), rows)),
             results_root=results_root,
         )
         batch = self.behavior.outgoing_response(self, batch)

@@ -222,8 +222,9 @@ def _register(cls: Type, tag: str, /, layout: Optional[Codec] = None, **kinds: A
     record *layout* ``(encode, decode)`` is given.  *tag* names the compiled
     ``_enc_<tag>`` / ``_dec_<tag>`` functions, so profiles read by type.
     """
-    if tuple(kinds) != tuple(field.name for field in dataclasses.fields(cls)):
-        raise TypeError(f"{cls.__name__}: declare the dataclass fields, in order")  # rebuilt positionally
+    names = getattr(cls, "_fields", None) or tuple(field.name for field in dataclasses.fields(cls))
+    if tuple(kinds) != names:  # a NamedTuple's fields, or a dataclass's
+        raise TypeError(f"{cls.__name__}: declare the fields, in order")  # rebuilt positionally
     _CODECS[cls] = encode, decode = layout or compile_layout(cls, tag, kinds, _CODECS)
     _ENCODERS[cls] = (BINARY_TAG_BASE + len(_DECODERS), encode)
     _DECODERS.append(decode)
@@ -332,7 +333,7 @@ _SUCCESS_ALL, _SUCCESS_BITMAP = 0, 1
 _DIGEST_NULL, _DIGEST_SHARED, _DIGEST_EACH = 0, 1, 2
 
 
-def _enc_id_column(ids: List[int], buf: bytearray) -> None:
+def _enc_id_column(ids: Tuple[int, ...], buf: bytearray) -> None:
     deltas = list(map(operator.sub, ids[1:], ids))
     for width, (code, _) in enumerate(_ID_DELTAS):
         try:
@@ -356,12 +357,7 @@ def _enc_entries(entries: Tuple[ResponseEntry, ...], buf: bytearray) -> None:
     _append_uvarint(buf, len(entries))
     if not entries:
         return
-    txn_ids, client_ids, digests, successes = [], [], [], []
-    for entry in entries:
-        txn_ids.append(entry.txn_id)
-        client_ids.append(entry.client_id)
-        digests.append(entry.result_digest)
-        successes.append(entry.success)
+    txn_ids, client_ids, digests, successes = zip(*entries)
     columns = bytearray()
     _enc_id_column(txn_ids, columns)
     _enc_id_column(client_ids, columns)

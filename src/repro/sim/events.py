@@ -8,9 +8,11 @@ from typing import Any, Callable, Tuple
 class Event:
     """A callback scheduled at a simulated time.
 
-    Events are ordered by ``(time, sequence)``; the sequence number is assigned
-    by the simulator and makes ordering fully deterministic even when several
-    events share the same timestamp.
+    The simulator orders events by ``(time, seq)``: its heap holds
+    ``(time, seq, event)`` tuples, so the order is compared in C and never
+    reaches the event.  The sequence number is assigned by the simulator and
+    makes ordering fully deterministic even when several events share the
+    same timestamp.
 
     An event can be cancelled before it fires; cancelled events stay in the
     scheduler heap but are skipped when popped.
@@ -47,13 +49,6 @@ class Event:
         """Invoke the callback (called by the scheduler only)."""
         self.fired = True
         self.callback(*self.args, **self.kwargs)
-
-    def sort_key(self) -> Tuple[float, int]:
-        """Key used by the scheduler heap."""
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
@@ -18,7 +18,9 @@ class Simulator:
     :class:`Event` objects and a :class:`SeededRng`.  Components schedule
     callbacks either relative to the current time (:meth:`schedule`) or at an
     absolute time (:meth:`schedule_at`) and the :meth:`run` loop fires them in
-    ``(time, insertion-order)`` order.
+    ``(time, insertion-order)`` order.  The heap holds ``(time, seq, event)``
+    tuples: ``seq`` is unique, so ``heapq`` orders them by comparing floats
+    and ints in C and never compares two events.
 
     Example
     -------
@@ -36,7 +38,7 @@ class Simulator:
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self.clock = SimClock(start_time)
         self.rng = SeededRng(seed)
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -65,9 +67,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule an event at {when!r}, which is before now={self.now!r}"
             )
-        event = Event(max(when, self.now), self._seq, callback, args, kwargs)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        when = max(when, self.now)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(when, seq, callback, args, kwargs)
+        heapq.heappush(self._heap, (event.time, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -80,7 +84,7 @@ class Simulator:
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def step(self) -> bool:
         """Fire the single next pending event.
@@ -91,8 +95,8 @@ class Simulator:
         self._drop_cancelled_head()
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        self.clock.advance_to(event.time)
+        when, _, event = heapq.heappop(self._heap)
+        self.clock.advance_to(when)
         self._events_processed += 1
         event.fire()
         return True
@@ -127,8 +131,9 @@ class Simulator:
 
     # -------------------------------------------------------------- internal
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,6 +3,7 @@ and protocol-level invariants."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import itertools
@@ -235,6 +236,81 @@ def test_mempool_never_duplicates_or_resurrects(ids, batch):
     assert remaining == set(ids) - set(popped_ids)
 
 
+class _MarkEveryIdMempool(Mempool):
+    """The pool as it was before :meth:`Mempool.mark_committed` skipped ids it
+    already knew committed: every id is popped and the watermark re-checked."""
+
+    def mark_committed(self, txn_ids) -> None:
+        for txn_id in txn_ids:
+            if txn_id > self._contiguous:
+                self._committed_ids.add(txn_id)
+            self._pending.pop(txn_id, None)
+            self._inflight.pop(txn_id, None)
+            if txn_id > self.highest_committed_id:
+                self.highest_committed_id = txn_id
+        self._advance_watermark()
+
+
+def _pool_state(pool: Mempool) -> tuple:
+    return (
+        list(pool._pending), sorted(pool._inflight), dict(pool._inflight_blocks), sorted(pool._committed_ids),
+        pool.committed_contiguous, pool.highest_committed_id, pool.total_submitted, pool.admission_rejected,
+    )
+
+
+_POOL_IDS = st.integers(min_value=0, max_value=24)
+_POOL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _POOL_IDS),
+        st.tuples(st.just("next_batch"), st.integers(min_value=1, max_value=6)),
+        st.tuples(st.just("note_proposed"), st.integers(0, 3), st.lists(_POOL_IDS, max_size=6)),
+        st.tuples(st.just("requeue"), st.lists(_POOL_IDS, max_size=6)),
+        st.tuples(st.just("release_block"), st.integers(0, 3)),
+        st.tuples(st.just("note_committed"), st.integers(0, 3), st.lists(_POOL_IDS, max_size=6)),
+        st.tuples(st.just("prune_below"), _POOL_IDS),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-replica"])
+@settings(max_examples=60, deadline=None)
+@given(ops=_POOL_OPS, replicas=st.integers(min_value=2, max_value=5))
+def test_mempool_never_holds_a_committed_id(shared, ops, replicas):
+    """Over random pool operations: no id at or below the watermark, and none
+    in ``_committed_ids``, is ever pending or in flight; ``note_committed``
+    called once per replica leaves the state one call leaves; and the state
+    matches a pool that pops every committed id."""
+    pool, reference = Mempool(limit=12, shared=shared), _MarkEveryIdMempool(limit=12, shared=shared)
+    txns = {txn_id: Transaction.create(1, "noop", txn_id=txn_id) for txn_id in range(25)}
+    for op, *args in ops:
+        if op == "note_committed":
+            once = copy.deepcopy(pool)
+            once.note_committed(f"b{args[0]}", [txns[i] for i in args[1]])
+            for _ in range(replicas):
+                pool.note_committed(f"b{args[0]}", [txns[i] for i in args[1]])
+            assert _pool_state(pool) == _pool_state(once)
+            reference.note_committed(f"b{args[0]}", [txns[i] for i in args[1]])
+        else:
+            for target in (pool, reference):
+                if op == "add":
+                    target.add(txns[args[0]])
+                elif op == "next_batch":
+                    target.next_batch(args[0])
+                elif op == "note_proposed":
+                    target.note_proposed(f"b{args[0]}", [txns[i] for i in args[1]])
+                elif op == "requeue":
+                    target.requeue([txns[i] for i in args[0]])
+                elif op == "release_block":
+                    target.release_block(f"b{args[0]}")
+                else:
+                    target.prune_below(args[0])
+        held = set(pool._pending) | set(pool._inflight)
+        assert not {txn_id for txn_id in held if txn_id <= pool.committed_contiguous}
+        assert not held & pool._committed_ids
+        assert _pool_state(pool) == _pool_state(reference)
+
+
 # --------------------------------------------------------------------------
 # Zipf generator bounds
 # --------------------------------------------------------------------------
@@ -331,6 +407,64 @@ def test_simulator_fires_in_nondecreasing_time_order(delays):
     assert len(fired) == len(delays)
 
 
+#: ``(kind, value, child delay)``: *value* picks the time (one of four, so
+#: many events share one) or the event to cancel; an event with a child delay
+#: schedules one more event when it fires, often at its own time.
+_SCHEDULE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["schedule", "schedule_at", "cancel"]),
+        st.integers(min_value=0, max_value=40),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.25])),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_SCHEDULE_OPS)
+def test_simulator_fires_in_time_then_insertion_order(ops):
+    """Over schedule / schedule_at / cancel sequences with many equal times,
+    events fire in ``(time, insertion)`` order, and cancelled events are
+    skipped and not counted in ``events_processed``."""
+    sim = Simulator(seed=0)
+    fired, events = [], []
+    queue = {}  # the reference: insertion index -> (time, child delay)
+
+    def fire(label, child):
+        fired.append(label)
+        if child is not None:
+            events.append(sim.schedule(child, fire, len(events), None))
+
+    cancelled = set()
+    for kind, value, child in ops:
+        if kind == "cancel":
+            if events:
+                index = value % len(events)
+                sim.cancel(events[index])
+                cancelled.add(index)
+            continue
+        when = value % 4 * 0.25
+        queue[len(events)] = (when, child)
+        schedule = sim.schedule if kind == "schedule" else sim.schedule_at
+        events.append(schedule(when, fire, len(events), child))
+    for index in cancelled:
+        del queue[index]
+
+    expected, inserted = [], len(events)
+    while queue:
+        label = min(queue, key=lambda index: (queue[index][0], index))
+        when, child = queue.pop(label)
+        expected.append(label)
+        if child is not None:
+            queue[inserted] = (when + child, None)
+            inserted += 1
+    sim.run()
+    assert fired == expected
+    assert sim.events_processed == len(fired) == len(events) - len(cancelled)
+    assert not cancelled & set(fired)
+    assert not any(event.pending for event in events)
+
+
 # --------------------------------------------------------------------------
 # Wire codec: every message type, generated fields, framed and as records
 # --------------------------------------------------------------------------
@@ -386,6 +520,9 @@ def _wire_strategy(hint):
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         return st.builds(hint, **{f.name: _wire_strategy(hints[f.name]) for f in dataclasses.fields(hint)})
+    if isinstance(hint, type) and issubclass(hint, tuple) and hasattr(hint, "_fields"):  # a NamedTuple
+        hints = typing.get_type_hints(hint)
+        return st.builds(hint, **{name: _wire_strategy(hints[name]) for name in hint._fields})
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:  # Optional[T]
         return st.one_of(st.none(), *(_wire_strategy(arg) for arg in args if arg is not type(None)))

@@ -37,15 +37,19 @@ class TestSimClock:
 
 
 class TestEventOrdering:
-    def test_events_ordered_by_time(self):
-        early = Event(1.0, 5, lambda: None)
-        late = Event(2.0, 1, lambda: None)
-        assert early < late
+    def test_events_ordered_by_time(self, sim):
+        fired = []
+        sim.schedule_at(2.0, fired.append, "late")  # inserted first
+        sim.schedule_at(1.0, fired.append, "early")
+        sim.run()
+        assert fired == ["early", "late"]
 
-    def test_ties_broken_by_sequence(self):
-        first = Event(1.0, 1, lambda: None)
-        second = Event(1.0, 2, lambda: None)
-        assert first < second
+    def test_ties_broken_by_sequence(self, sim):
+        fired = []
+        sim.schedule_at(1.0, fired.append, "first")
+        sim.schedule(1.0, fired.append, "second")
+        sim.run()
+        assert fired == ["first", "second"]
 
     def test_cancel_marks_not_pending(self):
         event = Event(1.0, 0, lambda: None)

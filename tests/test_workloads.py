@@ -11,6 +11,8 @@ from repro.sim.rng import SeededRng
 from repro.workloads.base import available_workloads, make_workload
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.ycsb import YCSBWorkload
+from repro.workloads import zipf
+from repro.workloads.ycsb import DEFAULT_RECORD_COUNT
 from repro.workloads.zipf import ZipfGenerator
 
 
@@ -34,6 +36,12 @@ class TestZipf:
         values = [gen.next(rng) for _ in range(2000)]
         head_fraction = sum(1 for value in values if value < 10) / len(values)
         assert 0.05 < head_fraction < 0.2
+
+    def test_default_ycsb_zeta_is_the_computed_sum(self):
+        """The seeded sum of the default table is bit-for-bit what the loop gives."""
+        theta = YCSBWorkload()._zipf.theta
+        seeded = zipf._ZETA_CACHE[(DEFAULT_RECORD_COUNT, theta)]
+        assert seeded.hex() == zipf.zeta_sum(DEFAULT_RECORD_COUNT, theta).hex()
 
     def test_invalid_parameters(self):
         with pytest.raises(WorkloadError):
