@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_fields
 from repro.crypto.threshold import SignatureShare, ThresholdScheme, ThresholdSignature
@@ -104,11 +104,17 @@ def vote_payload(kind: CertKind, view: int, slot: int, block_hash: str, extra: s
     return hash_fields("vote", kind.value, view, slot, block_hash, extra)
 
 
+#: Certificates whose positive verification a :class:`CertificateAuthority`
+#: remembers (oldest forgotten first).
+VERIFIED_MEMO_MAX = 64
+
+
 class CertificateAuthority:
     """Creates vote shares and certificates, and verifies incoming certificates."""
 
     def __init__(self, scheme: ThresholdScheme) -> None:
         self.scheme = scheme
+        self._verified: Dict[Tuple[Certificate, str], bool] = {}
 
     # ---------------------------------------------------------------- voting
     def create_vote(
@@ -173,8 +179,20 @@ class CertificateAuthority:
         )
 
     def verify_certificate(self, cert: Certificate, extra: str = "") -> bool:
-        """Verify a certificate received from another replica."""
+        """Verify a certificate received from another replica.
+
+        Every replica of a deployment receives the same certificates, and the
+        replicas that share a process share one authority, so a positive
+        result is remembered, keyed by the certificate and *extra*:
+        :class:`Certificate` is frozen and compares by value, so a copy that
+        differs in any field (the signature's signers and fingerprint
+        included) is a new key and is verified afresh.  Failures are not
+        remembered, and at most :data:`VERIFIED_MEMO_MAX` results are kept.
+        """
         if cert.is_genesis:
+            return True
+        key = (cert, extra)
+        if key in self._verified:
             return True
         if cert.signature is None:
             return False
@@ -185,7 +203,13 @@ class CertificateAuthority:
             return False
         if cert.signature.share_count < self.scheme.threshold:
             return False
-        return self.scheme.verify_aggregate(cert.signature)
+        if not self.scheme.verify_aggregate(cert.signature):
+            return False
+        verified = self._verified
+        if len(verified) >= VERIFIED_MEMO_MAX:
+            del verified[next(iter(verified))]
+        verified[key] = True
+        return True
 
     # ----------------------------------------------------------------- misc
     @staticmethod

@@ -45,14 +45,19 @@ class Mempool:
     * ``_committed_ids`` — the committed ids *above* the watermark (commits
       land out of id order), never re-admitted.  An id leaves the set when
       the watermark passes it, so the set holds the out-of-order window, not
-      the run's history.
+      the run's history;
+    * ``_inflight_blocks`` — per proposed, uncommitted block, the pool
+      generation its entry was stored in and the ids it parked in flight.
+      The generation counts the :meth:`requeue` and :meth:`release_block`
+      calls, the only ways an in-flight id goes back to ``_pending``.
     """
 
     def __init__(self, limit: Optional[int] = None, shared: bool = True) -> None:
         self._pending: "OrderedDict[int, Transaction]" = OrderedDict()
         self._committed_ids: set = set()
         self._inflight: Dict[int, Transaction] = {}
-        self._inflight_blocks: Dict[str, Tuple[int, ...]] = {}
+        self._inflight_blocks: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
+        self._generation = 0
         self._ever_added = 0
         #: Admission-control cap on pending transactions (``None`` = unbounded).
         self.limit = limit
@@ -96,6 +101,7 @@ class Mempool:
 
     def requeue(self, txns: List[Transaction]) -> None:
         """Put transactions back at the head of the pool (after an abandoned block)."""
+        self._generation += 1
         for txn in reversed(txns):
             self._inflight.pop(txn.txn_id, None)
             if (
@@ -115,7 +121,17 @@ class Mempool:
         not propose them again while the block awaits commitment; if the
         block is later pruned as a fork, :meth:`release_block` (or the
         sibling requeue path) returns them to the pool.
+
+        On a shared pool every replica notes each block.  A call for a block
+        whose entry was stored after the latest :meth:`requeue` or
+        :meth:`release_block` returns at once: nothing has put its ids back
+        in ``_pending`` since, and no other call takes one out of
+        ``_inflight`` except to mark it committed, which a repeat pass would
+        skip too.  A repeat after a requeue or release runs in full.
         """
+        entry = self._inflight_blocks.get(block_hash)
+        if entry is not None and entry[0] == self._generation:
+            return
         ids = []
         for txn in txns:
             txn_id = txn.txn_id
@@ -125,7 +141,7 @@ class Mempool:
             self._inflight[txn_id] = txn
             ids.append(txn_id)
         if ids:
-            self._inflight_blocks[block_hash] = tuple(ids)
+            self._inflight_blocks[block_hash] = (self._generation, tuple(ids))
 
     def release_block(self, block_hash: str) -> None:
         """Rescue the in-flight transactions of a pruned fork block.
@@ -133,7 +149,9 @@ class Mempool:
         Transactions that did not commit elsewhere in the meantime go back to
         the head of the pool (they were admitted first).
         """
-        for txn_id in self._inflight_blocks.pop(block_hash, ()):
+        self._generation += 1
+        _, ids = self._inflight_blocks.pop(block_hash, (0, ()))
+        for txn_id in ids:
             txn = self._inflight.pop(txn_id, None)
             if txn is not None and txn_id > self._contiguous and txn_id not in self._committed_ids:
                 self._pending[txn_id] = txn
@@ -153,7 +171,7 @@ class Mempool:
         id, so it is in neither ``_pending`` nor ``_inflight``, and
         ``highest_committed_id`` already covers it.  On a shared pool every
         replica reports each committed block, so replicas 2..n pay one
-        comparison per id.
+        comparison per id, as they pay one lookup in :meth:`note_proposed`.
         """
         contiguous, committed = self._contiguous, self._committed_ids
         pending, inflight = self._pending, self._inflight
@@ -188,11 +206,6 @@ class Mempool:
     def is_committed(self, txn_id: int) -> bool:
         """Return ``True`` if the transaction is known to have committed."""
         return txn_id <= self._contiguous or txn_id in self._committed_ids
-
-    def remove(self, txn_id: int) -> None:
-        """Drop a transaction (e.g. once the client saw it commit elsewhere)."""
-        self._pending.pop(txn_id, None)
-        self._inflight.pop(txn_id, None)
 
     def prune_below(self, horizon: int) -> int:
         """Adopt a snapshot's committed-txn-id *horizon*: drop covered txns.

@@ -611,9 +611,17 @@ def _txn_weight(txn: Transaction) -> int:
 
 
 def _entries_weight(entries: Tuple[ResponseEntry, ...]) -> Tuple[int, int]:
-    columns = bytearray()
-    _enc_entries(entries, columns)
-    return len(entries), len(columns)
+    # Every replica answers a block with an equal entries tuple, so its
+    # columns are packed once and the weight looked up by the others.
+    weight = _entries_weights.get(entries)
+    if weight is None:
+        columns = bytearray()
+        _enc_entries(entries, columns)
+        weight = len(entries), len(columns)
+        if len(_entries_weights) >= _ENTRIES_CACHE_MAX:
+            del _entries_weights[next(iter(_entries_weights))]
+        _entries_weights[entries] = weight
+    return weight
 
 
 def _batch_weight(transactions: Tuple[Transaction, ...]) -> Tuple:
@@ -641,6 +649,8 @@ _SHAPE_KEYS: Dict[Type, Callable[[Any], Tuple]] = {
     ViewSync: lambda m: (m.high_cert is None,),
 }
 _size_cache: Dict[Tuple, int] = {}
+#: Weights of the latest response-batch entries tuples (oldest dropped first).
+_entries_weights: Dict[Tuple[ResponseEntry, ...], Tuple[int, int]] = {}
 
 #: Decoded-payload cache for envelopes, keyed by the exact payload bytes.  A
 #: broadcast encodes its message once and splices per-receiver routing
@@ -657,6 +667,7 @@ def reset_size_cache() -> None:
     experiment run, so one deployment's message shapes never leak into the
     next)."""
     _size_cache.clear()
+    _entries_weights.clear()
     _decode_cache.clear()
     _entries_dec_cache.clear()
 
@@ -681,9 +692,11 @@ def encoded_size(payload: Any, default: int = DEFAULT_SIZE_BYTES) -> int:
     """Bytes this payload occupies on the wire: its frame, untraced.
 
     Sizes are exact for the first message of each (type, shape) and reused
-    for later messages of the same shape.  Unknown payload types (tests
-    exercise the network with plain strings) charge *default* bytes,
-    preserving the historical fixed-size accounting for stubs.
+    for later messages of the same shape.  A response batch's shape is the
+    length of its packed columns, computed once per equal entries tuple (the
+    n replicas answering one block send equal entries).  Unknown payload
+    types (tests exercise the network with plain strings) charge *default*
+    bytes, preserving the historical fixed-size accounting for stubs.
     """
     cls = type(payload)
     shape = _SHAPE_KEYS.get(cls)

@@ -13,12 +13,32 @@ three durable logs share.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.ledger.block import Block
 from repro.ledger.blockstore import BlockStore
 from repro.live.codec import from_record, record_of
 from repro.storage.backend import LogBackend
+
+
+#: The latest blocks' records, keyed by ``id(block)`` (oldest dropped first).
+#: Replicas that share a process store the same block object, so its record
+#: is encoded once.  The key is the object, not ``block_hash``: no receive
+#: path re-hashes a block, so two bodies can carry one hash.  Holding the
+#: block keeps its id from being reused while the entry lives.
+_RECORDS: Dict[int, Tuple[Block, str]] = {}
+RECORDS_MAX = 64
+
+
+def _record(block: Block) -> str:
+    entry = _RECORDS.get(id(block))
+    if entry is not None and entry[0] is block:
+        return entry[1]
+    record = record_of(block)
+    if len(_RECORDS) >= RECORDS_MAX:
+        del _RECORDS[next(iter(_RECORDS))]
+    _RECORDS[id(block)] = (block, record)
+    return record
 
 
 class DurableBlockStore(BlockStore):
@@ -36,7 +56,7 @@ class DurableBlockStore(BlockStore):
             return self._blocks[block.block_hash]
         stored = super().add(block)
         if not block.is_genesis:
-            self._backend.append(record_of(block))
+            self._backend.append(_record(block))
         return stored
 
     def compact_log(self) -> int:

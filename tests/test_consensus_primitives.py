@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from repro.consensus.costs import CostModel
 from repro.consensus.leader import RoundRobinLeaderElection
 from repro.consensus.mempool import Mempool
 from repro.consensus.metrics import MetricsCollector
+from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError, InvalidCertificateError
+from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.ledger.block import make_genesis_block
 from repro.ledger.transaction import Transaction
 
@@ -160,7 +163,7 @@ class TestMempool:
         pool.note_proposed("committed", pool.next_batch(1))
         pool.note_proposed("forked", pool.next_batch(1))
         pool.note_committed("committed", [first])
-        assert pool._inflight_blocks == {"forked": (second.txn_id,)}
+        assert {h: ids for h, (_, ids) in pool._inflight_blocks.items()} == {"forked": (second.txn_id,)}
         assert pool.inflight_count() == 1 and pool.is_committed(first.txn_id)
         # Releasing the committed block (or re-committing it) requeues nothing.
         pool.release_block("committed")
@@ -294,3 +297,51 @@ class TestCertificates:
             formed_in_view=cert.formed_in_view,
         )
         assert not authority4.verify_certificate(tampered)
+
+    @pytest.mark.parametrize("field", ["block_hash", "view", "kind", "signers", "fingerprint", "extra"])
+    def test_a_remembered_certificate_vouches_for_no_changed_copy(self, authority4, config4, block_store, field):
+        [block] = build_chain(block_store, 1)
+        cert = certificate_for(authority4, config4, block)
+        assert authority4.verify_certificate(cert)
+        signature, extra = cert.signature, ""
+        if field == "block_hash":
+            changed = dataclasses.replace(cert, block_hash=block.parent_hash)
+        elif field == "view":
+            changed = dataclasses.replace(cert, view=cert.view + 1)
+        elif field == "kind":
+            changed = dataclasses.replace(cert, kind=CertKind.COMMIT)
+        elif field == "signers":
+            outside = next(i for i in range(config4.n) if i not in signature.signers)
+            signers = signature.signers[:-1] + (outside,)
+            changed = dataclasses.replace(cert, signature=dataclasses.replace(signature, signers=signers))
+        elif field == "fingerprint":
+            forged = dataclasses.replace(signature, fingerprint=signature.fingerprint[::-1])
+            changed = dataclasses.replace(cert, signature=forged)
+        else:
+            changed, extra = cert, "other"
+        for _ in range(2):
+            assert not authority4.verify_certificate(changed, extra)
+        assert authority4.verify_certificate(cert)
+
+    def test_a_shared_authority_verifies_each_certificate_once(self, monkeypatch):
+        """In an n = 16 sim run every replica verifies every certificate it
+        receives, but the aggregate behind each distinct one is checked once."""
+        aggregates, certificates, calls = [], set(), []
+        verify_aggregate, verify_certificate = ThresholdScheme.verify_aggregate, CertificateAuthority.verify_certificate
+
+        def counting_aggregate(scheme, aggregate):
+            aggregates.append(aggregate)
+            return verify_aggregate(scheme, aggregate)
+
+        def counting_certificate(authority, cert, extra=""):
+            calls.append(cert)
+            if not cert.is_genesis:
+                certificates.add((cert, extra))
+            return verify_certificate(authority, cert, extra)
+
+        monkeypatch.setattr(ThresholdScheme, "verify_aggregate", counting_aggregate)
+        monkeypatch.setattr(CertificateAuthority, "verify_certificate", counting_certificate)
+        result = run_experiment(ExperimentSpec(protocol="hotstuff-1", n=16, duration=0.1, warmup=0.02))
+        assert result.throughput > 0
+        assert len(aggregates) == len(certificates) > 10
+        assert len(calls) > 10 * len(certificates)

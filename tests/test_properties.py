@@ -12,7 +12,7 @@ import random
 import typing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.checkpoint.snapshot import Snapshot
 from repro.consensus.certificates import CertKind, Certificate
@@ -237,8 +237,9 @@ def test_mempool_never_duplicates_or_resurrects(ids, batch):
 
 
 class _MarkEveryIdMempool(Mempool):
-    """The pool as it was before :meth:`Mempool.mark_committed` skipped ids it
-    already knew committed: every id is popped and the watermark re-checked."""
+    """The pool as it was before it skipped repeated work: :meth:`mark_committed`
+    pops every id and re-checks the watermark, and :meth:`note_proposed` runs
+    its full pass on every call."""
 
     def mark_committed(self, txn_ids) -> None:
         for txn_id in txn_ids:
@@ -250,23 +251,48 @@ class _MarkEveryIdMempool(Mempool):
                 self.highest_committed_id = txn_id
         self._advance_watermark()
 
+    def note_proposed(self, block_hash, txns) -> None:
+        ids = []
+        for txn in txns:
+            self._pending.pop(txn.txn_id, None)
+            if txn.txn_id <= self._contiguous or txn.txn_id in self._committed_ids:
+                continue
+            self._inflight[txn.txn_id] = txn
+            ids.append(txn.txn_id)
+        if ids:
+            self._inflight_blocks[block_hash] = (self._generation, tuple(ids))
+
+
+_POOL_BLOCKS = 4
+
 
 def _pool_state(pool: Mempool) -> tuple:
+    """Pending order, in-flight ids, the watermark, the counters, and what
+    releasing each block would put back in the pool (in pool order)."""
+    rescued = []
+    for block in range(_POOL_BLOCKS):
+        released = copy.deepcopy(pool)
+        released.release_block(f"b{block}")
+        rescued.append(list(released._pending))
     return (
-        list(pool._pending), sorted(pool._inflight), dict(pool._inflight_blocks), sorted(pool._committed_ids),
+        list(pool._pending), sorted(pool._inflight), sorted(pool._committed_ids), rescued,
         pool.committed_contiguous, pool.highest_committed_id, pool.total_submitted, pool.admission_rejected,
     )
 
 
 _POOL_IDS = st.integers(min_value=0, max_value=24)
+_POOL_BLOCK = st.integers(0, _POOL_BLOCKS - 1)
 _POOL_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), _POOL_IDS),
         st.tuples(st.just("next_batch"), st.integers(min_value=1, max_value=6)),
-        st.tuples(st.just("note_proposed"), st.integers(0, 3), st.lists(_POOL_IDS, max_size=6)),
+        # A block noted by this many replicas in a row.
+        st.tuples(st.just("note_proposed"), _POOL_BLOCK, st.integers(1, 5)),
         st.tuples(st.just("requeue"), st.lists(_POOL_IDS, max_size=6)),
-        st.tuples(st.just("release_block"), st.integers(0, 3)),
-        st.tuples(st.just("note_committed"), st.integers(0, 3), st.lists(_POOL_IDS, max_size=6)),
+        # The fork path: a sibling's uncommitted transactions go back.
+        st.tuples(st.just("requeue_block"), _POOL_BLOCK),
+        st.tuples(st.just("release_block"), _POOL_BLOCK),
+        st.tuples(st.just("note_committed"), _POOL_BLOCK, st.lists(_POOL_IDS, max_size=6)),
         st.tuples(st.just("prune_below"), _POOL_IDS),
     ),
     max_size=40,
@@ -274,13 +300,29 @@ _POOL_OPS = st.lists(
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-replica"])
-@settings(max_examples=60, deadline=None)
-@given(ops=_POOL_OPS, replicas=st.integers(min_value=2, max_value=5))
-def test_mempool_never_holds_a_committed_id(shared, ops, replicas):
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=_POOL_OPS,
+    replicas=st.integers(min_value=2, max_value=5),
+    bodies=st.lists(st.lists(_POOL_IDS, max_size=6), min_size=_POOL_BLOCKS, max_size=_POOL_BLOCKS),
+)
+# A block noted again after its transactions were requeued, and after a
+# block sharing one of them was released: both repeats must run in full.
+@example(
+    ops=[("add", 1), ("note_proposed", 0, 2), ("requeue_block", 0), ("note_proposed", 0, 2)],
+    replicas=2, bodies=[[1], [], [], []],
+)
+@example(
+    ops=[("add", 1), ("note_proposed", 0, 1), ("note_proposed", 1, 1), ("release_block", 1), ("note_proposed", 0, 1)],
+    replicas=2, bodies=[[1], [1], [], []],
+)
+def test_mempool_never_holds_a_committed_id(shared, ops, replicas, bodies):
     """Over random pool operations: no id at or below the watermark, and none
     in ``_committed_ids``, is ever pending or in flight; ``note_committed``
     called once per replica leaves the state one call leaves; and the state
-    matches a pool that pops every committed id."""
+    matches a pool that pops every committed id and runs every
+    ``note_proposed`` in full.  Block ``b<i>`` always carries ``bodies[i]``:
+    a block hash names one body."""
     pool, reference = Mempool(limit=12, shared=shared), _MarkEveryIdMempool(limit=12, shared=shared)
     txns = {txn_id: Transaction.create(1, "noop", txn_id=txn_id) for txn_id in range(25)}
     for op, *args in ops:
@@ -298,9 +340,12 @@ def test_mempool_never_holds_a_committed_id(shared, ops, replicas):
                 elif op == "next_batch":
                     target.next_batch(args[0])
                 elif op == "note_proposed":
-                    target.note_proposed(f"b{args[0]}", [txns[i] for i in args[1]])
+                    for _ in range(args[1]):
+                        target.note_proposed(f"b{args[0]}", [txns[i] for i in bodies[args[0]]])
                 elif op == "requeue":
                     target.requeue([txns[i] for i in args[0]])
+                elif op == "requeue_block":
+                    target.requeue([txns[i] for i in bodies[args[0]] if not target.is_committed(i)])
                 elif op == "release_block":
                     target.release_block(f"b{args[0]}")
                 else:
@@ -674,6 +719,22 @@ def test_response_batches_round_trip_in_every_column_mode(batch):
     wire = codec.encode_message(batch)
     assert codec.decode_message(wire) == batch
     assert codec.decode_message(wire) == batch  # ...and again from the entries cache
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_response_batches(), other=_response_batches())
+def test_a_response_batch_is_sized_as_its_encoding_cold_and_warm(batch, other):
+    """``encoded_size`` is the frame the transport writes, whether the batch's
+    entries are sized cold or after an equal entries tuple was (every replica
+    answering a block sends its own, equal tuple)."""
+    expected = len(codec.encode_message(batch)) + codec.BINARY_ENVELOPE_OVERHEAD
+    codec.reset_size_cache()
+    assert codec.encoded_size(batch) == expected
+    codec.reset_size_cache()
+    codec.encoded_size(dataclasses.replace(batch, entries=other.entries))
+    equal = dataclasses.replace(batch, entries=tuple(ResponseEntry(*entry) for entry in batch.entries))
+    assert codec.encoded_size(equal) == expected
+    assert codec.encoded_size(batch) == expected
 
 
 def _replica_batch(failed=(), digest=lambda txn_id: NULL_DIGEST):

@@ -319,7 +319,8 @@ class TestStateIsBounded:
     A long run enters thousands of views and commits thousands of blocks;
     state kept per view or per block for the whole run would grow with it.
     At every view entry, each set, dict and list held by a replica, its
-    pacemaker and its mempool must stay within ``BOUND`` entries.  Only the
+    pacemaker, its mempool and its certificate authority must stay within
+    ``BOUND`` entries.  Only the
     block-indexed certificate maps are exempt: ``certs_by_block``, and the
     slotting replica's ``justify_of`` (its prefix commit rule reads it).
     """
@@ -342,7 +343,7 @@ class TestStateIsBounded:
 
         def measuring(replica, view):
             enter(replica, view)
-            for owner in (replica, replica.pacemaker, replica.mempool):
+            for owner in (replica, replica.pacemaker, replica.mempool, replica.authority):
                 for name, value in vars(owner).items():
                     if isinstance(value, (set, dict, list)):
                         key = (type(owner).__name__, name)
@@ -361,4 +362,4 @@ class TestStateIsBounded:
         }
         assert grown == {}
         measured = {owner for owner, _ in largest}
-        assert measured == {type(result.replicas[0]).__name__, "Pacemaker", "Mempool"}
+        assert measured == {type(result.replicas[0]).__name__, "Pacemaker", "Mempool", "CertificateAuthority"}

@@ -3,6 +3,7 @@ and crash recovery (restore + never-vote-twice)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -27,7 +28,7 @@ from repro.storage import (
 )
 from repro.storage.backend import parse_jsonl_lines
 from repro.storage.wal import WalState
-from tests.conftest import build_chain, certificate_for
+from tests.conftest import build_chain, certificate_for, make_txn
 from tests.helpers import ReplicaHarness
 
 
@@ -172,6 +173,31 @@ class TestDurableBlockStore:
         store.add(block)
         store.add(block)
         assert len(backend) == 1
+
+    def test_one_block_object_is_encoded_once_for_every_store(self, monkeypatch):
+        import repro.storage.blockstore as durable
+
+        encoded = []
+        record_of = durable.record_of
+        monkeypatch.setattr(durable, "record_of", lambda block: encoded.append(block) or record_of(block))
+        [block] = build_chain(BlockStore(), 1, txns_per_block=3)
+        backends = [MemoryLogBackend() for _ in range(4)]
+        for backend in backends:
+            DurableBlockStore(backend).add(block)
+        assert encoded == [block]
+        assert all(backend.replay() == backends[0].replay() for backend in backends)
+
+    def test_two_bodies_under_one_hash_replay_as_their_own(self):
+        """A received block is not re-hashed, so two bodies can carry one
+        hash; each store must log the body it was given."""
+        [block] = build_chain(BlockStore(), 1, txns_per_block=2)
+        other = dataclasses.replace(block, transactions=(make_txn(7, key="other"),))
+        assert other.block_hash == block.block_hash and other != block
+        stores = [DurableBlockStore(MemoryLogBackend()) for _ in range(2)]
+        for store, body in zip(stores, (block, other)):
+            store.add(body)
+        for store, body in zip(stores, (block, other)):
+            assert DurableBlockStore(store._backend).get(block.block_hash).transactions == body.transactions
 
 
 class TestForkPruning:
