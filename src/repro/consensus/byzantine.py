@@ -223,7 +223,3 @@ class ForgedResponseBehavior(ReplicaBehavior):
         if self.mode == "flip-success":
             return forge(batch, entries=tuple(entry._replace(success=not entry.success) for entry in batch.entries))
         return forge(batch, entries=tuple(entry._replace(result_digest=batch.results_root) for entry in batch.entries))
-
-
-#: Backwards-compatible alias used by earlier revisions of the scenarios.
-CertWithholdingBehavior = RollbackAttackBehavior

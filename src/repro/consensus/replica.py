@@ -278,24 +278,22 @@ class BaseReplica:
                 self.request_block(msg.high_cert.block_hash, sender)
         self.pacemaker.handle_view_sync(msg, sender)
 
-    def send(self, target: int, payload, size_bytes: Optional[int] = None) -> None:
-        """Send *payload* to a single node (sized by the wire codec by default).
+    def send(self, target: int, payload) -> None:
+        """Send *payload* to a single node.
 
         A halted (crashed) replica sends nothing: callbacks scheduled before
         the crash may still fire, but their messages die here.
         """
         if self.halted:
             return
-        self.network.send(self.node_id, target, payload, size_bytes=size_bytes)
+        self.network.send(self.node_id, target, payload)
 
-    def broadcast_replicas(
-        self, payload, targets: Optional[Iterable[int]] = None, size_bytes: Optional[int] = None
-    ) -> None:
+    def broadcast_replicas(self, payload, targets: Optional[Iterable[int]] = None) -> None:
         """Send *payload* to every replica (or the given subset), including ourselves."""
         if self.halted:
             return
         receivers = list(targets) if targets is not None else list(self.config.replica_ids())
-        self.network.broadcast(self.node_id, payload, receivers=receivers, size_bytes=size_bytes)
+        self.network.broadcast(self.node_id, payload, receivers=receivers)
 
     # ----------------------------------------------------------- client side
     def handle_client_request(self, msg: ClientRequest, sender: int) -> None:

@@ -16,16 +16,16 @@ Without a pairing library we simulate the scheme:
   registered share keys and checks the distinct-signer threshold.
 
 The interface (share / aggregate / verify) and the failure modes (too few
-shares, duplicate signer, corrupted share) match what the protocol relies on;
-the cost of each operation is charged to the simulated CPU through
-:class:`ThresholdCosts`.
+shares, duplicate signer, corrupted share) match what the protocol relies on.
+The simulated CPU cost of signing and verifying is charged by replicas through
+:class:`repro.consensus.costs.CostModel`, not here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.crypto.hashing import combine_digests
@@ -86,22 +86,6 @@ class ThresholdSignature:
         return len(self.signers)
 
 
-@dataclass(frozen=True)
-class ThresholdCosts:
-    """Simulated CPU cost (seconds) of threshold-signature operations.
-
-    These values feed the consensus cost model; they are deliberately in the
-    microsecond range so that, combined with per-transaction execution costs,
-    the simulated per-view duration lands in the same order of magnitude as
-    the paper's millisecond-scale views.
-    """
-
-    share_cost: float = 4e-6
-    verify_share_cost: float = 5e-6
-    aggregate_cost_per_share: float = 2e-6
-    verify_aggregate_cost_per_share: float = 3e-6
-
-
 class ThresholdScheme:
     """The (n, t) threshold-signature scheme for one deployment.
 
@@ -123,7 +107,6 @@ class ThresholdScheme:
         self.n = int(n)
         self.threshold = int(threshold)
         self.seed = int(seed)
-        self.costs = ThresholdCosts()
         self._share_keys: Dict[int, bytes] = {
             replica_id: hashlib.sha256(
                 f"threshold-share-key|{seed}|{replica_id}".encode("utf-8")
@@ -204,16 +187,6 @@ class ThresholdScheme:
             ]
         )
         return hmac.compare_digest(expected_fingerprint, aggregate.fingerprint)
-
-    # ------------------------------------------------------------------ cost
-    def aggregate_cost(self, share_count: int) -> float:
-        """Simulated CPU seconds to verify and combine *share_count* shares."""
-        per_share = self.costs.verify_share_cost + self.costs.aggregate_cost_per_share
-        return share_count * per_share
-
-    def verify_cost(self, share_count: int) -> float:
-        """Simulated CPU seconds to verify an aggregate with *share_count* shares."""
-        return share_count * self.costs.verify_aggregate_cost_per_share
 
     # -------------------------------------------------------------- internal
     def _key_for(self, signer: int) -> bytes:

@@ -893,8 +893,8 @@ RUN_GC_THRESHOLD = 5000
 def run_scope(spec: ExperimentSpec) -> Iterator[None]:
     """The process-wide state one run owns, entered once by every placement.
 
-    Inside the scope the codec's size and decode memos start empty
-    (:func:`~repro.live.codec.wire_codec_scope`) and the cyclic collector's
+    Inside the scope the codec's decode and response-entries memos start
+    empty (:func:`~repro.live.codec.wire_codec_scope`) and the cyclic collector's
     young generation collects every :data:`RUN_GC_THRESHOLD` net
     allocations.  On every exit, exceptions included, the memos are dropped
     and the collector's thresholds are restored to what they were on entry.

@@ -354,6 +354,14 @@ def _dec_id_column(data: bytes, pos: int, count: int) -> Tuple[Iterable[int], in
 
 
 def _enc_entries(entries: Tuple[ResponseEntry, ...], buf: bytearray) -> None:
+    # Every replica answers a block with an equal entries tuple, so the n
+    # replicas of one process pack its columns once, whether the simulator
+    # sizes them or a live transport sends them; the others copy the bytes.
+    packed = _entries_enc_cache.get(entries)
+    if packed is not None:
+        buf += packed
+        return
+    mark = len(buf)
     _append_uvarint(buf, len(entries))
     if not entries:
         return
@@ -380,6 +388,9 @@ def _enc_entries(entries: Tuple[ResponseEntry, ...], buf: bytearray) -> None:
         _enc_digest(digests[0], columns)
     _append_uvarint(buf, len(columns))
     buf += columns
+    if len(_entries_enc_cache) >= _ENTRIES_CACHE_MAX:
+        _entries_enc_cache.clear()
+    _entries_enc_cache[entries] = bytes(buf[mark:])
 
 
 def _dec_entries(data: bytes, pos: int) -> Tuple[Tuple[ResponseEntry, ...], int]:
@@ -434,7 +445,10 @@ def _dec_entries(data: bytes, pos: int) -> Tuple[Tuple[ResponseEntry, ...], int]
 
 
 _CODECS[seq(ResponseEntry)] = (_enc_entries, _dec_entries)
-#: Decoded entries keyed by their packed columns (see :func:`_dec_entries`).
+#: Packed columns keyed by the entries tuple (see :func:`_enc_entries`), and
+#: its mirror, decoded entries keyed by their packed columns
+#: (:func:`_dec_entries`); each is cleared when it reaches the bound.
+_entries_enc_cache: Dict[Tuple[ResponseEntry, ...], bytes] = {}
 _entries_dec_cache: Dict[bytes, Tuple[ResponseEntry, ...]] = {}
 _ENTRIES_CACHE_MAX = 64
 
@@ -590,68 +604,6 @@ def from_record(record: Any, cls: Type[_T]) -> _T:
     return value
 
 
-# The simulator asks for a size on *every* send; encoding a 100-transaction
-# block costs ~0.1 ms of real CPU, which would dominate simulated runs.  Two
-# messages of the same type and shape (same optional fields, same batch
-# composition) differ by nothing in fixed-width records, so sizes are computed
-# exactly once per shape and reused.  The per-shape key functions below
-# capture the fields that change a message's size; a batch is keyed on its
-# length and, per operation, how many of its transactions run it and their
-# summed payload weight, so a TPC-C proposal is charged for its own mix of
-# profiles and order lines, not for those of the first batch that began the
-# same way.  A response batch's size follows its columns' widths and modes,
-# so its key is the size of the packed columns themselves.
-_SIZED = frozenset((str, list, tuple, dict))
-
-
-def _txn_weight(txn: Transaction) -> int:
-    """What varies in the size of one operation's payloads: the characters of
-    its strings and the items of its containers."""
-    return sum(len(value) for value in txn.payload.values() if value.__class__ in _SIZED)
-
-
-def _entries_weight(entries: Tuple[ResponseEntry, ...]) -> Tuple[int, int]:
-    # Every replica answers a block with an equal entries tuple, so its
-    # columns are packed once and the weight looked up by the others.
-    weight = _entries_weights.get(entries)
-    if weight is None:
-        columns = bytearray()
-        _enc_entries(entries, columns)
-        weight = len(entries), len(columns)
-        if len(_entries_weights) >= _ENTRIES_CACHE_MAX:
-            del _entries_weights[next(iter(_entries_weights))]
-        _entries_weights[entries] = weight
-    return weight
-
-
-def _batch_weight(transactions: Tuple[Transaction, ...]) -> Tuple:
-    mix: Dict[str, Tuple[int, int]] = {}
-    for txn in transactions:
-        count, weight = mix.get(txn.operation, (0, 0))
-        mix[txn.operation] = (count + 1, weight + _txn_weight(txn))
-    return tuple(sorted(mix.items()))
-
-
-_SHAPE_KEYS: Dict[Type, Callable[[Any], Tuple]] = {
-    ClientRequest: lambda m: (m.txn.operation, _txn_weight(m.txn)),
-    ClientRequestBatch: lambda m: _batch_weight(m.txns),
-    ClientResponseBatch: lambda m: _entries_weight(m.entries),
-    Propose: lambda m: _batch_weight(m.block.transactions) + (m.commit_cert is None,),
-    FetchResponse: lambda m: _batch_weight(m.block.transactions),
-    NewView: lambda m: (m.share is None, m.commit_share is None),
-    # Snapshot payloads grow with state size, so the shape key carries the
-    # height — two different checkpoints never share a cached size.
-    SnapshotResponse: lambda m: (
-        (None,) if m.snapshot is None else (m.snapshot.height, len(m.snapshot.committed_hashes))
-    ),
-    Wish: lambda m: (m.high_cert is None,),
-    TimeoutCertificateMsg: lambda m: (m.high_cert is None,),
-    ViewSync: lambda m: (m.high_cert is None,),
-}
-_size_cache: Dict[Tuple, int] = {}
-#: Weights of the latest response-batch entries tuples (oldest dropped first).
-_entries_weights: Dict[Tuple[ResponseEntry, ...], Tuple[int, int]] = {}
-
 #: Decoded-payload cache for envelopes, keyed by the exact payload bytes.  A
 #: broadcast encodes its message once and splices per-receiver routing
 #: headers, so every remote peer of an in-process cluster receives a
@@ -662,54 +614,42 @@ _decode_cache: Dict[bytes, Any] = {}
 _DECODE_CACHE_MAX = 256
 
 
-def reset_size_cache() -> None:
-    """Drop memoized sizes and decoded payloads (called around every
-    experiment run, so one deployment's message shapes never leak into the
+def reset_codec_caches() -> None:
+    """Drop the memoized decodes and packed response entries (called around
+    every experiment run, so one deployment's messages never leak into the
     next)."""
-    _size_cache.clear()
-    _entries_weights.clear()
     _decode_cache.clear()
     _entries_dec_cache.clear()
+    _entries_enc_cache.clear()
 
 
 @contextmanager
 def wire_codec_scope(name: str) -> Iterator[None]:
-    """Run one experiment with fresh codec caches, dropped again after it.
+    """Run one experiment with empty codec caches, dropped again after it.
 
     *name* must be ``"binary"``, the only wire format; it is what
     ``ExperimentSpec.codec`` holds.
     """
     if name != "binary":
         raise ConfigurationError(f"unknown wire codec {name!r}; available: ['binary']")
-    reset_size_cache()
+    reset_codec_caches()
     try:
         yield
     finally:
-        reset_size_cache()
+        reset_codec_caches()
 
 
 def encoded_size(payload: Any, default: int = DEFAULT_SIZE_BYTES) -> int:
     """Bytes this payload occupies on the wire: its frame, untraced.
 
-    Sizes are exact for the first message of each (type, shape) and reused
-    for later messages of the same shape.  A response batch's shape is the
-    length of its packed columns, computed once per equal entries tuple (the
-    n replicas answering one block send equal entries).  Unknown payload
-    types (tests exercise the network with plain strings) charge *default*
-    bytes, preserving the historical fixed-size accounting for stubs.
+    That is the encoding plus :data:`BINARY_ENVELOPE_OVERHEAD`, computed by
+    encoding it.  Unknown payload types (tests exercise the network with
+    plain strings) charge *default* bytes.
     """
-    cls = type(payload)
-    shape = _SHAPE_KEYS.get(cls)
-    key = (cls, shape(payload) if shape is not None else None)
-    cached = _size_cache.get(key)
-    if cached is not None:
-        return cached
     try:
-        size = len(encode_message(payload)) + BINARY_ENVELOPE_OVERHEAD
+        return len(encode_message(payload)) + BINARY_ENVELOPE_OVERHEAD
     except UnknownWireTypeError:
         return default
-    _size_cache[key] = size
-    return size
 
 
 # --------------------------------------------------------------------- frames

@@ -37,7 +37,9 @@ class Transport(Protocol):
 
     ``SimNetwork`` and ``AsyncTcpTransport`` both satisfy this structurally;
     replicas take whichever they are constructed with and never branch on the
-    backend.
+    backend.  Both charge each message the bytes of its frame: the live
+    transport counts the frame it builds, the simulator encodes the message
+    and adds the untraced envelope (:func:`repro.live.codec.encoded_size`).
     """
 
     stats: NetworkStats
@@ -48,19 +50,10 @@ class Transport(Protocol):
     def unregister(self, node_id: int) -> None:
         """Detach a node; subsequent messages to it are dropped."""
 
-    def send(
-        self, sender: int, receiver: int, payload: Any, size_bytes: Optional[int] = None
-    ) -> Optional[Envelope]:
+    def send(self, sender: int, receiver: int, payload: Any) -> Optional[Envelope]:
         """Send *payload* to one node; returns the envelope or ``None`` if dropped."""
 
-    def broadcast(
-        self,
-        sender: int,
-        payload: Any,
-        receivers: Optional[Iterable[int]] = None,
-        include_self: bool = True,
-        size_bytes: Optional[int] = None,
-    ) -> int:
+    def broadcast(self, sender: int, payload: Any, receivers: Optional[Iterable[int]] = None) -> int:
         """Send *payload* to many nodes; returns the number handed to the network."""
 
 
@@ -348,9 +341,7 @@ class AsyncTcpTransport:
         return sum(connection._queue.qsize() for connection in self._connections.values())
 
     # ------------------------------------------------------------------ send
-    def send(
-        self, sender: int, receiver: int, payload: Any, size_bytes: Optional[int] = None
-    ) -> Optional[Envelope]:
+    def send(self, sender: int, receiver: int, payload: Any) -> Optional[Envelope]:
         """Frame *payload* and hand it to the receiver's connection.
 
         Self-sends skip the socket (scheduled on the loop to stay
@@ -365,16 +356,9 @@ class AsyncTcpTransport:
             self.delivery_errors.append(exc)
             self.stats.messages_dropped += 1
             return None
-        return self._send_encoded(sender, receiver, payload, message, size_bytes)
+        return self._send_encoded(sender, receiver, payload, message)
 
-    def _send_encoded(
-        self,
-        sender: int,
-        receiver: int,
-        payload: Any,
-        message: bytes,
-        size_bytes: Optional[int] = None,
-    ) -> Optional[Envelope]:
+    def _send_encoded(self, sender: int, receiver: int, payload: Any, message: bytes) -> Optional[Envelope]:
         """Frame pre-encoded *message* bytes and hand them to one receiver."""
         tracer = self._tracer
         local = receiver == self.node_id
@@ -397,7 +381,7 @@ class AsyncTcpTransport:
             self.delivery_errors.append(exc)
             self.stats.messages_dropped += 1
             return None
-        self.stats.record_sent(payload, size if size_bytes is None else size_bytes)
+        self.stats.record_sent(payload, size)
         if seq is not None:
             tracer.wire_send(self.node_id, receiver, seq, type(payload).__name__)
         if self._closed:
@@ -432,14 +416,7 @@ class AsyncTcpTransport:
         if self._closed or not self._enqueue_frame(receiver, frame):
             self.stats.messages_dropped += 1
 
-    def broadcast(
-        self,
-        sender: int,
-        payload: Any,
-        receivers: Optional[Iterable[int]] = None,
-        include_self: bool = True,
-        size_bytes: Optional[int] = None,
-    ) -> int:
+    def broadcast(self, sender: int, payload: Any, receivers: Optional[Iterable[int]] = None) -> int:
         """Send *payload* to every known node (or the given *receivers*).
 
         The message body is encoded once for the whole fan-out; only the
@@ -450,17 +427,11 @@ class AsyncTcpTransport:
             message = encode_message(payload)
         except CodecError as exc:
             self.delivery_errors.append(exc)
-            self.stats.messages_dropped += sum(
-                1 for receiver in targets if include_self or receiver != sender
-            )
+            self.stats.messages_dropped += len(targets)
             return 0
-        count = 0
         for receiver in targets:
-            if not include_self and receiver == sender:
-                continue
-            self._send_encoded(sender, receiver, payload, message, size_bytes)
-            count += 1
-        return count
+            self._send_encoded(sender, receiver, payload, message)
+        return len(targets)
 
     # -------------------------------------------------------------- internal
     def _connection_for(self, receiver: int) -> Optional[_PeerConnection]:

@@ -27,7 +27,7 @@ class Envelope:
         Simulated time at which the network will deliver it (set by the
         network once the latency sample and fault rules are applied).
     size_bytes:
-        Approximate serialised size; used only for statistics.
+        Bytes of the message's frame on the wire; used only for statistics.
     envelope_id:
         Monotonic id for deterministic tie-breaking and tracing.
     """

@@ -14,10 +14,11 @@ _encoded_size = None
 
 
 def _wire_size(payload: Any) -> int:
-    """Real encoded size of *payload* under the live wire format.
+    """Bytes of the frame a live transport would write for *payload*: its
+    encoding plus the envelope (:func:`repro.live.codec.encoded_size`).
 
     Imported lazily so the network substrate stays importable on its own;
-    unknown payload types (test stubs) keep the historical 256-byte charge.
+    unknown payload types (test stubs) are charged the codec's default size.
     """
     global _encoded_size
     if _encoded_size is None:
@@ -139,22 +140,34 @@ class SimNetwork:
         self._trace_hook = hook
 
     # ------------------------------------------------------------------ send
-    def send(
-        self, sender: int, receiver: int, payload: Any, size_bytes: Optional[int] = None
-    ) -> Optional[Envelope]:
+    def send(self, sender: int, receiver: int, payload: Any) -> Optional[Envelope]:
         """Send *payload* from *sender* to *receiver*.
 
-        ``size_bytes`` defaults to the message's real encoded size under the
-        live wire format (:func:`repro.live.codec.encoded_size`), so simulated
-        byte counters match what a live deployment would put on the sockets;
-        pass an explicit value to model a different serialization.
+        The message is charged the bytes of the frame a live transport would
+        write for it (:func:`_wire_size`), so simulated byte counters match
+        what a live deployment puts on its sockets.
 
         Returns the in-flight :class:`Envelope`, or ``None`` if the message
         was dropped by a fault rule or the receiver is unknown.
         """
-        if size_bytes is None:
-            size_bytes = _wire_size(payload)
-        self.stats.record_sent(payload, size_bytes)
+        return self._send(sender, receiver, payload, _wire_size(payload))
+
+    def broadcast(self, sender: int, payload: Any, receivers: Optional[Iterable[int]] = None) -> int:
+        """Send *payload* to every registered node (or the given *receivers*).
+
+        The message is sized once for the whole fan-out.  Returns the number
+        of messages handed to the network (drops included, as the sender
+        cannot observe them).
+        """
+        size = _wire_size(payload)
+        targets = list(self._nodes if receivers is None else receivers)
+        for receiver in targets:
+            self._send(sender, receiver, payload, size)
+        return len(targets)
+
+    # -------------------------------------------------------------- internal
+    def _send(self, sender: int, receiver: int, payload: Any, size: int) -> Optional[Envelope]:
+        self.stats.record_sent(payload, size)
         if self.faults.should_drop(sender, receiver):
             self.faults.record_drop()
             self.stats.messages_dropped += 1
@@ -167,38 +180,13 @@ class SimNetwork:
             receiver=receiver,
             payload=payload,
             sent_at=self.sim.now,
-            size_bytes=size_bytes,
+            size_bytes=size,
         )
         delay = self._one_way_delay(sender, receiver)
         envelope.deliver_at = self.sim.now + delay
         self.sim.schedule_at(envelope.deliver_at, self._deliver, envelope)
         return envelope
 
-    def broadcast(
-        self,
-        sender: int,
-        payload: Any,
-        receivers: Optional[Iterable[int]] = None,
-        include_self: bool = True,
-        size_bytes: Optional[int] = None,
-    ) -> int:
-        """Send *payload* to every registered node (or the given *receivers*).
-
-        Returns the number of messages handed to the network (drops included,
-        as the sender cannot observe them).
-        """
-        if size_bytes is None:
-            size_bytes = _wire_size(payload)  # encode once for the whole fan-out
-        targets = list(self._nodes if receivers is None else receivers)
-        count = 0
-        for receiver in targets:
-            if not include_self and receiver == sender:
-                continue
-            self.send(sender, receiver, payload, size_bytes=size_bytes)
-            count += 1
-        return count
-
-    # -------------------------------------------------------------- internal
     def _one_way_delay(self, sender: int, receiver: int) -> float:
         base = 0.0 if sender == receiver else self.latency.sample(sender, receiver, self._rng)
         return base + self.faults.extra_delay(sender, receiver)

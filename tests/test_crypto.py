@@ -103,8 +103,3 @@ class TestThresholdScheme:
             ThresholdScheme(n=0, threshold=1)
         with pytest.raises(ThresholdError):
             ThresholdScheme(n=4, threshold=5)
-
-    def test_cost_model_scales_with_share_count(self):
-        scheme = self.make_scheme()
-        assert scheme.aggregate_cost(10) > scheme.aggregate_cost(5)
-        assert scheme.verify_cost(10) > 0

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import base64
+import collections
 import hashlib
 import itertools
 import json
 
 import pytest
 
-from repro.consensus.certificates import CertKind, Certificate
+from repro.consensus.certificates import CertificateAuthority, CertKind, Certificate
 from repro.consensus.messages import (
     ClientRequest,
     ClientRequestBatch,
@@ -34,10 +35,13 @@ from repro.core.streamlined import HotStuff1Replica
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError
 from repro.experiments.report import format_network_breakdown
+from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.faults.plan import chaos_preset
 from repro.ledger import transaction as transaction_module
 from repro.ledger.block import Block, make_genesis_block
 from repro.ledger.transaction import OPERATION_SCHEMAS, Transaction
 from repro.live import codec, layout
+from repro.net import network as network_module
 from repro.sim.rng import SeededRng
 from repro.types import NULL_DIGEST
 from repro.workloads.base import make_workload
@@ -183,7 +187,7 @@ class TestMessageRoundTrip:
     def test_frame_size_is_the_framed_length(self, seq):
         """Live ``bytes_per_op`` charges ``frame_size`` without building the
         frame: it must equal the length of the frame actually written."""
-        codec.reset_size_cache()
+        codec.reset_codec_caches()
         for message in _all_messages():
             wire = codec.encode_message(message)
             frame = codec.frame_from_message(0, 1, wire, 0.5, seq=seq)
@@ -206,7 +210,7 @@ class TestEnvelopeFrames:
     """Envelope versions 10 (untraced) and 11 (traced): the only framed format."""
 
     def test_frame_round_trip_preserves_routing_fields(self):
-        codec.reset_size_cache()
+        codec.reset_codec_caches()
         for message in (_all_messages()[0], _all_messages()[3]):  # a request, a Propose with a full block
             frame = codec.frame_from_message(3, -1, codec.encode_message(message), 1.25)
             (length,) = codec.FRAME_HEADER.unpack(frame[:4])
@@ -260,7 +264,7 @@ class TestEnvelopeFrames:
                 codec.decode_envelope(body[:cut])
 
     def test_trailing_bytes_after_binary_payload_rejected(self):
-        codec.reset_size_cache()
+        codec.reset_codec_caches()
         with pytest.raises(codec.CodecError, match="trailing"):
             codec.decode_envelope(_frame_body(_all_messages()[0]) + b"\x00")
         with pytest.raises(codec.CodecError, match="trailing"):
@@ -299,7 +303,7 @@ class TestEnvelopeFrames:
     def test_broadcast_payloads_share_one_decoded_object(self):
         """Per-receiver frames spliced around one encoded message decode to
         the same object, mirroring the simulator's single delivered message."""
-        codec.reset_size_cache()
+        codec.reset_codec_caches()
         message = _all_messages()[2]
         encoded = codec.encode_message(message)
         body_a = codec.frame_from_message(0, 1, encoded, 0.25)[4:]
@@ -317,13 +321,15 @@ class TestWireCodecScope:
                 pass
 
     def test_the_scope_is_a_fresh_set_of_caches(self):
-        message = _all_messages()[2]
-        codec.encoded_size(message)
+        message = _all_messages()[2]  # a response batch: every cache holds it
+        caches = (codec._decode_cache, codec._entries_dec_cache, codec._entries_enc_cache)
+        codec.reset_codec_caches()  # a decode-cache hit would skip the entries decoder
         codec.decode_envelope(_frame_body(message))
+        assert all(caches)
         with codec.wire_codec_scope("binary"):
-            assert not codec._size_cache and not codec._decode_cache
-            codec.encoded_size(message)
-        assert not codec._size_cache
+            assert not any(caches)
+            codec.decode_envelope(_frame_body(message))
+        assert not any(caches)
 
 
 class TestResponseColumns:
@@ -357,7 +363,7 @@ class TestResponseColumns:
     def test_response_entries_cache_keeps_distinct_batches_distinct(self):
         """Equal packed columns share one decoded tuple; a batch differing in
         one flag, or in one digest (raw or riding as text), does not."""
-        codec.reset_size_cache()
+        codec.reset_codec_caches()
         entries_a = tuple(
             ResponseEntry(txn_id=i, client_id=-1 - i, result_digest="a" * 64, success=True)
             for i in range(5)
@@ -573,12 +579,11 @@ class TestWireSizeBudget:
 
 class TestEncodedSize:
     def test_batches_are_charged_for_their_own_mix(self):
-        """A simulated run is charged what the live transport would write:
-        batches of different lengths and profile mixes never share a memoised
-        size (fixed-width records make the memo exact for TPC-C)."""
+        """A simulated run is charged what the live transport would write,
+        for batches of every length and profile mix."""
         txns = _workload_txns("tpcc", 400)
         _, block, cert, _ = _fixture_objects()
-        codec.reset_size_cache()
+        codec.reset_codec_caches()
         for start, length in [(0, 100), (100, 100), (200, 37), (237, 1), (238, 100), (338, 0), (338, 62)]:
             batch = txns[start : start + length]
             body = Block.build(view=5, slot=2, parent_hash=block.parent_hash, proposer=1, transactions=batch)
@@ -592,7 +597,8 @@ class TestEncodedSize:
 
     def test_response_batches_are_charged_for_their_own_columns(self):
         """Column widths and modes change a response batch's size at equal
-        length, so the memo may not be keyed on the length alone."""
+        length, so the encoder's entries memo may not be keyed on the length
+        alone."""
         def batch(ids, client_ids=None, failed=(), digests=None):
             digests = digests or [NULL_DIGEST] * len(ids)
             entries = tuple(
@@ -609,7 +615,7 @@ class TestEncodedSize:
             batch(ids, digests=["a" * 64] * 40), batch(ids, digests=["not-a-digest"] * 40),
             batch(ids, digests=["a" * 64] * 39 + ["b" * 64]),
         ]
-        codec.reset_size_cache()
+        codec.reset_codec_caches()
         sizes = {codec.encoded_size(message) for message in shapes + shapes}
         for message in shapes:
             expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
@@ -617,10 +623,23 @@ class TestEncodedSize:
         assert len(sizes) == len(shapes)
 
     def test_known_messages_are_sized_from_their_encoding(self):
-        codec.reset_size_cache()  # other tests' runs may have seeded shapes
+        codec.reset_codec_caches()
         for message in _all_messages():
             expected = len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
             assert codec.encoded_size(message) == expected
+
+    def test_a_new_view_is_sized_by_its_own_certificate(self):
+        """A ``NewView`` carrying the genesis certificate (no signature) and
+        one carrying a quorum certificate differ in size, and each is charged
+        its own encoding."""
+        shares, block, cert, _ = _fixture_objects()
+        genesis = CertificateAuthority.genesis_certificate(make_genesis_block())
+        sizes = []
+        for high_cert in (genesis, cert):
+            message = NewView(view=6, voter=1, high_cert=high_cert, share=shares[1], voted_block_hash=block.block_hash)
+            sizes.append(codec.encoded_size(message))
+            assert sizes[-1] == len(codec.encode_message(message)) + codec.BINARY_ENVELOPE_OVERHEAD
+        assert sizes[1] > sizes[0]
 
     def test_unknown_payloads_charge_the_default(self):
         assert codec.encoded_size("plain string") == codec.DEFAULT_SIZE_BYTES
@@ -632,6 +651,69 @@ class TestEncodedSize:
         small = Propose(view=5, slot=1, block=block, justify=cert)
         large = Propose(view=5, slot=1, block=big, justify=cert)
         assert codec.encoded_size(large) > codec.encoded_size(small) + 1000
+
+
+def _charged_run(**spec):
+    """Run one simulation with the network's sizer wrapped.  Returns the
+    payload types sent, the count per type of messages charged other than
+    their frame (encoding plus envelope), and the most entries each
+    module-level dict of the codec held at any send."""
+    dicts = {name: value for name, value in vars(codec).items() if isinstance(value, dict) and name[:2] != "__"}
+    peak = {name: len(value) for name, value in dicts.items()}
+    sent, mischarged = set(), collections.Counter()
+    sized = codec.encoded_size
+
+    def checked(payload):
+        size = sized(payload)
+        sent.add(type(payload).__name__)
+        if size != len(codec.encode_message(payload)) + codec.BINARY_ENVELOPE_OVERHEAD:
+            mischarged[type(payload).__name__] += 1
+        for name, value in dicts.items():
+            peak[name] = max(peak[name], len(value))
+        return size
+
+    previous, network_module._encoded_size = network_module._encoded_size, checked
+    try:
+        run_experiment(ExperimentSpec(**spec))
+    finally:
+        network_module._encoded_size = previous
+    return sent, mischarged, peak
+
+
+class TestSimulatedRunsChargeTheEncoding:
+    """The simulated network charges every message the frame a live transport
+    would write for it, and sizing keeps the codec's memos bounded."""
+
+    def test_an_n16_run_charges_every_message_its_frame_and_bounds_the_codec(self):
+        bounds = {
+            "_decode_cache": codec._DECODE_CACHE_MAX,
+            "_entries_dec_cache": codec._ENTRIES_CACHE_MAX,
+            "_entries_enc_cache": codec._ENTRIES_CACHE_MAX,
+        }
+        before = {name: len(value) for name, value in vars(codec).items() if isinstance(value, dict)}
+        sent, mischarged, peak = _charged_run(
+            protocol="hotstuff-1", n=16, batch_size=100, duration=0.2, warmup=0.04
+        )
+        assert {"Propose", "NewView", "ClientRequest", "ClientResponseBatch"} <= sent
+        assert not mischarged
+        # Caches stay within their bounds; every other dict (the registries)
+        # keeps the entries it had before the run.
+        assert {name: size for name, size in peak.items() if size > bounds.get(name, before[name])} == {}
+
+    @pytest.mark.parametrize(
+        "protocol, extra, types",
+        [
+            ("hotstuff-1", {}, {"Wish", "TimeoutCertificateMsg", "ViewSync"}),
+            ("hotstuff-1-slotting", {"pipeline_depth": 2}, {"Wish", "TimeoutCertificateMsg", "NewSlot", "Reject"}),
+        ],
+    )
+    def test_a_leader_crash_charges_view_change_messages_their_frames(self, protocol, extra, types):
+        plan = chaos_preset("kill-leader", n=4, duration=0.4).to_dict()
+        sent, mischarged, _ = _charged_run(
+            protocol=protocol, n=4, batch_size=10, duration=0.4, warmup=0.05, faults=plan, **extra
+        )
+        assert types <= sent
+        assert not mischarged
 
 
 class TestNetworkBreakdownReport:

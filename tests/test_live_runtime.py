@@ -88,7 +88,7 @@ class TestAsyncTcpTransport:
                 message = FetchRequest(block_hash="a" * 64, requester=0)
                 left.send(0, 1, message)  # over TCP
                 left.send(0, 0, message)  # local fast path
-                left.broadcast(0, message, receivers=[0, 1], include_self=False)
+                left.broadcast(0, message, receivers=[1])
                 for _ in range(100):
                     await asyncio.sleep(0.01)
                     if len(sinks[1].received) >= 2 and len(sinks[0].received) >= 1:

@@ -98,13 +98,6 @@ class TestSimNetwork:
         sim.run()
         assert all(len(node.received) == 1 for node in nodes)
 
-    def test_broadcast_can_exclude_self(self):
-        sim, network, nodes = build_network(3)
-        network.broadcast(0, "announce", include_self=False)
-        sim.run()
-        assert len(nodes[0].received) == 0
-        assert len(nodes[1].received) == 1
-
     def test_send_to_unknown_node_is_dropped(self):
         sim, network, nodes = build_network()
         result = network.send(0, 99, "void")
@@ -146,16 +139,13 @@ class TestSimNetwork:
         # Unknown payloads (test stubs) keep the historical 256-byte charge.
         network.send(0, 1, "stub")
         assert network.stats.bytes_sent == encoded_size(message) + 256
-        # Explicit sizes still win over the codec.
-        network.send(0, 1, message, size_bytes=10)
-        assert network.stats.bytes_sent == encoded_size(message) + 256 + 10
 
     def test_stats_break_down_by_message_type(self):
         from repro.consensus.messages import FetchRequest
 
         sim, network, nodes = build_network()
         network.send(0, 1, FetchRequest(block_hash="d" * 64, requester=0))
-        network.broadcast(0, "announce", include_self=False)
+        network.broadcast(0, "announce", receivers=[1, 2])
         network.send(0, 99, FetchRequest(block_hash="d" * 64, requester=0))  # dropped
         sim.run()
         stats = network.stats.as_dict()

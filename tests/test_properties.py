@@ -723,18 +723,47 @@ def test_response_batches_round_trip_in_every_column_mode(batch):
 
 @settings(max_examples=150, deadline=None)
 @given(batch=_response_batches(), other=_response_batches())
-def test_a_response_batch_is_sized_as_its_encoding_cold_and_warm(batch, other):
-    """``encoded_size`` is the frame the transport writes, whether the batch's
-    entries are sized cold or after an equal entries tuple was (every replica
-    answering a block sends its own, equal tuple)."""
-    expected = len(codec.encode_message(batch)) + codec.BINARY_ENVELOPE_OVERHEAD
-    codec.reset_size_cache()
-    assert codec.encoded_size(batch) == expected
-    codec.reset_size_cache()
-    codec.encoded_size(dataclasses.replace(batch, entries=other.entries))
+def test_a_response_batch_encodes_the_same_cold_and_warm(batch, other):
+    """The encoder's entries memo writes the bytes a cold encoding writes,
+    whether the batch's entries are packed cold or after an equal entries
+    tuple was (every replica answering a block sends its own, equal tuple)."""
+    codec.reset_codec_caches()
+    cold = codec.encode_message(batch)
+    codec.reset_codec_caches()
+    codec.encode_message(dataclasses.replace(batch, entries=other.entries))
     equal = dataclasses.replace(batch, entries=tuple(ResponseEntry(*entry) for entry in batch.entries))
-    assert codec.encoded_size(equal) == expected
-    assert codec.encoded_size(batch) == expected
+    assert codec.encode_message(equal) == cold
+    assert codec.encode_message(batch) == cold
+    assert codec.decode_message(cold) == batch
+
+
+#: One field of a response entry changed to a value it does not have.
+_ENTRY_EDITS = {
+    "txn_id": lambda entry: entry.txn_id ^ 1,
+    "client_id": lambda entry: entry.client_id ^ 1,
+    "result_digest": lambda entry: "e" * 64 if entry.result_digest != "e" * 64 else "f" * 64,
+    "success": lambda entry: not entry.success,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=_response_batches().filter(lambda batch: batch.entries),
+    field=st.sampled_from(sorted(_ENTRY_EDITS)),
+    position=st.integers(min_value=0, max_value=100),
+)
+def test_a_response_batch_differing_in_one_entry_is_encoded_afresh(batch, field, position):
+    """A batch whose entries differ from the memoised ones in one field of one
+    entry is not served their bytes: it decodes to itself."""
+    entries = list(batch.entries)
+    index = position % len(entries)
+    entries[index] = entries[index]._replace(**{field: _ENTRY_EDITS[field](entries[index])})
+    changed = dataclasses.replace(batch, entries=tuple(entries))
+    codec.encode_message(batch)
+    wire = codec.encode_message(changed)
+    assert codec.decode_message(wire) == changed
+    codec.reset_codec_caches()
+    assert codec.encode_message(changed) == wire
 
 
 def _replica_batch(failed=(), digest=lambda txn_id: NULL_DIGEST):

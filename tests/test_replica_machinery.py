@@ -152,7 +152,7 @@ class TestChargedExecution:
             commit_cert=harness.certificate(CertKind.COMMIT, block1),
         )
         sent = []
-        replica.send = lambda target, payload, size_bytes=None: sent.append((harness.sim.now, payload))
+        replica.send = lambda target, payload: sent.append((harness.sim.now, payload))
         replica.handle_propose(proposal, sender=harness.leaders.leader_of(2))
         harness.run(0.005)
         assert replica.ledger.is_committed(block1.block_hash)
@@ -169,7 +169,7 @@ class TestRecoveryAndFetch:
         genesis = harness.replica.block_store.genesis
         block1 = add_block(harness, 1, genesis)
         sent = []
-        harness.replica.send = lambda target, payload, size_bytes=256: sent.append((target, payload))
+        harness.replica.send = lambda target, payload: sent.append((target, payload))
         harness.replica.handle_fetch_request(FetchRequest(block_hash=block1.block_hash, requester=2), sender=2)
         assert sent and isinstance(sent[0][1], FetchResponse)
         assert sent[0][1].block.block_hash == block1.block_hash
@@ -177,7 +177,7 @@ class TestRecoveryAndFetch:
     def test_fetch_request_for_unknown_block_is_ignored(self):
         harness = ReplicaHarness(HotStuff2Replica)
         sent = []
-        harness.replica.send = lambda target, payload, size_bytes=256: sent.append(payload)
+        harness.replica.send = lambda target, payload: sent.append(payload)
         harness.replica.handle_fetch_request(FetchRequest(block_hash="f" * 64, requester=2), sender=2)
         assert sent == []
 
@@ -194,7 +194,7 @@ class TestRecoveryAndFetch:
         )
         proposal = Propose(view=2, slot=1, block=next_block, justify=cert)
         requested = []
-        harness.replica.send = lambda target, payload, size_bytes=256: requested.append(payload)
+        harness.replica.send = lambda target, payload: requested.append(payload)
         harness.replica.handle_propose(proposal, sender=2)
         fetches = [msg for msg in requested if isinstance(msg, FetchRequest)]
         assert fetches and fetches[0].block_hash == missing.block_hash
